@@ -347,20 +347,19 @@ class Pattern:
         return (int(bb[:, 0].min()), int(bb[:, 1].min()), int(bb[:, 2].max()), int(bb[:, 3].max()))
 
 
-def extract_pattern(doc, center: Vertex, indices=None) -> Pattern:
+def extract_pattern(doc, center: Vertex) -> Pattern:
     """Clip the document's design polygons to the square window at `center`.
 
-    `doc` needs `design_polygons` and `pattern_radius`. Pieces of a split
-    polygon become independent shapes. `indices` optionally restricts the
-    scan to a precomputed candidate subset (callers with a bbox index).
+    Only the polygons `doc.window_candidates(center)` names are clipped; every
+    other polygon misses the window or touches it only along an edge, so it
+    would yield no piece. Pieces of a split polygon become independent shapes.
     """
     cx, cy = center
     r = doc.pattern_radius
     window = (cx - r, cy - r, cx + r, cy + r)
     polys = doc.design_polygons
-    scan = range(len(polys)) if indices is None else indices
     shapes = []
-    for idx in scan:
+    for idx in doc.window_candidates(center).tolist():
         for piece in clip_polygon(polys[idx], window):
             shapes.append(piece.translated(-cx, -cy))
     return Pattern((cx, cy), r, tuple(shapes))

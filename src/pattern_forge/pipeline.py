@@ -6,6 +6,12 @@ set cover, and per-member alignment refinement with strict verification.
 Slack shrinks linearly to zero across iterations, so the last round admits
 only strictly-valid clusters and unassigned markers degrade to singletons.
 
+A marker's anchor (the pattern at its marker center, plus its DCT features
+in cosine mode) never changes, so a run extracts it once and keeps it for
+the rest of that run: the probe stage, stage 1 of every iteration and the
+refinement of the member at its anchor all read the same entry.
+Verification deliberately re-extracts everything from scratch.
+
 Thread count is a throughput knob only: every parallel map preserves input
 order and all aggregation is sequential, so reports are bit-identical across
 thread counts.
@@ -149,10 +155,11 @@ def _aligner_shift(rep: Pattern, member: Pattern, doc: LayoutDocument, cfg: Iter
         fit = align.edge_fit_aligned(rep, member)
         return fit[0] if fit else None
     if cfg.aligner == "geo":
+        # raised only for an empty pattern, which phase correlation rejects too
         try:
             return align.xy_minmax_align(rep, member)
         except align.NoCorrespondenceError:
-            pass  # precision fallback below
+            return None
     try:
         return align.phase_correlate(
             raster.rasterize(rep, cfg.grid), raster.rasterize(member, cfg.grid)
@@ -168,6 +175,8 @@ def refine_cluster(
     cfg: IterationConfig,
     coarse: Translation | None = None,
     rep_features=None,
+    member_at_anchor: Pattern | None = None,
+    member_features=None,
 ) -> RefineResult | None:
     """Pick the best legal center for one member against a fixed representative.
 
@@ -176,9 +185,14 @@ def refine_cluster(
     with the best strict-constraint score wins and is accepted only if it
     passes the strict threshold. The anchor is always a candidate, so an
     accepted center never scores below the anchor.
+
+    `member_at_anchor` and `member_features` may carry the member's pattern
+    and features at its marker center when the caller already has them;
+    otherwise they are computed here.
     """
     anchor = marker.center()
-    member_at_anchor = extract_pattern(doc, anchor)
+    if member_at_anchor is None:
+        member_at_anchor = extract_pattern(doc, anchor)
     cosine = doc.constraint_kind is ConstraintKind.COSINE
     if cosine and rep_features is None:
         rep_features = raster.pattern_features(rep, cfg.grid, cfg.dct_k)
@@ -199,11 +213,14 @@ def refine_cluster(
     best = None
     anchor_score = None
     for center in centers:
-        member = member_at_anchor if center == anchor else extract_pattern(doc, center)
+        if center == anchor:
+            member, features = member_at_anchor, member_features
+        else:
+            member, features = extract_pattern(doc, center), None
         if cosine:
-            sim = raster.cosine_similarity(
-                rep_features, raster.pattern_features(member, cfg.grid, cfg.dct_k)
-            )
+            if features is None:
+                features = raster.pattern_features(member, cfg.grid, cfg.dct_k)
+            sim = raster.cosine_similarity(rep_features, features)
             score, passes = sim, sim >= doc.threshold
         else:
             off = _strict_edge_offset(rep, member)
@@ -219,14 +236,16 @@ def refine_cluster(
     return RefineResult(best[0], best[1], anchor_score)
 
 
-def _probe_clusters(idx: int, pattern: Pattern, clusters, doc, cfg) -> tuple[int, RefineResult] | None:
+def _probe_clusters(idx: int, anchor, clusters, doc, cfg) -> tuple[int, RefineResult] | None:
     """Try to attach one orphan to an existing cluster; first success wins."""
     marker = doc.markers[idx]
+    pattern, features = anchor
     for ci, cluster in enumerate(clusters):
         if not compatible(pattern, cluster.rep_pattern, doc.constraint_kind, cfg.prescreen):
             continue
         result = refine_cluster(
-            cluster.rep_pattern, marker, doc, cfg, rep_features=cluster.rep_features
+            cluster.rep_pattern, marker, doc, cfg, rep_features=cluster.rep_features,
+            member_at_anchor=pattern, member_features=features,
         )
         if result is not None:
             return ci, result
@@ -247,6 +266,17 @@ def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> t
     active = list(range(n))
     stats = RunStats(iterations=[], marker_count=n)
     iterations_used = 0
+    anchors: dict[int, tuple] = {}  # marker index -> (anchor pattern, features or None)
+
+    def _anchors(ms: list) -> list:
+        missing = [m for m in ms if m not in anchors]
+        pats = _pmap(lambda m: extract_pattern(doc, doc.markers[m].center()), missing, cfg.threads)
+        feats = (
+            _pmap(lambda p: raster.pattern_features(p, cfg.grid, cfg.dct_k), pats, cfg.threads)
+            if cosine else [None] * len(pats)
+        )
+        anchors.update(zip(missing, zip(pats, feats)))
+        return [anchors[m] for m in ms]
 
     for it in range(cfg.max_iterations):
         if not active:
@@ -261,12 +291,9 @@ def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> t
         # stage 0: cheap membership probe against settled representatives
         if it > 0 and clusters and active:
             t0 = time.perf_counter()
-            probe_patterns = _pmap(
-                lambda m: extract_pattern(doc, doc.markers[m].center()), active, cfg.threads
-            )
             outcomes = _pmap(
                 lambda im: _probe_clusters(im[0], im[1], clusters, doc, cfg),
-                zip(active, probe_patterns),
+                zip(active, _anchors(active)),
                 cfg.threads,
             )
             still = []
@@ -289,14 +316,9 @@ def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> t
 
         # stage 1: extraction and candidate filtering
         t0 = time.perf_counter()
-        patterns = _pmap(
-            lambda m: extract_pattern(doc, doc.markers[m].center()), active, cfg.threads
-        )
-        features = None
-        if cosine:
-            features = _pmap(
-                lambda p: raster.pattern_features(p, cfg.grid, cfg.dct_k), patterns, cfg.threads
-            )
+        entries = _anchors(active)
+        patterns = [p for p, _f in entries]
+        features = [f for _p, f in entries]
         timings["extract"] = (time.perf_counter() - t0) * 1000
 
         t0 = time.perf_counter()
@@ -318,8 +340,7 @@ def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> t
             return evaluate_pair_relaxed(
                 patterns[i], patterns[j], doc, slack,
                 grid=cfg.grid, dct_k=cfg.dct_k,
-                fa=features[i] if cosine else None,
-                fb=features[j] if cosine else None,
+                fa=features[i], fb=features[j],
             )
 
         results = _pmap(_evaluate, cand.pairs, cfg.threads)
@@ -348,7 +369,7 @@ def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> t
             members_local = [k for k in sel.covered if k != rep_local]
             rep_idx = active[rep_local]
             rep_pattern = patterns[rep_local]
-            rep_features = features[rep_local] if cosine else None
+            rep_features = features[rep_local]
             rep_center = doc.markers[rep_idx].center()
 
             def _refine(k):
@@ -356,6 +377,7 @@ def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> t
                     rep_pattern, doc.markers[active[k]], doc, cfg,
                     coarse=g.shift(rep_local, k) if k in g.adjacency[rep_local] else None,
                     rep_features=rep_features,
+                    member_at_anchor=patterns[k], member_features=features[k],
                 )
 
             outcomes = _pmap(_refine, members_local, cfg.threads)
@@ -436,6 +458,10 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig = Iter
     Re-extracts each member at its stored center and tests the strict
     constraint against its cluster representative, plus center-in-marker
     validity and the exactly-one-cluster-per-marker invariant.
+
+    The check is independent of the run on purpose: it never reads the
+    anchors `run_full` cached or the patterns and features stored on the
+    clusters, and extracts and rasterises every window itself.
     """
     if isinstance(clusters, ClusterSet):
         if clusters.orphans:

@@ -51,26 +51,24 @@ def _check_side(side: int):
 def coverage_grid(pattern: Pattern, side: int) -> np.ndarray:
     """Integer coverage numerators per pixel; the common denominator is (2R)^2.
 
-    Coordinates are scaled by the grid side so pixel boundaries are integers,
-    then each decomposition rectangle contributes an outer product of exact
-    1-D overlaps. Summing the grid gives total shape area times side^2.
+    Coordinates are scaled by the grid side so pixel boundaries are integers.
+    Every decomposition rectangle gets an exact 1-D overlap with each pixel
+    column and each pixel row (0 outside its span), and the grid is the sum of
+    their outer products, taken as one int64 matrix product. Summing the grid
+    gives total shape area times side^2.
     """
     _check_side(side)
     r = pattern.radius
     den = 2 * r  # pixel width in scaled coordinates
-    grid = np.zeros((side, side), dtype=np.int64)
-    for shape in pattern.shapes:
-        for x0, y0, x1, y1 in rectangles(shape):
-            sx0, sx1 = (x0 + r) * side, (x1 + r) * side
-            sy0, sy1 = (y0 + r) * side, (y1 + r) * side
-            i0, i1 = sx0 // den, -((-sx1) // den)
-            j0, j1 = sy0 // den, -((-sy1) // den)
-            xi = np.arange(i0, i1, dtype=np.int64)
-            yj = np.arange(j0, j1, dtype=np.int64)
-            xov = np.minimum(sx1, (xi + 1) * den) - np.maximum(sx0, xi * den)
-            yov = np.minimum(sy1, (yj + 1) * den) - np.maximum(sy0, yj * den)
-            grid[j0:j1, i0:i1] += yov[:, None] * xov[None, :]
-    return grid
+    rects = [rc for shape in pattern.shapes for rc in rectangles(shape)]
+    if not rects:
+        return np.zeros((side, side), dtype=np.int64)
+    s = (np.asarray(rects, dtype=np.int64) + r) * side  # columns x0, y0, x1, y1
+    edges = np.arange(side + 1, dtype=np.int64) * den
+    lo, hi = edges[:-1], edges[1:]
+    xov = np.maximum(np.minimum(s[:, 2:3], hi) - np.maximum(s[:, 0:1], lo), 0)
+    yov = np.maximum(np.minimum(s[:, 3:4], hi) - np.maximum(s[:, 1:2], lo), 0)
+    return yov.T @ xov
 
 
 def rasterize(pattern: Pattern, side: int = 64) -> Bitmap:

@@ -57,6 +57,29 @@ def hull_bbox(point_sets, pad: int = 1):
     return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
 
 
+def coverage_grid_loop(rects, radius: int, side: int) -> np.ndarray:
+    """Integer coverage numerators, one rectangle at a time.
+
+    `rects` are (x0, y0, x1, y1) tuples in window-local nm inside
+    [-radius, radius]^2. Coordinates are scaled by `side` so pixel edges
+    fall on multiples of 2 * radius; each rectangle adds the outer product
+    of its exact row and column overlaps to the pixels it spans.
+    """
+    den = 2 * radius
+    grid = np.zeros((side, side), dtype=np.int64)
+    for x0, y0, x1, y1 in rects:
+        sx0, sx1 = (x0 + radius) * side, (x1 + radius) * side
+        sy0, sy1 = (y0 + radius) * side, (y1 + radius) * side
+        i0, i1 = sx0 // den, -((-sx1) // den)
+        j0, j1 = sy0 // den, -((-sy1) // den)
+        xi = np.arange(i0, i1, dtype=np.int64)
+        yj = np.arange(j0, j1, dtype=np.int64)
+        xov = np.minimum(sx1, (xi + 1) * den) - np.maximum(sx0, xi * den)
+        yov = np.minimum(sy1, (yj + 1) * den) - np.maximum(sy0, yj * den)
+        grid[j0:j1, i0:i1] += yov[:, None] * xov[None, :]
+    return grid
+
+
 def naive_dct2(pixels: np.ndarray) -> np.ndarray:
     """Orthonormal 2D DCT-II by direct summation (O(n^4))."""
     m, n = pixels.shape

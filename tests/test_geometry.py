@@ -23,6 +23,7 @@ from pattern_forge.geometry import (
     match_polygons,
     rectangles,
 )
+from pattern_forge.layout_io import ConstraintKind, LayoutDocument
 
 from conftest import rect, staircase, random_rect_union
 from oracles import cells_inside, hull_bbox, rect_cells, rings_cells
@@ -206,36 +207,93 @@ class TestMarker:
         assert not m.contains(5, 1)
 
 
-class _Doc:
-    def __init__(self, polys, radius):
-        self.design_polygons = tuple(polys)
-        self.pattern_radius = radius
+def _doc(polys, radius) -> LayoutDocument:
+    polys = tuple(polys)
+    return LayoutDocument(
+        radius, ConstraintKind.COSINE, 0.9, polys, tuple(range(len(polys))), (), ()
+    )
+
+
+def _clip_every_polygon(doc, center) -> tuple[Polygon, ...]:
+    """Brute force: clip all design polygons, in file order, without the index."""
+    cx, cy = center
+    r = doc.pattern_radius
+    window = (cx - r, cy - r, cx + r, cy + r)
+    return tuple(
+        piece.translated(-cx, -cy)
+        for poly in doc.design_polygons
+        for piece in clip_polygon(poly, window)
+    )
+
+
+@st.composite
+def _design(draw):
+    """A few rectangles and staircases scattered around a small window.
+
+    Coordinates sit on a coarse lattice near the window, so edges often land
+    exactly on the window boundary (touching polygons) as well as across it.
+    """
+    radius = draw(st.sampled_from([4, 8, 12]))
+    coord = st.integers(-6, 6).map(lambda v: 4 * v)
+    polys = []
+    for _ in range(draw(st.integers(0, 8))):
+        x0, y0 = draw(coord), draw(coord)
+        if draw(st.booleans()):
+            w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+            polys.append(rect(x0, y0, x0 + 4 * w, y0 + 4 * h))
+        else:
+            polys.append(staircase(draw(st.integers(1, 3)), run=4, rise=4, x0=x0, y0=y0))
+    center = (draw(coord), draw(coord))
+    return _doc(polys, radius), center
 
 
 class TestExtract:
     def test_window_local_content_is_center_invariant(self):
-        doc = _Doc([rect(0, 0, 6, 6), rect(100, 100, 106, 106)], radius=16)
+        doc = _doc([rect(0, 0, 6, 6), rect(100, 100, 106, 106)], radius=16)
         a = extract_pattern(doc, (3, 3))
         b = extract_pattern(doc, (103, 103))
         assert a.shapes == b.shapes
         assert a.center != b.center
 
     def test_clips_to_window(self):
-        doc = _Doc([rect(-40, -40, 40, 40)], radius=16)
+        doc = _doc([rect(-40, -40, 40, 40)], radius=16)
         p = extract_pattern(doc, (0, 0))
         assert p.shapes == (rect(-16, -16, 16, 16),)
         assert p.total_area() == 32 * 32
 
     def test_empty_window(self):
-        doc = _Doc([rect(100, 100, 110, 110)], radius=16)
+        doc = _doc([rect(100, 100, 110, 110)], radius=16)
         assert extract_pattern(doc, (0, 0)).is_empty
 
     def test_bounds_and_area(self):
-        doc = _Doc([rect(2, 2, 6, 8)], radius=16)
+        doc = _doc([rect(2, 2, 6, 8)], radius=16)
         p = extract_pattern(doc, (0, 0))
         assert p.bounds() == (2, 2, 6, 8)
         assert p.total_area() == 24
         assert extract_pattern(doc, (100, 100)).bounds() is None
+
+    def test_edge_touching_and_crossing_polygons(self):
+        # window [-16, 16]^2: two polygons touch it only along an edge, one
+        # touches a corner, one crosses the boundary, one sits inside
+        polys = [
+            rect(16, -4, 30, 4),     # touches the right edge
+            rect(-10, -30, 10, -16),  # touches the bottom edge
+            rect(16, 16, 20, 20),    # touches the top-right corner
+            rect(-20, 10, 0, 24),    # crosses the top-left boundary
+            rect(-4, -4, 4, 4),      # inside
+        ]
+        doc = _doc(polys, radius=16)
+        p = extract_pattern(doc, (0, 0))
+        assert p.shapes == (rect(-16, 10, 0, 16), rect(-4, -4, 4, 4))
+        assert p.shapes == _clip_every_polygon(doc, (0, 0))
+
+    @given(_design())
+    def test_index_matches_clipping_every_polygon(self, design):
+        doc, center = design
+        p = extract_pattern(doc, center)
+        assert p.center == center
+        assert p.radius == doc.pattern_radius
+        assert p.shapes == _clip_every_polygon(doc, center)
 
 
 def _pat(*polys, radius=32) -> Pattern:

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from pattern_forge import pipeline
 from pattern_forge.geometry import Marker, Pattern, Translation, extract_pattern
 from pattern_forge.layout_io import (
     ClusterReport,
@@ -151,6 +154,29 @@ class TestRefineCluster:
         res2 = refine_cluster(rep, doc.markers[1], doc, cfg, rep_features=pre)
         assert res2 == res
 
+    def test_pre_extracted_anchor_gives_same_result(self, jittered_docs):
+        cfg = IterationConfig()
+        cases = [
+            (self._edge_doc(Marker(292, -8, 308, 8)), Translation(4, 6)),
+            (self._edge_doc(Marker(298, -2, 302, 2), threshold=5.0), None),
+            (self._edge_doc(Marker(300, 0, 300, 0), threshold=3.0), None),
+        ]
+        for kind, doc in jittered_docs.items():
+            cases.append((doc, None))
+        for doc, coarse in cases:
+            cosine = doc.constraint_kind is COS
+            rep = extract_pattern(doc, doc.markers[0].center())
+            for marker in doc.markers[1:]:
+                anchor = extract_pattern(doc, marker.center())
+                feats = pattern_features(anchor, cfg.grid, cfg.dct_k) if cosine else None
+                plain = refine_cluster(rep, marker, doc, cfg, coarse=coarse)
+                given_anchor = refine_cluster(
+                    rep, marker, doc, cfg, coarse=coarse,
+                    member_at_anchor=anchor, member_features=feats,
+                )
+                assert given_anchor == plain
+        assert {d.constraint_kind for d, _c in cases} == {COS, EDGE}
+
     def test_cosine_dissimilar_rejected(self):
         polys = [rect(-24, -24, 24, 24), rect(296, -4, 304, 4)]
         doc = _doc(polys, [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0)], COS, 0.9)
@@ -207,6 +233,40 @@ class TestRunSmall:
         assert it0.deferred == 1
         assert it0.orphaned == 1
         assert verify_clusterset(cset, doc)
+
+
+class TestExtractOnce:
+    def _count_anchor_extractions(self, doc, monkeypatch, cfg=IterationConfig()):
+        centers = Counter()
+        real = pipeline.extract_pattern
+
+        def counting(d, center):
+            centers[center] += 1
+            return real(d, center)
+
+        monkeypatch.setattr(pipeline, "extract_pattern", counting)
+        _cset, _report, stats = run_full(doc, cfg)
+        monkeypatch.undo()
+        return [centers[m.center()] for m in doc.markers], stats
+
+    def test_each_anchor_extracted_once(self, jittered_docs, monkeypatch):
+        doc = jittered_docs[COS]
+        counts, stats = self._count_anchor_extractions(doc, monkeypatch)
+        assert stats.refine_checks > 0
+        assert counts == [1] * len(doc.markers)
+
+    def test_once_across_iterations_and_probe(self, monkeypatch):
+        # three markers: two identical patterns and a near-duplicate that
+        # misses the first round, so later rounds run the probe and stage 1
+        # again over markers whose anchors are already known
+        polys = [
+            rect(-23, -20, 23, 20), rect(277, -20, 323, 20), rect(577, -22, 623, 22),
+        ]
+        markers = [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0), Marker(600, 0, 600, 0)]
+        doc = _doc(polys, markers, COS, 0.99)
+        counts, stats = self._count_anchor_extractions(doc, monkeypatch)
+        assert stats.iterations_used > 1
+        assert counts == [1, 1, 1]
 
 
 class TestRunGenerated:

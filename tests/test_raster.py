@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from pattern_forge.geometry import Pattern, Polygon, _trace_union, clip_polygon
+from pattern_forge.geometry import Pattern, Polygon, _trace_union, clip_polygon, rectangles
+from pattern_forge.layout_io import MAX_RADIUS
 from pattern_forge.raster import (
     cosine_similarity,
     coverage_grid,
@@ -14,8 +16,8 @@ from pattern_forge.raster import (
     rasterize,
 )
 
-from conftest import rect, random_rect_union
-from oracles import naive_dct2
+from conftest import rect, random_rect_union, staircase
+from oracles import coverage_grid_loop, naive_dct2
 
 
 def _pat(*polys, radius=32) -> Pattern:
@@ -79,6 +81,46 @@ class TestCoverageGrid:
         p = _pat(rect(-32, -32, 32, -24))
         g = coverage_grid(p, 8)
         assert g[0].sum() == 8 * 64 * 64 and g[1:].sum() == 0
+
+
+@st.composite
+def _clipped_pattern(draw):
+    """Rectangles and staircases scattered over twice the window, then clipped.
+
+    Odd radii put pixel edges between integer nm, so shapes straddle pixel
+    boundaries; content beyond the window is cut at its edge. Radii near
+    MAX_RADIUS probe the int64 range of the scaled coordinates.
+    """
+    radius = draw(st.sampled_from([5, 17, 32, 77, MAX_RADIUS - 3, MAX_RADIUS]))
+    window = (-radius, -radius, radius, radius)
+    coord = st.integers(-2 * radius, 2 * radius)
+    shapes = []
+    for _ in range(draw(st.integers(0, 6))):
+        x0, y0 = draw(coord), draw(coord)
+        w = draw(st.integers(1, 2 * radius))
+        h = draw(st.integers(1, 2 * radius))
+        if draw(st.booleans()):
+            poly = rect(x0, y0, x0 + w, y0 + h)
+        else:
+            steps = draw(st.integers(1, 3))
+            poly = staircase(steps, run=w, rise=h, x0=x0, y0=y0)
+        shapes.extend(clip_polygon(poly, window))
+    return _pat(*shapes, radius=radius)
+
+
+class TestCoverageGridOracle:
+    @given(_clipped_pattern(), st.sampled_from([8, 64]))
+    @example(_pat(radius=32), 8)
+    @example(_pat(radius=MAX_RADIUS), 64)
+    @example(_pat(rect(-MAX_RADIUS, -MAX_RADIUS, MAX_RADIUS, MAX_RADIUS), radius=MAX_RADIUS), 64)
+    @example(_pat(rect(-5, -5, 5, 5), rect(-3, -5, 2, 1), radius=5), 8)
+    def test_matches_per_rectangle_loop(self, pattern, side):
+        rects = [rc for shape in pattern.shapes for rc in rectangles(shape)]
+        got = coverage_grid(pattern, side)
+        want = coverage_grid_loop(rects, pattern.radius, side)
+        assert got.dtype == np.int64
+        assert got.shape == (side, side)
+        assert np.array_equal(got, want)
 
 
 class TestRasterize:
