@@ -51,17 +51,14 @@ from .layout_io import (
 )
 from .prescreen import CandidatePairSet, PrescreenParams, PrescreenStats, TopoSignature, build_candidates, signature
 from .graph import SimilarityGraph, assemble, dump_edges, evaluate_pair_relaxed
-from .scp import SolveResult, SolverStats, SurprisalScore, eager_solve_oracle, initial_scores, solve
+from .scp import SolveResult, SolverStats, SurprisalScore, initial_scores, solve
 from .pipeline import (
     Cluster,
-    ClusterSet,
     IterationConfig,
     RunStats,
     Verdict,
     refine_cluster,
-    run,
     run_full,
-    run_with_stats,
     verify_clusterset,
 )
 

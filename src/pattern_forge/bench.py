@@ -5,8 +5,8 @@ Scenario files are plain text, one scenario per line:
     scenario name=cos_small templates=5 instances=10 jitter=0 constraint=cosine seed=7
 
 Unknown keys are rejected up front so a typo cannot silently run a default.
-Each scenario runs a baseline (pre-screen on, lazy solver, geometric aligner)
-plus ablation variants; measured ratios are reported, never asserted.
+Each scenario runs a baseline (pre-screen on, geometric aligner) plus
+ablation variants; measured ratios are reported, never asserted.
 """
 
 import io
@@ -14,9 +14,10 @@ import os
 from dataclasses import dataclass, field
 
 from .layout_io import ConstraintKind, LayoutDocument, generate_synthetic
-from .pipeline import IterationConfig, run_with_stats
+from .pipeline import IterationConfig, run_full
 
 PRESCREEN_OFF_MAX_N = 400  # all-pairs evaluation is quadratic; keep it small
+STAGES = ("probe", "extract", "prescreen", "graph", "solve", "refine")  # keys of IterationStats.timings_ms
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,6 @@ class Scenario:
     threshold: float | None = None
     radius: int = 512
     seed: int = 0
-    threads: int = 1
 
     @property
     def n(self) -> int:
@@ -67,7 +67,6 @@ _PARSERS = {
     "threshold": float,
     "radius": int,
     "seed": int,
-    "threads": int,
 }
 
 
@@ -115,7 +114,7 @@ def _record(sc: Scenario, variant: str, stats) -> BenchRecord:
             stage_ms[key] = stage_ms.get(key, 0.0) + ms
         if ist.prescreen is not None:
             filter_total += ist.prescreen.total_pairs
-            filter_kept += ist.prescreen.after_thumbnail
+            filter_kept += ist.prescreen.after_topology
         if ist.solver is not None:
             pops += ist.solver.pops
             recomps += ist.solver.recomputations
@@ -139,15 +138,11 @@ def _record(sc: Scenario, variant: str, stats) -> BenchRecord:
 
 
 def _variants(sc: Scenario) -> list[tuple[str, IterationConfig]]:
-    base = dict(threads=sc.threads)
-    out = [
-        ("base", IterationConfig(**base)),
-        ("eager", IterationConfig(solver="eager", **base)),
-    ]
+    out = [("base", IterationConfig())]
     if sc.constraint is ConstraintKind.COSINE:
-        out.append(("fft", IterationConfig(aligner="fft", **base)))
+        out.append(("fft", IterationConfig(aligner="fft")))
     if sc.n <= PRESCREEN_OFF_MAX_N:
-        out.append(("noprescreen", IterationConfig(use_prescreen=False, **base)))
+        out.append(("noprescreen", IterationConfig(use_prescreen=False)))
     return out
 
 
@@ -159,7 +154,7 @@ def run_scenario(sc: Scenario, doc: LayoutDocument | None = None) -> list[BenchR
         )
     records = []
     for variant, cfg in _variants(sc):
-        _report, stats = run_with_stats(doc, cfg)
+        _clusters, _report, stats = run_full(doc, cfg)
         records.append(_record(sc, variant, stats))
     return records
 
@@ -180,6 +175,7 @@ _COLUMNS = [
     ("compression", lambda r: f"{r.compression:.4f}"),
     ("iters", lambda r: str(r.iterations)),
     ("wall_ms", lambda r: f"{r.wall_ms:.1f}"),
+    *((f"{stage}_ms", lambda r, stage=stage: f"{r.stage_ms.get(stage, 0.0):.1f}") for stage in STAGES),
     ("filter_rate", lambda r: f"{r.filter_rate:.4f}"),
     ("pairs", lambda r: str(r.pairs_evaluated)),
     ("pops", lambda r: str(r.solver_pops)),

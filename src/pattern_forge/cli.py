@@ -9,8 +9,7 @@ from . import bench as bench_mod
 from . import graph as graph_mod
 from .layout_io import ConstraintKind, generate_synthetic, parse_layout, write_layout, write_report
 from .pipeline import IterationConfig, run_full, verify_clusterset
-from .prescreen import PrescreenParams, build_candidates
-from .geometry import extract_pattern
+from .prescreen import PrescreenParams
 
 
 def _add_cluster_parser(sub):
@@ -24,15 +23,9 @@ def _add_cluster_parser(sub):
     p.add_argument("--dct-k", type=int, default=32, help="feature block size (default 32)")
     p.add_argument("--aligner", choices=["geo", "fft"], default="geo",
                    help="cosine-mode refinement aligner (default geo)")
-    p.add_argument("--solver", choices=["lazy", "eager"], default="lazy")
     p.add_argument("--max-iters", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for interface parity; clustering is deterministic")
     p.add_argument("--report", help="write a JSON run report here")
     p.add_argument("--dump-graph", help="write first-iteration 'i j dx dy' edges here")
-    p.add_argument("--prescreen-slack", type=float, default=0.05,
-                   help="thumbnail threshold slack below the relaxed threshold")
     p.add_argument("--quantum", type=int, default=8, help="signature quantization in nm")
     p.add_argument("--no-prescreen", action="store_true", help="evaluate all pairs (slow)")
     p.add_argument("--verify", action="store_true", help="re-check every assignment before writing")
@@ -83,14 +76,14 @@ def _cmd_cluster(args) -> int:
         grid=args.grid,
         dct_k=args.dct_k,
         aligner=args.aligner,
-        solver=args.solver,
-        threads=args.threads,
-        prescreen=PrescreenParams(quantum=args.quantum, cosine_slack=args.prescreen_slack),
+        prescreen=PrescreenParams(quantum=args.quantum),
         use_prescreen=not args.no_prescreen,
     )
+    graphs = {}  # iteration -> relaxed pair graph, kept for --dump-graph
+    clusters, report, stats = run_full(doc, cfg, on_graph=graphs.setdefault if args.dump_graph else None)
     if args.dump_graph:
-        _dump_first_graph(doc, cfg, args.dump_graph)
-    clusters, report, stats = run_full(doc, cfg)
+        with open(args.dump_graph, "w", encoding="utf-8") as fh:
+            fh.write(graph_mod.dump_edges(graphs[0]) if graphs else "")
     if args.verify:
         verdict = verify_clusterset(clusters, doc, cfg)
         if not verdict:
@@ -109,35 +102,6 @@ def _cmd_cluster(args) -> int:
         file=sys.stderr,
     )
     return 0
-
-
-def _dump_first_graph(doc, cfg: IterationConfig, path: str):
-    """Debug aid: rebuild the first-iteration relaxed graph and dump its edges."""
-    from .graph import assemble, evaluate_pair_relaxed
-    from . import raster
-
-    slack = cfg.slack_for(doc, 0)
-    cosine = doc.constraint_kind is ConstraintKind.COSINE
-    patterns = [extract_pattern(doc, m.center()) for m in doc.markers]
-    if cfg.use_prescreen:
-        cand = build_candidates(
-            patterns, doc.constraint_kind,
-            doc.threshold - slack if cosine else doc.threshold, cfg.prescreen,
-        )
-        pairs = cand.pairs
-    else:
-        pairs = tuple((i, j) for i in range(len(patterns)) for j in range(i + 1, len(patterns)))
-    feats = [raster.pattern_features(p, cfg.grid, cfg.dct_k) for p in patterns] if cosine else None
-    results = [
-        evaluate_pair_relaxed(
-            patterns[i], patterns[j], doc, slack, grid=cfg.grid, dct_k=cfg.dct_k,
-            fa=feats[i] if cosine else None, fb=feats[j] if cosine else None,
-        )
-        for i, j in pairs
-    ]
-    g = assemble(len(patterns), pairs, results)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_mod.dump_edges(g))
 
 
 def _cmd_generate(args) -> int:

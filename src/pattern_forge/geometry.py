@@ -153,7 +153,13 @@ class Polygon:
         return Polygon(tuple((x + dx, y + dy) for x, y in self.vertices))
 
 
-@lru_cache(maxsize=None)
+# Bound on each per-polygon cache below. Every translated clipped piece is a
+# new key, so an unbounded cache grows for the life of the process; one run
+# of the benchmark workloads (N=400) makes under 10k entries.
+_CACHE_ENTRIES = 1 << 16
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def rectangles(poly: Polygon) -> tuple[Rect, ...]:
     """Exact decomposition of a simple rectilinear ring into disjoint rectangles.
 
@@ -184,7 +190,7 @@ def rectangles(poly: Polygon) -> tuple[Rect, ...]:
     return tuple(rects)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _rect_array(poly: Polygon) -> np.ndarray:
     return np.asarray(rectangles(poly), dtype=np.int64)
 

@@ -6,8 +6,10 @@ Layout text format, one record per line, '#' starts a comment:
     POLY <id> <x1> <y1> <x2> <y2> ...
     MARKER <id> <xlo> <ylo> <xhi> <yhi>
 
-Report CSV: ``marker_id,cluster_id,center_x,center_y`` rows followed by a
-``# clusters=<n> iterations=<m> compression=<r>`` summary line.
+Report CSV: ``marker_id,cluster_id,center_x,center_y,rep_marker_id`` rows
+followed by a ``# clusters=<n> iterations=<m> compression=<r>`` summary line.
+The representative is matched at its own marker center, and need not be a
+member of the cluster it represents.
 """
 
 import enum
@@ -214,11 +216,14 @@ def _write_bytes(sink, data: bytes):
         raise TypeError(f"cannot write to {type(sink).__name__}")
 
 
+REPORT_HEADER = "marker_id,cluster_id,center_x,center_y,rep_marker_id"
+
+
 @dataclass
 class ClusterReport:
     """Final marker-to-cluster assignment with chosen centers."""
 
-    assignments: tuple[tuple[int, int, int, int], ...]  # marker_id, cluster_id, cx, cy
+    assignments: tuple[tuple[int, int, int, int, int], ...]  # marker_id, cluster_id, cx, cy, rep_marker_id
     cluster_count: int
     iterations_used: int
 
@@ -229,22 +234,26 @@ class ClusterReport:
 
     def validate(self, doc: LayoutDocument | None = None):
         seen_markers = set()
-        seen_clusters = set()
-        for mid, cid, _cx, _cy in self.assignments:
+        rep_of: dict[int, int] = {}
+        for mid, cid, _cx, _cy, rep in self.assignments:
             if mid in seen_markers:
                 raise ValueError(f"marker {mid} assigned twice")
             seen_markers.add(mid)
-            seen_clusters.add(cid)
+            if rep_of.setdefault(cid, rep) != rep:
+                raise ValueError(f"cluster {cid} names representatives {rep_of[cid]} and {rep}")
         if self.assignments:
-            if seen_clusters != set(range(self.cluster_count)):
+            if set(rep_of) != set(range(self.cluster_count)):
                 raise ValueError("cluster ids are not dense 0..C-1")
         elif self.cluster_count:
             raise ValueError("clusters without assignments")
+        for cid, rep in rep_of.items():
+            if rep not in seen_markers:  # every marker has a row, representatives too
+                raise ValueError(f"representative {rep} of cluster {cid} is not a marker")
         if doc is not None:
             by_id = dict(zip(doc.marker_ids, doc.markers))
             if seen_markers != set(doc.marker_ids):
                 raise ValueError("report markers do not match the document")
-            for mid, _cid, cx, cy in self.assignments:
+            for mid, _cid, cx, cy, _rep in self.assignments:
                 if not by_id[mid].contains(cx, cy):
                     raise ValueError(f"center ({cx}, {cy}) outside marker {mid}")
 
@@ -254,9 +263,9 @@ def write_report(report: ClusterReport, sink=None, doc: LayoutDocument | None = 
     validity when the document is supplied)."""
     report.validate(doc)
     out = io.StringIO()
-    out.write("marker_id,cluster_id,center_x,center_y\n")
-    for mid, cid, cx, cy in report.assignments:
-        out.write(f"{mid},{cid},{cx},{cy}\n")
+    out.write(REPORT_HEADER + "\n")
+    for row in report.assignments:
+        out.write(",".join(map(str, row)) + "\n")
     ratio = float(report.compression_ratio)
     out.write(f"# clusters={report.cluster_count} iterations={report.iterations_used} compression={ratio:.6f}\n")
     data = out.getvalue().encode("utf-8")
@@ -267,7 +276,7 @@ def write_report(report: ClusterReport, sink=None, doc: LayoutDocument | None = 
 def read_report(source) -> ClusterReport:
     text = _read_text(source)
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "marker_id,cluster_id,center_x,center_y":
+    if not lines or lines[0].strip() != REPORT_HEADER:
         raise ValueError("missing report header row")
     rows = []
     clusters = iterations = None
@@ -277,8 +286,10 @@ def read_report(source) -> ClusterReport:
             clusters = int(fields["clusters"])
             iterations = int(fields["iterations"])
             continue
-        mid, cid, cx, cy = (int(t) for t in ln.split(","))
-        rows.append((mid, cid, cx, cy))
+        row = tuple(int(t) for t in ln.split(","))
+        if len(row) != 5:
+            raise ValueError(f"report row {ln!r} needs 5 fields")
+        rows.append(row)
     if clusters is None:
         raise ValueError("missing report summary line")
     return ClusterReport(tuple(rows), clusters, iterations)

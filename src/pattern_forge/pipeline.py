@@ -11,14 +11,10 @@ in cosine mode) never changes, so a run extracts it once and keeps it for
 the rest of that run: the probe stage, stage 1 of every iteration and the
 refinement of the member at its anchor all read the same entry.
 Verification deliberately re-extracts everything from scratch.
-
-Thread count is a throughput knob only: every parallel map preserves input
-order and all aggregation is sequential, so reports are bit-identical across
-thread counts.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from . import align, raster, scp
@@ -45,8 +41,6 @@ class IterationConfig:
     grid: int = 64
     dct_k: int = 32
     aligner: str = "geo"           # cosine-mode refinement aligner: geo | fft
-    solver: str = "lazy"           # lazy | eager
-    threads: int = 1
     prescreen: PrescreenParams = field(default_factory=PrescreenParams)
     use_prescreen: bool = True
 
@@ -55,10 +49,6 @@ class IterationConfig:
             raise ValueError("need at least one iteration")
         if self.aligner not in ("geo", "fft"):
             raise ValueError(f"unknown aligner {self.aligner!r}")
-        if self.solver not in ("lazy", "eager"):
-            raise ValueError(f"unknown solver {self.solver!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def slack_fraction(self, iteration: int) -> float:
         """Linear decay to zero: full slack first, none on the last round."""
@@ -79,12 +69,6 @@ class Cluster:
     members: list                  # (marker index, (cx, cy)); includes the rep when it covered itself
     rep_pattern: Pattern = field(default=None, repr=False, compare=False)
     rep_features: object = field(default=None, repr=False, compare=False)
-
-
-@dataclass
-class ClusterSet:
-    clusters: list
-    orphans: list
 
 
 @dataclass(frozen=True)
@@ -130,14 +114,6 @@ class RunStats:
         out = asdict(self)
         out["compression"] = self.compression
         return out
-
-
-def _pmap(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _strict_edge_offset(rep: Pattern, member: Pattern) -> int | None:
@@ -255,10 +231,20 @@ def _probe_clusters(idx: int, anchor, clusters, doc, cfg) -> tuple[int, RefineRe
 def _all_pairs(n: int) -> CandidatePairSet:
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     total = len(pairs)
-    return CandidatePairSet(pairs, PrescreenStats(total, total, total))
+    return CandidatePairSet(pairs, PrescreenStats(total, total))
 
 
-def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> tuple[ClusterSet, ClusterReport, RunStats]:
+def run_full(
+    doc: LayoutDocument,
+    cfg: IterationConfig = IterationConfig(),
+    on_graph: Callable[[int, SimilarityGraph], None] | None = None,
+) -> tuple[list[Cluster], ClusterReport, RunStats]:
+    """Cluster every marker of `doc`.
+
+    `on_graph(iteration, graph)`, when given, receives each iteration's
+    relaxed pair graph; its nodes are that iteration's still-active markers
+    in ascending order, which in iteration 0 are all markers.
+    """
     t_run = time.perf_counter()
     n = len(doc.markers)
     cosine = doc.constraint_kind is ConstraintKind.COSINE
@@ -269,13 +255,10 @@ def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> t
     anchors: dict[int, tuple] = {}  # marker index -> (anchor pattern, features or None)
 
     def _anchors(ms: list) -> list:
-        missing = [m for m in ms if m not in anchors]
-        pats = _pmap(lambda m: extract_pattern(doc, doc.markers[m].center()), missing, cfg.threads)
-        feats = (
-            _pmap(lambda p: raster.pattern_features(p, cfg.grid, cfg.dct_k), pats, cfg.threads)
-            if cosine else [None] * len(pats)
-        )
-        anchors.update(zip(missing, zip(pats, feats)))
+        for m in ms:
+            if m not in anchors:
+                p = extract_pattern(doc, doc.markers[m].center())
+                anchors[m] = (p, raster.pattern_features(p, cfg.grid, cfg.dct_k) if cosine else None)
         return [anchors[m] for m in ms]
 
     for it in range(cfg.max_iterations):
@@ -291,13 +274,9 @@ def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> t
         # stage 0: cheap membership probe against settled representatives
         if it > 0 and clusters and active:
             t0 = time.perf_counter()
-            outcomes = _pmap(
-                lambda im: _probe_clusters(im[0], im[1], clusters, doc, cfg),
-                zip(active, _anchors(active)),
-                cfg.threads,
-            )
             still = []
-            for m, outcome in zip(active, outcomes):
+            for m, anchor in zip(active, _anchors(active)):
+                outcome = _probe_clusters(m, anchor, clusters, doc, cfg)
                 if outcome is None:
                     still.append(m)
                     continue
@@ -323,10 +302,7 @@ def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> t
 
         t0 = time.perf_counter()
         if cfg.use_prescreen:
-            cand = build_candidates(
-                patterns, doc.constraint_kind, doc.threshold - slack if cosine else doc.threshold,
-                cfg.prescreen,
-            )
+            cand = build_candidates(patterns, doc.constraint_kind, cfg.prescreen)
         else:
             cand = _all_pairs(len(patterns))
         istats.prescreen = cand.stats
@@ -334,24 +310,24 @@ def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> t
 
         # stage 2: relaxed evaluation, then graph assembly
         t0 = time.perf_counter()
-
-        def _evaluate(pair):
-            i, j = pair
-            return evaluate_pair_relaxed(
+        results = [
+            evaluate_pair_relaxed(
                 patterns[i], patterns[j], doc, slack,
                 grid=cfg.grid, dct_k=cfg.dct_k,
                 fa=features[i], fb=features[j],
             )
-
-        results = _pmap(_evaluate, cand.pairs, cfg.threads)
+            for i, j in cand.pairs
+        ]
         g = assemble(len(patterns), cand.pairs, results)
         istats.pairs_evaluated = len(cand.pairs)
         istats.edges = g.edge_count
         timings["graph"] = (time.perf_counter() - t0) * 1000
+        if on_graph is not None:
+            on_graph(it, g)
 
         # stage 3: set cover
         t0 = time.perf_counter()
-        solved = scp.solve(g) if cfg.solver == "lazy" else scp.eager_solve_oracle(g)
+        solved = scp.solve(g)
         istats.solver = solved.stats
         timings["solve"] = (time.perf_counter() - t0) * 1000
 
@@ -371,21 +347,17 @@ def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> t
             rep_pattern = patterns[rep_local]
             rep_features = features[rep_local]
             rep_center = doc.markers[rep_idx].center()
-
-            def _refine(k):
-                return refine_cluster(
+            members = []
+            if rep_local in sel.covered:
+                members.append((rep_idx, rep_center))
+            rejected = []
+            for k in members_local:
+                result = refine_cluster(
                     rep_pattern, doc.markers[active[k]], doc, cfg,
                     coarse=g.shift(rep_local, k) if k in g.adjacency[rep_local] else None,
                     rep_features=rep_features,
                     member_at_anchor=patterns[k], member_features=features[k],
                 )
-
-            outcomes = _pmap(_refine, members_local, cfg.threads)
-            members = []
-            if rep_local in sel.covered:
-                members.append((rep_idx, rep_center))
-            rejected = []
-            for k, result in zip(members_local, outcomes):
                 if result is None:
                     rejected.append(active[k])
                     continue
@@ -419,26 +391,17 @@ def run_full(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> t
     assignment = {}
     for cid, cluster in enumerate(clusters):
         for m, center in cluster.members:
-            assignment[m] = (cid, center)
+            assignment[m] = (cid, center, doc.marker_ids[cluster.rep_marker])
     rows = []
     for m in range(n):
-        cid, (cx, cy) = assignment[m]
-        rows.append((doc.marker_ids[m], cid, cx, cy))
+        cid, (cx, cy), rep_id = assignment[m]
+        rows.append((doc.marker_ids[m], cid, cx, cy, rep_id))
     report = ClusterReport(tuple(rows), len(clusters), max(iterations_used, 1))
 
     stats.cluster_count = len(clusters)
     stats.iterations_used = report.iterations_used
     stats.wall_ms = (time.perf_counter() - t_run) * 1000
-    return ClusterSet(clusters, []), report, stats
-
-
-def run_with_stats(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> tuple[ClusterReport, RunStats]:
-    _clusters, report, stats = run_full(doc, cfg)
-    return report, stats
-
-
-def run(doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> ClusterReport:
-    return run_full(doc, cfg)[1]
+    return clusters, report, stats
 
 
 @dataclass(frozen=True)
@@ -453,8 +416,8 @@ class Verdict:
 def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> Verdict:
     """Re-check every stored assignment from scratch.
 
-    Accepts a ClusterSet, a list of Cluster records, or a ClusterReport (for
-    reports the representative is inferred as the first listed member).
+    Accepts a list of Cluster records or a ClusterReport (whose rows name
+    each cluster's representative; it is checked at its marker center).
     Re-extracts each member at its stored center and tests the strict
     constraint against its cluster representative, plus center-in-marker
     validity and the exactly-one-cluster-per-marker invariant.
@@ -463,11 +426,11 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig = Iter
     anchors `run_full` cached or the patterns and features stored on the
     clusters, and extracts and rasterises every window itself.
     """
-    if isinstance(clusters, ClusterSet):
-        if clusters.orphans:
-            return Verdict(False, f"unassigned markers remain: {clusters.orphans[:5]}")
-        clusters = clusters.clusters
     if isinstance(clusters, ClusterReport):
+        try:
+            clusters.validate(doc)
+        except ValueError as exc:
+            return Verdict(False, str(exc))
         clusters = _clusters_from_report(clusters, doc)
     seen = set()
     for cid, cluster in enumerate(clusters):
@@ -511,9 +474,9 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig = Iter
 def _clusters_from_report(report: ClusterReport, doc: LayoutDocument) -> list:
     idx_of = {mid: i for i, mid in enumerate(doc.marker_ids)}
     by_cid: dict[int, Cluster] = {}
-    for mid, cid, cx, cy in report.assignments:
-        m = idx_of[mid]
+    for mid, cid, cx, cy, rep_id in report.assignments:
         if cid not in by_cid:
-            by_cid[cid] = Cluster(m, (cx, cy), [])
-        by_cid[cid].members.append((m, (cx, cy)))
+            rep = idx_of[rep_id]
+            by_cid[cid] = Cluster(rep, doc.markers[rep].center(), [])
+        by_cid[cid].members.append((idx_of[mid], (cx, cy)))
     return [by_cid[cid] for cid in sorted(by_cid)]

@@ -1,21 +1,24 @@
-"""Multi-stage candidate filtering over the all-pairs pattern space.
+"""Candidate filtering over the all-pairs pattern space.
 
-Stage A buckets patterns by a cheap translation-invariant topological
-signature; only intra-bucket pairs go on. Stage B rasterizes a tiny thumbnail
-per pattern and drops pairs whose thumbnail cosine falls below a relaxed cut.
-Both stages are necessary-condition filters for the data they are tuned for:
-the signature is exact under the edge-movement constraint's one-to-one
-topology requirement, and the thumbnail cut sits below the already-relaxed
-graph threshold.
+Stage A, the only filtering stage, buckets patterns by a cheap
+translation-invariant key; only intra-bucket pairs go on to the relaxed pair
+test. Under edgemove the key is the full topological signature (shape count,
+vertex-count histogram, quantized area and bbox); under cosine it is the
+shape count plus a band of total area within 10 %.
+
+Neither filter is a necessary condition for a match. The cosine test is a
+heuristic: two windows with different shape counts, or areas more than 10 %
+apart, can still reach cosine >= T. The edgemove shape count and vertex
+histogram follow from the one-to-one correspondence the constraint demands,
+but the quantized area and bbox hold only for rigid shifts; moving an edge by
+less than T can change them. Pre-screening off (`use_prescreen=False`)
+evaluates every pair.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import Pattern
 from .layout_io import ConstraintKind
-from . import raster
 
 HIST_BINS = 8  # vertex counts 4, 6, ..., 16, and 18+
 
@@ -31,17 +34,19 @@ class TopoSignature:
 @dataclass(frozen=True)
 class PrescreenParams:
     quantum: int = 8
-    cosine_slack: float = 0.05
     area_band_frac: float = 0.10
-    thumb_side: int = 8
-    edge_thumb_threshold: float = 0.0  # 0 disables Stage B for EdgeMove
 
 
 @dataclass(frozen=True)
 class PrescreenStats:
     total_pairs: int
     after_topology: int
-    after_thumbnail: int
+
+    @property
+    def after_thumbnail(self) -> int:
+        # Stage A is the only cut, so this equals after_topology; it stays
+        # because the benchmark's per-layer tracer reads it.
+        return self.after_topology
 
 
 @dataclass(frozen=True)
@@ -80,13 +85,6 @@ def _area_banded(area_a: int, area_b: int, frac: float) -> bool:
     return abs(area_a - area_b) <= frac * max(area_a, area_b)
 
 
-def _thumbnail_vectors(patterns, indices, side: int) -> np.ndarray:
-    vecs = np.zeros((len(patterns), side * side))
-    for i in indices:
-        vecs[i] = raster.rasterize(patterns[i], side).pixels.ravel()
-    return vecs
-
-
 def _stage_a_edgemove(patterns, params) -> list[tuple[int, int]]:
     buckets: dict[TopoSignature, list[int]] = {}
     for i, p in enumerate(patterns):
@@ -121,27 +119,12 @@ def _stage_a_cosine(patterns, params) -> list[tuple[int, int]]:
     return pairs
 
 
-def build_candidates(patterns, kind: ConstraintKind, threshold: float, params: PrescreenParams = PrescreenParams()) -> CandidatePairSet:
-    """Filter all pattern pairs down to plausible candidates.
-
-    `threshold` is the (possibly already relaxed) constraint threshold the
-    downstream graph stage will apply; the thumbnail cut is slackened further
-    so this stage stays strictly looser.
-    """
+def build_candidates(patterns, kind: ConstraintKind, params: PrescreenParams = PrescreenParams()) -> CandidatePairSet:
+    """Filter all pattern pairs down to the intra-bucket candidates, as
+    ascending (i, j) pairs with i < j."""
     n = len(patterns)
-    total = n * (n - 1) // 2
     if kind is ConstraintKind.EDGEMOVE:
         pairs = _stage_a_edgemove(patterns, params)
-        thumb_cut = params.edge_thumb_threshold
     else:
         pairs = _stage_a_cosine(patterns, params)
-        thumb_cut = max(0.0, threshold - params.cosine_slack)
-    after_a = len(pairs)
-    if thumb_cut > 0.0 and pairs:
-        touched = {i for ij in pairs for i in ij}
-        vecs = _thumbnail_vectors(patterns, touched, params.thumb_side)
-        pairs = [
-            (i, j) for i, j in pairs
-            if raster.cosine_similarity(vecs[i], vecs[j]) >= thumb_cut
-        ]
-    return CandidatePairSet(tuple(pairs), PrescreenStats(total, after_a, len(pairs)))
+    return CandidatePairSet(tuple(pairs), PrescreenStats(n * (n - 1) // 2, len(pairs)))

@@ -6,13 +6,13 @@ surprisal. The lazy solver keeps tentative scores in a max-priority queue and
 recomputes only on staleness, which submodularity makes exact: a popped entry
 whose fresh gain still beats the queue top is the true argmax.
 
-`solve` and `eager_solve_oracle` share one gain routine, so their floating
-point sums are bit-identical and the selection sequences must agree exactly.
+`_gain` fixes the summation order, so any solver built on it (the tests'
+eager reference among them) gets bit-identical floats and must make exactly
+the same selections.
 """
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graph import SimilarityGraph
 
@@ -55,9 +55,7 @@ class SolveResult:
         return out
 
 
-def _surprisals(g: SimilarityGraph, exact: bool = False):
-    if exact:
-        return [Fraction(1, 1 + g.degree(i)) for i in range(g.n)]
+def _surprisals(g: SimilarityGraph):
     return [1.0 / (1 + g.degree(i)) for i in range(g.n)]
 
 
@@ -130,33 +128,6 @@ def solve(g: SimilarityGraph) -> SolveResult:
             continue
         newly = _cover(g, covered, epoch, j)
         selections.append(Selection(j, tuple(newly)))
-        stats.selections += 1
-        remaining -= len(newly)
-    return SolveResult(tuple(selections), stats)
-
-
-def eager_solve_oracle(g: SimilarityGraph, exact: bool = False) -> SolveResult:
-    """Full-update greedy: rescore every node after each selection.
-
-    Same selection contract and the same tie-break (higher gain, then smaller
-    id) as solve. With exact=True all arithmetic is rational.
-    """
-    s = _surprisals(g, exact)
-    covered = [False] * g.n
-    epoch = [0] * g.n
-    stats = SolverStats()
-    selections = []
-    remaining = g.n
-    while remaining:
-        best_j = -1
-        best_gain = None
-        for j in range(g.n):
-            gain = _gain(g, s, covered, j)
-            stats.recomputations += 1
-            if gain > 0 and (best_gain is None or gain > best_gain):
-                best_j, best_gain = j, gain
-        newly = _cover(g, covered, epoch, best_j)
-        selections.append(Selection(best_j, tuple(newly)))
         stats.selections += 1
         remaining -= len(newly)
     return SolveResult(tuple(selections), stats)

@@ -1,13 +1,18 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here favors obviousness over speed: unit-cell parity scans for
-geometry, direct double-sum DCT, linear scans for min-max fits. None of it
-shares code with the package beyond plain vertex tuples.
+geometry, direct double-sum DCT, linear scans for min-max fits, a full-update
+greedy set cover. Only the eager solver shares code with the package: it
+scores and covers through `scp._gain` and `scp._cover`, so its float sums are
+bit-identical to the lazy solver's and the two must select exactly alike.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
+
+from pattern_forge import scp
 
 
 def cells_inside(vertices, bbox) -> np.ndarray:
@@ -104,3 +109,35 @@ def brute_minmax_residual(values) -> int:
 
 def minmax_residual_at(values, t: int) -> int:
     return max((abs(d - t) for d in values), default=0)
+
+
+def exact_surprisals(g) -> list[Fraction]:
+    """Surprisal 1/(1 + degree) per node as exact rationals."""
+    return [Fraction(1, 1 + g.degree(i)) for i in range(g.n)]
+
+
+def eager_solve_oracle(g, exact: bool = False) -> scp.SolveResult:
+    """Full-update greedy: rescore every node after each selection.
+
+    Same selection contract and the same tie-break (higher gain, then smaller
+    id) as `scp.solve`. With exact=True all arithmetic is rational.
+    """
+    s = exact_surprisals(g) if exact else scp._surprisals(g)
+    covered = [False] * g.n
+    epoch = [0] * g.n
+    stats = scp.SolverStats()
+    selections = []
+    remaining = g.n
+    while remaining:
+        best_j = -1
+        best_gain = None
+        for j in range(g.n):
+            gain = scp._gain(g, s, covered, j)
+            stats.recomputations += 1
+            if gain > 0 and (best_gain is None or gain > best_gain):
+                best_j, best_gain = j, gain
+        newly = scp._cover(g, covered, epoch, best_j)
+        selections.append(scp.Selection(best_j, tuple(newly)))
+        stats.selections += 1
+        remaining -= len(newly)
+    return scp.SolveResult(tuple(selections), stats)

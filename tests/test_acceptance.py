@@ -5,12 +5,16 @@ Each test locks down one headline behavior of the engine and prints a single
 stated inline; everything runs on fixed seeds so the numbers are stable.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from oracles import naive_dct2
+import pattern_forge
+from oracles import eager_solve_oracle, naive_dct2
 from pattern_forge import align, raster, scp
 from pattern_forge.geometry import Axis, extract_pattern
 from pattern_forge.graph import SimilarityGraph
@@ -107,7 +111,7 @@ def test_lazy_solver_matches_eager():
         n = int(rng.integers(30, 501))
         density = densities[case % len(densities)]
         g = _random_graph(rng, n, density)
-        lazy, eager = scp.solve(g), scp.eager_solve_oracle(g)
+        lazy, eager = scp.solve(g), eager_solve_oracle(g)
         if lazy.selections != eager.selections:
             divergences += 1
         if density <= 0.02:
@@ -117,7 +121,7 @@ def test_lazy_solver_matches_eager():
     clique = SimilarityGraph.from_edges(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
     path = SimilarityGraph.from_edges(10, [(k, k + 1) for k in range(9)])
     for g in (star, clique, path):
-        if scp.solve(g).selections != scp.eager_solve_oracle(g).selections:
+        if scp.solve(g).selections != eager_solve_oracle(g).selections:
             divergences += 1
     ratio = lazy_work / eager_work
     ok = divergences == 0 and ratio < 0.25
@@ -170,7 +174,7 @@ def test_prescreen_eliminates_most_pairs_soundly(matrix):
     for kind, jitter in ((EDGE, 12), (COS, 0)):
         doc = matrix[kind, jitter][0]
         patterns = [extract_pattern(doc, m.center()) for m in doc.markers]
-        cand = build_candidates(patterns, kind, doc.threshold, PrescreenParams())
+        cand = build_candidates(patterns, kind, PrescreenParams())
         elim = 1 - len(cand.pairs) / cand.stats.total_pairs
         dropped = len(same_template - set(cand.pairs))
         ok = ok and elim >= 0.95 and dropped == 0
@@ -192,19 +196,35 @@ def test_refined_centers_never_worse_than_anchors(matrix):
     )
 
 
-def test_thread_count_does_not_change_output():
-    # identical seed, 1 vs 8 worker threads: the report CSV must be
-    # byte-identical in both constraint modes
-    diffs = []
-    for kind in (COS, EDGE):
-        doc = generate_synthetic(5, 20, 8, seed=SEED, constraint=kind)
-        outputs = []
-        for threads in (1, 8):
-            _clusters, report, _stats = run_full(doc, IterationConfig(threads=threads))
-            outputs.append(write_report(report, None, doc))
-        diffs.append(outputs[0] == outputs[1])
+_REPORTS_SCRIPT = """
+import sys
+from pattern_forge.layout_io import ConstraintKind, generate_synthetic, write_report
+from pattern_forge.pipeline import run_full
+for kind in (ConstraintKind.COSINE, ConstraintKind.EDGEMOVE):
+    doc = generate_synthetic(5, 20, 8, seed=int(sys.argv[2]), constraint=kind)
+    write_report(run_full(doc)[1], f"{sys.argv[1]}/{kind.value}.csv", doc)
+"""
+
+
+def test_cross_interpreter_determinism(tmp_path):
+    # identical seed, two fresh interpreters with different string-hash
+    # seeds: the report CSVs must be byte-identical in both constraint modes
+    src = os.path.dirname(os.path.dirname(pattern_forge.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for hash_seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = hash_seed
+        (tmp_path / hash_seed).mkdir()
+        subprocess.run(
+            [sys.executable, "-c", _REPORTS_SCRIPT, str(tmp_path / hash_seed), str(SEED)],
+            env=env, check=True, timeout=600,
+        )
+    diffs = [
+        (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+        for name in ("cosine.csv", "edgemove.csv")
+    ]
     ok = all(diffs)
     assert _verdict(
-        "threaded determinism", ok,
+        "cross-interpreter determinism", ok,
         f"cosine identical={diffs[0]}, edgemove identical={diffs[1]}",
     )

@@ -2,6 +2,7 @@ import pytest
 
 from pattern_forge.bench import (
     PRESCREEN_OFF_MAX_N,
+    STAGES,
     MatrixError,
     Scenario,
     _variants,
@@ -20,7 +21,7 @@ MATRIX = """\
 # toy matrix
 scenario name=small templates=2 instances=3 jitter=0 constraint=cosine seed=7
 
-scenario name=moved templates=2 instances=3 jitter=4 constraint=edgemove seed=8 threads=2
+scenario name=moved templates=2 instances=3 jitter=4 constraint=edgemove seed=8
 """
 
 
@@ -29,8 +30,8 @@ class TestParseMatrix:
         small, moved = parse_matrix(MATRIX)
         assert small == Scenario("small", templates=2, instances=3, seed=7)
         assert small.constraint is COS and small.jitter == 0
-        assert small.radius == 512 and small.threshold is None and small.threads == 1
-        assert moved.constraint is EDGE and moved.jitter == 4 and moved.threads == 2
+        assert small.radius == 512 and small.threshold is None
+        assert moved.constraint is EDGE and moved.jitter == 4
         assert small.n == 6
 
     def test_reads_from_path(self, tmp_path):
@@ -50,6 +51,7 @@ class TestParseMatrix:
             ("run name=a", "expected 'scenario'"),
             ("scenario name", "key=value"),
             ("scenario name=a bogus=1", "unknown key 'bogus'"),
+            ("scenario name=a threads=2", "unknown key 'threads'"),
             ("scenario name=a templates=lots", "bad value for templates"),
             ("scenario name=a constraint=fancy", "bad value for constraint"),
             ("scenario templates=2", "needs a name"),
@@ -70,20 +72,16 @@ class TestParseMatrix:
 class TestVariants:
     def test_cosine_gets_fft_variant(self):
         names = [v for v, _ in _variants(Scenario("x", constraint=COS))]
-        assert names == ["base", "eager", "fft", "noprescreen"]
+        assert names == ["base", "fft", "noprescreen"]
 
     def test_edgemove_has_no_fft_variant(self):
         names = [v for v, _ in _variants(Scenario("x", constraint=EDGE))]
-        assert names == ["base", "eager", "noprescreen"]
+        assert names == ["base", "noprescreen"]
 
     def test_prescreen_off_gated_by_size(self):
         big = Scenario("x", templates=5, instances=1 + PRESCREEN_OFF_MAX_N // 5)
         assert big.n > PRESCREEN_OFF_MAX_N
         assert "noprescreen" not in [v for v, _ in _variants(big)]
-
-    def test_threads_propagate(self):
-        for _name, cfg in _variants(Scenario("x", threads=3)):
-            assert cfg.threads == 3
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +96,7 @@ def outputs():
 
 class TestRunScenario:
     def test_one_record_per_variant(self, records):
-        assert [r.variant for r in records] == ["base", "eager", "fft", "noprescreen"]
+        assert [r.variant for r in records] == ["base", "fft", "noprescreen"]
         assert all(r.scenario == "small" and r.n == 6 for r in records)
         assert all(r.constraint == "cosine" for r in records)
 
@@ -124,7 +122,7 @@ class TestRunScenario:
 
     def test_edgemove_scenario(self):
         recs = run_scenario(Scenario("m", templates=2, instances=3, jitter=4, constraint=EDGE, seed=8))
-        assert [r.variant for r in recs] == ["base", "eager", "noprescreen"]
+        assert [r.variant for r in recs] == ["base", "noprescreen"]
         assert len({r.cluster_count for r in recs}) == 1
 
 
@@ -134,6 +132,7 @@ class TestReports:
         lines = records_csv(records).splitlines()
         header = lines[0].split(",")
         assert header[:5] == ["scenario", "variant", "n", "mode", "clusters"]
+        assert [f"{stage}_ms" for stage in STAGES] == header[8:14]
         assert len(lines) == 1 + len(records)
         assert all(len(line.split(",")) == len(header) for line in lines[1:])
 

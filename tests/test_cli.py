@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from pattern_forge import cli
 from pattern_forge.cli import main
-from pattern_forge.layout_io import read_report
+from pattern_forge.graph import dump_edges
+from pattern_forge.layout_io import parse_layout, read_report
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +67,11 @@ class TestCluster:
         assert rc == 0
         assert capsys.readouterr().out == out.read_text()
 
-    def test_seed_flag_is_inert(self, layout_path, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["cluster", "--input", str(layout_path), "--output", str(a), "--seed", "5"])
-        main(["cluster", "--input", str(layout_path), "--output", str(b), "--seed", "99"])
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("flag", ["--seed", "--threads", "--solver", "--prescreen-slack"])
+    def test_removed_flags_rejected(self, layout_path, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["cluster", "--input", str(layout_path), "--output", "-", flag, "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_override_matching_header_changes_nothing(self, layout_path, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -116,10 +117,30 @@ class TestCluster:
             i, j, dx, dy = map(int, line.split())
             assert i < j and (dx, dy) == (0, 0)
 
+    def test_dump_graph_runs_pipeline_once(self, jittered_path, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = cli.run_full
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("on_graph"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_full", counting)
+        out, dump = tmp_path / "r.csv", tmp_path / "edges.txt"
+        rc = main(["cluster", "--input", str(jittered_path), "--output", str(out),
+                   "--dump-graph", str(dump)])
+        assert rc == 0
+        capsys.readouterr()
+        assert len(calls) == 1 and calls[0] is not None
+        graphs = []
+        real(parse_layout(jittered_path), on_graph=lambda it, g: graphs.append(g))
+        assert graphs[0].edge_count > 0
+        assert dump.read_text() == dump_edges(graphs[0])
+
     def test_edgemove_flags(self, jittered_path, tmp_path, capsys):
         out = tmp_path / "r.csv"
         rc = main(["cluster", "--input", str(jittered_path), "--output", str(out),
-                   "--solver", "eager", "--threads", "2", "--verify"])
+                   "--verify"])
         assert rc == 0
         report = read_report(out)
         assert report.cluster_count <= 6
@@ -155,7 +176,7 @@ class TestBench:
         csv = (outdir / "records.csv").read_text()
         assert capsys.readouterr().out == table
         assert "tiny" in table and csv.startswith("scenario,variant,")
-        assert len(csv.splitlines()) == 1 + 4  # header + one row per variant
+        assert len(csv.splitlines()) == 1 + 3  # header + one row per variant
 
     def test_missing_matrix_exits_nonzero(self, tmp_path, capsys):
         rc = main(["bench", "--matrix", str(tmp_path / "none.txt"),

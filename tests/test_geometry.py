@@ -16,6 +16,7 @@ from pattern_forge.geometry import (
     TopologyMismatchError,
     Translation,
     ZERO_SHIFT,
+    _rect_array,
     _trace_union,
     clip_polygon,
     edge_displacements,
@@ -111,6 +112,28 @@ class TestRectangles:
         )
         with pytest.raises(GeometryError):
             rectangles(bad)
+
+
+class TestCaches:
+    def test_bounded_and_equal_after_eviction(self):
+        caches = (rectangles, _rect_array)
+        limit = 1 << 16
+        assert [c.cache_info().maxsize for c in caches] == [limit, limit]
+        for c in caches:
+            c.cache_clear()  # so every key below is new
+        first = staircase(3)
+        rects, arr = rectangles(first), _rect_array(first)
+        try:
+            for i in range(limit):
+                _rect_array(rect(i, 0, i + 4, 4))  # distinct keys push `first` out
+            assert [c.cache_info().currsize for c in caches] == [limit, limit]
+            misses = rectangles.cache_info().misses
+            assert rectangles(first) == rects
+            assert rectangles.cache_info().misses == misses + 1
+            assert np.array_equal(_rect_array(first), arr)
+        finally:
+            for c in caches:
+                c.cache_clear()
 
 
 class TestTraceUnion:

@@ -144,30 +144,40 @@ class TestWindowCandidates:
 
 class TestClusterReport:
     def _report(self):
-        return ClusterReport(((0, 0, 15, 15), (3, 1, 115, 15), (9, 0, 16, 14)), 2, 2)
+        return ClusterReport(((0, 0, 15, 15, 9), (3, 1, 115, 15, 3), (9, 0, 16, 14, 9)), 2, 2)
 
     def test_compression_ratio(self):
         assert self._report().compression_ratio == Fraction(1, 3)
         assert ClusterReport((), 0, 1).compression_ratio == 0
 
     def test_validate_dense_ids(self):
-        bad = ClusterReport(((0, 0, 1, 1), (1, 2, 1, 1)), 3, 1)
+        bad = ClusterReport(((0, 0, 1, 1, 0), (1, 2, 1, 1, 1)), 3, 1)
         with pytest.raises(ValueError, match="dense"):
             bad.validate()
 
     def test_validate_double_assignment(self):
-        bad = ClusterReport(((0, 0, 1, 1), (0, 1, 1, 1)), 2, 1)
+        bad = ClusterReport(((0, 0, 1, 1, 0), (0, 1, 1, 1, 0)), 2, 1)
         with pytest.raises(ValueError, match="twice"):
+            bad.validate()
+
+    def test_validate_one_representative_per_cluster(self):
+        bad = ClusterReport(((0, 0, 1, 1, 0), (1, 0, 1, 1, 1)), 1, 1)
+        with pytest.raises(ValueError, match="cluster 0 names representatives 0 and 1"):
+            bad.validate()
+
+    def test_validate_representative_is_a_marker(self):
+        bad = ClusterReport(((0, 0, 1, 1, 0), (1, 1, 1, 1, 7)), 2, 1)
+        with pytest.raises(ValueError, match="representative 7 of cluster 1 is not a marker"):
             bad.validate()
 
     def test_validate_against_document(self):
         doc = _doc()
-        ok = ClusterReport(((0, 0, 15, 15), (3, 1, 115, 15)), 2, 1)
+        ok = ClusterReport(((0, 0, 15, 15, 0), (3, 1, 115, 15, 3)), 2, 1)
         ok.validate(doc)
-        missing = ClusterReport(((0, 0, 15, 15),), 1, 1)
+        missing = ClusterReport(((0, 0, 15, 15, 0),), 1, 1)
         with pytest.raises(ValueError, match="do not match"):
             missing.validate(doc)
-        outside = ClusterReport(((0, 0, 95, 15), (3, 1, 115, 15)), 2, 1)
+        outside = ClusterReport(((0, 0, 95, 15, 0), (3, 1, 115, 15, 3)), 2, 1)
         with pytest.raises(ValueError, match="outside marker"):
             outside.validate(doc)
 
@@ -175,7 +185,8 @@ class TestClusterReport:
         rep = self._report()
         data = write_report(rep)
         text = data.decode()
-        assert text.splitlines()[0] == "marker_id,cluster_id,center_x,center_y"
+        assert text.splitlines()[0] == "marker_id,cluster_id,center_x,center_y,rep_marker_id"
+        assert text.splitlines()[1] == "0,0,15,15,9"
         assert text.splitlines()[-1] == "# clusters=2 iterations=2 compression=0.333333"
         assert read_report(data) == rep
         path = tmp_path / "rep.csv"
@@ -183,15 +194,19 @@ class TestClusterReport:
         assert read_report(path) == rep
 
     def test_write_report_validates(self):
-        bad = ClusterReport(((0, 0, 1, 1), (0, 1, 1, 1)), 2, 1)
+        bad = ClusterReport(((0, 0, 1, 1, 0), (0, 1, 1, 1, 0)), 2, 1)
         with pytest.raises(ValueError):
             write_report(bad)
 
     def test_read_rejects_malformed(self):
         with pytest.raises(ValueError, match="header row"):
             read_report("nope\n1,2,3,4\n")
-        with pytest.raises(ValueError, match="summary"):
+        with pytest.raises(ValueError, match="header row"):
             read_report("marker_id,cluster_id,center_x,center_y\n1,0,2,2\n")
+        with pytest.raises(ValueError, match="summary"):
+            read_report("marker_id,cluster_id,center_x,center_y,rep_marker_id\n1,0,2,2,1\n")
+        with pytest.raises(ValueError, match="needs 5 fields"):
+            read_report("marker_id,cluster_id,center_x,center_y,rep_marker_id\n1,0,2,2\n")
 
 
 class TestGenerator:

@@ -14,18 +14,15 @@ from pattern_forge.layout_io import (
 )
 from pattern_forge.pipeline import (
     Cluster,
-    ClusterSet,
     IterationConfig,
-    _pmap,
     refine_cluster,
-    run,
     run_full,
-    run_with_stats,
     verify_clusterset,
 )
 from pattern_forge.raster import cosine_similarity, pattern_features
 
 from conftest import rect
+from oracles import eager_solve_oracle
 
 COS = ConstraintKind.COSINE
 EDGE = ConstraintKind.EDGEMOVE
@@ -61,10 +58,6 @@ class TestConfig:
             IterationConfig(max_iterations=0)
         with pytest.raises(ValueError):
             IterationConfig(aligner="best")
-        with pytest.raises(ValueError):
-            IterationConfig(solver="ilp")
-        with pytest.raises(ValueError):
-            IterationConfig(threads=0)
 
     def test_slack_schedule(self):
         cfg = IterationConfig(max_iterations=3)
@@ -80,13 +73,6 @@ class TestConfig:
         assert cfg.slack_for(cos_doc, 2) == 0.0
         assert cfg.slack_for(edge_doc, 0) == 3.0
         assert cfg.slack_for(edge_doc, 2) == 0.0
-
-
-class TestPmap:
-    def test_preserves_order(self):
-        items = list(range(40))
-        assert _pmap(lambda x: x * x, items, 1) == [x * x for x in items]
-        assert _pmap(lambda x: x * x, items, 4) == [x * x for x in items]
 
 
 class TestRefineCluster:
@@ -188,27 +174,27 @@ class TestRunSmall:
     def test_single_marker_single_cluster_one_iteration(self):
         for kind, threshold in ((COS, 0.9), (EDGE, 10.0)):
             doc = _doc([rect(-10, -10, 10, 10)], [Marker(0, 0, 0, 0)], kind, threshold)
-            cset, report, stats = run_full(doc)
+            clusters, report, stats = run_full(doc)
             assert report.cluster_count == 1
             assert report.iterations_used == 1
-            assert report.assignments == ((0, 0, 0, 0),)
-            assert verify_clusterset(cset, doc)
+            assert report.assignments == ((0, 0, 0, 0, 0),)
+            assert verify_clusterset(clusters, doc)
 
     def test_empty_document(self):
         doc = _doc([], [], COS, 0.9)
-        cset, report, stats = run_full(doc)
+        clusters, report, stats = run_full(doc)
         assert report.cluster_count == 0
         assert report.assignments == ()
-        assert verify_clusterset(cset, doc)
+        assert verify_clusterset(clusters, doc)
         assert stats.compression == 0.0
 
     def test_two_identical_markers_merge(self):
         polys = [rect(-10, -10, 10, 10), rect(290, -10, 310, 10)]
         doc = _doc(polys, [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0)], COS, 0.9)
-        cset, report, stats = run_full(doc)
+        clusters, report, stats = run_full(doc)
         assert report.cluster_count == 1
         assert report.iterations_used == 1
-        assert verify_clusterset(cset, doc)
+        assert verify_clusterset(clusters, doc)
 
     def test_defer_then_settle_as_singletons(self):
         # similarity lands between the relaxed and strict thresholds for two
@@ -225,14 +211,26 @@ class TestRunSmall:
             pattern_features(pb, cfg.grid, cfg.dct_k),
         )
         assert 0.968 < sim < 0.987  # inside (T - 0.025, T), clear of both edges
-        cset, report, stats = run_full(doc, cfg)
+        clusters, report, stats = run_full(doc, cfg)
         assert report.cluster_count == 2
         assert report.iterations_used == 3
         it0 = stats.iterations[0]
         assert it0.edges == 1
         assert it0.deferred == 1
         assert it0.orphaned == 1
-        assert verify_clusterset(cset, doc)
+        assert verify_clusterset(clusters, doc)
+
+
+class TestOnGraph:
+    def test_sees_each_iteration_graph(self, jittered_docs):
+        for kind, doc in jittered_docs.items():
+            seen = []
+            _clusters, report, stats = run_full(doc, on_graph=lambda it, g: seen.append((it, g)))
+            assert [it for it, _g in seen] == list(range(len(stats.iterations)))
+            assert seen[0][1].n == len(doc.markers)
+            for (_it, g), ist in zip(seen, stats.iterations):
+                assert g.edge_count == ist.edges
+            assert run_full(doc)[1] == report, kind
 
 
 class TestExtractOnce:
@@ -245,7 +243,7 @@ class TestExtractOnce:
             return real(d, center)
 
         monkeypatch.setattr(pipeline, "extract_pattern", counting)
-        _cset, _report, stats = run_full(doc, cfg)
+        _clusters, _report, stats = run_full(doc, cfg)
         monkeypatch.undo()
         return [centers[m.center()] for m in doc.markers], stats
 
@@ -272,65 +270,60 @@ class TestExtractOnce:
 class TestRunGenerated:
     def test_exact_recovery_jitter_free(self, clean_docs):
         for kind, doc in clean_docs.items():
-            cset, report, stats = run_full(doc)
+            clusters, report, stats = run_full(doc)
             assert report.cluster_count == 4, kind
-            assert verify_clusterset(cset, doc)
+            assert verify_clusterset(clusters, doc)
             assert report.iterations_used == 1
             # every marker of a template lands in one cluster
             groups = {}
-            for mid, cid, _x, _y in report.assignments:
+            for mid, cid, _x, _y, _rep in report.assignments:
                 groups.setdefault(cid, set()).add(mid // 6)
             assert all(len(v) == 1 for v in groups.values())
 
     def test_jittered_recovery_verified(self, jittered_docs):
         for kind, doc in jittered_docs.items():
-            cset, report, stats = run_full(doc)
-            assert verify_clusterset(cset, doc), kind
+            clusters, report, stats = run_full(doc)
+            assert verify_clusterset(clusters, doc), kind
             assert report.cluster_count <= 6
             assert stats.refine_violations == 0
 
-    def test_thread_count_does_not_change_output(self, jittered_docs):
-        for kind, doc in jittered_docs.items():
-            base = write_report(run(doc, IterationConfig(threads=1)))
-            quad = write_report(run(doc, IterationConfig(threads=4)))
-            assert base == quad, kind
+    def test_solver_choice_agrees(self, jittered_docs, monkeypatch):
+        lazy = {kind: write_report(run_full(doc)[1]) for kind, doc in jittered_docs.items()}
+        graphs = []
 
-    def test_solver_choice_agrees(self, jittered_docs):
+        def eager(g):
+            graphs.append(g)
+            return eager_solve_oracle(g)
+
+        monkeypatch.setattr(pipeline.scp, "solve", eager)
         for kind, doc in jittered_docs.items():
-            lazy = write_report(run(doc, IterationConfig(solver="lazy")))
-            eager = write_report(run(doc, IterationConfig(solver="eager")))
-            assert lazy == eager, kind
+            eager_report = write_report(run_full(doc)[1])
+            assert lazy[kind] == eager_report, kind
+        assert graphs
 
     def test_prescreen_off_agrees(self, jittered_docs):
         for kind, doc in jittered_docs.items():
-            on = write_report(run(doc, IterationConfig(use_prescreen=True)))
-            off = write_report(run(doc, IterationConfig(use_prescreen=False)))
+            on = write_report(run_full(doc, IterationConfig(use_prescreen=True))[1])
+            off = write_report(run_full(doc, IterationConfig(use_prescreen=False))[1])
             assert on == off, kind
 
     def test_fft_aligner_on_clean_cosine(self, clean_docs):
         doc = clean_docs[COS]
-        cset, report, stats = run_full(doc, IterationConfig(aligner="fft"))
+        clusters, report, stats = run_full(doc, IterationConfig(aligner="fft"))
         assert report.cluster_count == 4
-        assert verify_clusterset(cset, doc)
+        assert verify_clusterset(clusters, doc)
 
     def test_report_round_trip_validates(self, jittered_docs):
         for kind, doc in jittered_docs.items():
-            report = run(doc)
+            report = run_full(doc)[1]
             data = write_report(report, doc=doc)
             back = read_report(data)
             assert back == report
             back.validate(doc)
 
-    def test_run_wrappers_consistent(self, clean_docs):
-        doc = clean_docs[EDGE]
-        full = run_full(doc)
-        report, stats = run_with_stats(doc)
-        assert report == full[1]
-        assert run(doc) == report
-
     def test_stats_shape(self, jittered_docs):
         doc = jittered_docs[COS]
-        _cset, report, stats = run_full(doc)
+        _clusters, report, stats = run_full(doc)
         assert stats.marker_count == 15
         assert stats.cluster_count == report.cluster_count
         assert stats.iterations_used == report.iterations_used
@@ -345,18 +338,10 @@ class TestRunGenerated:
 
 
 class TestVerify:
-    def test_detects_orphans(self, clean_docs):
-        doc = clean_docs[COS]
-        cset, _report, _stats = run_full(doc)
-        broken = ClusterSet(cset.clusters, [3])
-        verdict = verify_clusterset(broken, doc)
-        assert not verdict
-        assert "unassigned" in verdict.message
-
     def test_detects_double_assignment(self, clean_docs):
         doc = clean_docs[COS]
-        cset, _report, _stats = run_full(doc)
-        clusters = [Cluster(c.rep_marker, c.rep_center, list(c.members)) for c in cset.clusters]
+        found, _report, _stats = run_full(doc)
+        clusters = [Cluster(c.rep_marker, c.rep_center, list(c.members)) for c in found]
         clusters[0].members.append(clusters[1].members[0])
         verdict = verify_clusterset(clusters, doc)
         assert not verdict
@@ -365,9 +350,9 @@ class TestVerify:
     def test_detects_cross_template_member(self, clean_docs):
         for kind in (COS, EDGE):
             doc = clean_docs[kind]
-            cset, _report, _stats = run_full(doc)
+            found, _report, _stats = run_full(doc)
             clusters = [
-                Cluster(c.rep_marker, c.rep_center, list(c.members)) for c in cset.clusters
+                Cluster(c.rep_marker, c.rep_center, list(c.members)) for c in found
             ]
             moved = clusters[1].members.pop(0)
             clusters[0].members.append(moved)
@@ -376,8 +361,8 @@ class TestVerify:
 
     def test_detects_center_outside_marker(self, clean_docs):
         doc = clean_docs[EDGE]
-        cset, _report, _stats = run_full(doc)
-        clusters = [Cluster(c.rep_marker, c.rep_center, list(c.members)) for c in cset.clusters]
+        found, _report, _stats = run_full(doc)
+        clusters = [Cluster(c.rep_marker, c.rep_center, list(c.members)) for c in found]
         m, (cx, cy) = clusters[0].members[0]
         clusters[0].members[0] = (m, (cx + 1, cy))
         verdict = verify_clusterset(clusters, doc)
@@ -386,13 +371,39 @@ class TestVerify:
 
     def test_report_form_verifies(self, jittered_docs):
         for kind, doc in jittered_docs.items():
-            report = run(doc)
+            report = run_full(doc)[1]
             assert verify_clusterset(report, doc), kind
+
+    def test_report_names_representative(self):
+        # widths 40, 56, 72: the middle window is within 8 nm of both others,
+        # which are 16 nm apart, so the middle marker must represent all three
+        # while the lowest marker id is the left one
+        polys = [rect(x - 20 - d, -20, x + 20 + d, 20) for x, d in ((0, 0), (300, 8), (600, 16))]
+        markers = [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0), Marker(600, 0, 600, 0)]
+        doc = LayoutDocument(64, EDGE, 10.0, tuple(polys), (0, 1, 2), tuple(markers), (10, 11, 12))
+        # the signatures differ in area, so only the all-pairs graph links them
+        cfg = IterationConfig(use_prescreen=False)
+        _clusters, report, _stats = run_full(doc, cfg)
+        assert report.assignments == (
+            (10, 0, 0, 0, 11), (11, 0, 300, 0, 11), (12, 0, 600, 0, 11),
+        )
+        back = read_report(write_report(report, doc=doc))
+        assert back == report
+        assert verify_clusterset(back, doc, cfg)
+        # read as if the first member represented the cluster, 12 is 16 nm off
+        first = ClusterReport(tuple(row[:4] + (10,) for row in back.assignments), 1, 1)
+        verdict = verify_clusterset(first, doc, cfg)
+        assert not verdict
+        assert "edge offset 16 > 10.0" in verdict.message
+        unknown = ClusterReport(tuple(row[:4] + (13,) for row in back.assignments), 1, 1)
+        verdict = verify_clusterset(unknown, doc, cfg)
+        assert not verdict
+        assert "representative 13 of cluster 0 is not a marker" in verdict.message
 
     def test_detects_missing_marker(self, clean_docs):
         doc = clean_docs[COS]
-        cset, _report, _stats = run_full(doc)
-        clusters = [Cluster(c.rep_marker, c.rep_center, list(c.members)) for c in cset.clusters]
+        found, _report, _stats = run_full(doc)
+        clusters = [Cluster(c.rep_marker, c.rep_center, list(c.members)) for c in found]
         clusters[0].members.pop()
         verdict = verify_clusterset(clusters, doc)
         assert not verdict

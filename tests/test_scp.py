@@ -10,10 +10,11 @@ from pattern_forge.scp import (
     SolveResult,
     _gain,
     _surprisals,
-    eager_solve_oracle,
     initial_scores,
     solve,
 )
+
+from oracles import eager_solve_oracle, exact_surprisals
 
 
 def _graph(n: int, edges) -> SimilarityGraph:
@@ -73,7 +74,7 @@ class TestScores:
 
     def test_exact_surprisals_are_rational(self):
         g = _graph(3, [(0, 1)])
-        assert _surprisals(g, exact=True) == [Fraction(1, 2), Fraction(1, 2), Fraction(1, 1)]
+        assert exact_surprisals(g) == [Fraction(1, 2), Fraction(1, 2), Fraction(1, 1)]
 
 
 class TestSolveSmall:
