@@ -6,8 +6,9 @@ vertex, without a repeated closing vertex.
 """
 
 import enum
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import pairwise
 
 import numpy as np
@@ -153,7 +154,7 @@ class Polygon:
         return Polygon(tuple((x + dx, y + dy) for x, y in self.vertices))
 
 
-# Bound on each per-polygon cache below. Every translated clipped piece is a
+# Bound on the per-polygon cache below. Every translated clipped piece is a
 # new key, so an unbounded cache grows for the life of the process; one run
 # of the benchmark workloads (N=400) makes under 10k entries.
 _CACHE_ENTRIES = 1 << 16
@@ -188,11 +189,6 @@ def rectangles(poly: Polygon) -> tuple[Rect, ...]:
     if 2 * sum((r[2] - r[0]) * (r[3] - r[1]) for r in rects) != _signed_area2(verts):
         raise GeometryError("polygon is not simple (area mismatch)")
     return tuple(rects)
-
-
-@lru_cache(maxsize=_CACHE_ENTRIES)
-def _rect_array(poly: Polygon) -> np.ndarray:
-    return np.asarray(rectangles(poly), dtype=np.int64)
 
 
 def _trace_union(rects) -> list[tuple[Vertex, ...]]:
@@ -316,6 +312,35 @@ class Marker:
         return self.yhi - self.ylo
 
 
+class EdgeView:
+    """The shapes of one pattern, laid out for the edgemove kernels.
+
+    Row k of `rects` is a decomposition rectangle of shape `owner[k]`; that
+    is all the overlap test reads. The per-edge table is built on first
+    read, because cosine-mode alignment pairs polygons but never compares
+    their edges.
+    """
+
+    def __init__(self, shapes: tuple[Polygon, ...]):
+        pieces = [rectangles(p) for p in shapes]
+        self.shapes = shapes
+        self.rects = np.asarray([r for rs in pieces for r in rs], dtype=np.int64).reshape(-1, 4)
+        self.owner = np.repeat(np.arange(len(shapes)), [len(rs) for rs in pieces])
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, tuple[Axis, ...], tuple[int, ...]], ...]:
+        """Per shape: its direction_sequence(), then for each edge (the edge
+        leaving vertex e) the axis it moves along and its coordinate on that
+        axis: x of a vertical edge, y of a horizontal one."""
+        table = []
+        for p in self.shapes:
+            d = p.direction_sequence()
+            axes = tuple(Axis.X if c in "NS" else Axis.Y for c in d)
+            coords = tuple(x if c in "NS" else y for (x, y), c in zip(p.vertices, d))
+            table.append((d, axes, coords))
+        return tuple(table)
+
+
 @dataclass
 class Pattern:
     """Window content at a candidate center.
@@ -329,6 +354,7 @@ class Pattern:
     radius: int
     shapes: tuple[Polygon, ...]
     _bbox_arr: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _edge_view: EdgeView = field(default=None, init=False, repr=False, compare=False)
 
     def shape_bboxes(self) -> np.ndarray:
         if self._bbox_arr is None:
@@ -337,6 +363,13 @@ class Pattern:
             else:
                 self._bbox_arr = np.zeros((0, 4), dtype=np.int64)
         return self._bbox_arr
+
+    def edge_view(self) -> EdgeView:
+        """The shapes laid out for the edgemove kernels, built on first use
+        and kept, so each pattern pays for it once however many pairs it is in."""
+        if self._edge_view is None:
+            self._edge_view = EdgeView(self.shapes)
+        return self._edge_view
 
     @property
     def is_empty(self) -> bool:
@@ -379,34 +412,33 @@ class Correspondence:
     direction: SmallerSide
 
 
-def _polys_overlap(pa: Polygon, pb: Polygon, sx: int, sy: int) -> bool:
-    ra = _rect_array(pa)
-    rb = _rect_array(pb) + np.asarray([sx, sy, sx, sy], dtype=np.int64)
+def _overlap_matrix(a: Pattern, b: Pattern, shift: Translation) -> np.ndarray:
+    """out[i, j]: shape i of a and shape j of b (displaced by `shift`) share
+    positive area, i.e. some pair of their rectangles overlaps strictly."""
+    va, vb = a.edge_view(), b.edge_view()
+    out = np.zeros((len(a.shapes), len(b.shapes)), dtype=bool)
+    ra = va.rects
+    rb = vb.rects + np.asarray([shift.dx, shift.dy, shift.dx, shift.dy], dtype=np.int64)
     hit = (
         (ra[:, None, 0] < rb[None, :, 2])
         & (rb[None, :, 0] < ra[:, None, 2])
         & (ra[:, None, 1] < rb[None, :, 3])
         & (rb[None, :, 1] < ra[:, None, 3])
     )
-    return bool(hit.any())
-
-
-def _overlap_matrix(a: Pattern, b: Pattern, shift: Translation) -> np.ndarray:
-    na, nb = len(a.shapes), len(b.shapes)
-    out = np.zeros((na, nb), dtype=bool)
-    if na == 0 or nb == 0:
-        return out
-    bba = a.shape_bboxes()
-    bbb = b.shape_bboxes() + np.asarray([shift.dx, shift.dy, shift.dx, shift.dy], dtype=np.int64)
-    cand = (
-        (bba[:, None, 0] < bbb[None, :, 2])
-        & (bbb[None, :, 0] < bba[:, None, 2])
-        & (bba[:, None, 1] < bbb[None, :, 3])
-        & (bbb[None, :, 1] < bba[:, None, 3])
-    )
-    for i, j in zip(*np.nonzero(cand)):
-        out[i, j] = _polys_overlap(a.shapes[i], b.shapes[j], shift.dx, shift.dy)
+    ia, ib = np.nonzero(hit)
+    out[va.owner[ia], vb.owner[ib]] = True
     return out
+
+
+def _check_overlap_counts(counts: np.ndarray, side: str) -> None:
+    """Raise for the first polygon of `side` that overlaps other than one polygon."""
+    bad = counts != 1
+    if bad.any():
+        i = int(bad.argmax())
+        c = int(counts[i])
+        if c == 0:
+            raise NoOverlapError(side, i)
+        raise MultipleOverlapError(side, i, c)
 
 
 def match_polygons(a: Pattern, b: Pattern, shift: Translation = ZERO_SHIFT) -> Correspondence:
@@ -426,36 +458,17 @@ def match_polygons(a: Pattern, b: Pattern, shift: Translation = ZERO_SHIFT) -> C
         direction = SmallerSide.EQUAL
 
     m = _overlap_matrix(a, b, shift)
-    pairs: list[tuple[int, int]] = []
+    # once the smaller side's rows (or columns) hold exactly one True each,
+    # their True cells, in row (or column) order, are the pairs
     if na <= nb:
-        counts = m.sum(axis=1)
-        for i in range(na):
-            c = int(counts[i])
-            if c == 0:
-                raise NoOverlapError("a", i)
-            if c > 1:
-                raise MultipleOverlapError("a", i, c)
+        _check_overlap_counts(m.sum(axis=1), "a")
         if na == nb:
-            ccounts = m.sum(axis=0)
-            for j in range(nb):
-                c = int(ccounts[j])
-                if c == 0:
-                    raise NoOverlapError("b", j)
-                if c > 1:
-                    raise MultipleOverlapError("b", j, c)
-        for i in range(na):
-            pairs.append((i, int(np.nonzero(m[i])[0][0])))
+            _check_overlap_counts(m.sum(axis=0), "b")
+        ia, ib = np.nonzero(m)
     else:
-        counts = m.sum(axis=0)
-        for j in range(nb):
-            c = int(counts[j])
-            if c == 0:
-                raise NoOverlapError("b", j)
-            if c > 1:
-                raise MultipleOverlapError("b", j, c)
-        for j in range(nb):
-            pairs.append((int(np.nonzero(m[:, j])[0][0]), j))
-    return Correspondence(tuple(pairs), direction)
+        _check_overlap_counts(m.sum(axis=0), "b")
+        ib, ia = np.nonzero(m.T)
+    return Correspondence(tuple(zip(ia.tolist(), ib.tolist())), direction)
 
 
 def edge_displacements(a: Pattern, b: Pattern, corr: Correspondence) -> list[tuple[Axis, int]]:
@@ -467,18 +480,14 @@ def edge_displacements(a: Pattern, b: Pattern, corr: Correspondence) -> list[tup
     offsets, horizontal edges Y offsets. Raises TopologyMismatchError when a
     pair cannot be compared edge-by-edge.
     """
+    va, vb = a.edge_view(), b.edge_view()
     out: list[tuple[Axis, int]] = []
     for i, j in corr.pairs:
-        pa, pb = a.shapes[i], b.shapes[j]
-        if len(pa.vertices) != len(pb.vertices):
-            raise TopologyMismatchError(
-                f"pair ({i}, {j}): vertex counts {len(pa.vertices)} vs {len(pb.vertices)}"
-            )
-        if pa.direction_sequence() != pb.direction_sequence():
+        da, axes, ca = va.edges[i]
+        db, _axes, cb = vb.edges[j]
+        if len(da) != len(db):
+            raise TopologyMismatchError(f"pair ({i}, {j}): vertex counts {len(da)} vs {len(db)}")
+        if da != db:
             raise TopologyMismatchError(f"pair ({i}, {j}): edge orientation sequences differ")
-        for (a0, _a1), (b0, _b1) in zip(pa.edges(), pb.edges()):
-            if a0[0] == _a1[0]:  # vertical edge
-                out.append((Axis.X, b0[0] - a0[0]))
-            else:
-                out.append((Axis.Y, b0[1] - a0[1]))
+        out.extend(zip(axes, map(operator.sub, cb, ca)))
     return out

@@ -18,16 +18,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from . import align, raster, scp
-from .geometry import (
-    MatchError,
-    Marker,
-    Pattern,
-    Translation,
-    ZERO_SHIFT,
-    edge_displacements,
-    extract_pattern,
-    match_polygons,
-)
+from .geometry import Marker, Pattern, Translation, ZERO_SHIFT, extract_pattern
 from .graph import SimilarityGraph, assemble, evaluate_pair_relaxed
 from .layout_io import ClusterReport, ConstraintKind, LayoutDocument
 from .prescreen import CandidatePairSet, PrescreenParams, PrescreenStats, build_candidates, compatible
@@ -116,16 +107,6 @@ class RunStats:
         return out
 
 
-def _strict_edge_offset(rep: Pattern, member: Pattern) -> int | None:
-    """Largest corresponding-edge offset at the given centers, or None when no
-    one-to-one correspondence exists."""
-    try:
-        disp = edge_displacements(rep, member, match_polygons(rep, member))
-    except MatchError:
-        return None
-    return max((abs(d) for _axis, d in disp), default=0)
-
-
 def _aligner_shift(rep: Pattern, member: Pattern, doc: LayoutDocument, cfg: IterationConfig) -> Translation | None:
     if doc.constraint_kind is ConstraintKind.EDGEMOVE:
         fit = align.edge_fit_aligned(rep, member)
@@ -160,7 +141,10 @@ def refine_cluster(
     and the marker-center anchor, each clamped into the marker; the candidate
     with the best strict-constraint score wins and is accepted only if it
     passes the strict threshold. The anchor is always a candidate, so an
-    accepted center never scores below the anchor.
+    accepted center never scores below the anchor. In edgemove mode the
+    strict check is `align.edge_fit`: the polygons must correspond
+    one-to-one, so a center whose window holds more or fewer polygons than
+    the representative's is refused whatever its edge offsets.
 
     `member_at_anchor` and `member_features` may carry the member's pattern
     and features at its marker center when the caller already has them;
@@ -199,7 +183,7 @@ def refine_cluster(
             sim = raster.cosine_similarity(rep_features, features)
             score, passes = sim, sim >= doc.threshold
         else:
-            off = _strict_edge_offset(rep, member)
+            off = align.edge_fit(rep, member)
             if off is None:
                 continue
             score, passes = -float(off), off <= doc.threshold
@@ -420,7 +404,9 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig = Iter
     each cluster's representative; it is checked at its marker center).
     Re-extracts each member at its stored center and tests the strict
     constraint against its cluster representative, plus center-in-marker
-    validity and the exactly-one-cluster-per-marker invariant.
+    validity and the exactly-one-cluster-per-marker invariant. In edgemove
+    mode a member whose polygon count differs from the representative's has
+    no one-to-one correspondence and fails, as refine_cluster refuses it.
 
     The check is independent of the run on purpose: it never reads the
     anchors `run_full` cached or the patterns and features stored on the
@@ -457,7 +443,7 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig = Iter
                         f"cluster {cid}: marker {doc.marker_ids[m]} similarity {sim:.6f} < {doc.threshold}",
                     )
             else:
-                off = _strict_edge_offset(rep, member)
+                off = align.edge_fit(rep, member)
                 if off is None:
                     return Verdict(False, f"cluster {cid}: marker {doc.marker_ids[m]} has no correspondence")
                 if off > doc.threshold:

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here favors obviousness over speed: unit-cell parity scans for
-geometry, direct double-sum DCT, linear scans for min-max fits, a full-update
-greedy set cover. Only the eager solver shares code with the package: it
+geometry, per-polygon overlap tests and edge walks for polygon pairing,
+direct double-sum DCT, linear scans for min-max fits, a full-update greedy
+set cover. Only the eager solver shares code with the package: it
 scores and covers through `scp._gain` and `scp._cover`, so its float sums are
 bit-identical to the lazy solver's and the two must select exactly alike.
 """
@@ -13,6 +14,15 @@ from fractions import Fraction
 import numpy as np
 
 from pattern_forge import scp
+from pattern_forge.geometry import (
+    Axis,
+    Correspondence,
+    MultipleOverlapError,
+    NoOverlapError,
+    SmallerSide,
+    TopologyMismatchError,
+    rectangles,
+)
 
 
 def cells_inside(vertices, bbox) -> np.ndarray:
@@ -83,6 +93,100 @@ def coverage_grid_loop(rects, radius: int, side: int) -> np.ndarray:
         yov = np.minimum(sy1, (yj + 1) * den) - np.maximum(sy0, yj * den)
         grid[j0:j1, i0:i1] += yov[:, None] * xov[None, :]
     return grid
+
+
+def polys_overlap(pa, pb, sx: int, sy: int) -> bool:
+    """Whether two polygons share positive area, pb displaced by (sx, sy)."""
+    ra = np.asarray(rectangles(pa), dtype=np.int64)
+    rb = np.asarray(rectangles(pb), dtype=np.int64) + np.asarray([sx, sy, sx, sy], dtype=np.int64)
+    hit = (
+        (ra[:, None, 0] < rb[None, :, 2])
+        & (rb[None, :, 0] < ra[:, None, 2])
+        & (ra[:, None, 1] < rb[None, :, 3])
+        & (rb[None, :, 1] < ra[:, None, 3])
+    )
+    return bool(hit.any())
+
+
+def overlap_matrix(a, b, shift) -> np.ndarray:
+    """Polygon overlap matrix: a bounding-box prefilter, then polys_overlap."""
+    na, nb = len(a.shapes), len(b.shapes)
+    out = np.zeros((na, nb), dtype=bool)
+    if na == 0 or nb == 0:
+        return out
+    bba = a.shape_bboxes()
+    bbb = b.shape_bboxes() + np.asarray([shift.dx, shift.dy, shift.dx, shift.dy], dtype=np.int64)
+    cand = (
+        (bba[:, None, 0] < bbb[None, :, 2])
+        & (bbb[None, :, 0] < bba[:, None, 2])
+        & (bba[:, None, 1] < bbb[None, :, 3])
+        & (bbb[None, :, 1] < bba[:, None, 3])
+    )
+    for i, j in zip(*np.nonzero(cand)):
+        out[i, j] = polys_overlap(a.shapes[i], b.shapes[j], shift.dx, shift.dy)
+    return out
+
+
+def match_polygons_loop(a, b, shift) -> Correspondence:
+    """`geometry.match_polygons`, checking one polygon at a time."""
+    na, nb = len(a.shapes), len(b.shapes)
+    if na < nb:
+        direction = SmallerSide.A
+    elif nb < na:
+        direction = SmallerSide.B
+    else:
+        direction = SmallerSide.EQUAL
+
+    m = overlap_matrix(a, b, shift)
+    pairs: list[tuple[int, int]] = []
+    if na <= nb:
+        counts = m.sum(axis=1)
+        for i in range(na):
+            c = int(counts[i])
+            if c == 0:
+                raise NoOverlapError("a", i)
+            if c > 1:
+                raise MultipleOverlapError("a", i, c)
+        if na == nb:
+            ccounts = m.sum(axis=0)
+            for j in range(nb):
+                c = int(ccounts[j])
+                if c == 0:
+                    raise NoOverlapError("b", j)
+                if c > 1:
+                    raise MultipleOverlapError("b", j, c)
+        for i in range(na):
+            pairs.append((i, int(np.nonzero(m[i])[0][0])))
+    else:
+        counts = m.sum(axis=0)
+        for j in range(nb):
+            c = int(counts[j])
+            if c == 0:
+                raise NoOverlapError("b", j)
+            if c > 1:
+                raise MultipleOverlapError("b", j, c)
+        for j in range(nb):
+            pairs.append((int(np.nonzero(m[:, j])[0][0]), j))
+    return Correspondence(tuple(pairs), direction)
+
+
+def edge_displacements_loop(a, b, corr) -> list:
+    """`geometry.edge_displacements`, walking both rings edge by edge."""
+    out = []
+    for i, j in corr.pairs:
+        pa, pb = a.shapes[i], b.shapes[j]
+        if len(pa.vertices) != len(pb.vertices):
+            raise TopologyMismatchError(
+                f"pair ({i}, {j}): vertex counts {len(pa.vertices)} vs {len(pb.vertices)}"
+            )
+        if pa.direction_sequence() != pb.direction_sequence():
+            raise TopologyMismatchError(f"pair ({i}, {j}): edge orientation sequences differ")
+        for (a0, a1), (b0, _b1) in zip(pa.edges(), pb.edges()):
+            if a0[0] == a1[0]:  # vertical edge
+                out.append((Axis.X, b0[0] - a0[0]))
+            else:
+                out.append((Axis.Y, b0[1] - a0[1]))
+    return out
 
 
 def naive_dct2(pixels: np.ndarray) -> np.ndarray:

@@ -2,12 +2,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pattern_forge.geometry import (
     Axis,
+    Correspondence,
     GeometryError,
     Marker,
+    MatchError,
     MultipleOverlapError,
     NoOverlapError,
     Pattern,
@@ -16,7 +18,6 @@ from pattern_forge.geometry import (
     TopologyMismatchError,
     Translation,
     ZERO_SHIFT,
-    _rect_array,
     _trace_union,
     clip_polygon,
     edge_displacements,
@@ -27,7 +28,14 @@ from pattern_forge.geometry import (
 from pattern_forge.layout_io import ConstraintKind, LayoutDocument
 
 from conftest import rect, staircase, random_rect_union
-from oracles import cells_inside, hull_bbox, rect_cells, rings_cells
+from oracles import (
+    cells_inside,
+    edge_displacements_loop,
+    hull_bbox,
+    match_polygons_loop,
+    rect_cells,
+    rings_cells,
+)
 
 
 class TestPolygonValidation:
@@ -116,24 +124,20 @@ class TestRectangles:
 
 class TestCaches:
     def test_bounded_and_equal_after_eviction(self):
-        caches = (rectangles, _rect_array)
         limit = 1 << 16
-        assert [c.cache_info().maxsize for c in caches] == [limit, limit]
-        for c in caches:
-            c.cache_clear()  # so every key below is new
+        assert rectangles.cache_info().maxsize == limit
+        rectangles.cache_clear()  # so every key below is new
         first = staircase(3)
-        rects, arr = rectangles(first), _rect_array(first)
+        rects = rectangles(first)
         try:
             for i in range(limit):
-                _rect_array(rect(i, 0, i + 4, 4))  # distinct keys push `first` out
-            assert [c.cache_info().currsize for c in caches] == [limit, limit]
+                rectangles(rect(i, 0, i + 4, 4))  # distinct keys push `first` out
+            assert rectangles.cache_info().currsize == limit
             misses = rectangles.cache_info().misses
             assert rectangles(first) == rects
             assert rectangles.cache_info().misses == misses + 1
-            assert np.array_equal(_rect_array(first), arr)
         finally:
-            for c in caches:
-                c.cache_clear()
+            rectangles.cache_clear()
 
 
 class TestTraceUnion:
@@ -428,6 +432,91 @@ class TestEdgeDisplacements:
         l2 = Polygon.from_vertices([(0, 0), (3, 0), (3, 3), (6, 3), (6, 6), (0, 6)])
         with pytest.raises(TopologyMismatchError, match="orientation"):
             edge_displacements(_pat(l1), _pat(l2), match_polygons(_pat(l1), _pat(l2)))
+
+
+_LATTICE = st.integers(-6, 6).map(lambda v: 4 * v)
+
+
+@st.composite
+def _shape(draw) -> Polygon:
+    """A rectangle, or a multi-rectangle staircase climbing to the right or
+    (mirrored: same vertex count, other edge directions) to the left, on a
+    4 nm lattice."""
+    x0, y0 = draw(_LATTICE), draw(_LATTICE)
+    kind = draw(st.sampled_from(["rect", "stairs", "mirrored"]))
+    if kind == "rect":
+        w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        return rect(x0, y0, x0 + 4 * w, y0 + 4 * h)
+    stairs = staircase(draw(st.integers(1, 3)), run=4, rise=4, x0=x0, y0=y0)
+    if kind == "stairs":
+        return stairs
+    return Polygon.from_vertices([(2 * x0 - x, y) for x, y in stairs.vertices])
+
+
+@st.composite
+def _pattern_pair(draw):
+    """Pattern a, and b built from a's shapes: each moved a little (same
+    topology), stretched (one edge moved), slid to touch its old place along
+    an edge only (zero-area contact), replaced or dropped; plus a few new
+    shapes, in shuffled order, and a shift for b."""
+    a = draw(st.lists(_shape(), max_size=5))
+    b = []
+    for p in a:
+        x0, y0, x1, y1 = p.bbox
+        action = draw(st.sampled_from(["move", "move", "stretch", "abut", "replace", "drop"]))
+        if action == "move":
+            b.append(p.translated(draw(st.integers(-3, 3)), draw(st.integers(-3, 3))))
+        elif action == "stretch" and len(p.vertices) == 4:
+            b.append(rect(x0, y0, x1 + draw(st.integers(1, 5)), y1))
+        elif action == "abut":
+            b.append(p.translated(x1 - x0, 0) if draw(st.booleans()) else p.translated(0, y0 - y1))
+        elif action != "drop":
+            b.append(draw(_shape()))
+    b += draw(st.lists(_shape(), max_size=2))
+    b = draw(st.permutations(b))
+    shift = Translation(draw(st.sampled_from([0, 0, 4, -4, 2])), draw(st.integers(-4, 4)))
+    return _pat(*a), _pat(*b), shift
+
+
+def _outcome(fn, *args):
+    """The result, or the raised error's type, message and fields."""
+    try:
+        return fn(*args)
+    except MatchError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+class TestKernelsAgainstOracle:
+    """match_polygons and edge_displacements against the per-polygon loops."""
+
+    @settings(max_examples=400)
+    @given(_pattern_pair())
+    @example((_pat(), _pat(), ZERO_SHIFT))
+    @example((_pat(), _pat(rect(0, 0, 4, 4)), ZERO_SHIFT))
+    @example((_pat(rect(0, 0, 4, 4)), _pat(), Translation(4, 0)))
+    @example((_pat(staircase(2, 4, 4)), _pat(staircase(2, 4, 4).translated(12, 0)), ZERO_SHIFT))
+    def test_same_outcome(self, pair):
+        a, b, shift = pair
+        got = _outcome(match_polygons, a, b, shift)
+        assert got == _outcome(match_polygons_loop, a, b, shift)
+        k = min(len(a.shapes), len(b.shapes))
+        forced = Correspondence(tuple(zip(range(k), range(k))), SmallerSide.EQUAL)
+        for corr in (got, forced):
+            if not isinstance(corr, Correspondence):
+                continue
+            disp = _outcome(edge_displacements, a, b, corr)
+            assert disp == _outcome(edge_displacements_loop, a, b, corr)
+            if isinstance(disp, list):
+                assert all(type(d) is int for _axis, d in disp)
+
+    def test_staircase_touching_one_step(self):
+        # b's rectangle meets the staircase only along the riser of its first
+        # step; moved 1 nm left it overlaps the first step's rectangle
+        a = _pat(staircase(2, run=4, rise=4))
+        b = _pat(rect(4, -4, 8, 4))
+        with pytest.raises(NoOverlapError):
+            match_polygons(a, b)
+        assert match_polygons(a, b, Translation(-1, 0)).pairs == ((0, 0),)
 
 
 class TestTranslationType:

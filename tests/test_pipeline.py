@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from pattern_forge import pipeline
+from pattern_forge import geometry, pipeline
 from pattern_forge.geometry import Marker, Pattern, Translation, extract_pattern
 from pattern_forge.layout_io import (
     ClusterReport,
@@ -267,6 +267,41 @@ class TestExtractOnce:
         assert counts == [1, 1, 1]
 
 
+class TestEdgeViewOnce:
+    def test_one_build_per_pattern(self, jittered_docs, monkeypatch):
+        doc = jittered_docs[EDGE]
+        builds = []
+        views = {}  # id(pattern) -> (pattern, every view it returned)
+        real_view = Pattern.edge_view
+
+        class CountingView(geometry.EdgeView):
+            def __init__(self, shapes):
+                builds.append(shapes)
+                super().__init__(shapes)
+
+        def recording_view(pattern):
+            view = real_view(pattern)
+            views.setdefault(id(pattern), (pattern, set()))[1].add(id(view))
+            return view
+
+        monkeypatch.setattr(geometry, "EdgeView", CountingView)
+        monkeypatch.setattr(Pattern, "edge_view", recording_view)
+        _clusters, _report, stats = run_full(doc)
+        monkeypatch.undo()
+        assert stats.refine_checks > 0
+        assert builds
+        assert all(len(seen) == 1 for _p, seen in views.values())
+        assert len(builds) <= len(views)
+
+    def test_view_is_not_part_of_equality(self):
+        shapes = (rect(-8, -8, 8, 8),)
+        built, fresh = Pattern((0, 0), 32, shapes), Pattern((0, 0), 32, shapes)
+        view = built.edge_view()
+        assert built.edge_view() is view
+        assert built == fresh and repr(built) == repr(fresh)
+        assert built != Pattern((0, 0), 32, (rect(-8, -8, 8, 9),))
+
+
 class TestRunGenerated:
     def test_exact_recovery_jitter_free(self, clean_docs):
         for kind, doc in clean_docs.items():
@@ -399,6 +434,46 @@ class TestVerify:
         verdict = verify_clusterset(unknown, doc, cfg)
         assert not verdict
         assert "representative 13 of cluster 0 is not a marker" in verdict.message
+
+    @staticmethod
+    def _unequal_count_doc():
+        # marker 10: an empty window; 11: one rectangle; 12: the same
+        # rectangle plus a second one that overlaps nothing in 11's window
+        polys = [rect(280, -20, 320, 20), rect(580, -20, 620, 20), rect(630, 30, 650, 50)]
+        markers = [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0), Marker(600, 0, 600, 0)]
+        return LayoutDocument(64, EDGE, 10.0, tuple(polys), (0, 1, 2), tuple(markers), (10, 11, 12))
+
+    def test_refuses_extra_polygon_and_empty_window(self):
+        doc = self._unequal_count_doc()
+        center = {m: ((m - 10) * 300, 0) for m in (10, 11, 12)}
+        for member, other in ((10, 12), (12, 10)):
+            rows = (
+                (member, 0) + center[member] + (11,),
+                (11, 0) + center[11] + (11,),
+                (other, 1) + center[other] + (other,),
+            )
+            verdict = verify_clusterset(ClusterReport(rows, 2, 1), doc)
+            assert not verdict
+            assert verdict.message == f"cluster 0: marker {member} has no correspondence"
+        alone = ClusterReport(tuple((m, m - 10) + center[m] + (m,) for m in (10, 11, 12)), 3, 1)
+        assert verify_clusterset(alone, doc)
+
+    def test_empty_window_represents_no_polygons(self):
+        # the relaxed graph pairs an empty window with every window (the
+        # smaller side pairs off vacuously), so without the prescreen the set
+        # cover picks the empty marker first; strict refinement must refuse
+        # every member whose window holds polygons
+        doc = self._unequal_count_doc()
+        cfg = IterationConfig(use_prescreen=False)
+        clusters, report, _stats = run_full(doc, cfg)
+        for cluster in clusters:
+            rep_count = len(extract_pattern(doc, cluster.rep_center).shapes)
+            for _m, center in cluster.members:
+                assert len(extract_pattern(doc, center).shapes) == rep_count
+        rep_of = {row[0]: row[4] for row in report.assignments}
+        assert rep_of[11] != 10 and rep_of[12] != 10
+        assert verify_clusterset(clusters, doc, cfg)
+        assert verify_clusterset(report, doc, cfg)
 
     def test_detects_missing_marker(self, clean_docs):
         doc = clean_docs[COS]
