@@ -1,13 +1,15 @@
 """Optimal alignment kernels.
 
-Three analytical routes to the best rigid shift between two patterns:
+One aligner per constraint gives the best rigid shift between two patterns:
 
-* phase correlation on coverage bitmaps (spectral, global optimum for
-  circular shifts),
 * per-axis interval competition over corresponding polygon bounding boxes
-  (geometric, for the cosine constraint),
-* minmax midpoint over corresponding edge offsets (geometric, for the
-  edge-displacement constraint).
+  for the cosine constraint (`xy_minmax_align`),
+* the minmax midpoint over corresponding edge offsets for the
+  edge-displacement constraint (`edge_fit_aligned`), which is both the
+  relaxed pair test and the strict refinement check.
+
+Phase correlation on coverage bitmaps (`phase_correlate`, the global optimum
+for circular shifts) serves the synthetic generator, not the clustering.
 
 Every returned Translation is the displacement of the moving pattern's
 content relative to the reference, i.e. the amount the moving window's

@@ -5,8 +5,9 @@ Scenario files are plain text, one scenario per line:
     scenario name=cos_small templates=5 instances=10 jitter=0 constraint=cosine seed=7
 
 Unknown keys are rejected up front so a typo cannot silently run a default.
-Each scenario runs a baseline (pre-screen on, geometric aligner) plus
-ablation variants; measured ratios are reported, never asserted.
+Each scenario runs a baseline (pre-screen on) plus, for scenarios of at most
+PRESCREEN_OFF_MAX_N markers, an all-pairs variant with the pre-screen off;
+measured ratios are reported, never asserted.
 """
 
 import io
@@ -139,8 +140,6 @@ def _record(sc: Scenario, variant: str, stats) -> BenchRecord:
 
 def _variants(sc: Scenario) -> list[tuple[str, IterationConfig]]:
     out = [("base", IterationConfig())]
-    if sc.constraint is ConstraintKind.COSINE:
-        out.append(("fft", IterationConfig(aligner="fft")))
     if sc.n <= PRESCREEN_OFF_MAX_N:
         out.append(("noprescreen", IterationConfig(use_prescreen=False)))
     return out

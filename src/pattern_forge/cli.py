@@ -21,11 +21,9 @@ def _add_cluster_parser(sub):
     p.add_argument("--radius", type=int, help="override the file header")
     p.add_argument("--grid", type=int, default=64, help="raster side in pixels (default 64)")
     p.add_argument("--dct-k", type=int, default=32, help="feature block size (default 32)")
-    p.add_argument("--aligner", choices=["geo", "fft"], default="geo",
-                   help="cosine-mode refinement aligner (default geo)")
     p.add_argument("--max-iters", type=int, default=3)
     p.add_argument("--report", help="write a JSON run report here")
-    p.add_argument("--dump-graph", help="write first-iteration 'i j dx dy' edges here")
+    p.add_argument("--dump-graph", help="write first-iteration 'i j' edges here")
     p.add_argument("--quantum", type=int, default=8, help="signature quantization in nm")
     p.add_argument("--no-prescreen", action="store_true", help="evaluate all pairs (slow)")
     p.add_argument("--verify", action="store_true", help="re-check every assignment before writing")
@@ -75,7 +73,6 @@ def _cmd_cluster(args) -> int:
         max_iterations=args.max_iters,
         grid=args.grid,
         dct_k=args.dct_k,
-        aligner=args.aligner,
         prescreen=PrescreenParams(quantum=args.quantum),
         use_prescreen=not args.no_prescreen,
     )

@@ -26,14 +26,6 @@ class Axis(enum.Enum):
     Y = "y"
 
 
-class SmallerSide(enum.Enum):
-    """Which pattern of a matched pair had fewer polygons."""
-
-    A = "a"
-    B = "b"
-    EQUAL = "equal"
-
-
 class MatchError(Exception):
     """A polygon pairing between two patterns could not be established."""
 
@@ -406,10 +398,9 @@ def extract_pattern(doc, center: Vertex) -> Pattern:
 
 @dataclass(frozen=True)
 class Correspondence:
-    """Polygon index pairs (into pattern a, pattern b) plus which side was smaller."""
+    """Polygon index pairs (into pattern a, pattern b)."""
 
     pairs: tuple[tuple[int, int], ...]
-    direction: SmallerSide
 
 
 def _overlap_matrix(a: Pattern, b: Pattern, shift: Translation) -> np.ndarray:
@@ -450,13 +441,6 @@ def match_polygons(a: Pattern, b: Pattern, shift: Translation = ZERO_SHIFT) -> C
     MultipleOverlapError naming the first violating polygon.
     """
     na, nb = len(a.shapes), len(b.shapes)
-    if na < nb:
-        direction = SmallerSide.A
-    elif nb < na:
-        direction = SmallerSide.B
-    else:
-        direction = SmallerSide.EQUAL
-
     m = _overlap_matrix(a, b, shift)
     # once the smaller side's rows (or columns) hold exactly one True each,
     # their True cells, in row (or column) order, are the pairs
@@ -468,7 +452,7 @@ def match_polygons(a: Pattern, b: Pattern, shift: Translation = ZERO_SHIFT) -> C
     else:
         _check_overlap_counts(m.sum(axis=0), "b")
         ib, ia = np.nonzero(m.T)
-    return Correspondence(tuple(zip(ia.tolist(), ib.tolist())), direction)
+    return Correspondence(tuple(zip(ia.tolist(), ib.tolist())))
 
 
 def edge_displacements(a: Pattern, b: Pattern, corr: Correspondence) -> list[tuple[Axis, int]]:

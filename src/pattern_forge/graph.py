@@ -1,22 +1,25 @@
 """Relaxed pair evaluation and sparse similarity-graph assembly.
 
-Each surviving candidate pair is tested under a loosened constraint; accepted
-pairs become undirected edges carrying the coarse alignment found, which the
-refinement stage later uses as a warm start.
+Each surviving candidate pair is tested under the strict constraint with
+only its threshold loosened; accepted pairs become undirected edges. The
+graph carries adjacency only: refinement recomputes every alignment against
+the representative it is assigned to.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import align, raster
-from .geometry import MatchError, Pattern, Translation, ZERO_SHIFT, edge_displacements, match_polygons
+from .geometry import Pattern, Translation, ZERO_SHIFT
 from .layout_io import ConstraintKind, LayoutDocument
 
 
 @dataclass
 class SimilarityGraph:
+    """Undirected graph over n nodes; adjacency[i] lists i's neighbours in
+    ascending order."""
+
     n: int
     adjacency: tuple[tuple[int, ...], ...]
-    shifts: dict = field(default_factory=dict)  # (i, j) with i < j -> Translation of j relative to i
 
     def __post_init__(self):
         if len(self.adjacency) != self.n:
@@ -29,20 +32,14 @@ class SimilarityGraph:
                     raise ValueError(f"edge {i}->{j} missing its reverse")
 
     @classmethod
-    def from_edges(cls, n: int, edges, shifts: dict | None = None) -> "SimilarityGraph":
+    def from_edges(cls, n: int, edges) -> "SimilarityGraph":
         adj = [set() for _ in range(n)]
-        norm = {}
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) outside 0..{n - 1}")
             adj[i].add(j)
             adj[j].add(i)
-            key = (i, j) if i < j else (j, i)
-            norm[key] = ZERO_SHIFT
-        if shifts:
-            for (i, j), t in shifts.items():
-                norm[(i, j) if i < j else (j, i)] = t if i < j else t.negated()
-        return cls(n, tuple(tuple(sorted(s)) for s in adj), norm)
+        return cls(n, tuple(tuple(sorted(s)) for s in adj))
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -50,11 +47,6 @@ class SimilarityGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
-
-    def shift(self, i: int, j: int) -> Translation:
-        """Alignment of j's content relative to i's, from the stored payload."""
-        t = self.shifts.get((i, j) if i < j else (j, i), ZERO_SHIFT)
-        return t if i < j else t.negated()
 
     def edges(self):
         for i, nbrs in enumerate(self.adjacency):
@@ -77,9 +69,9 @@ def evaluate_pair_relaxed(
     """Test one pair under the document constraint loosened by `slack`.
 
     Cosine mode compares features at zero shift against threshold - slack and
-    reports a zero coarse alignment. EdgeMove mode matches polygons at zero
-    shift and accepts when the min-max residual is within threshold + slack,
-    reporting the min-max translation. Rejection returns None.
+    reports a zero alignment. EdgeMove mode is the strict check,
+    `align.edge_fit_aligned`, accepting a residual within threshold + slack
+    and reporting the min-max translation. Rejection returns None.
     """
     if doc.constraint_kind is ConstraintKind.COSINE:
         if fa is None:
@@ -88,12 +80,8 @@ def evaluate_pair_relaxed(
             fb = raster.pattern_features(b, grid, dct_k)
         sim = raster.cosine_similarity(fa, fb)
         return ZERO_SHIFT if sim >= doc.threshold - slack else None
-    try:
-        disp = edge_displacements(a, b, match_polygons(a, b))
-    except MatchError:
-        return None
-    t, residual = align.edge_minmax_align(disp)
-    return t if residual <= doc.threshold + slack else None
+    fit = align.edge_fit_aligned(a, b)
+    return fit[0] if fit is not None and fit[1] <= doc.threshold + slack else None
 
 
 def assemble(n: int, pairs, results) -> SimilarityGraph:
@@ -102,24 +90,17 @@ def assemble(n: int, pairs, results) -> SimilarityGraph:
     order the evaluations actually ran in."""
     if len(pairs) != len(results):
         raise ValueError("results do not match pairs")
-    adj = [[] for _ in range(n)]
-    shifts = {}
-    for (i, j), t in sorted(zip(pairs, results), key=lambda e: e[0]):
+    adj = [set() for _ in range(n)]
+    for (i, j), t in zip(pairs, results):
         if t is None:
             continue
-        key = (i, j) if i < j else (j, i)
-        if key in shifts:
-            raise ValueError(f"duplicate pair {key}")
-        adj[key[0]].append(key[1])
-        adj[key[1]].append(key[0])
-        shifts[key] = t if i < j else t.negated()
-    return SimilarityGraph(n, tuple(tuple(sorted(s)) for s in adj), shifts)
+        if j in adj[i]:
+            raise ValueError(f"duplicate pair {(min(i, j), max(i, j))}")
+        adj[i].add(j)
+        adj[j].add(i)
+    return SimilarityGraph(n, tuple(tuple(sorted(s)) for s in adj))
 
 
 def dump_edges(g: SimilarityGraph) -> str:
-    """Edge list as "i j dx dy" lines (debugging aid behind --dump-graph)."""
-    lines = []
-    for i, j in g.edges():
-        t = g.shift(i, j)
-        lines.append(f"{i} {j} {t.dx} {t.dy}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Edge list as "i j" lines with i < j (debugging aid behind --dump-graph)."""
+    return "".join(f"{i} {j}\n" for i, j in g.edges())

@@ -283,8 +283,11 @@ def read_report(source) -> ClusterReport:
     for ln in lines[1:]:
         if ln.startswith("#"):
             fields = dict(tok.split("=", 1) for tok in ln[1:].split() if "=" in tok)
-            clusters = int(fields["clusters"])
-            iterations = int(fields["iterations"])
+            try:
+                clusters = int(fields["clusters"])
+                iterations = int(fields["iterations"])
+            except KeyError as exc:
+                raise ValueError(f"report summary line {ln!r} lacks {exc.args[0]}=") from None
             continue
         row = tuple(int(t) for t in ln.split(","))
         if len(row) != 5:

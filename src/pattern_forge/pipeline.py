@@ -31,15 +31,12 @@ class IterationConfig:
     edge_slack_frac: float = 0.25  # fraction of T_edge relaxed at the first iteration
     grid: int = 64
     dct_k: int = 32
-    aligner: str = "geo"           # cosine-mode refinement aligner: geo | fft
     prescreen: PrescreenParams = field(default_factory=PrescreenParams)
     use_prescreen: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.aligner not in ("geo", "fft"):
-            raise ValueError(f"unknown aligner {self.aligner!r}")
 
     def slack_fraction(self, iteration: int) -> float:
         """Linear decay to zero: full slack first, none on the last round."""
@@ -107,21 +104,13 @@ class RunStats:
         return out
 
 
-def _aligner_shift(rep: Pattern, member: Pattern, doc: LayoutDocument, cfg: IterationConfig) -> Translation | None:
+def _aligner_shift(rep: Pattern, member: Pattern, doc: LayoutDocument) -> Translation | None:
     if doc.constraint_kind is ConstraintKind.EDGEMOVE:
         fit = align.edge_fit_aligned(rep, member)
         return fit[0] if fit else None
-    if cfg.aligner == "geo":
-        # raised only for an empty pattern, which phase correlation rejects too
-        try:
-            return align.xy_minmax_align(rep, member)
-        except align.NoCorrespondenceError:
-            return None
     try:
-        return align.phase_correlate(
-            raster.rasterize(rep, cfg.grid), raster.rasterize(member, cfg.grid)
-        )
-    except align.DegenerateSpectrumError:
+        return align.xy_minmax_align(rep, member)
+    except align.NoCorrespondenceError:  # raised only for an empty pattern
         return None
 
 
@@ -130,21 +119,21 @@ def refine_cluster(
     marker: Marker,
     doc: LayoutDocument,
     cfg: IterationConfig,
-    coarse: Translation | None = None,
     rep_features=None,
     member_at_anchor: Pattern | None = None,
     member_features=None,
 ) -> RefineResult | None:
     """Pick the best legal center for one member against a fixed representative.
 
-    Candidate centers are the aligner's optimum, the coarse graph alignment,
-    and the marker-center anchor, each clamped into the marker; the candidate
-    with the best strict-constraint score wins and is accepted only if it
-    passes the strict threshold. The anchor is always a candidate, so an
-    accepted center never scores below the anchor. In edgemove mode the
-    strict check is `align.edge_fit`: the polygons must correspond
-    one-to-one, so a center whose window holds more or fewer polygons than
-    the representative's is refused whatever its edge offsets.
+    Candidate centers are the aligner's optimum (`align.xy_minmax_align` in
+    cosine mode, `align.edge_fit_aligned` in edgemove mode) and the
+    marker-center anchor, each clamped into the marker; the candidate with the
+    best strict-constraint score wins and is accepted only if it passes the
+    strict threshold. The anchor is always a candidate, so an accepted center
+    never scores below the anchor. In edgemove mode the strict check is
+    `align.edge_fit`: the polygons must correspond one-to-one, so a center
+    whose window holds more or fewer polygons than the representative's is
+    refused whatever its edge offsets.
 
     `member_at_anchor` and `member_features` may carry the member's pattern
     and features at its marker center when the caller already has them;
@@ -157,12 +146,8 @@ def refine_cluster(
     if cosine and rep_features is None:
         rep_features = raster.pattern_features(rep, cfg.grid, cfg.dct_k)
 
-    shifts = [_aligner_shift(rep, member_at_anchor, doc, cfg)]
-    if coarse is not None and not coarse.is_zero():
-        shifts.append(coarse)
-    shifts.append(ZERO_SHIFT)
     centers = []
-    for t in shifts:
+    for t in (_aligner_shift(rep, member_at_anchor, doc), ZERO_SHIFT):
         if t is None:
             continue
         c = align.clamp_to_marker(t, anchor, marker)
@@ -338,7 +323,6 @@ def run_full(
             for k in members_local:
                 result = refine_cluster(
                     rep_pattern, doc.markers[active[k]], doc, cfg,
-                    coarse=g.shift(rep_local, k) if k in g.adjacency[rep_local] else None,
                     rep_features=rep_features,
                     member_at_anchor=patterns[k], member_features=features[k],
                 )

@@ -19,7 +19,6 @@ from pattern_forge.geometry import (
     Correspondence,
     MultipleOverlapError,
     NoOverlapError,
-    SmallerSide,
     TopologyMismatchError,
     rectangles,
 )
@@ -130,13 +129,6 @@ def overlap_matrix(a, b, shift) -> np.ndarray:
 def match_polygons_loop(a, b, shift) -> Correspondence:
     """`geometry.match_polygons`, checking one polygon at a time."""
     na, nb = len(a.shapes), len(b.shapes)
-    if na < nb:
-        direction = SmallerSide.A
-    elif nb < na:
-        direction = SmallerSide.B
-    else:
-        direction = SmallerSide.EQUAL
-
     m = overlap_matrix(a, b, shift)
     pairs: list[tuple[int, int]] = []
     if na <= nb:
@@ -167,7 +159,7 @@ def match_polygons_loop(a, b, shift) -> Correspondence:
                 raise MultipleOverlapError("b", j, c)
         for j in range(nb):
             pairs.append((int(np.nonzero(m[:, j])[0][0]), j))
-    return Correspondence(tuple(pairs), direction)
+    return Correspondence(tuple(pairs))
 
 
 def edge_displacements_loop(a, b, corr) -> list:

@@ -70,9 +70,9 @@ class TestParseMatrix:
 
 
 class TestVariants:
-    def test_cosine_gets_fft_variant(self):
+    def test_cosine_has_no_fft_variant(self):
         names = [v for v, _ in _variants(Scenario("x", constraint=COS))]
-        assert names == ["base", "fft", "noprescreen"]
+        assert names == ["base", "noprescreen"]
 
     def test_edgemove_has_no_fft_variant(self):
         names = [v for v, _ in _variants(Scenario("x", constraint=EDGE))]
@@ -96,7 +96,7 @@ def outputs():
 
 class TestRunScenario:
     def test_one_record_per_variant(self, records):
-        assert [r.variant for r in records] == ["base", "fft", "noprescreen"]
+        assert [r.variant for r in records] == ["base", "noprescreen"]
         assert all(r.scenario == "small" and r.n == 6 for r in records)
         assert all(r.constraint == "cosine" for r in records)
 

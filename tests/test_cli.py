@@ -67,7 +67,7 @@ class TestCluster:
         assert rc == 0
         assert capsys.readouterr().out == out.read_text()
 
-    @pytest.mark.parametrize("flag", ["--seed", "--threads", "--solver", "--prescreen-slack"])
+    @pytest.mark.parametrize("flag", ["--seed", "--threads", "--solver", "--prescreen-slack", "--aligner"])
     def test_removed_flags_rejected(self, layout_path, flag, capsys):
         with pytest.raises(SystemExit):
             main(["cluster", "--input", str(layout_path), "--output", "-", flag, "1"])
@@ -114,8 +114,8 @@ class TestCluster:
         # 3 templates x 4 identical instances: all within-template pairs at zero shift
         assert len(lines) == 3 * 6
         for line in lines:
-            i, j, dx, dy = map(int, line.split())
-            assert i < j and (dx, dy) == (0, 0)
+            i, j = map(int, line.split())
+            assert i < j
 
     def test_dump_graph_runs_pipeline_once(self, jittered_path, tmp_path, monkeypatch, capsys):
         calls = []
@@ -176,7 +176,7 @@ class TestBench:
         csv = (outdir / "records.csv").read_text()
         assert capsys.readouterr().out == table
         assert "tiny" in table and csv.startswith("scenario,variant,")
-        assert len(csv.splitlines()) == 1 + 3  # header + one row per variant
+        assert len(csv.splitlines()) == 1 + 2  # header + one row per variant
 
     def test_missing_matrix_exits_nonzero(self, tmp_path, capsys):
         rc = main(["bench", "--matrix", str(tmp_path / "none.txt"),

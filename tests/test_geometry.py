@@ -14,7 +14,6 @@ from pattern_forge.geometry import (
     NoOverlapError,
     Pattern,
     Polygon,
-    SmallerSide,
     TopologyMismatchError,
     Translation,
     ZERO_SHIFT,
@@ -25,6 +24,7 @@ from pattern_forge.geometry import (
     match_polygons,
     rectangles,
 )
+from pattern_forge.align import edge_fit_aligned
 from pattern_forge.layout_io import ConstraintKind, LayoutDocument
 
 from conftest import rect, staircase, random_rect_union
@@ -332,21 +332,18 @@ class TestMatch:
         a = _pat(rect(0, 0, 4, 4), rect(10, 10, 14, 14))
         corr = match_polygons(a, a)
         assert corr.pairs == ((0, 0), (1, 1))
-        assert corr.direction is SmallerSide.EQUAL
 
     def test_smaller_side_a(self):
         a = _pat(rect(0, 0, 4, 4))
         b = _pat(rect(1, 1, 3, 3), rect(20, 20, 24, 24))
         corr = match_polygons(a, b)
         assert corr.pairs == ((0, 0),)
-        assert corr.direction is SmallerSide.A
 
     def test_smaller_side_b(self):
         a = _pat(rect(1, 1, 3, 3), rect(20, 20, 24, 24))
         b = _pat(rect(20, 21, 23, 25))
         corr = match_polygons(a, b)
         assert corr.pairs == ((1, 0),)
-        assert corr.direction is SmallerSide.B
 
     def test_empty_smaller_side_vacuous(self):
         a = _pat()
@@ -500,7 +497,7 @@ class TestKernelsAgainstOracle:
         got = _outcome(match_polygons, a, b, shift)
         assert got == _outcome(match_polygons_loop, a, b, shift)
         k = min(len(a.shapes), len(b.shapes))
-        forced = Correspondence(tuple(zip(range(k), range(k))), SmallerSide.EQUAL)
+        forced = Correspondence(tuple(zip(range(k), range(k))))
         for corr in (got, forced):
             if not isinstance(corr, Correspondence):
                 continue
@@ -517,6 +514,24 @@ class TestKernelsAgainstOracle:
         with pytest.raises(NoOverlapError):
             match_polygons(a, b)
         assert match_polygons(a, b, Translation(-1, 0)).pairs == ((0, 0),)
+
+
+class TestEdgeFitSymmetry:
+    """Swapping the two patterns negates the edge-fit shift and keeps the
+    residual, so a pair's alignment is the same whichever side is first."""
+
+    @settings(max_examples=400)
+    @given(_pattern_pair())
+    @example((_pat(rect(0, 0, 4, 4)), _pat(rect(0, 0, 5, 4)), ZERO_SHIFT))  # odd offset hull
+    def test_swap_negates_shift(self, pair):
+        a, b, shift = pair
+        b = _pat(*(p.translated(shift.dx, shift.dy) for p in b.shapes))
+        ab, ba = edge_fit_aligned(a, b), edge_fit_aligned(b, a)
+        if ab is None:
+            assert ba is None
+        else:
+            t, r = ab
+            assert ba == (t.negated(), r)
 
 
 class TestTranslationType:

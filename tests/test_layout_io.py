@@ -205,6 +205,10 @@ class TestClusterReport:
             read_report("marker_id,cluster_id,center_x,center_y\n1,0,2,2\n")
         with pytest.raises(ValueError, match="summary"):
             read_report("marker_id,cluster_id,center_x,center_y,rep_marker_id\n1,0,2,2,1\n")
+        with pytest.raises(ValueError, match="lacks iterations="):
+            read_report("marker_id,cluster_id,center_x,center_y,rep_marker_id\n1,0,2,2,1\n# clusters=1\n")
+        with pytest.raises(ValueError, match="lacks clusters="):
+            read_report("marker_id,cluster_id,center_x,center_y,rep_marker_id\n1,0,2,2,1\n# iterations=1\n")
         with pytest.raises(ValueError, match="needs 5 fields"):
             read_report("marker_id,cluster_id,center_x,center_y,rep_marker_id\n1,0,2,2\n")
 
