@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from pattern_forge.align import edge_fit_aligned
 from pattern_forge.geometry import Pattern, Translation, ZERO_SHIFT
 from pattern_forge.graph import SimilarityGraph, assemble, dump_edges, evaluate_pair_relaxed
 from pattern_forge.layout_io import ConstraintKind, LayoutDocument
@@ -74,6 +76,24 @@ class TestEvaluatePair:
         assert evaluate_pair_relaxed(a, b, doc) is None
         assert evaluate_pair_relaxed(a, b, doc, slack=1.0) == Translation(3, 0)
 
+    @given(
+        st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 8),
+        st.sampled_from([0.0, 1.0, 2.5, 6.0]),
+    )
+    def test_edgemove_is_edge_fit_aligned_with_loosened_threshold(self, dx, dy, stretch, slack):
+        # one shape moved and one stretched: the relaxed test accepts exactly
+        # when the strict aligner's residual is within threshold + slack, and
+        # then reports the aligner's translation
+        doc = _doc(ConstraintKind.EDGEMOVE, 1.0)
+        a = _pat(staircase(2), rect(24, 0, 30, 8))
+        b = _pat(staircase(2, x0=dx, y0=dy), rect(24 + dx, dy, 30 + dx + stretch, 8 + dy))
+        fit = edge_fit_aligned(a, b)
+        got = evaluate_pair_relaxed(a, b, doc, slack=slack)
+        if fit is None or fit[1] > doc.threshold + slack:
+            assert got is None
+        else:
+            assert got == fit[0]
+
     def test_edgemove_no_correspondence_rejects(self):
         doc = _doc(ConstraintKind.EDGEMOVE, 100.0)
         a = _pat(rect(0, 0, 4, 4))
@@ -117,6 +137,14 @@ class TestAssemble:
             rng.shuffle(order)
             g = assemble(8, [pairs[k] for k in order], [results[k] for k in order])
             assert g.adjacency == base.adjacency
+
+    def test_accepted_translation_does_not_change_graph(self, rng):
+        # the graph records acceptance only: any non-None outcome is an edge
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        results = [Translation(rng.randint(-9, 9), rng.randint(-9, 9)) if rng.random() < 0.5 else None
+                   for _ in pairs]
+        zeroed = [None if t is None else ZERO_SHIFT for t in results]
+        assert assemble(6, pairs, results) == assemble(6, pairs, zeroed)
 
     def test_flipped_pair_normalized(self):
         g = assemble(2, [(1, 0)], [Translation(4, 4)])
