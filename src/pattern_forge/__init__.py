@@ -24,7 +24,7 @@ from .geometry import (
     match_polygons,
     rectangles,
 )
-from .raster import Bitmap, DctFeature, cosine_similarity, coverage_grid, dct_features, pattern_features, rasterize
+from .raster import Bitmap, cosine_similarity, coverage_grid, dct_features, pattern_features, rasterize
 from .align import (
     CorrelationSurface,
     DegenerateSpectrumError,
@@ -49,7 +49,7 @@ from .layout_io import (
     write_layout,
     write_report,
 )
-from .prescreen import CandidatePairSet, PrescreenParams, PrescreenStats, TopoSignature, build_candidates, signature
+from .prescreen import CandidatePairSet, PrescreenStats, TopoSignature, build_candidates, signature
 from .graph import SimilarityGraph, assemble, dump_edges, evaluate_pair_relaxed
 from .scp import SolveResult, SolverStats, SurprisalScore, initial_scores, solve
 from .pipeline import (

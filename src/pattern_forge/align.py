@@ -28,7 +28,6 @@ from .geometry import (
     Polygon,
     Translation,
     Vertex,
-    ZERO_SHIFT,
     edge_displacements,
     match_polygons,
 )
@@ -181,11 +180,15 @@ def xy_minmax_align(a: Pattern, b: Pattern) -> Translation:
     return Translation(best_x.midpoint, best_y.midpoint)
 
 
-def _axis_fit(values: list[int]) -> tuple[int, int]:
-    if not values:
-        return 0, 0
-    lo, hi = min(values), max(values)
-    return _half_toward_zero(lo + hi), (hi - lo + 1) // 2
+def _hull_fit(displacements) -> tuple[Translation, int, int]:
+    """Minmax shift, its residual and the worst raw |offset|, all read from
+    the per-axis offset hulls (an axis without offsets has the hull [0, 0])."""
+    xs = [d for ax, d in displacements if ax is Axis.X] or [0]
+    ys = [d for ax, d in displacements if ax is Axis.Y] or [0]
+    xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
+    shift = Translation(_half_toward_zero(xlo + xhi), _half_toward_zero(ylo + yhi))
+    residual = max((xhi - xlo + 1) // 2, (yhi - ylo + 1) // 2)
+    return shift, residual, max(-xlo, xhi, -ylo, yhi)
 
 
 def edge_minmax_align(displacements) -> tuple[Translation, int]:
@@ -196,11 +199,8 @@ def edge_minmax_align(displacements) -> tuple[Translation, int]:
     residual is the worse axis (L-infinity). An axis with no offsets
     contributes shift 0 and residual 0.
     """
-    xs = [d for ax, d in displacements if ax is Axis.X]
-    ys = [d for ax, d in displacements if ax is Axis.Y]
-    tx, rx = _axis_fit(xs)
-    ty, ry = _axis_fit(ys)
-    return Translation(tx, ty), max(rx, ry)
+    shift, residual, _raw = _hull_fit(displacements)
+    return shift, residual
 
 
 def clamp_to_marker(t: Translation, center: Vertex, marker: Marker) -> Translation:
@@ -211,39 +211,40 @@ def clamp_to_marker(t: Translation, center: Vertex, marker: Marker) -> Translati
     return Translation(dx, dy)
 
 
-def edge_fit(a: Pattern, b: Pattern) -> int | None:
-    """Worst raw corresponding-edge offset between two patterns as they sit.
-
-    Requires a one-to-one correspondence: equal polygon counts, a bijective
-    overlap pairing at zero shift, and identical per-pair topology. Returns
-    None when any of that fails; two empty patterns fit perfectly (0).
+def _one_to_one_offsets(a: Pattern, b: Pattern) -> list[tuple[Axis, int]] | None:
+    """Corresponding-edge offsets under a one-to-one correspondence: equal
+    polygon counts, a bijective overlap pairing at zero shift, and identical
+    per-pair topology. None when any of that fails; [] for two empty patterns.
     """
     if len(a.shapes) != len(b.shapes):
         return None
     if not a.shapes:
-        return 0
+        return []
     try:
-        corr = match_polygons(a, b)
-        disp = edge_displacements(a, b, corr)
+        return edge_displacements(a, b, match_polygons(a, b))
     except MatchError:
         return None
-    return max(abs(d) for _, d in disp) if disp else 0
 
 
-def edge_fit_aligned(a: Pattern, b: Pattern) -> tuple[Translation, int] | None:
-    """Best achievable edge fit over all rigid shifts, with the shift itself.
+def edge_fit(a: Pattern, b: Pattern) -> int | None:
+    """Worst raw corresponding-edge offset between two patterns as they sit.
+
+    None when the patterns have no one-to-one correspondence; two empty
+    patterns fit perfectly (0).
+    """
+    disp = _one_to_one_offsets(a, b)
+    if disp is None:
+        return None
+    return max((abs(d) for _, d in disp), default=0)
+
+
+def edge_fit_aligned(a: Pattern, b: Pattern) -> tuple[Translation, int, int] | None:
+    """Best achievable edge fit over all rigid shifts: the shift, its
+    residual, and the worst raw offset at zero shift (what `edge_fit` gives).
 
     Same correspondence requirements as edge_fit; the minmax midpoint gives
     the optimal shift and its residual. None when no one-to-one
     correspondence exists.
     """
-    if len(a.shapes) != len(b.shapes):
-        return None
-    if not a.shapes:
-        return ZERO_SHIFT, 0
-    try:
-        corr = match_polygons(a, b)
-        disp = edge_displacements(a, b, corr)
-    except MatchError:
-        return None
-    return edge_minmax_align(disp)
+    disp = _one_to_one_offsets(a, b)
+    return None if disp is None else _hull_fit(disp)

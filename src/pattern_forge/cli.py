@@ -9,7 +9,6 @@ from . import bench as bench_mod
 from . import graph as graph_mod
 from .layout_io import ConstraintKind, generate_synthetic, parse_layout, write_layout, write_report
 from .pipeline import IterationConfig, run_full, verify_clusterset
-from .prescreen import PrescreenParams
 
 
 def _add_cluster_parser(sub):
@@ -24,7 +23,6 @@ def _add_cluster_parser(sub):
     p.add_argument("--max-iters", type=int, default=3)
     p.add_argument("--report", help="write a JSON run report here")
     p.add_argument("--dump-graph", help="write first-iteration 'i j' edges here")
-    p.add_argument("--quantum", type=int, default=8, help="signature quantization in nm")
     p.add_argument("--no-prescreen", action="store_true", help="evaluate all pairs (slow)")
     p.add_argument("--verify", action="store_true", help="re-check every assignment before writing")
 
@@ -73,7 +71,6 @@ def _cmd_cluster(args) -> int:
         max_iterations=args.max_iters,
         grid=args.grid,
         dct_k=args.dct_k,
-        prescreen=PrescreenParams(quantum=args.quantum),
         use_prescreen=not args.no_prescreen,
     )
     graphs = {}  # iteration -> relaxed pair graph, kept for --dump-graph

@@ -338,8 +338,9 @@ class Pattern:
     """Window content at a candidate center.
 
     Shapes are stored in window-local coordinates (center at the origin), so
-    two patterns with identical content compare equal regardless of where
-    their windows sit on the design. Every vertex lies in [-radius, radius]^2.
+    the `shapes` of two windows with identical content compare equal
+    wherever the windows sit on the design (the patterns themselves differ
+    in `center`). Every vertex lies in [-radius, radius]^2.
     """
 
     center: Vertex

@@ -6,11 +6,12 @@ set cover, and per-member alignment refinement with strict verification.
 Slack shrinks linearly to zero across iterations, so the last round admits
 only strictly-valid clusters and unassigned markers degrade to singletons.
 
-A marker's anchor (the pattern at its marker center, plus its DCT features
-in cosine mode) never changes, so a run extracts it once and keeps it for
-the rest of that run: the probe stage, stage 1 of every iteration and the
-refinement of the member at its anchor all read the same entry.
-Verification deliberately re-extracts everything from scratch.
+A marker's anchor (the pattern at its marker center, plus its unit feature
+vector in cosine mode) never changes, so a run extracts it once and keeps it
+for the rest of that run: the probe stage (for the orphan and for each
+cluster's representative), stage 1 of every iteration and the refinement of
+the member at its anchor all read the same entry. Verification deliberately
+re-extracts everything from scratch.
 """
 
 import time
@@ -18,20 +19,20 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from . import align, raster, scp
-from .geometry import Marker, Pattern, Translation, ZERO_SHIFT, extract_pattern
+from .geometry import Marker, Pattern, ZERO_SHIFT, extract_pattern
 from .graph import SimilarityGraph, assemble, evaluate_pair_relaxed
 from .layout_io import ClusterReport, ConstraintKind, LayoutDocument
-from .prescreen import CandidatePairSet, PrescreenParams, PrescreenStats, build_candidates, compatible
+from .prescreen import CandidatePairSet, PrescreenStats, build_candidates, compatible
+
+COSINE_SLACK = 0.05     # cosine threshold relaxation at the first iteration
+EDGE_SLACK_FRAC = 0.25  # fraction of T_edge relaxed at the first iteration
 
 
 @dataclass(frozen=True)
 class IterationConfig:
     max_iterations: int = 3
-    cosine_slack: float = 0.05     # threshold relaxation at the first iteration
-    edge_slack_frac: float = 0.25  # fraction of T_edge relaxed at the first iteration
     grid: int = 64
     dct_k: int = 32
-    prescreen: PrescreenParams = field(default_factory=PrescreenParams)
     use_prescreen: bool = True
 
     def __post_init__(self):
@@ -46,8 +47,8 @@ class IterationConfig:
     def slack_for(self, doc: LayoutDocument, iteration: int) -> float:
         frac = self.slack_fraction(iteration)
         if doc.constraint_kind is ConstraintKind.COSINE:
-            return self.cosine_slack * frac
-        return doc.threshold * self.edge_slack_frac * frac
+            return COSINE_SLACK * frac
+        return doc.threshold * EDGE_SLACK_FRAC * frac
 
 
 @dataclass
@@ -55,8 +56,6 @@ class Cluster:
     rep_marker: int                # marker index into the document
     rep_center: tuple[int, int]
     members: list                  # (marker index, (cx, cy)); includes the rep when it covered itself
-    rep_pattern: Pattern = field(default=None, repr=False, compare=False)
-    rep_features: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -104,16 +103,6 @@ class RunStats:
         return out
 
 
-def _aligner_shift(rep: Pattern, member: Pattern, doc: LayoutDocument) -> Translation | None:
-    if doc.constraint_kind is ConstraintKind.EDGEMOVE:
-        fit = align.edge_fit_aligned(rep, member)
-        return fit[0] if fit else None
-    try:
-        return align.xy_minmax_align(rep, member)
-    except align.NoCorrespondenceError:  # raised only for an empty pattern
-        return None
-
-
 def refine_cluster(
     rep: Pattern,
     marker: Marker,
@@ -133,7 +122,8 @@ def refine_cluster(
     never scores below the anchor. In edgemove mode the strict check is
     `align.edge_fit`: the polygons must correspond one-to-one, so a center
     whose window holds more or fewer polygons than the representative's is
-    refused whatever its edge offsets.
+    refused whatever its edge offsets. The anchor's offset comes from the
+    same pairing as the aligner's shift, so the anchor is paired only once.
 
     `member_at_anchor` and `member_features` may carry the member's pattern
     and features at its marker center when the caller already has them;
@@ -143,11 +133,19 @@ def refine_cluster(
     if member_at_anchor is None:
         member_at_anchor = extract_pattern(doc, anchor)
     cosine = doc.constraint_kind is ConstraintKind.COSINE
-    if cosine and rep_features is None:
-        rep_features = raster.pattern_features(rep, cfg.grid, cfg.dct_k)
+    if cosine:
+        if rep_features is None:
+            rep_features = raster.pattern_features(rep, cfg.grid, cfg.dct_k)
+        try:
+            shift = align.xy_minmax_align(rep, member_at_anchor)
+        except align.NoCorrespondenceError:  # raised only for an empty pattern
+            shift = None
+    else:
+        fit = align.edge_fit_aligned(rep, member_at_anchor)
+        shift, anchor_offset = (fit[0], fit[2]) if fit else (None, None)
 
     centers = []
-    for t in (_aligner_shift(rep, member_at_anchor, doc), ZERO_SHIFT):
+    for t in (shift, ZERO_SHIFT):
         if t is None:
             continue
         c = align.clamp_to_marker(t, anchor, marker)
@@ -168,7 +166,7 @@ def refine_cluster(
             sim = raster.cosine_similarity(rep_features, features)
             score, passes = sim, sim >= doc.threshold
         else:
-            off = align.edge_fit(rep, member)
+            off = anchor_offset if center == anchor else align.edge_fit(rep, member)
             if off is None:
                 continue
             score, passes = -float(off), off <= doc.threshold
@@ -181,15 +179,21 @@ def refine_cluster(
     return RefineResult(best[0], best[1], anchor_score)
 
 
-def _probe_clusters(idx: int, anchor, clusters, doc, cfg) -> tuple[int, RefineResult] | None:
-    """Try to attach one orphan to an existing cluster; first success wins."""
+def _probe_clusters(idx: int, anchors: dict, clusters, doc, cfg) -> tuple[int, RefineResult] | None:
+    """Try to attach one orphan to an existing cluster; first success wins.
+
+    Reads the orphan's and each representative's anchor from the run's
+    `anchors` cache. The probe runs from iteration 1 on, and iteration 0's
+    stage 1 cached every marker, so both entries are always there.
+    """
     marker = doc.markers[idx]
-    pattern, features = anchor
+    pattern, features = anchors[idx]
     for ci, cluster in enumerate(clusters):
-        if not compatible(pattern, cluster.rep_pattern, doc.constraint_kind, cfg.prescreen):
+        rep_pattern, rep_features = anchors[cluster.rep_marker]
+        if not compatible(pattern, rep_pattern, doc.constraint_kind):
             continue
         result = refine_cluster(
-            cluster.rep_pattern, marker, doc, cfg, rep_features=cluster.rep_features,
+            rep_pattern, marker, doc, cfg, rep_features=rep_features,
             member_at_anchor=pattern, member_features=features,
         )
         if result is not None:
@@ -244,8 +248,8 @@ def run_full(
         if it > 0 and clusters and active:
             t0 = time.perf_counter()
             still = []
-            for m, anchor in zip(active, _anchors(active)):
-                outcome = _probe_clusters(m, anchor, clusters, doc, cfg)
+            for m in active:
+                outcome = _probe_clusters(m, anchors, clusters, doc, cfg)
                 if outcome is None:
                     still.append(m)
                     continue
@@ -271,7 +275,7 @@ def run_full(
 
         t0 = time.perf_counter()
         if cfg.use_prescreen:
-            cand = build_candidates(patterns, doc.constraint_kind, cfg.prescreen)
+            cand = build_candidates(patterns, doc.constraint_kind)
         else:
             cand = _all_pairs(len(patterns))
         istats.prescreen = cand.stats
@@ -313,8 +317,6 @@ def run_full(
             rep_local = sel.node
             members_local = [k for k in sel.covered if k != rep_local]
             rep_idx = active[rep_local]
-            rep_pattern = patterns[rep_local]
-            rep_features = features[rep_local]
             rep_center = doc.markers[rep_idx].center()
             members = []
             if rep_local in sel.covered:
@@ -322,8 +324,8 @@ def run_full(
             rejected = []
             for k in members_local:
                 result = refine_cluster(
-                    rep_pattern, doc.markers[active[k]], doc, cfg,
-                    rep_features=rep_features,
+                    patterns[rep_local], doc.markers[active[k]], doc, cfg,
+                    rep_features=features[rep_local],
                     member_at_anchor=patterns[k], member_features=features[k],
                 )
                 if result is None:
@@ -343,9 +345,7 @@ def run_full(
                 next_active.append(rep_idx)
                 istats.deferred += 1
                 continue
-            clusters.append(
-                Cluster(rep_idx, rep_center, members, rep_pattern, rep_features)
-            )
+            clusters.append(Cluster(rep_idx, rep_center, members))
             istats.committed_clusters += 1
             istats.accepted_members += len(members)
         active = sorted(next_active)
@@ -393,8 +393,8 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig = Iter
     no one-to-one correspondence and fails, as refine_cluster refuses it.
 
     The check is independent of the run on purpose: it never reads the
-    anchors `run_full` cached or the patterns and features stored on the
-    clusters, and extracts and rasterises every window itself.
+    anchors `run_full` cached, and extracts and rasterises every window
+    itself.
     """
     if isinstance(clusters, ClusterReport):
         try:

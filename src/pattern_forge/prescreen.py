@@ -21,6 +21,8 @@ from .geometry import Pattern
 from .layout_io import ConstraintKind
 
 HIST_BINS = 8  # vertex counts 4, 6, ..., 16, and 18+
+QUANTUM = 8  # nm per step of the edgemove key's quantized area and bbox
+AREA_BAND_FRAC = 0.10  # the cosine key's relative band of total area
 
 
 @dataclass(frozen=True)
@@ -29,12 +31,6 @@ class TopoSignature:
     vertex_histogram: tuple[int, ...]
     quantized_area: int
     quantized_bbox: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class PrescreenParams:
-    quantum: int = 8
-    area_band_frac: float = 0.10
 
 
 @dataclass(frozen=True)
@@ -55,11 +51,9 @@ class CandidatePairSet:
     stats: PrescreenStats
 
 
-def signature(p: Pattern, quantum: int = 8) -> TopoSignature:
+def signature(p: Pattern) -> TopoSignature:
     """Translation-invariant bucket key: shape count, vertex-count histogram,
-    and area/bbox floored to quanta."""
-    if quantum <= 0:
-        raise ValueError(f"quantum must be positive, got {quantum}")
+    and area/bbox floored to QUANTUM."""
     hist = [0] * HIST_BINS
     for shape in p.shapes:
         bin_ = min((len(shape.vertices) - 4) // 2, HIST_BINS - 1)
@@ -68,27 +62,27 @@ def signature(p: Pattern, quantum: int = 8) -> TopoSignature:
     if b is None:
         qbox = (0, 0)
     else:
-        qbox = ((b[2] - b[0]) // quantum, (b[3] - b[1]) // quantum)
-    return TopoSignature(len(p.shapes), tuple(hist), p.total_area() // quantum, qbox)
+        qbox = ((b[2] - b[0]) // QUANTUM, (b[3] - b[1]) // QUANTUM)
+    return TopoSignature(len(p.shapes), tuple(hist), p.total_area() // QUANTUM, qbox)
 
 
-def compatible(a: Pattern, b: Pattern, kind: ConstraintKind, params: PrescreenParams = PrescreenParams()) -> bool:
+def compatible(a: Pattern, b: Pattern, kind: ConstraintKind) -> bool:
     """Stage-A test for one pair."""
     if kind is ConstraintKind.EDGEMOVE:
-        return signature(a, params.quantum) == signature(b, params.quantum)
+        return signature(a) == signature(b)
     if len(a.shapes) != len(b.shapes):
         return False
-    return _area_banded(a.total_area(), b.total_area(), params.area_band_frac)
+    return _area_banded(a.total_area(), b.total_area())
 
 
-def _area_banded(area_a: int, area_b: int, frac: float) -> bool:
-    return abs(area_a - area_b) <= frac * max(area_a, area_b)
+def _area_banded(area_a: int, area_b: int) -> bool:
+    return abs(area_a - area_b) <= AREA_BAND_FRAC * max(area_a, area_b)
 
 
-def _stage_a_edgemove(patterns, params) -> list[tuple[int, int]]:
+def _stage_a_edgemove(patterns) -> list[tuple[int, int]]:
     buckets: dict[TopoSignature, list[int]] = {}
     for i, p in enumerate(patterns):
-        buckets.setdefault(signature(p, params.quantum), []).append(i)
+        buckets.setdefault(signature(p), []).append(i)
     pairs = []
     for members in buckets.values():
         for k, i in enumerate(members):
@@ -98,7 +92,7 @@ def _stage_a_edgemove(patterns, params) -> list[tuple[int, int]]:
     return pairs
 
 
-def _stage_a_cosine(patterns, params) -> list[tuple[int, int]]:
+def _stage_a_cosine(patterns) -> list[tuple[int, int]]:
     by_count: dict[int, list[int]] = {}
     for i, p in enumerate(patterns):
         by_count.setdefault(len(p.shapes), []).append(i)
@@ -110,7 +104,7 @@ def _stage_a_cosine(patterns, params) -> list[tuple[int, int]]:
         for j in range(1, len(order)):
             # areas ascending: the band |a_i - a_j| <= frac * a_j has a
             # monotone left boundary, so a single sweep suffices
-            while lo < j and not _area_banded(areas[lo], areas[j], params.area_band_frac):
+            while lo < j and not _area_banded(areas[lo], areas[j]):
                 lo += 1
             for k in range(lo, j):
                 a, b = order[k], order[j]
@@ -119,12 +113,12 @@ def _stage_a_cosine(patterns, params) -> list[tuple[int, int]]:
     return pairs
 
 
-def build_candidates(patterns, kind: ConstraintKind, params: PrescreenParams = PrescreenParams()) -> CandidatePairSet:
+def build_candidates(patterns, kind: ConstraintKind) -> CandidatePairSet:
     """Filter all pattern pairs down to the intra-bucket candidates, as
     ascending (i, j) pairs with i < j."""
     n = len(patterns)
     if kind is ConstraintKind.EDGEMOVE:
-        pairs = _stage_a_edgemove(patterns, params)
+        pairs = _stage_a_edgemove(patterns)
     else:
-        pairs = _stage_a_cosine(patterns, params)
+        pairs = _stage_a_cosine(patterns)
     return CandidatePairSet(tuple(pairs), PrescreenStats(n * (n - 1) // 2, len(pairs)))

@@ -4,6 +4,12 @@ Pixels hold exact area-coverage fractions: each shape is decomposed into
 rectangles and the rectangle/pixel overlap is accumulated in integer
 arithmetic before a single float division. No supersampling is involved, so
 coverage is exact for any grid size.
+
+A window's feature vector is the low-frequency k x k block of the
+orthonormal 2D DCT of its coverage, scaled to unit length (all zeros for an
+empty window). The cosine of two windows is the dot product of their
+vectors, except that equal vectors score exactly 1, so two windows with
+the same shapes are identical under any threshold.
 """
 
 from dataclasses import dataclass, field
@@ -29,18 +35,6 @@ class Bitmap:
 
     def is_empty(self) -> bool:
         return not self.pixels.any()
-
-
-@dataclass(eq=False)
-class DctFeature:
-    """Flattened k x k low-frequency block of an orthonormal 2D DCT-II."""
-
-    coeffs: np.ndarray
-    block: int
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 def _check_side(side: int):
@@ -78,32 +72,30 @@ def rasterize(pattern: Pattern, side: int = 64) -> Bitmap:
     return Bitmap(side, grid / float(den), Fraction(2 * pattern.radius, side))
 
 
-def dct_features(bitmap: Bitmap, k: int = 32) -> DctFeature:
+def dct_features(bitmap: Bitmap, k: int = 32) -> np.ndarray:
     """Top-left k x k block of the orthonormal 2D DCT-II, flattened row-major."""
     if k < 1 or k > bitmap.side:
         raise ValueError(f"block size {k} outside [1, {bitmap.side}]")
-    coeffs = dctn(bitmap.pixels, norm="ortho")[:k, :k].ravel().copy()
-    return DctFeature(coeffs, k)
+    return dctn(bitmap.pixels, norm="ortho")[:k, :k].ravel()
 
 
-def pattern_features(pattern: Pattern, side: int = 64, k: int = 32) -> DctFeature:
-    return dct_features(rasterize(pattern, side), k)
+def pattern_features(pattern: Pattern, side: int = 64, k: int = 32) -> np.ndarray:
+    """The window's DCT block scaled to unit length; all zeros when empty.
 
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two feature vectors, clipped to [-1, 1].
-
-    Two all-zero vectors (both windows empty) count as identical: 1.0.
-    Exactly one all-zero vector gives 0.0.
+    Coverage is non-negative, so the DC term, and with it the norm, is zero
+    only for an empty window.
     """
-    va = np.asarray(getattr(a, "coeffs", a), dtype=np.float64).ravel()
-    vb = np.asarray(getattr(b, "coeffs", b), dtype=np.float64).ravel()
-    if va.shape != vb.shape:
-        raise ValueError(f"feature length mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 and nb == 0.0:
+    v = dct_features(rasterize(pattern, side), k)
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm else v
+
+
+def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine of two `pattern_features` vectors: exactly 1.0 when they are
+    equal, otherwise their dot product clamped to [-1, 1].
+
+    Two empty windows are equal vectors (1.0); one empty window gives 0.0.
+    """
+    if u[0] == v[0] and np.array_equal(u, v):
         return 1.0
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(float(va @ vb) / (na * nb), -1.0, 1.0))
+    return min(max(float(u @ v), -1.0), 1.0)

@@ -195,6 +195,17 @@ def naive_dct2(pixels: np.ndarray) -> np.ndarray:
     return out
 
 
+def cosine_of_blocks(a: np.ndarray, b: np.ndarray) -> float:
+    """(a . b) / (|a| |b|) of two raw DCT blocks, clipped to [-1, 1]; two
+    zero blocks count as identical (1.0), one zero block gives 0.0."""
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if na == 0.0 and nb == 0.0:
+        return 1.0
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+
+
 def brute_minmax_residual(values) -> int:
     """Minimum over integer shifts T of max |d - T|, by linear scan."""
     if not values:

@@ -20,7 +20,7 @@ from pattern_forge.geometry import Axis, extract_pattern
 from pattern_forge.graph import SimilarityGraph
 from pattern_forge.layout_io import ConstraintKind, generate_synthetic, write_report
 from pattern_forge.pipeline import IterationConfig, run_full, verify_clusterset
-from pattern_forge.prescreen import PrescreenParams, build_candidates
+from pattern_forge.prescreen import build_candidates
 
 COS = ConstraintKind.COSINE
 EDGE = ConstraintKind.EDGEMOVE
@@ -140,7 +140,7 @@ def test_dct_matches_direct_summation():
         side = 8 if case < 50 else 16
         pixels = rng.random((side, side))
         feat = raster.dct_features(raster.Bitmap(side, pixels), k=side)
-        err = float(np.abs(feat.coeffs - naive_dct2(pixels).ravel()).max())
+        err = float(np.abs(feat - naive_dct2(pixels).ravel()).max())
         worst = max(worst, err)
     ok = worst <= 1e-9
     assert _verdict("orthonormal DCT", ok, f"100 cases, worst |err| {worst:.2e}")
@@ -174,7 +174,7 @@ def test_prescreen_eliminates_most_pairs_soundly(matrix):
     for kind, jitter in ((EDGE, 12), (COS, 0)):
         doc = matrix[kind, jitter][0]
         patterns = [extract_pattern(doc, m.center()) for m in doc.markers]
-        cand = build_candidates(patterns, kind, PrescreenParams())
+        cand = build_candidates(patterns, kind)
         elim = 1 - len(cand.pairs) / cand.stats.total_pairs
         dropped = len(same_template - set(cand.pairs))
         ok = ok and elim >= 0.95 and dropped == 0

@@ -246,11 +246,11 @@ class TestEdgeFit:
     def test_identical_zero(self):
         p = _pat(staircase(3), rect(30, 30, 40, 36))
         assert edge_fit(p, p) == 0
-        assert edge_fit_aligned(p, p) == (ZERO_SHIFT, 0)
+        assert edge_fit_aligned(p, p) == (ZERO_SHIFT, 0, 0)
 
     def test_both_empty_fit(self):
         assert edge_fit(_pat(), _pat()) == 0
-        assert edge_fit_aligned(_pat(), _pat()) == (ZERO_SHIFT, 0)
+        assert edge_fit_aligned(_pat(), _pat()) == (ZERO_SHIFT, 0, 0)
 
     def test_count_mismatch_none(self):
         a = _pat(rect(0, 0, 4, 4))
@@ -268,15 +268,15 @@ class TestEdgeFit:
         a = _pat(rect(0, 0, 20, 20))
         b = _pat(rect(0, 0, 26, 20))
         assert edge_fit(a, b) == 6
-        t, r = edge_fit_aligned(a, b)
-        assert t == Translation(3, 0) and r == 3
+        t, r, raw = edge_fit_aligned(a, b)
+        assert t == Translation(3, 0) and r == 3 and raw == 6
 
     def test_pure_translation_aligned_residual_zero(self):
         # shift small enough that the patterns still overlap in place
         a = _pat(staircase(2))
         b = _pat(staircase(2).translated(2, 1))
         assert edge_fit(a, b) == 2
-        assert edge_fit_aligned(a, b) == (Translation(2, 1), 0)
+        assert edge_fit_aligned(a, b) == (Translation(2, 1), 0, 2)
 
     @given(st.integers(-5, 5), st.integers(-5, 5))
     def test_aligned_never_worse_than_raw(self, dx, dy):
@@ -288,5 +288,6 @@ class TestEdgeFit:
             # no zero-shift correspondence: both report the same failure
             assert aligned is None
         else:
-            t, r = aligned
+            t, r, aligned_raw = aligned
             assert r <= raw
+            assert aligned_raw == raw

@@ -67,7 +67,7 @@ class TestCluster:
         assert rc == 0
         assert capsys.readouterr().out == out.read_text()
 
-    @pytest.mark.parametrize("flag", ["--seed", "--threads", "--solver", "--prescreen-slack", "--aligner"])
+    @pytest.mark.parametrize("flag", ["--seed", "--threads", "--solver", "--prescreen-slack", "--aligner", "--quantum"])
     def test_removed_flags_rejected(self, layout_path, flag, capsys):
         with pytest.raises(SystemExit):
             main(["cluster", "--input", str(layout_path), "--output", "-", flag, "1"])
@@ -90,6 +90,18 @@ class TestCluster:
         assert rc == 0
         capsys.readouterr()
         assert read_report(out).cluster_count == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_threshold_one_clusters_identical_windows(self, seed, tmp_path, capsys):
+        # jitter 0: every instance's window holds its template's shapes, so
+        # at cosine threshold 1 the templates are the clusters and the
+        # run's own output verifies
+        layout, out = tmp_path / "t1.lay", tmp_path / "t1.csv"
+        assert main(["generate", "--output", str(layout), "--templates", "5", "--instances", "10",
+                     "--seed", str(seed), "--threshold", "1"]) == 0
+        assert main(["cluster", "--input", str(layout), "--output", str(out), "--verify"]) == 0
+        capsys.readouterr()
+        assert read_report(out.read_bytes()).cluster_count == 5
 
     def test_report_json(self, layout_path, tmp_path, capsys):
         out, rep = tmp_path / "r.csv", tmp_path / "stats.json"

@@ -530,8 +530,8 @@ class TestEdgeFitSymmetry:
         if ab is None:
             assert ba is None
         else:
-            t, r = ab
-            assert ba == (t.negated(), r)
+            t, r, raw = ab
+            assert ba == (t.negated(), r, raw)
 
 
 class TestTranslationType:

@@ -263,7 +263,7 @@ class TestGenerator:
                 other = extract_pattern(doc, doc.markers[k * m + i].center())
                 fit = edge_fit_aligned(base, other)
                 assert fit is not None
-                t, residual = fit
+                t, residual, _raw = fit
                 assert residual == 0
                 assert max(abs(t.dx), abs(t.dy)) <= 2 * 10
 

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from pattern_forge import geometry, pipeline
+from pattern_forge import align, geometry, pipeline
 from pattern_forge.geometry import Marker, Pattern, extract_pattern
 from pattern_forge.layout_io import (
     ClusterReport,
@@ -65,7 +65,7 @@ class TestConfig:
         assert IterationConfig(max_iterations=1).slack_fraction(0) == 0.0
 
     def test_slack_for_by_constraint(self):
-        cfg = IterationConfig(max_iterations=3, cosine_slack=0.05, edge_slack_frac=0.25)
+        cfg = IterationConfig(max_iterations=3)
         cos_doc = _doc([], [], COS, 0.9)
         edge_doc = _doc([], [], EDGE, 12.0)
         assert cfg.slack_for(cos_doc, 0) == 0.05
@@ -101,6 +101,25 @@ class TestRefineCluster:
         assert res.score == 0.0
         assert res.anchor_score == -6.0
         assert res.score >= res.anchor_score
+
+    def test_member_at_anchor_paired_once(self, monkeypatch):
+        # the aligner's pairing of the member at its anchor also gives the
+        # anchor's raw offset: an identical member costs one match_polygons,
+        # a shifted one a second for its aligned center
+        calls = []
+        real = align.match_polygons
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(align, "match_polygons", counting)
+        for offset, expected in (((0, 0), 1), ((4, 6), 2)):
+            doc = self._edge_doc(Marker(292, -8, 308, 8), offset=offset)
+            rep = extract_pattern(doc, (0, 0))
+            calls.clear()
+            assert refine_cluster(rep, doc.markers[1], doc, IterationConfig()) is not None
+            assert len(calls) == expected
 
     def test_clamped_center_still_passes(self):
         # the ideal shift (4, 6) exceeds the marker, so the clamped (2, 2)

@@ -6,7 +6,7 @@ from pattern_forge.geometry import Pattern, extract_pattern
 from pattern_forge.layout_io import ConstraintKind, generate_synthetic
 from pattern_forge.prescreen import (
     HIST_BINS,
-    PrescreenParams,
+    QUANTUM,
     build_candidates,
     compatible,
     signature,
@@ -58,14 +58,14 @@ class TestSignature:
         assert signature(a) == signature(b)
 
     def test_quantum_controls_area_bucket(self):
-        a = _pat(rect(0, 0, 10, 6))   # area 60
-        b = _pat(rect(0, 0, 10, 7))   # area 70
-        assert signature(a, 8) != signature(b, 8)
-        assert signature(a, 100).quantized_area == signature(b, 100).quantized_area
-
-    def test_quantum_must_be_positive(self):
-        with pytest.raises(ValueError):
-            signature(_pat(), 0)
+        # areas one apart across a multiple of QUANTUM fall in neighbouring
+        # buckets; areas within the same quantum step share one
+        below = _pat(rect(0, 0, 4 * QUANTUM - 1, 1))
+        at = _pat(rect(0, 0, 4 * QUANTUM, 1))
+        top = _pat(rect(0, 0, 5 * QUANTUM - 1, 1))
+        assert signature(below).quantized_area + 1 == signature(at).quantized_area
+        assert signature(at).quantized_area == signature(top).quantized_area
+        assert signature(below) != signature(at)
 
 
 class TestCompatible:
@@ -134,12 +134,11 @@ class TestBuildCandidates:
             w = rng.randrange(8, 60)
             h = rng.randrange(8, 60)
             pats.append(_pat(rect(0, 0, w, h)))
-        params = PrescreenParams()
-        cand = build_candidates(pats, COS, params)
+        cand = build_candidates(pats, COS)
         brute = tuple(
             (i, j)
             for i, j in combinations(range(30), 2)
-            if compatible(pats[i], pats[j], COS, params)
+            if compatible(pats[i], pats[j], COS)
         )
         assert cand.pairs == brute
         assert cand.stats.after_thumbnail == cand.stats.after_topology
