@@ -7,18 +7,19 @@ Scenario files are plain text, one scenario per line:
 Unknown keys are rejected up front so a typo cannot silently run a default.
 Each scenario runs a baseline (pre-screen on) plus, for scenarios of at most
 PRESCREEN_OFF_MAX_N markers, an all-pairs variant with the pre-screen off;
-measured ratios are reported, never asserted.
+measured ratios are reported, never asserted. A row is the scenario name and
+the variant joined to the run's `RunStats.to_json` record, the same record
+`cluster --report` writes; the table's columns are read from it.
 """
 
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .layout_io import ConstraintKind, LayoutDocument, generate_synthetic
-from .pipeline import IterationConfig, run_full
+from .pipeline import STAGES, IterationConfig, run_full
 
 PRESCREEN_OFF_MAX_N = 400  # all-pairs evaluation is quadratic; keep it small
-STAGES = ("probe", "extract", "prescreen", "graph", "solve", "refine")  # keys of IterationStats.timings_ms
 
 
 @dataclass(frozen=True)
@@ -35,24 +36,6 @@ class Scenario:
     @property
     def n(self) -> int:
         return self.templates * self.instances
-
-
-@dataclass
-class BenchRecord:
-    scenario: str
-    variant: str
-    n: int
-    constraint: str
-    cluster_count: int
-    compression: float
-    iterations: int
-    wall_ms: float
-    stage_ms: dict = field(default_factory=dict)
-    filter_rate: float = 0.0
-    pairs_evaluated: int = 0
-    solver_pops: int = 0
-    solver_recomputations: int = 0
-    mean_refine_delta: float = 0.0
 
 
 class MatrixError(ValueError):
@@ -106,38 +89,6 @@ def parse_matrix(source) -> list[Scenario]:
     return scenarios
 
 
-def _record(sc: Scenario, variant: str, stats) -> BenchRecord:
-    stage_ms: dict[str, float] = {}
-    filter_total = filter_kept = 0
-    pops = recomps = pairs = 0
-    for ist in stats.iterations:
-        for key, ms in ist.timings_ms.items():
-            stage_ms[key] = stage_ms.get(key, 0.0) + ms
-        if ist.prescreen is not None:
-            filter_total += ist.prescreen.total_pairs
-            filter_kept += ist.prescreen.after_topology
-        if ist.solver is not None:
-            pops += ist.solver.pops
-            recomps += ist.solver.recomputations
-        pairs += ist.pairs_evaluated
-    return BenchRecord(
-        scenario=sc.name,
-        variant=variant,
-        n=stats.marker_count,
-        constraint=sc.constraint.value,
-        cluster_count=stats.cluster_count,
-        compression=stats.compression,
-        iterations=stats.iterations_used,
-        wall_ms=stats.wall_ms,
-        stage_ms=stage_ms,
-        filter_rate=1.0 - filter_kept / filter_total if filter_total else 0.0,
-        pairs_evaluated=pairs,
-        solver_pops=pops,
-        solver_recomputations=recomps,
-        mean_refine_delta=stats.refine_delta_sum / stats.refine_checks if stats.refine_checks else 0.0,
-    )
-
-
 def _variants(sc: Scenario) -> list[tuple[str, IterationConfig]]:
     out = [("base", IterationConfig())]
     if sc.n <= PRESCREEN_OFF_MAX_N:
@@ -145,41 +96,49 @@ def _variants(sc: Scenario) -> list[tuple[str, IterationConfig]]:
     return out
 
 
-def run_scenario(sc: Scenario, doc: LayoutDocument | None = None) -> list[BenchRecord]:
+def run_scenario(sc: Scenario, doc: LayoutDocument | None = None) -> list[dict]:
     if doc is None:
         doc = generate_synthetic(
             sc.templates, sc.instances, sc.jitter, sc.seed,
             radius=sc.radius, constraint=sc.constraint, threshold=sc.threshold,
         )
-    records = []
+    rows = []
     for variant, cfg in _variants(sc):
         _clusters, _report, stats = run_full(doc, cfg)
-        records.append(_record(sc, variant, stats))
-    return records
+        rows.append({"scenario": sc.name, "variant": variant, **stats.to_json()})
+    return rows
 
 
-def run_matrix(scenarios) -> tuple[list[BenchRecord], str]:
+def run_matrix(scenarios) -> tuple[list[dict], str]:
     records = []
     for sc in scenarios:
         records.extend(run_scenario(sc))
     return records, render_table(records)
 
 
+def _filter_rate(funnel: dict) -> float:
+    return 1.0 - funnel["candidates"] / funnel["pairs"] if funnel["pairs"] else 0.0
+
+
+def _mean_refine_delta(r: dict) -> float:
+    return r["refine_delta_sum"] / r["refine_checks"] if r["refine_checks"] else 0.0
+
+
 _COLUMNS = [
-    ("scenario", lambda r: r.scenario),
-    ("variant", lambda r: r.variant),
-    ("n", lambda r: str(r.n)),
-    ("mode", lambda r: r.constraint),
-    ("clusters", lambda r: str(r.cluster_count)),
-    ("compression", lambda r: f"{r.compression:.4f}"),
-    ("iters", lambda r: str(r.iterations)),
-    ("wall_ms", lambda r: f"{r.wall_ms:.1f}"),
-    *((f"{stage}_ms", lambda r, stage=stage: f"{r.stage_ms.get(stage, 0.0):.1f}") for stage in STAGES),
-    ("filter_rate", lambda r: f"{r.filter_rate:.4f}"),
-    ("pairs", lambda r: str(r.pairs_evaluated)),
-    ("pops", lambda r: str(r.solver_pops)),
-    ("recomps", lambda r: str(r.solver_recomputations)),
-    ("refine_delta", lambda r: f"{r.mean_refine_delta:.6f}"),
+    ("scenario", lambda r: r["scenario"]),
+    ("variant", lambda r: r["variant"]),
+    ("n", lambda r: str(r["marker_count"])),
+    ("mode", lambda r: r["constraint"]),
+    ("clusters", lambda r: str(r["cluster_count"])),
+    ("compression", lambda r: f"{r['compression']:.4f}"),
+    ("iters", lambda r: str(r["iterations_used"])),
+    ("wall_ms", lambda r: f"{r['wall_ms']:.1f}"),
+    *((f"{stage}_ms", lambda r, stage=stage: f"{r['stage_ms'][stage]:.1f}") for stage in STAGES),
+    ("filter_rate", lambda r: f"{_filter_rate(r['funnel']):.4f}"),
+    ("pairs", lambda r: str(r["funnel"]["candidates"])),
+    ("pops", lambda r: str(r["solver"]["pops"])),
+    ("recomps", lambda r: str(r["solver"]["recomputations"])),
+    ("refine_delta", lambda r: f"{_mean_refine_delta(r):.6f}"),
 ]
 
 

@@ -18,8 +18,6 @@ def _add_cluster_parser(sub):
     p.add_argument("--constraint", choices=["cosine", "edgemove"], help="override the file header")
     p.add_argument("--threshold", type=float, help="override the file header")
     p.add_argument("--radius", type=int, help="override the file header")
-    p.add_argument("--grid", type=int, default=64, help="raster side in pixels (default 64)")
-    p.add_argument("--dct-k", type=int, default=32, help="feature block size (default 32)")
     p.add_argument("--max-iters", type=int, default=3)
     p.add_argument("--report", help="write a JSON run report here")
     p.add_argument("--dump-graph", help="write first-iteration 'i j' edges here")
@@ -67,19 +65,14 @@ def _apply_overrides(doc, args):
 def _cmd_cluster(args) -> int:
     doc = parse_layout(args.input)
     doc = _apply_overrides(doc, args)
-    cfg = IterationConfig(
-        max_iterations=args.max_iters,
-        grid=args.grid,
-        dct_k=args.dct_k,
-        use_prescreen=not args.no_prescreen,
-    )
+    cfg = IterationConfig(max_iterations=args.max_iters, use_prescreen=not args.no_prescreen)
     graphs = {}  # iteration -> relaxed pair graph, kept for --dump-graph
     clusters, report, stats = run_full(doc, cfg, on_graph=graphs.setdefault if args.dump_graph else None)
     if args.dump_graph:
         with open(args.dump_graph, "w", encoding="utf-8") as fh:
             fh.write(graph_mod.dump_edges(graphs[0]) if graphs else "")
     if args.verify:
-        verdict = verify_clusterset(clusters, doc, cfg)
+        verdict = verify_clusterset(clusters, doc)
         if not verdict:
             print(f"verification failed: {verdict.message}", file=sys.stderr)
             return 1

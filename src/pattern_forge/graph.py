@@ -61,8 +61,6 @@ def evaluate_pair_relaxed(
     doc: LayoutDocument,
     slack: float = 0.0,
     *,
-    grid: int = 64,
-    dct_k: int = 32,
     fa=None,
     fb=None,
 ) -> Translation | None:
@@ -75,9 +73,9 @@ def evaluate_pair_relaxed(
     """
     if doc.constraint_kind is ConstraintKind.COSINE:
         if fa is None:
-            fa = raster.pattern_features(a, grid, dct_k)
+            fa = raster.pattern_features(a)
         if fb is None:
-            fb = raster.pattern_features(b, grid, dct_k)
+            fb = raster.pattern_features(b)
         sim = raster.cosine_similarity(fa, fb)
         return ZERO_SHIFT if sim >= doc.threshold - slack else None
     fit = align.edge_fit_aligned(a, b)

@@ -48,6 +48,15 @@ class LayoutParseError(ValueError):
         self.line = line
 
 
+def _check_threshold(kind: ConstraintKind, threshold: float) -> None:
+    """The threshold rule of every document: finite, non-negative, and at
+    most 1 under the cosine constraint."""
+    if not math.isfinite(threshold) or threshold < 0:
+        raise ValueError(f"threshold {threshold} must be finite and non-negative")
+    if kind is ConstraintKind.COSINE and threshold > 1:
+        raise ValueError(f"cosine threshold {threshold} outside [0, 1]")
+
+
 @dataclass
 class LayoutDocument:
     pattern_radius: int
@@ -66,6 +75,7 @@ class LayoutDocument:
             raise ValueError("polygon ids do not match polygons")
         if len(self.markers) != len(self.marker_ids):
             raise ValueError("marker ids do not match markers")
+        _check_threshold(self.constraint_kind, self.threshold)
 
     def design_bbox_array(self) -> np.ndarray:
         if self._bbox_arr is None:
@@ -131,10 +141,10 @@ def parse_layout(source) -> LayoutDocument:
                 threshold = float(tokens[6])
             except ValueError:
                 raise LayoutParseError(lineno, f"bad threshold {tokens[6]!r}") from None
-            if not math.isfinite(threshold) or threshold < 0:
-                raise LayoutParseError(lineno, f"threshold {threshold} must be finite and non-negative")
-            if ckind is ConstraintKind.COSINE and threshold > 1:
-                raise LayoutParseError(lineno, f"cosine threshold {threshold} outside [0, 1]")
+            try:
+                _check_threshold(ckind, threshold)
+            except ValueError as exc:
+                raise LayoutParseError(lineno, str(exc)) from None
             header = (radius, ckind, threshold)
         elif kind == "POLY":
             if header is None:
@@ -357,12 +367,12 @@ def _shifted_pattern(shapes, radius: int, t: Translation) -> Pattern:
     return Pattern((0, 0), radius, tuple(out))
 
 
-def _cosine_alike(shapes_a, shapes_b, radius: int, threshold: float, grid: int = 64, k: int = 32) -> bool:
+def _cosine_alike(shapes_a, shapes_b, radius: int, threshold: float) -> bool:
     """Generous similarity probe for template pairs: zero shift plus both
     aligners' suggestions in either sign, with a safety margin."""
     pa = Pattern((0, 0), radius, tuple(shapes_a))
     pb = Pattern((0, 0), radius, tuple(shapes_b))
-    fa = raster.pattern_features(pa, grid, k)
+    fa = raster.pattern_features(pa)
     shifts = {Translation(0, 0)}
     try:
         t = align.xy_minmax_align(pa, pb)
@@ -370,14 +380,14 @@ def _cosine_alike(shapes_a, shapes_b, radius: int, threshold: float, grid: int =
     except align.NoCorrespondenceError:
         pass
     try:
-        t = align.phase_correlate(raster.rasterize(pa, grid), raster.rasterize(pb, grid))
+        t = align.phase_correlate(raster.rasterize(pa), raster.rasterize(pb))
         shifts.update((t, t.negated()))
     except align.DegenerateSpectrumError:
         pass
     margin = 0.05
     for t in shifts:
         shifted = pb if t.is_zero() else _shifted_pattern(shapes_b, radius, t.negated())
-        sim = raster.cosine_similarity(fa, raster.pattern_features(shifted, grid, k))
+        sim = raster.cosine_similarity(fa, raster.pattern_features(shifted))
         if sim > threshold - margin:
             return True
     return False

@@ -26,13 +26,13 @@ from .prescreen import CandidatePairSet, PrescreenStats, build_candidates, compa
 
 COSINE_SLACK = 0.05     # cosine threshold relaxation at the first iteration
 EDGE_SLACK_FRAC = 0.25  # fraction of T_edge relaxed at the first iteration
+SCHEMA = 1              # version of the RunStats.to_json record
+STAGES = ("probe", "extract", "prescreen", "graph", "solve", "refine")  # keys of IterationStats.timings_ms
 
 
 @dataclass(frozen=True)
 class IterationConfig:
     max_iterations: int = 3
-    grid: int = 64
-    dct_k: int = 32
     use_prescreen: bool = True
 
     def __post_init__(self):
@@ -67,12 +67,18 @@ class RefineResult:
 
 @dataclass
 class IterationStats:
+    """One iteration. Its pair funnel is prescreen.total_pairs ->
+    prescreen.after_topology (Stage A candidates) -> edges (relaxed graph)
+    -> accepted_members (members refinement accepted against their
+    representative through one of those edges); each step only removes
+    pairs. prescreen and solver stay None when the probe left no marker
+    for the other stages."""
+
     iteration: int
     slack: float
     active: int
     probe_joined: int = 0
     prescreen: PrescreenStats | None = None
-    pairs_evaluated: int = 0
     edges: int = 0
     solver: scp.SolverStats | None = None
     committed_clusters: int = 0
@@ -84,22 +90,46 @@ class IterationStats:
 
 @dataclass
 class RunStats:
-    iterations: list
+    config: IterationConfig
+    constraint: str
+    threshold: float
     marker_count: int = 0
     cluster_count: int = 0
     iterations_used: int = 0
-    refine_checks: int = 0
+    refine_checks: int = 0  # members accepted, by refinement or the probe
     refine_violations: int = 0  # accepted members whose score fell below the anchor score
     refine_delta_sum: float = 0.0  # total score improvement of accepted centers over anchors
     wall_ms: float = 0.0
+    iterations: list = field(default_factory=list)
 
     @property
     def compression(self) -> float:
         return 1.0 - self.cluster_count / self.marker_count if self.marker_count else 0.0
 
     def to_json(self) -> dict:
-        out = asdict(self)
-        out["compression"] = self.compression
+        """The run's record, version SCHEMA: the config, constraint and
+        threshold it ran with, its results and refine counters, the run
+        totals (stage_ms over STAGES, the pair funnel, probe joins,
+        deferrals, orphans, solver work) and the per-iteration stats. Two
+        runs of one input differ only in wall_ms, stage_ms and timings_ms."""
+        its = self.iterations
+        screened = [it.prescreen for it in its if it.prescreen is not None]
+        solved = [it.solver for it in its if it.solver is not None]
+        out = {"schema": SCHEMA, **asdict(self), "compression": self.compression}
+        out["stage_ms"] = {s: sum(it.timings_ms.get(s, 0.0) for it in its) for s in STAGES}
+        out["funnel"] = {
+            "pairs": sum(p.total_pairs for p in screened),
+            "candidates": sum(p.after_topology for p in screened),
+            "edges": sum(it.edges for it in its),
+            "accepted_members": sum(it.accepted_members for it in its),
+        }
+        for key in ("probe_joined", "deferred", "orphaned"):
+            out[key] = sum(getattr(it, key) for it in its)
+        out["solver"] = {
+            "pops": sum(st.pops for st in solved),
+            "recomputations": sum(st.recomputations for st in solved),
+        }
+        out["iterations"] = out.pop("iterations")  # last, after the totals
         return out
 
 
@@ -107,7 +137,6 @@ def refine_cluster(
     rep: Pattern,
     marker: Marker,
     doc: LayoutDocument,
-    cfg: IterationConfig,
     rep_features=None,
     member_at_anchor: Pattern | None = None,
     member_features=None,
@@ -135,7 +164,7 @@ def refine_cluster(
     cosine = doc.constraint_kind is ConstraintKind.COSINE
     if cosine:
         if rep_features is None:
-            rep_features = raster.pattern_features(rep, cfg.grid, cfg.dct_k)
+            rep_features = raster.pattern_features(rep)
         try:
             shift = align.xy_minmax_align(rep, member_at_anchor)
         except align.NoCorrespondenceError:  # raised only for an empty pattern
@@ -162,7 +191,7 @@ def refine_cluster(
             member, features = extract_pattern(doc, center), None
         if cosine:
             if features is None:
-                features = raster.pattern_features(member, cfg.grid, cfg.dct_k)
+                features = raster.pattern_features(member)
             sim = raster.cosine_similarity(rep_features, features)
             score, passes = sim, sim >= doc.threshold
         else:
@@ -179,7 +208,7 @@ def refine_cluster(
     return RefineResult(best[0], best[1], anchor_score)
 
 
-def _probe_clusters(idx: int, anchors: dict, clusters, doc, cfg) -> tuple[int, RefineResult] | None:
+def _probe_clusters(idx: int, anchors: dict, clusters, doc) -> tuple[int, RefineResult] | None:
     """Try to attach one orphan to an existing cluster; first success wins.
 
     Reads the orphan's and each representative's anchor from the run's
@@ -193,7 +222,7 @@ def _probe_clusters(idx: int, anchors: dict, clusters, doc, cfg) -> tuple[int, R
         if not compatible(pattern, rep_pattern, doc.constraint_kind):
             continue
         result = refine_cluster(
-            rep_pattern, marker, doc, cfg, rep_features=rep_features,
+            rep_pattern, marker, doc, rep_features=rep_features,
             member_at_anchor=pattern, member_features=features,
         )
         if result is not None:
@@ -223,7 +252,7 @@ def run_full(
     cosine = doc.constraint_kind is ConstraintKind.COSINE
     clusters: list[Cluster] = []
     active = list(range(n))
-    stats = RunStats(iterations=[], marker_count=n)
+    stats = RunStats(cfg, doc.constraint_kind.value, doc.threshold, marker_count=n)
     iterations_used = 0
     anchors: dict[int, tuple] = {}  # marker index -> (anchor pattern, features or None)
 
@@ -231,7 +260,7 @@ def run_full(
         for m in ms:
             if m not in anchors:
                 p = extract_pattern(doc, doc.markers[m].center())
-                anchors[m] = (p, raster.pattern_features(p, cfg.grid, cfg.dct_k) if cosine else None)
+                anchors[m] = (p, raster.pattern_features(p) if cosine else None)
         return [anchors[m] for m in ms]
 
     for it in range(cfg.max_iterations):
@@ -249,7 +278,7 @@ def run_full(
             t0 = time.perf_counter()
             still = []
             for m in active:
-                outcome = _probe_clusters(m, anchors, clusters, doc, cfg)
+                outcome = _probe_clusters(m, anchors, clusters, doc)
                 if outcome is None:
                     still.append(m)
                     continue
@@ -286,13 +315,11 @@ def run_full(
         results = [
             evaluate_pair_relaxed(
                 patterns[i], patterns[j], doc, slack,
-                grid=cfg.grid, dct_k=cfg.dct_k,
                 fa=features[i], fb=features[j],
             )
             for i, j in cand.pairs
         ]
         g = assemble(len(patterns), cand.pairs, results)
-        istats.pairs_evaluated = len(cand.pairs)
         istats.edges = g.edge_count
         timings["graph"] = (time.perf_counter() - t0) * 1000
         if on_graph is not None:
@@ -324,7 +351,7 @@ def run_full(
             rejected = []
             for k in members_local:
                 result = refine_cluster(
-                    patterns[rep_local], doc.markers[active[k]], doc, cfg,
+                    patterns[rep_local], doc.markers[active[k]], doc,
                     rep_features=features[rep_local],
                     member_at_anchor=patterns[k], member_features=features[k],
                 )
@@ -332,6 +359,7 @@ def run_full(
                     rejected.append(active[k])
                     continue
                 members.append((active[k], result.center))
+                istats.accepted_members += 1
                 stats.refine_checks += 1
                 if cosine and result.anchor_score is not None:
                     stats.refine_delta_sum += result.score - result.anchor_score
@@ -347,7 +375,6 @@ def run_full(
                 continue
             clusters.append(Cluster(rep_idx, rep_center, members))
             istats.committed_clusters += 1
-            istats.accepted_members += len(members)
         active = sorted(next_active)
         timings["refine"] = (time.perf_counter() - t0) * 1000
 
@@ -381,7 +408,7 @@ class Verdict:
         return self.ok
 
 
-def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig = IterationConfig()) -> Verdict:
+def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None = None) -> Verdict:
     """Re-check every stored assignment from scratch.
 
     Accepts a list of Cluster records or a ClusterReport (whose rows name
@@ -394,7 +421,8 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig = Iter
 
     The check is independent of the run on purpose: it never reads the
     anchors `run_full` cached, and extracts and rasterises every window
-    itself.
+    itself. `cfg` is not read, since no run setting changes what a valid
+    assignment is; it stays for callers that pass their config.
     """
     if isinstance(clusters, ClusterReport):
         try:
@@ -406,7 +434,7 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig = Iter
     for cid, cluster in enumerate(clusters):
         rep = extract_pattern(doc, cluster.rep_center)
         rep_features = (
-            raster.pattern_features(rep, cfg.grid, cfg.dct_k)
+            raster.pattern_features(rep)
             if doc.constraint_kind is ConstraintKind.COSINE
             else None
         )
@@ -419,7 +447,7 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig = Iter
             member = extract_pattern(doc, (cx, cy))
             if doc.constraint_kind is ConstraintKind.COSINE:
                 sim = raster.cosine_similarity(
-                    rep_features, raster.pattern_features(member, cfg.grid, cfg.dct_k)
+                    rep_features, raster.pattern_features(member)
                 )
                 if sim < doc.threshold:
                     return Verdict(

@@ -5,11 +5,12 @@ rectangles and the rectangle/pixel overlap is accumulated in integer
 arithmetic before a single float division. No supersampling is involved, so
 coverage is exact for any grid size.
 
-A window's feature vector is the low-frequency k x k block of the
-orthonormal 2D DCT of its coverage, scaled to unit length (all zeros for an
-empty window). The cosine of two windows is the dot product of their
-vectors, except that equal vectors score exactly 1, so two windows with
-the same shapes are identical under any threshold.
+A window's feature vector is the low-frequency 32 x 32 block of the
+orthonormal 2D DCT of its coverage on a 64-pixel grid, scaled to unit
+length (all zeros for an empty window). The geometry is fixed, so a report
+and its layout alone decide every similarity. The cosine of two windows is
+the dot product of their vectors, except that equal vectors score exactly
+1, so two windows with the same shapes are identical under any threshold.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +20,9 @@ import numpy as np
 from scipy.fft import dctn
 
 from .geometry import Pattern, rectangles
+
+GRID = 64   # raster side in pixels of every feature vector
+DCT_K = 32  # side of the low-frequency DCT block kept as the feature vector
 
 
 @dataclass(eq=False)
@@ -65,27 +69,28 @@ def coverage_grid(pattern: Pattern, side: int) -> np.ndarray:
     return yov.T @ xov
 
 
-def rasterize(pattern: Pattern, side: int = 64) -> Bitmap:
+def rasterize(pattern: Pattern, side: int = GRID) -> Bitmap:
     """Coverage-fraction bitmap of the pattern window on a side x side grid."""
     grid = coverage_grid(pattern, side)
     den = (2 * pattern.radius) ** 2
     return Bitmap(side, grid / float(den), Fraction(2 * pattern.radius, side))
 
 
-def dct_features(bitmap: Bitmap, k: int = 32) -> np.ndarray:
+def dct_features(bitmap: Bitmap, k: int = DCT_K) -> np.ndarray:
     """Top-left k x k block of the orthonormal 2D DCT-II, flattened row-major."""
     if k < 1 or k > bitmap.side:
         raise ValueError(f"block size {k} outside [1, {bitmap.side}]")
     return dctn(bitmap.pixels, norm="ortho")[:k, :k].ravel()
 
 
-def pattern_features(pattern: Pattern, side: int = 64, k: int = 32) -> np.ndarray:
-    """The window's DCT block scaled to unit length; all zeros when empty.
+def pattern_features(pattern: Pattern) -> np.ndarray:
+    """The DCT_K x DCT_K DCT block of the window's GRID-pixel raster, scaled
+    to unit length; all zeros when empty.
 
     Coverage is non-negative, so the DC term, and with it the norm, is zero
     only for an empty window.
     """
-    v = dct_features(rasterize(pattern, side), k)
+    v = dct_features(rasterize(pattern))
     norm = float(np.linalg.norm(v))
     return v / norm if norm else v
 

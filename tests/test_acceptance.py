@@ -156,7 +156,7 @@ def test_template_recovery_end_to_end(matrix):
     for (kind, jitter), (doc, clusters, _report, stats) in matrix.items():
         bound = K if jitter == 0 else K + 4
         exact_ok = stats.cluster_count == K if jitter == 0 else stats.cluster_count <= bound
-        verdict = verify_clusterset(clusters, doc, IterationConfig())
+        verdict = verify_clusterset(clusters, doc)
         ok = ok and exact_ok and bool(verdict)
         lines.append(f"{kind.value}/j{jitter}: {stats.cluster_count} clusters")
     assert _verdict("template recovery", ok, "; ".join(lines))
@@ -197,18 +197,26 @@ def test_refined_centers_never_worse_than_anchors(matrix):
 
 
 _REPORTS_SCRIPT = """
-import sys
+import json, sys
 from pattern_forge.layout_io import ConstraintKind, generate_synthetic, write_report
 from pattern_forge.pipeline import run_full
 for kind in (ConstraintKind.COSINE, ConstraintKind.EDGEMOVE):
     doc = generate_synthetic(5, 20, 8, seed=int(sys.argv[2]), constraint=kind)
-    write_report(run_full(doc)[1], f"{sys.argv[1]}/{kind.value}.csv", doc)
+    _clusters, report, stats = run_full(doc)
+    write_report(report, f"{sys.argv[1]}/{kind.value}.csv", doc)
+    record = stats.to_json()
+    del record["wall_ms"], record["stage_ms"]
+    for it in record["iterations"]:
+        del it["timings_ms"]
+    with open(f"{sys.argv[1]}/{kind.value}.json", "w") as fh:
+        json.dump(record, fh, indent=1)
 """
 
 
 def test_cross_interpreter_determinism(tmp_path):
     # identical seed, two fresh interpreters with different string-hash
-    # seeds: the report CSVs must be byte-identical in both constraint modes
+    # seeds: the report CSVs, and the run records without their timing
+    # fields, must be byte-identical in both constraint modes
     src = os.path.dirname(os.path.dirname(pattern_forge.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -219,12 +227,13 @@ def test_cross_interpreter_determinism(tmp_path):
             [sys.executable, "-c", _REPORTS_SCRIPT, str(tmp_path / hash_seed), str(SEED)],
             env=env, check=True, timeout=600,
         )
-    diffs = [
-        (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
-        for name in ("cosine.csv", "edgemove.csv")
-    ]
-    ok = all(diffs)
+    names = ("cosine.csv", "edgemove.csv", "cosine.json", "edgemove.json")
+    same = {
+        name: (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+        for name in names
+    }
+    ok = all(same.values())
     assert _verdict(
         "cross-interpreter determinism", ok,
-        f"cosine identical={diffs[0]}, edgemove identical={diffs[1]}",
+        ", ".join(f"{name} identical={same[name]}" for name in names),
     )

@@ -2,7 +2,6 @@ import pytest
 
 from pattern_forge.bench import (
     PRESCREEN_OFF_MAX_N,
-    STAGES,
     MatrixError,
     Scenario,
     _variants,
@@ -13,6 +12,7 @@ from pattern_forge.bench import (
     run_scenario,
 )
 from pattern_forge.layout_io import ConstraintKind
+from pattern_forge.pipeline import SCHEMA, STAGES
 
 COS = ConstraintKind.COSINE
 EDGE = ConstraintKind.EDGEMOVE
@@ -96,34 +96,37 @@ def outputs():
 
 class TestRunScenario:
     def test_one_record_per_variant(self, records):
-        assert [r.variant for r in records] == ["base", "noprescreen"]
-        assert all(r.scenario == "small" and r.n == 6 for r in records)
-        assert all(r.constraint == "cosine" for r in records)
+        assert [r["variant"] for r in records] == ["base", "noprescreen"]
+        assert all(r["scenario"] == "small" and r["marker_count"] == 6 for r in records)
+        assert all(r["constraint"] == "cosine" and r["schema"] == SCHEMA for r in records)
+        assert [r["config"]["use_prescreen"] for r in records] == [True, False]
 
     def test_variants_agree_on_clean_doc(self, records):
         # exact template copies: every toggle must land on the same clustering
-        counts = {r.cluster_count for r in records}
+        counts = {r["cluster_count"] for r in records}
         assert counts == {2}
-        assert all(r.compression == pytest.approx(1 - 2 / 6) for r in records)
+        assert all(r["compression"] == pytest.approx(1 - 2 / 6) for r in records)
 
     def test_measured_fields_populated(self, records):
         base = records[0]
-        assert base.iterations >= 1
-        assert base.wall_ms > 0
-        assert base.pairs_evaluated > 0
-        assert base.solver_pops > 0
-        assert 0.0 <= base.filter_rate < 1.0
-        assert set(base.stage_ms) >= {"extract", "prescreen", "graph", "solve", "refine"}
+        assert base["iterations_used"] >= 1
+        assert base["wall_ms"] > 0
+        assert base["funnel"]["candidates"] > 0
+        assert base["solver"]["pops"] > 0
+        assert base["funnel"]["pairs"] >= base["funnel"]["candidates"]
+        assert tuple(base["stage_ms"]) == STAGES
+        assert all(base["stage_ms"][s] > 0 for s in ("extract", "prescreen", "graph", "solve", "refine"))
 
     def test_noprescreen_records_no_filtering(self, records):
-        nop = next(r for r in records if r.variant == "noprescreen")
-        assert nop.filter_rate == 0.0
-        assert nop.pairs_evaluated >= records[0].pairs_evaluated
+        base, nop = records
+        assert nop["funnel"]["candidates"] == nop["funnel"]["pairs"]
+        assert nop["funnel"]["candidates"] >= base["funnel"]["candidates"]
+        assert records_csv([nop]).splitlines()[1].split(",")[14] == "0.0000"
 
     def test_edgemove_scenario(self):
         recs = run_scenario(Scenario("m", templates=2, instances=3, jitter=4, constraint=EDGE, seed=8))
-        assert [r.variant for r in recs] == ["base", "noprescreen"]
-        assert len({r.cluster_count for r in recs}) == 1
+        assert [r["variant"] for r in recs] == ["base", "noprescreen"]
+        assert len({r["cluster_count"] for r in recs}) == 1
 
 
 class TestReports:
@@ -133,6 +136,7 @@ class TestReports:
         header = lines[0].split(",")
         assert header[:5] == ["scenario", "variant", "n", "mode", "clusters"]
         assert [f"{stage}_ms" for stage in STAGES] == header[8:14]
+        assert header[14:] == ["filter_rate", "pairs", "pops", "recomps", "refine_delta"]
         assert len(lines) == 1 + len(records)
         assert all(len(line.split(",")) == len(header) for line in lines[1:])
 

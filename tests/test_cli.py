@@ -8,6 +8,7 @@ from pattern_forge import cli
 from pattern_forge.cli import main
 from pattern_forge.graph import dump_edges
 from pattern_forge.layout_io import parse_layout, read_report
+from pattern_forge.pipeline import SCHEMA, STAGES
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +17,18 @@ def layout_path(tmp_path_factory):
     rc = main([
         "generate", "--output", str(path),
         "--templates", "3", "--instances", "4", "--seed", "11",
+    ])
+    assert rc == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def edge_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "edge.lay"
+    rc = main([
+        "generate", "--output", str(path),
+        "--templates", "3", "--instances", "4", "--jitter", "4",
+        "--seed", "1", "--constraint", "edgemove",
     ])
     assert rc == 0
     return path
@@ -67,7 +80,9 @@ class TestCluster:
         assert rc == 0
         assert capsys.readouterr().out == out.read_text()
 
-    @pytest.mark.parametrize("flag", ["--seed", "--threads", "--solver", "--prescreen-slack", "--aligner", "--quantum"])
+    @pytest.mark.parametrize(
+        "flag", ["--seed", "--threads", "--solver", "--prescreen-slack", "--aligner", "--quantum", "--grid", "--dct-k"],
+    )
     def test_removed_flags_rejected(self, layout_path, flag, capsys):
         with pytest.raises(SystemExit):
             main(["cluster", "--input", str(layout_path), "--output", "-", flag, "1"])
@@ -82,14 +97,38 @@ class TestCluster:
         assert a.read_bytes() == b.read_bytes()
 
     def test_threshold_override_applies(self, layout_path, tmp_path, capsys):
-        # threshold -1 accepts every pair; with the pre-screen off the graph is
-        # complete, so everything collapses into a single cluster
+        # threshold 0 accepts every pair of these windows; with the
+        # pre-screen off the graph is complete, so everything collapses into
+        # a single cluster
         out = tmp_path / "one.csv"
         rc = main(["cluster", "--input", str(layout_path), "--output", str(out),
-                   "--threshold", "-1", "--no-prescreen"])
+                   "--threshold", "0", "--no-prescreen", "--verify"])
         assert rc == 0
         capsys.readouterr()
         assert read_report(out).cluster_count == 1
+
+    @pytest.mark.parametrize(
+        "override, needle",
+        [
+            (["--threshold", "nan"], "finite"),
+            (["--threshold", "inf"], "finite"),
+            (["--threshold", "-3"], "non-negative"),
+            (["--constraint", "cosine"], "outside [0, 1]"),
+            (["--threshold", "1.5", "--constraint", "cosine"], "outside [0, 1]"),
+        ],
+    )
+    def test_illegal_threshold_override_refused(self, edge_path, tmp_path, monkeypatch, capsys, override, needle):
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("clustering ran")
+
+        monkeypatch.setattr(cli, "run_full", no_run)
+        out, rep = tmp_path / "r.csv", tmp_path / "stats.json"
+        rc = main(["cluster", "--input", str(edge_path), "--output", str(out),
+                   "--report", str(rep), "--verify", *override])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert not out.exists() and not rep.exists()
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_threshold_one_clusters_identical_windows(self, seed, tmp_path, capsys):
@@ -110,11 +149,24 @@ class TestCluster:
         assert rc == 0
         capsys.readouterr()
         stats = json.loads(rep.read_text())
+        assert stats["schema"] == SCHEMA
+        assert stats["config"] == {"max_iterations": 3, "use_prescreen": True}
+        assert (stats["constraint"], stats["threshold"]) == ("cosine", 0.9)
         assert stats["marker_count"] == 12
         assert stats["cluster_count"] == 3
         assert stats["compression"] == pytest.approx(1 - 3 / 12)
         assert stats["iterations"] and stats["iterations"][0]["iteration"] == 0
         assert stats["wall_ms"] > 0
+        assert tuple(stats["stage_ms"]) == STAGES
+        assert stats["stage_ms"]["probe"] == 0.0 and stats["stage_ms"]["graph"] > 0
+        # 3 templates x 4 identical instances settle in one round: 66 pairs,
+        # 3 x 6 within-template edges, 3 x 3 members beside the representatives
+        funnel = stats["funnel"]
+        assert funnel["pairs"] == 66 and funnel["pairs"] >= funnel["candidates"] >= funnel["edges"]
+        assert (funnel["edges"], funnel["accepted_members"]) == (18, 9)
+        assert (stats["probe_joined"], stats["deferred"], stats["orphaned"]) == (0, 0, 0)
+        assert stats["solver"]["pops"] > 0
+        assert (stats["refine_checks"], stats["refine_violations"]) == (9, 0)
 
     def test_dump_graph(self, layout_path, tmp_path, capsys):
         out, dump = tmp_path / "r.csv", tmp_path / "edges.txt"

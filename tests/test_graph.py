@@ -59,8 +59,8 @@ class TestEvaluatePair:
         doc = _doc(ConstraintKind.COSINE, 0.9)
         a = _pat(rect(-10, -10, 10, 10))
         b = _pat(rect(-10, -10, 10, 12))
-        fa = pattern_features(a, 64, 32)
-        fb = pattern_features(b, 64, 32)
+        fa = pattern_features(a)
+        fb = pattern_features(b)
         assert evaluate_pair_relaxed(a, b, doc, fa=fa, fb=fb) == evaluate_pair_relaxed(a, b, doc)
 
     def test_edgemove_reports_minmax_shift(self):

@@ -88,6 +88,7 @@ class TestParse:
             ("HEADER RADIUS 8 CONSTRAINT COSINE THRESHOLD 0.5\nWIRE 0 1 2", 2, "unknown record"),
             ("# nothing here", 1, "missing HEADER"),
             ("HEADER RADIUS 0 CONSTRAINT COSINE THRESHOLD 0.5", 1, "radius"),
+            ("# threshold on the header's own line\n\nHEADER RADIUS 8 CONSTRAINT EDGEMOVE THRESHOLD inf", 3, "finite"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, needle):
@@ -95,6 +96,27 @@ class TestParse:
             parse_layout(text)
         assert exc.value.line == line
         assert needle in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "kind, threshold, needle",
+        [
+            (ConstraintKind.EDGEMOVE, float("nan"), "finite"),
+            (ConstraintKind.EDGEMOVE, float("inf"), "finite"),
+            (ConstraintKind.EDGEMOVE, -3.0, "non-negative"),
+            (ConstraintKind.COSINE, -0.5, "non-negative"),
+            (ConstraintKind.COSINE, 10.0, "outside [0, 1]"),
+            (ConstraintKind.COSINE, 1.5, "outside [0, 1]"),
+        ],
+    )
+    def test_document_enforces_threshold_rule(self, kind, threshold, needle):
+        with pytest.raises(ValueError) as exc:
+            LayoutDocument(8, kind, threshold, (), (), (), ())
+        assert needle in str(exc.value)
+
+    def test_threshold_bounds_are_legal(self):
+        for kind, threshold in ((ConstraintKind.COSINE, 0.0), (ConstraintKind.COSINE, 1.0),
+                                (ConstraintKind.EDGEMOVE, 0.0), (ConstraintKind.EDGEMOVE, 1e6)):
+            assert LayoutDocument(8, kind, threshold, (), (), (), ()).threshold == threshold
 
     def test_self_intersecting_poly_rejected(self):
         ring = "0 0 3 0 3 1 1 1 1 3 2 3 2 2 0 2"

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -13,6 +14,8 @@ from pattern_forge.layout_io import (
     write_report,
 )
 from pattern_forge.pipeline import (
+    SCHEMA,
+    STAGES,
     Cluster,
     IterationConfig,
     refine_cluster,
@@ -87,7 +90,7 @@ class TestRefineCluster:
     def test_identity_member(self):
         doc = self._edge_doc(Marker(292, -8, 308, 8), offset=(0, 0))
         rep = extract_pattern(doc, (0, 0))
-        res = refine_cluster(rep, doc.markers[1], doc, IterationConfig())
+        res = refine_cluster(rep, doc.markers[1], doc)
         assert res is not None
         assert res.center == (300, 0)
         assert res.score == 0.0
@@ -96,7 +99,7 @@ class TestRefineCluster:
     def test_recovers_offset_center(self):
         doc = self._edge_doc(Marker(292, -8, 308, 8))
         rep = extract_pattern(doc, (0, 0))
-        res = refine_cluster(rep, doc.markers[1], doc, IterationConfig())
+        res = refine_cluster(rep, doc.markers[1], doc)
         assert res.center == (304, 6)
         assert res.score == 0.0
         assert res.anchor_score == -6.0
@@ -118,7 +121,7 @@ class TestRefineCluster:
             doc = self._edge_doc(Marker(292, -8, 308, 8), offset=offset)
             rep = extract_pattern(doc, (0, 0))
             calls.clear()
-            assert refine_cluster(rep, doc.markers[1], doc, IterationConfig()) is not None
+            assert refine_cluster(rep, doc.markers[1], doc) is not None
             assert len(calls) == expected
 
     def test_clamped_center_still_passes(self):
@@ -126,7 +129,7 @@ class TestRefineCluster:
         # center must carry the residual and still beat the threshold
         doc = self._edge_doc(Marker(298, -2, 302, 2), threshold=5.0)
         rep = extract_pattern(doc, (0, 0))
-        res = refine_cluster(rep, doc.markers[1], doc, IterationConfig())
+        res = refine_cluster(rep, doc.markers[1], doc)
         assert res is not None
         assert res.center == (302, 2)
         assert res.score == -4.0
@@ -137,22 +140,20 @@ class TestRefineCluster:
     def test_rejects_over_threshold(self):
         doc = self._edge_doc(Marker(300, 0, 300, 0), threshold=3.0)
         rep = extract_pattern(doc, (0, 0))
-        assert refine_cluster(rep, doc.markers[1], doc, IterationConfig()) is None
+        assert refine_cluster(rep, doc.markers[1], doc) is None
 
     def test_cosine_identity_and_features_shortcut(self):
         polys = [rect(-24, -24, 24, 24), rect(276, -24, 324, 24)]
         doc = _doc(polys, [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0)], COS, 0.9)
-        cfg = IterationConfig()
         rep = extract_pattern(doc, (0, 0))
-        res = refine_cluster(rep, doc.markers[1], doc, cfg)
+        res = refine_cluster(rep, doc.markers[1], doc)
         assert res.center == (300, 0)
         assert res.score == pytest.approx(1.0)
-        pre = pattern_features(rep, cfg.grid, cfg.dct_k)
-        res2 = refine_cluster(rep, doc.markers[1], doc, cfg, rep_features=pre)
+        pre = pattern_features(rep)
+        res2 = refine_cluster(rep, doc.markers[1], doc, rep_features=pre)
         assert res2 == res
 
     def test_pre_extracted_anchor_gives_same_result(self, jittered_docs):
-        cfg = IterationConfig()
         cases = [
             self._edge_doc(Marker(292, -8, 308, 8)),
             self._edge_doc(Marker(298, -2, 302, 2), threshold=5.0),
@@ -164,10 +165,10 @@ class TestRefineCluster:
             rep = extract_pattern(doc, doc.markers[0].center())
             for marker in doc.markers[1:]:
                 anchor = extract_pattern(doc, marker.center())
-                feats = pattern_features(anchor, cfg.grid, cfg.dct_k) if cosine else None
-                plain = refine_cluster(rep, marker, doc, cfg)
+                feats = pattern_features(anchor) if cosine else None
+                plain = refine_cluster(rep, marker, doc)
                 given_anchor = refine_cluster(
-                    rep, marker, doc, cfg,
+                    rep, marker, doc,
                     member_at_anchor=anchor, member_features=feats,
                 )
                 assert given_anchor == plain
@@ -177,7 +178,7 @@ class TestRefineCluster:
         polys = [rect(-24, -24, 24, 24), rect(296, -4, 304, 4)]
         doc = _doc(polys, [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0)], COS, 0.9)
         rep = extract_pattern(doc, (0, 0))
-        assert refine_cluster(rep, doc.markers[1], doc, IterationConfig()) is None
+        assert refine_cluster(rep, doc.markers[1], doc) is None
 
 
 class TestRunSmall:
@@ -213,15 +214,11 @@ class TestRunSmall:
         a = rect(-23, -20, 23, 20)
         b = rect(277, -22, 323, 22)
         doc = _doc([a, b], [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0)], COS, 0.99)
-        cfg = IterationConfig()
         pa = extract_pattern(doc, (0, 0))
         pb = extract_pattern(doc, (300, 0))
-        sim = cosine_similarity(
-            pattern_features(pa, cfg.grid, cfg.dct_k),
-            pattern_features(pb, cfg.grid, cfg.dct_k),
-        )
+        sim = cosine_similarity(pattern_features(pa), pattern_features(pb))
         assert 0.968 < sim < 0.987  # inside (T - 0.025, T), clear of both edges
-        clusters, report, stats = run_full(doc, cfg)
+        clusters, report, stats = run_full(doc)
         assert report.cluster_count == 2
         assert report.iterations_used == 3
         it0 = stats.iterations[0]
@@ -229,6 +226,102 @@ class TestRunSmall:
         assert it0.deferred == 1
         assert it0.orphaned == 1
         assert verify_clusterset(clusters, doc)
+
+
+def _untimed(record: dict) -> dict:
+    """A run record without its timing fields: wall_ms, stage_ms and each
+    iteration's timings_ms."""
+    out = {k: v for k, v in record.items() if k not in ("wall_ms", "stage_ms")}
+    out["iterations"] = [{k: v for k, v in it.items() if k != "timings_ms"} for it in record["iterations"]]
+    return out
+
+
+class TestRunRecord:
+    @staticmethod
+    def _docs(jittered_docs):
+        """The jittered documents, a near-duplicate that runs all three
+        rounds, the probe stage included, a pair that keeps its relaxed edge
+        for two rounds, and three unlike windows that stay singletons."""
+        near = _doc(
+            [rect(-23, -20, 23, 20), rect(277, -20, 323, 20), rect(577, -22, 623, 22)],
+            [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0), Marker(600, 0, 600, 0)], COS, 0.99,
+        )
+        relaxed_twice = _doc(
+            [rect(-23, -20, 23, 20), rect(277, -22, 323, 22)],
+            [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0)], COS, 0.99,
+        )
+        unlike = _doc(
+            [rect(-40, -40, 40, 40), rect(290, -10, 310, 10), rect(560, -40, 570, 40)],
+            [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0), Marker(600, 0, 600, 0)], COS, 0.9,
+        )
+        return [*jittered_docs.values(), near, relaxed_twice, unlike]
+
+    def test_two_runs_differ_only_in_timings(self, jittered_docs):
+        for doc in self._docs(jittered_docs):
+            first, second = (run_full(doc)[2].to_json() for _ in range(2))
+            assert first["wall_ms"] > 0 and tuple(first["stage_ms"]) == STAGES
+            assert all("timings_ms" in it for it in first["iterations"])
+            assert _untimed(first) == _untimed(second)
+            assert json.loads(json.dumps(first)) == first
+
+    def test_header(self, jittered_docs):
+        doc = jittered_docs[EDGE]
+        cfg = IterationConfig(max_iterations=2, use_prescreen=False)
+        record = run_full(doc, cfg)[2].to_json()
+        assert record["schema"] == SCHEMA
+        assert record["config"] == {"max_iterations": 2, "use_prescreen": False}
+        assert (record["constraint"], record["threshold"]) == ("edgemove", doc.threshold)
+        assert list(record)[-1] == "iterations"
+
+    def test_funnel_never_grows(self, jittered_docs):
+        for doc in self._docs(jittered_docs):
+            for use_prescreen in (True, False):
+                stats = run_full(doc, IterationConfig(use_prescreen=use_prescreen))[2]
+                record = stats.to_json()
+                screened = [it for it in stats.iterations if it.prescreen is not None]
+                for it in screened:
+                    funnel = (it.prescreen.total_pairs, it.prescreen.after_topology,
+                              it.edges, it.accepted_members)
+                    assert funnel == tuple(sorted(funnel, reverse=True)), funnel
+                    if not use_prescreen:
+                        assert it.prescreen.after_topology == it.prescreen.total_pairs
+                assert record["funnel"] == {
+                    "pairs": sum(it.prescreen.total_pairs for it in screened),
+                    "candidates": sum(it.prescreen.after_topology for it in screened),
+                    "edges": sum(it.edges for it in stats.iterations),
+                    "accepted_members": sum(it.accepted_members for it in stats.iterations),
+                }
+
+    def test_totals_sum_the_iterations(self, jittered_docs):
+        for doc in self._docs(jittered_docs):
+            record = run_full(doc)[2].to_json()
+            its = record["iterations"]
+            for key in ("probe_joined", "deferred", "orphaned"):
+                assert record[key] == sum(it[key] for it in its)
+            assert record["solver"] == {
+                key: sum(it["solver"][key] for it in its if it["solver"])
+                for key in ("pops", "recomputations")
+            }
+            assert record["stage_ms"] == {
+                s: sum(it["timings_ms"].get(s, 0.0) for it in its) for s in STAGES
+            }
+            # every accepted member came through the probe or refinement
+            assert record["refine_checks"] == record["probe_joined"] + record["funnel"]["accepted_members"]
+
+    def test_rounds_and_singletons(self, jittered_docs):
+        # the near-duplicate defers and orphans before it settles; the
+        # unlike windows end as singletons without an edge or an accepted
+        # member
+        _jc, _je, near, relaxed_twice, unlike = self._docs(jittered_docs)
+        record = run_full(near)[2].to_json()
+        assert record["iterations_used"] == 3
+        assert record["deferred"] >= 1 and record["orphaned"] >= 1
+        record = run_full(relaxed_twice)[2].to_json()
+        assert [it["edges"] for it in record["iterations"]] == [1, 1, 0]
+        assert record["funnel"]["edges"] == 2
+        record = run_full(unlike)[2].to_json()
+        assert record["cluster_count"] == 3
+        assert record["funnel"]["edges"] == record["funnel"]["accepted_members"] == 0
 
 
 class TestOnGraph:
@@ -421,21 +514,20 @@ class TestVerify:
         markers = [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0), Marker(600, 0, 600, 0)]
         doc = LayoutDocument(64, EDGE, 10.0, tuple(polys), (0, 1, 2), tuple(markers), (10, 11, 12))
         # the signatures differ in area, so only the all-pairs graph links them
-        cfg = IterationConfig(use_prescreen=False)
-        _clusters, report, _stats = run_full(doc, cfg)
+        _clusters, report, _stats = run_full(doc, IterationConfig(use_prescreen=False))
         assert report.assignments == (
             (10, 0, 0, 0, 11), (11, 0, 300, 0, 11), (12, 0, 600, 0, 11),
         )
         back = read_report(write_report(report, doc=doc))
         assert back == report
-        assert verify_clusterset(back, doc, cfg)
+        assert verify_clusterset(back, doc)
         # read as if the first member represented the cluster, 12 is 16 nm off
         first = ClusterReport(tuple(row[:4] + (10,) for row in back.assignments), 1, 1)
-        verdict = verify_clusterset(first, doc, cfg)
+        verdict = verify_clusterset(first, doc)
         assert not verdict
         assert "edge offset 16 > 10.0" in verdict.message
         unknown = ClusterReport(tuple(row[:4] + (13,) for row in back.assignments), 1, 1)
-        verdict = verify_clusterset(unknown, doc, cfg)
+        verdict = verify_clusterset(unknown, doc)
         assert not verdict
         assert "representative 13 of cluster 0 is not a marker" in verdict.message
 
@@ -466,16 +558,15 @@ class TestVerify:
         # without the prescreen every pair reaches the relaxed test; no
         # cluster may mix windows of different polygon counts
         doc = self._unequal_count_doc()
-        cfg = IterationConfig(use_prescreen=False)
-        clusters, report, _stats = run_full(doc, cfg)
+        clusters, report, _stats = run_full(doc, IterationConfig(use_prescreen=False))
         for cluster in clusters:
             rep_count = len(extract_pattern(doc, cluster.rep_center).shapes)
             for _m, center in cluster.members:
                 assert len(extract_pattern(doc, center).shapes) == rep_count
         rep_of = {row[0]: row[4] for row in report.assignments}
         assert rep_of[11] != 10 and rep_of[12] != 10
-        assert verify_clusterset(clusters, doc, cfg)
-        assert verify_clusterset(report, doc, cfg)
+        assert verify_clusterset(clusters, doc)
+        assert verify_clusterset(report, doc)
 
     def test_empty_window_first_does_not_split_twins(self):
         # an empty point marker with the lowest id, then two identical
@@ -486,12 +577,11 @@ class TestVerify:
         markers = [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0), Marker(600, 0, 600, 0)]
         doc = LayoutDocument(64, EDGE, 10.0, tuple(polys), (0, 1), tuple(markers), (10, 11, 12))
         for use_prescreen in (False, True):
-            cfg = IterationConfig(use_prescreen=use_prescreen)
-            clusters, report, _stats = run_full(doc, cfg)
+            clusters, report, _stats = run_full(doc, IterationConfig(use_prescreen=use_prescreen))
             assert report.cluster_count == 2, use_prescreen
             rep_of = {row[0]: row[4] for row in report.assignments}
             assert rep_of[10] == 10 and rep_of[11] == rep_of[12] != 10
-            assert verify_clusterset(report, doc, cfg)
+            assert verify_clusterset(report, doc)
 
     def test_detects_missing_marker(self, clean_docs):
         doc = clean_docs[COS]

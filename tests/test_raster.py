@@ -171,15 +171,15 @@ class TestDct:
 
     def test_pattern_features_is_unit_block(self):
         p = _pat(rect(0, 0, 10, 10))
-        a = pattern_features(p, side=16, k=8)
-        b = dct_features(rasterize(p, 16), k=8)
-        assert a.dtype == np.float64 and a.shape == (8 * 8,)
+        a = pattern_features(p)
+        b = dct_features(rasterize(p, 64), k=32)
+        assert a.dtype == np.float64 and a.shape == (32 * 32,)
         assert np.array_equal(a, b / np.linalg.norm(b))
         assert math.isclose(float(a @ a), 1.0, rel_tol=1e-14)
 
     def test_pattern_features_empty_window_is_zero(self):
-        f = pattern_features(_pat(), side=16, k=8)
-        assert f.shape == (8 * 8,) and not f.any()
+        f = pattern_features(_pat())
+        assert f.shape == (32 * 32,) and not f.any()
 
 
 class TestCosine:
