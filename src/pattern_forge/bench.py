@@ -121,7 +121,8 @@ def _filter_rate(funnel: dict) -> float:
 
 
 def _mean_refine_delta(r: dict) -> float:
-    return r["refine_delta_sum"] / r["refine_checks"] if r["refine_checks"] else 0.0
+    accepted = r["probe_joined"] + r["funnel"]["accepted_members"]
+    return r["refine_delta_sum"] / accepted if accepted else 0.0
 
 
 _COLUMNS = [

@@ -110,14 +110,13 @@ def parse_layout(source) -> LayoutDocument:
     """Parse a layout document from a path, string, bytes, or file object.
 
     Raises LayoutParseError with a line number for syntax problems, and wraps
-    geometry validation errors (diagonal edges, non-simple rings) the same way.
+    geometry validation errors (diagonal edges, non-simple rings) the same way;
+    a check of the whole document (the radius) is reported at the HEADER's line.
     """
     text = _read_text(source)
     header = None
-    polys: list[Polygon] = []
-    pids: list[int] = []
-    markers: list[Marker] = []
-    mids: list[int] = []
+    polys: dict[int, Polygon] = {}  # id -> polygon, in file order
+    markers: dict[int, Marker] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -145,7 +144,7 @@ def parse_layout(source) -> LayoutDocument:
                 _check_threshold(ckind, threshold)
             except ValueError as exc:
                 raise LayoutParseError(lineno, str(exc)) from None
-            header = (radius, ckind, threshold)
+            header = (lineno, radius, ckind, threshold)
         elif kind == "POLY":
             if header is None:
                 raise LayoutParseError(lineno, "record before HEADER")
@@ -164,10 +163,9 @@ def parse_layout(source) -> LayoutDocument:
                 rectangles(poly)  # validates simplicity
             except GeometryError as exc:
                 raise LayoutParseError(lineno, str(exc)) from None
-            if pid in pids:
+            if pid in polys:
                 raise LayoutParseError(lineno, f"duplicate polygon id {pid}")
-            polys.append(poly)
-            pids.append(pid)
+            polys[pid] = poly
         elif kind == "MARKER":
             if header is None:
                 raise LayoutParseError(lineno, "record before HEADER")
@@ -181,19 +179,19 @@ def parse_layout(source) -> LayoutDocument:
                 marker = Marker(xlo, ylo, xhi, yhi)
             except GeometryError as exc:
                 raise LayoutParseError(lineno, str(exc)) from None
-            if mid in mids:
+            if mid in markers:
                 raise LayoutParseError(lineno, f"duplicate marker id {mid}")
-            markers.append(marker)
-            mids.append(mid)
+            markers[mid] = marker
         else:
             raise LayoutParseError(lineno, f"unknown record {kind!r}")
     if header is None:
         raise LayoutParseError(len(text.splitlines()) or 1, "missing HEADER record")
-    radius, ckind, threshold = header
+    header_line, radius, ckind, threshold = header
     try:
-        return LayoutDocument(radius, ckind, threshold, tuple(polys), tuple(pids), tuple(markers), tuple(mids))
+        return LayoutDocument(radius, ckind, threshold, tuple(polys.values()), tuple(polys),
+                              tuple(markers.values()), tuple(markers))
     except ValueError as exc:
-        raise LayoutParseError(1, str(exc)) from None
+        raise LayoutParseError(header_line, str(exc)) from None
 
 
 def write_layout(doc: LayoutDocument, sink=None) -> bytes:

@@ -1,16 +1,20 @@
 """Coarse-to-fine clustering loop.
 
-Each iteration runs four stages over the not-yet-assigned markers: candidate
-filtering, relaxed pair evaluation into a similarity graph, surprisal-greedy
-set cover, and per-member alignment refinement with strict verification.
-Slack shrinks linearly to zero across iterations, so the last round admits
-only strictly-valid clusters and unassigned markers degrade to singletons.
+`run_full` loops over the iterations, timing each stage with `_timed`. A
+stage is one function over the not-yet-assigned markers: `_probe` (from
+iteration 1, joining settled clusters), `_extract` (anchor patterns),
+`_candidates` (prescreen), `_graph` (relaxed pair evaluation), `scp.solve`
+(surprisal-greedy set cover) and `_refine` (alignment refinement with strict
+verification); probe and refinement accept members through `_accept`.
+Stages call module globals, where `perfbench/tracer.py` wraps them. Slack
+shrinks linearly to zero across iterations, so the last round admits only
+strictly-valid clusters and unassigned markers degrade to singletons.
 
 A marker's anchor (the pattern at its marker center, plus its unit feature
 vector in cosine mode) never changes, so a run extracts it once and keeps it
-for the rest of that run: the probe stage (for the orphan and for each
-cluster's representative), stage 1 of every iteration and the refinement of
-the member at its anchor all read the same entry. Verification deliberately
+for the rest of that run: the probe (for the orphan and for each cluster's
+representative), `_extract` in every iteration and the refinement of the
+member at its anchor all read the same entry. Verification deliberately
 re-extracts everything from scratch.
 """
 
@@ -26,7 +30,7 @@ from .prescreen import CandidatePairSet, PrescreenStats, build_candidates, compa
 
 COSINE_SLACK = 0.05     # cosine threshold relaxation at the first iteration
 EDGE_SLACK_FRAC = 0.25  # fraction of T_edge relaxed at the first iteration
-SCHEMA = 1              # version of the RunStats.to_json record
+SCHEMA = 2              # version of the RunStats.to_json record
 STAGES = ("probe", "extract", "prescreen", "graph", "solve", "refine")  # keys of IterationStats.timings_ms
 
 
@@ -96,7 +100,6 @@ class RunStats:
     marker_count: int = 0
     cluster_count: int = 0
     iterations_used: int = 0
-    refine_checks: int = 0  # members accepted, by refinement or the probe
     refine_violations: int = 0  # accepted members whose score fell below the anchor score
     refine_delta_sum: float = 0.0  # total score improvement of accepted centers over anchors
     wall_ms: float = 0.0
@@ -208,32 +211,120 @@ def refine_cluster(
     return RefineResult(best[0], best[1], anchor_score)
 
 
-def _probe_clusters(idx: int, anchors: dict, clusters, doc) -> tuple[int, RefineResult] | None:
-    """Try to attach one orphan to an existing cluster; first success wins.
-
-    Reads the orphan's and each representative's anchor from the run's
-    `anchors` cache. The probe runs from iteration 1 on, and iteration 0's
-    stage 1 cached every marker, so both entries are always there.
-    """
-    marker = doc.markers[idx]
-    pattern, features = anchors[idx]
-    for ci, cluster in enumerate(clusters):
-        rep_pattern, rep_features = anchors[cluster.rep_marker]
-        if not compatible(pattern, rep_pattern, doc.constraint_kind):
-            continue
-        result = refine_cluster(
-            rep_pattern, marker, doc, rep_features=rep_features,
-            member_at_anchor=pattern, member_features=features,
-        )
-        if result is not None:
-            return ci, result
-    return None
+def _timed(istats: IterationStats, stage: str, fn, *args):
+    """Run one stage and record its wall time under `stage` in timings_ms."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    istats.timings_ms[stage] = (time.perf_counter() - t0) * 1000
+    return out
 
 
-def _all_pairs(n: int) -> CandidatePairSet:
+def _accept(stats: RunStats, members: list, m: int, result: RefineResult) -> None:
+    """Add marker m at its refined center to `members`; in cosine mode, also
+    add its score change over the anchor to the run's refine counters."""
+    members.append((m, result.center))
+    if stats.constraint == ConstraintKind.COSINE.value and result.anchor_score is not None:
+        stats.refine_delta_sum += result.score - result.anchor_score
+        if result.score < result.anchor_score:
+            stats.refine_violations += 1
+
+
+def _probe(doc, stats, istats, clusters, active, anchors) -> list[int]:
+    """Stage 0: join each active marker to the first settled cluster whose
+    refinement accepts it; returns the markers that joined none. Every
+    anchor is cached: the probe runs from iteration 1, after iteration 0's
+    `_extract` read them all."""
+    still = []
+    for m in active:
+        pattern, features = anchors[m]
+        for cluster in clusters:
+            rep_pattern, rep_features = anchors[cluster.rep_marker]
+            if not compatible(pattern, rep_pattern, doc.constraint_kind):
+                continue
+            result = refine_cluster(
+                rep_pattern, doc.markers[m], doc, rep_features=rep_features,
+                member_at_anchor=pattern, member_features=features,
+            )
+            if result is not None:
+                _accept(stats, cluster.members, m, result)
+                istats.probe_joined += 1
+                break
+        else:
+            still.append(m)
+    return still
+
+
+def _extract(doc, active, anchors) -> tuple[list, list]:
+    """Stage 1: the active markers' anchor patterns and features (None in
+    edgemove mode), extracted into `anchors` the first time a run needs them."""
+    cosine = doc.constraint_kind is ConstraintKind.COSINE
+    for m in active:
+        if m not in anchors:
+            p = extract_pattern(doc, doc.markers[m].center())
+            anchors[m] = (p, raster.pattern_features(p) if cosine else None)
+    return [anchors[m][0] for m in active], [anchors[m][1] for m in active]
+
+
+def _candidates(doc, cfg, patterns) -> CandidatePairSet:
+    """Stage 1, filtering: the prescreen's candidate pairs, or every pair
+    when the config turns the prescreen off."""
+    if cfg.use_prescreen:
+        return build_candidates(patterns, doc.constraint_kind)
+    n = len(patterns)
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    total = len(pairs)
-    return CandidatePairSet(pairs, PrescreenStats(total, total))
+    return CandidatePairSet(pairs, PrescreenStats(len(pairs), len(pairs)))
+
+
+def _graph(doc, slack, patterns, features, pairs) -> SimilarityGraph:
+    """Stage 2: the relaxed test on every candidate pair, assembled into the
+    iteration's similarity graph."""
+    results = [
+        evaluate_pair_relaxed(
+            patterns[i], patterns[j], doc, slack, fa=features[i], fb=features[j],
+        )
+        for i, j in pairs
+    ]
+    return assemble(len(patterns), pairs, results)
+
+
+def _refine(doc, stats, istats, clusters, active, patterns, features, selections, final) -> list[int]:
+    """Stage 4: refine each selected member against its representative and
+    commit the clusters; returns the rejected members and deferred
+    representatives, sorted, for the next round. A lone selection may sit
+    out this round and try the probe later -- but only when there is (or
+    will be) a settled cluster to join; otherwise singletons commit at once."""
+    defer_allowed = not final and (
+        bool(clusters) or any(len(sel.covered) >= 2 for sel in selections)
+    )
+    next_active = []
+    for sel in selections:
+        rep_local = sel.node
+        rep_idx = active[rep_local]
+        rep_center = doc.markers[rep_idx].center()
+        members = [(rep_idx, rep_center)] if rep_local in sel.covered else []
+        for k in sel.covered:
+            if k == rep_local:
+                continue
+            result = refine_cluster(
+                patterns[rep_local], doc.markers[active[k]], doc,
+                rep_features=features[rep_local],
+                member_at_anchor=patterns[k], member_features=features[k],
+            )
+            if result is None:
+                next_active.append(active[k])
+                istats.orphaned += 1
+                continue
+            _accept(stats, members, active[k], result)
+            istats.accepted_members += 1
+        if not members:
+            continue
+        if defer_allowed and members == [(rep_idx, rep_center)]:
+            next_active.append(rep_idx)
+            istats.deferred += 1
+            continue
+        clusters.append(Cluster(rep_idx, rep_center, members))
+        istats.committed_clusters += 1
+    return sorted(next_active)
 
 
 def run_full(
@@ -249,149 +340,44 @@ def run_full(
     """
     t_run = time.perf_counter()
     n = len(doc.markers)
-    cosine = doc.constraint_kind is ConstraintKind.COSINE
     clusters: list[Cluster] = []
     active = list(range(n))
     stats = RunStats(cfg, doc.constraint_kind.value, doc.threshold, marker_count=n)
-    iterations_used = 0
     anchors: dict[int, tuple] = {}  # marker index -> (anchor pattern, features or None)
-
-    def _anchors(ms: list) -> list:
-        for m in ms:
-            if m not in anchors:
-                p = extract_pattern(doc, doc.markers[m].center())
-                anchors[m] = (p, raster.pattern_features(p) if cosine else None)
-        return [anchors[m] for m in ms]
 
     for it in range(cfg.max_iterations):
         if not active:
             break
-        iterations_used = it + 1
-        final = it == cfg.max_iterations - 1
-        slack = cfg.slack_for(doc, it)
-        istats = IterationStats(iteration=it, slack=slack, active=len(active))
+        istats = IterationStats(iteration=it, slack=cfg.slack_for(doc, it), active=len(active))
         stats.iterations.append(istats)
-        timings = istats.timings_ms
-
-        # stage 0: cheap membership probe against settled representatives
-        if it > 0 and clusters and active:
-            t0 = time.perf_counter()
-            still = []
-            for m in active:
-                outcome = _probe_clusters(m, anchors, clusters, doc)
-                if outcome is None:
-                    still.append(m)
-                    continue
-                ci, result = outcome
-                clusters[ci].members.append((m, result.center))
-                istats.probe_joined += 1
-                stats.refine_checks += 1
-                if cosine and result.anchor_score is not None:
-                    stats.refine_delta_sum += result.score - result.anchor_score
-                    if result.score < result.anchor_score:
-                        stats.refine_violations += 1
-            active = still
-            timings["probe"] = (time.perf_counter() - t0) * 1000
+        if clusters:  # none before iteration 1
+            active = _timed(istats, "probe", _probe, doc, stats, istats, clusters, active, anchors)
             if not active:
                 break
-
-        # stage 1: extraction and candidate filtering
-        t0 = time.perf_counter()
-        entries = _anchors(active)
-        patterns = [p for p, _f in entries]
-        features = [f for _p, f in entries]
-        timings["extract"] = (time.perf_counter() - t0) * 1000
-
-        t0 = time.perf_counter()
-        if cfg.use_prescreen:
-            cand = build_candidates(patterns, doc.constraint_kind)
-        else:
-            cand = _all_pairs(len(patterns))
+        patterns, features = _timed(istats, "extract", _extract, doc, active, anchors)
+        cand = _timed(istats, "prescreen", _candidates, doc, cfg, patterns)
         istats.prescreen = cand.stats
-        timings["prescreen"] = (time.perf_counter() - t0) * 1000
-
-        # stage 2: relaxed evaluation, then graph assembly
-        t0 = time.perf_counter()
-        results = [
-            evaluate_pair_relaxed(
-                patterns[i], patterns[j], doc, slack,
-                fa=features[i], fb=features[j],
-            )
-            for i, j in cand.pairs
-        ]
-        g = assemble(len(patterns), cand.pairs, results)
+        g = _timed(istats, "graph", _graph, doc, istats.slack, patterns, features, cand.pairs)
         istats.edges = g.edge_count
-        timings["graph"] = (time.perf_counter() - t0) * 1000
         if on_graph is not None:
             on_graph(it, g)
-
-        # stage 3: set cover
-        t0 = time.perf_counter()
-        solved = scp.solve(g)
+        solved = _timed(istats, "solve", scp.solve, g)
         istats.solver = solved.stats
-        timings["solve"] = (time.perf_counter() - t0) * 1000
-
-        # stage 4: refinement with strict verification
-        t0 = time.perf_counter()
-        # A lone selection may sit out this round and try the membership probe
-        # later -- but only when there is (or will be) a settled cluster to
-        # join; otherwise singletons commit right away.
-        defer_allowed = not final and (
-            bool(clusters) or any(len(sel.covered) >= 2 for sel in solved.selections)
+        active = _timed(
+            istats, "refine", _refine, doc, stats, istats, clusters, active,
+            patterns, features, solved.selections, it == cfg.max_iterations - 1,
         )
-        next_active = []
-        for sel in solved.selections:
-            rep_local = sel.node
-            members_local = [k for k in sel.covered if k != rep_local]
-            rep_idx = active[rep_local]
-            rep_center = doc.markers[rep_idx].center()
-            members = []
-            if rep_local in sel.covered:
-                members.append((rep_idx, rep_center))
-            rejected = []
-            for k in members_local:
-                result = refine_cluster(
-                    patterns[rep_local], doc.markers[active[k]], doc,
-                    rep_features=features[rep_local],
-                    member_at_anchor=patterns[k], member_features=features[k],
-                )
-                if result is None:
-                    rejected.append(active[k])
-                    continue
-                members.append((active[k], result.center))
-                istats.accepted_members += 1
-                stats.refine_checks += 1
-                if cosine and result.anchor_score is not None:
-                    stats.refine_delta_sum += result.score - result.anchor_score
-                    if result.score < result.anchor_score:
-                        stats.refine_violations += 1
-            next_active.extend(rejected)
-            istats.orphaned += len(rejected)
-            if not members:
-                continue
-            if defer_allowed and members == [(rep_idx, rep_center)]:
-                next_active.append(rep_idx)
-                istats.deferred += 1
-                continue
-            clusters.append(Cluster(rep_idx, rep_center, members))
-            istats.committed_clusters += 1
-        active = sorted(next_active)
-        timings["refine"] = (time.perf_counter() - t0) * 1000
 
     # anything still unassigned becomes its own cluster at its anchor
     for m in active:
         center = doc.markers[m].center()
         clusters.append(Cluster(m, center, [(m, center)]))
 
-    assignment = {}
+    rows = [None] * n
     for cid, cluster in enumerate(clusters):
-        for m, center in cluster.members:
-            assignment[m] = (cid, center, doc.marker_ids[cluster.rep_marker])
-    rows = []
-    for m in range(n):
-        cid, (cx, cy), rep_id = assignment[m]
-        rows.append((doc.marker_ids[m], cid, cx, cy, rep_id))
-    report = ClusterReport(tuple(rows), len(clusters), max(iterations_used, 1))
+        for m, (cx, cy) in cluster.members:
+            rows[m] = (doc.marker_ids[m], cid, cx, cy, doc.marker_ids[cluster.rep_marker])
+    report = ClusterReport(tuple(rows), len(clusters), max(len(stats.iterations), 1))
 
     stats.cluster_count = len(clusters)
     stats.iterations_used = report.iterations_used

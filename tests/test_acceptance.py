@@ -188,7 +188,7 @@ def test_refined_centers_never_worse_than_anchors(matrix):
     checks = violations = 0
     for jitter in (0, 12):
         stats = matrix[COS, jitter][3]
-        checks += stats.refine_checks
+        checks += sum(it.probe_joined + it.accepted_members for it in stats.iterations)
         violations += stats.refine_violations
     ok = violations == 0 and checks >= K * M
     assert _verdict(

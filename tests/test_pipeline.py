@@ -268,7 +268,8 @@ class TestRunRecord:
         doc = jittered_docs[EDGE]
         cfg = IterationConfig(max_iterations=2, use_prescreen=False)
         record = run_full(doc, cfg)[2].to_json()
-        assert record["schema"] == SCHEMA
+        assert record["schema"] == SCHEMA == 2
+        assert "refine_checks" not in record  # schema 2 dropped it: probe_joined + accepted_members
         assert record["config"] == {"max_iterations": 2, "use_prescreen": False}
         assert (record["constraint"], record["threshold"]) == ("edgemove", doc.threshold)
         assert list(record)[-1] == "iterations"
@@ -305,8 +306,29 @@ class TestRunRecord:
             assert record["stage_ms"] == {
                 s: sum(it["timings_ms"].get(s, 0.0) for it in its) for s in STAGES
             }
-            # every accepted member came through the probe or refinement
-            assert record["refine_checks"] == record["probe_joined"] + record["funnel"]["accepted_members"]
+
+    def test_each_iteration_times_the_stages_it_ran(self, jittered_docs):
+        # iteration 0 never probes; a later round probes once a cluster is
+        # committed, and ends after the probe if it joined every marker, as
+        # the third window here does: its content sits 10 nm off its marker
+        # center, so it has no zero-shift edge, is deferred, then joins
+        probe_only = _doc(
+            [rect(-20, -20, 20, 20), rect(280, -20, 320, 20), rect(590, -20, 630, 20)],
+            [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0), Marker(590, -10, 610, 10)], COS, 0.99,
+        )
+        probed_rounds = 0
+        for doc in [*self._docs(jittered_docs), probe_only]:
+            committed = 0
+            for it in run_full(doc)[2].iterations:
+                probed = it.iteration > 0 and committed > 0
+                ran = [s for s in STAGES if s != "probe" or probed]
+                if it.prescreen is None:
+                    ran = ["probe"]
+                assert list(it.timings_ms) == ran, (it.iteration, list(it.timings_ms))
+                committed += it.committed_clusters
+                probed_rounds += probed
+        assert probed_rounds > 0
+        assert list(run_full(probe_only)[2].iterations[-1].timings_ms) == ["probe"]
 
     def test_rounds_and_singletons(self, jittered_docs):
         # the near-duplicate defers and orphans before it settles; the
@@ -353,7 +375,7 @@ class TestExtractOnce:
     def test_each_anchor_extracted_once(self, jittered_docs, monkeypatch):
         doc = jittered_docs[COS]
         counts, stats = self._count_anchor_extractions(doc, monkeypatch)
-        assert stats.refine_checks > 0
+        assert sum(it.probe_joined + it.accepted_members for it in stats.iterations) > 0
         assert counts == [1] * len(doc.markers)
 
     def test_once_across_iterations_and_probe(self, monkeypatch):
@@ -391,7 +413,7 @@ class TestEdgeViewOnce:
         monkeypatch.setattr(Pattern, "edge_view", recording_view)
         _clusters, _report, stats = run_full(doc)
         monkeypatch.undo()
-        assert stats.refine_checks > 0
+        assert sum(it.probe_joined + it.accepted_members for it in stats.iterations) > 0
         assert builds
         assert all(len(seen) == 1 for _p, seen in views.values())
         assert len(builds) <= len(views)
