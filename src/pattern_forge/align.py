@@ -73,9 +73,10 @@ class FeasibleInterval:
         return _half_toward_zero(self.d_min + self.d_max)
 
 
-def _half_toward_zero(m: int) -> int:
-    """m / 2 with halves rounded toward zero, exact in integers."""
-    return m // 2 if m >= 0 else -((-m) // 2)
+def _half_toward_zero(m):
+    """m / 2 with halves rounded toward zero, exact in integers; elementwise
+    on an integer array."""
+    return (m + (m < 0)) // 2
 
 
 def correlation_surface(reference: Bitmap, moving: Bitmap) -> CorrelationSurface:
@@ -189,6 +190,20 @@ def _hull_fit(displacements) -> tuple[Translation, int, int]:
     shift = Translation(_half_toward_zero(xlo + xhi), _half_toward_zero(ylo + yhi))
     residual = max((xhi - xlo + 1) // 2, (yhi - ylo + 1) // 2)
     return shift, residual, max(-xlo, xhi, -ylo, yhi)
+
+
+def hull_fits(offsets: np.ndarray, x_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_hull_fit`'s shift (dx, dy) and residual for each row of `offsets`,
+    a (pairs, E) array of corresponding-edge offsets whose columns lie along
+    X where `x_axis` is True and along Y elsewhere."""
+    zero = np.zeros(len(offsets), dtype=np.int64)
+    hulls = []
+    for cols in (x_axis, ~x_axis):
+        part = offsets[:, cols]
+        hulls.append((part.min(axis=1), part.max(axis=1)) if part.shape[1] else (zero, zero))
+    (xlo, xhi), (ylo, yhi) = hulls
+    residual = np.maximum((xhi - xlo + 1) // 2, (yhi - ylo + 1) // 2)
+    return _half_toward_zero(xlo + xhi), _half_toward_zero(ylo + yhi), residual
 
 
 def edge_minmax_align(displacements) -> tuple[Translation, int]:

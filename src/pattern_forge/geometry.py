@@ -308,16 +308,17 @@ class EdgeView:
     """The shapes of one pattern, laid out for the edgemove kernels.
 
     Row k of `rects` is a decomposition rectangle of shape `owner[k]`; that
-    is all the overlap test reads. The per-edge table is built on first
-    read, because cosine-mode alignment pairs polygons but never compares
-    their edges.
+    is all the overlap test reads. The per-edge table and the arrays derived
+    from it are built on first read, because cosine-mode alignment pairs
+    polygons but never compares their edges.
     """
 
     def __init__(self, shapes: tuple[Polygon, ...]):
         pieces = [rectangles(p) for p in shapes]
         self.shapes = shapes
+        self.rect_counts = tuple(len(rs) for rs in pieces)
         self.rects = np.asarray([r for rs in pieces for r in rs], dtype=np.int64).reshape(-1, 4)
-        self.owner = np.repeat(np.arange(len(shapes)), [len(rs) for rs in pieces])
+        self.owner = np.repeat(np.arange(len(shapes)), self.rect_counts)
 
     @cached_property
     def edges(self) -> tuple[tuple[str, tuple[Axis, ...], tuple[int, ...]], ...]:
@@ -331,6 +332,23 @@ class EdgeView:
             coords = tuple(x if c in "NS" else y for (x, y), c in zip(p.vertices, d))
             table.append((d, axes, coords))
         return tuple(table)
+
+    @cached_property
+    def layout_key(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """Each shape's direction_sequence() and its number of decomposition
+        rectangles. Two views with equal keys have equal-shaped `rects`,
+        `owner`, `coords` and `x_axis`, so their pairs can be stacked."""
+        return tuple(d for d, _axes, _coords in self.edges), self.rect_counts
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """Every edge's coordinate from `edges`, shape after shape, as int64."""
+        return np.asarray([c for _d, _axes, cs in self.edges for c in cs], dtype=np.int64)
+
+    @cached_property
+    def x_axis(self) -> np.ndarray:
+        """True where the edge at that position of `coords` moves along X."""
+        return np.asarray([a is Axis.X for _d, axes, _cs in self.edges for a in axes], dtype=bool)
 
 
 @dataclass
@@ -404,22 +422,44 @@ class Correspondence:
     pairs: tuple[tuple[int, int], ...]
 
 
+def _rect_overlaps(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """hit[..., k, l]: rectangle k of ra and rectangle l of rb overlap
+    strictly. ra and rb are (..., R, 4) stacks of (xlo, ylo, xhi, yhi) rows."""
+    return (
+        (ra[..., :, None, 0] < rb[..., None, :, 2])
+        & (rb[..., None, :, 0] < ra[..., :, None, 2])
+        & (ra[..., :, None, 1] < rb[..., None, :, 3])
+        & (rb[..., None, :, 1] < ra[..., :, None, 3])
+    )
+
+
 def _overlap_matrix(a: Pattern, b: Pattern, shift: Translation) -> np.ndarray:
     """out[i, j]: shape i of a and shape j of b (displaced by `shift`) share
     positive area, i.e. some pair of their rectangles overlaps strictly."""
     va, vb = a.edge_view(), b.edge_view()
     out = np.zeros((len(a.shapes), len(b.shapes)), dtype=bool)
-    ra = va.rects
     rb = vb.rects + np.asarray([shift.dx, shift.dy, shift.dx, shift.dy], dtype=np.int64)
-    hit = (
-        (ra[:, None, 0] < rb[None, :, 2])
-        & (rb[None, :, 0] < ra[:, None, 2])
-        & (ra[:, None, 1] < rb[None, :, 3])
-        & (rb[None, :, 1] < ra[:, None, 3])
-    )
-    ia, ib = np.nonzero(hit)
+    ia, ib = np.nonzero(_rect_overlaps(va.rects, rb))
     out[va.owner[ia], vb.owner[ib]] = True
     return out
+
+
+def identity_correspondences(ra: np.ndarray, rb: np.ndarray, rect_counts: tuple[int, ...]) -> np.ndarray:
+    """Per stacked pair p: whether `match_polygons` at zero shift pairs
+    shape k of one pattern with shape k of the other, for every k.
+
+    ra and rb are (pairs, R, 4) stacks of `EdgeView.rects` of patterns that
+    all have the shapes' rectangle counts `rect_counts`. The strict
+    rectangle overlaps are folded to shapes through the shared `owner`
+    layout, and the shape overlap matrix must be the identity: each shape
+    overlaps its counterpart and nothing else.
+    """
+    if not rect_counts:
+        return np.ones(len(ra), dtype=bool)
+    starts = np.cumsum((0,) + rect_counts)[:-1]
+    hit = _rect_overlaps(ra, rb)
+    shapes = np.logical_or.reduceat(np.logical_or.reduceat(hit, starts, axis=1), starts, axis=2)
+    return (shapes == np.eye(len(rect_counts), dtype=bool)).all(axis=(1, 2))
 
 
 def _check_overlap_counts(counts: np.ndarray, side: str) -> None:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import align, raster, scp
 from .geometry import Marker, Pattern, ZERO_SHIFT, extract_pattern
-from .graph import SimilarityGraph, assemble, evaluate_pair_relaxed
+from .graph import SimilarityGraph, assemble, evaluate_pair_relaxed, evaluate_pairs_edgemove
 from .layout_io import ClusterReport, ConstraintKind, LayoutDocument
 from .prescreen import CandidatePairSet, PrescreenStats, build_candidates, compatible
 
@@ -277,13 +277,19 @@ def _candidates(doc, cfg, patterns) -> CandidatePairSet:
 
 def _graph(doc, slack, patterns, features, pairs) -> SimilarityGraph:
     """Stage 2: the relaxed test on every candidate pair, assembled into the
-    iteration's similarity graph."""
-    results = [
-        evaluate_pair_relaxed(
-            patterns[i], patterns[j], doc, slack, fa=features[i], fb=features[j],
-        )
-        for i, j in pairs
-    ]
+    iteration's similarity graph. Edgemove mode scores the pairs in blocks
+    with `evaluate_pairs_edgemove`, which calls `evaluate_pair_relaxed` only
+    for pairs whose shapes it cannot line up by position; cosine mode calls
+    `evaluate_pair_relaxed` on each pair with the cached features."""
+    if doc.constraint_kind is ConstraintKind.EDGEMOVE:
+        results = evaluate_pairs_edgemove(patterns, pairs, doc, slack)
+    else:
+        results = [
+            evaluate_pair_relaxed(
+                patterns[i], patterns[j], doc, slack, fa=features[i], fb=features[j],
+            )
+            for i, j in pairs
+        ]
     return assemble(len(patterns), pairs, results)
 
 

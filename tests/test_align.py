@@ -11,11 +11,13 @@ from pattern_forge.align import (
     FeasibleInterval,
     NoCorrespondenceError,
     _half_toward_zero,
+    _hull_fit,
     clamp_to_marker,
     correlation_surface,
     edge_fit,
     edge_fit_aligned,
     edge_minmax_align,
+    hull_fits,
     pair_intervals,
     phase_correlate,
     pixel_shift,
@@ -49,6 +51,26 @@ class TestHalfTowardZero:
         h = _half_toward_zero(m)
         assert abs(2 * h - m) <= 1
         assert abs(h) <= abs(m) // 2 + 1
+
+    def test_elementwise_on_arrays(self):
+        m = np.arange(-7, 8, dtype=np.int64)
+        assert _half_toward_zero(m).tolist() == [_half_toward_zero(int(v)) for v in m]
+
+
+class TestHullFits:
+    @given(
+        st.lists(st.booleans(), min_size=0, max_size=6),
+        st.lists(st.lists(st.integers(-9, 9), min_size=6, max_size=6), min_size=1, max_size=5),
+    )
+    def test_rows_are_hull_fit(self, x_axis, rows):
+        # every row scored at once equals _hull_fit on that row's offsets,
+        # odd hull widths and axes without offsets included
+        e = len(x_axis)
+        offsets = np.asarray([r[:e] for r in rows], dtype=np.int64).reshape(len(rows), e)
+        dx, dy, residual = hull_fits(offsets, np.asarray(x_axis, dtype=bool))
+        for k, row in enumerate(offsets.tolist()):
+            shift, res, _raw = _hull_fit([(Axis.X if x else Axis.Y, d) for x, d in zip(x_axis, row)])
+            assert (dx[k], dy[k], residual[k]) == (shift.dx, shift.dy, res)
 
 
 class TestPhaseCorrelation:

@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
 from pattern_forge.bench import (
@@ -11,8 +14,10 @@ from pattern_forge.bench import (
     run_matrix,
     run_scenario,
 )
-from pattern_forge.layout_io import ConstraintKind
-from pattern_forge.pipeline import SCHEMA, STAGES
+from pattern_forge.layout_io import ConstraintKind, generate_synthetic
+from pattern_forge.pipeline import SCHEMA, STAGES, run_full, verify_clusterset
+from pattern_forge.prescreen import PrescreenStats
+from pattern_forge.scp import SolverStats
 
 COS = ConstraintKind.COSINE
 EDGE = ConstraintKind.EDGEMOVE
@@ -151,3 +156,49 @@ class TestReports:
     def test_table_matches_records(self, outputs):
         records, table = outputs
         assert render_table(records) == table
+
+
+def _tracer_module():
+    """perfbench/tracer.py, executed from its source text (so no bytecode
+    is written beside it) into a namespace of its own."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    ns = {"__name__": "perfbench_tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), ns)
+    return ns
+
+
+class TestTracerContract:
+    """The benchmark's tracer wraps program functions by name and reads
+    stats fields by name; one that is gone turns its metrics into null,
+    and a traced run with a null metric is not a result."""
+
+    def test_wrapped_functions_exist(self):
+        tracer = _tracer_module()
+        names = [(mod, fn) for mod, fn, _outcome, _totals in tracer["SPANNED"]]
+        names += list(tracer["COUNTED"])
+        missing = [
+            f"{mod}.{fn}" for mod, fn in names
+            if not callable(getattr(importlib.import_module(f"pattern_forge.{mod}"), fn, None))
+        ]
+        assert missing == []
+
+    def test_read_stats_fields_exist(self):
+        stats = PrescreenStats(total_pairs=3, after_topology=2)
+        assert (stats.total_pairs, stats.after_topology, stats.after_thumbnail) == (3, 2, 2)
+        solver = SolverStats()
+        assert (solver.pops, solver.recomputations) == (0, 0)
+
+    @pytest.mark.parametrize("kind", [COS, EDGE])
+    def test_traced_run_has_no_null_metric(self, kind):
+        tracer = _tracer_module()
+        doc = generate_synthetic(3, 4, 8, seed=5, constraint=kind)
+        t = tracer["Tracer"]()
+        t.install()
+        try:
+            clusters, _report, stats = run_full(doc)
+            assert verify_clusterset(clusters, doc)
+        finally:
+            t.uninstall()
+        metrics = t.layer_metrics(stats)
+        assert metrics and [name for name, value in metrics.items() if value is None] == []
+        assert metrics["pipeline.iterations"] >= 1

@@ -1,12 +1,21 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pattern_forge import align, graph
 from pattern_forge.align import edge_fit_aligned
-from pattern_forge.geometry import Pattern, Translation, ZERO_SHIFT
-from pattern_forge.graph import SimilarityGraph, assemble, dump_edges, evaluate_pair_relaxed
+from pattern_forge.geometry import MatchError, Pattern, Polygon, Translation, ZERO_SHIFT, match_polygons
+from pattern_forge.graph import (
+    SimilarityGraph,
+    assemble,
+    dump_edges,
+    evaluate_pair_relaxed,
+    evaluate_pairs_edgemove,
+)
 from pattern_forge.layout_io import ConstraintKind, LayoutDocument
+from pattern_forge.pipeline import IterationConfig
 
 from conftest import rect, staircase
 
@@ -172,3 +181,152 @@ class TestDump:
 
     def test_empty(self):
         assert dump_edges(SimilarityGraph.from_edges(3, [])) == ""
+
+
+def _l_shape(x0, x1, x2, y0, y1, y2) -> Polygon:
+    """An L: the full-width foot [x0, x2] x [y0, y1] and the stem [x0, x1] x [y1, y2]."""
+    return Polygon.from_vertices([(x0, y0), (x2, y0), (x2, y1), (x1, y1), (x1, y2), (x0, y2)])
+
+
+def _t_shape(x0, x1, x2, x3, y0, y1, y2) -> Polygon:
+    """A T: the stem [x1, x2] x [y0, y1] under the bar [x0, x3] x [y1, y2]."""
+    return Polygon.from_vertices(
+        [(x1, y0), (x2, y0), (x2, y1), (x3, y1), (x3, y2), (x0, y2), (x0, y1), (x1, y1)]
+    )
+
+
+# Window layouts as shape builders over (coordinates + per-coordinate moves).
+# Neighbouring coordinates sit at least 8 nm apart, so moves of up to 3 nm
+# keep every shape simple and every layout's shapes disjoint.
+LAYOUTS = {
+    # three rectangles, every one "ENWS" with one rectangle: the same
+    # layout key whatever the order the shapes are listed in
+    "rects": ((-50, -50, -30, -20), (-20, -50, 0, -20), (10, 10, 40, 40)),
+    # one rectangle spanning the first two of "rects", plus two others:
+    # same key as "rects", but the long one overlaps two shapes there
+    "merged": ((-50, -50, 0, -20), (10, 10, 40, 40), (-50, 20, -30, 40)),
+    # an L with a rectangle in its notch (inside the L's bbox, outside
+    # the L), and a T
+    "l_t": ((-50, -30, 0, -50, -30, 0), (-22, -22, -5, -5), (10, 20, 35, 50, 10, 30, 45)),
+    "empty": (),
+}
+
+
+def _shape(coords, moves) -> Polygon:
+    c = [v + d for v, d in zip(coords, moves)]
+    if len(c) == 4:
+        return rect(*c)
+    return _l_shape(*c) if len(c) == 6 else _t_shape(*c)
+
+
+@st.composite
+def _window(draw):
+    """A pattern of one of LAYOUTS with every coordinate moved by up to 3
+    nm, its shapes possibly listed in another order or one dropped."""
+    coords = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+    shapes = [_shape(c, draw(st.lists(st.integers(-3, 3), min_size=len(c), max_size=len(c))))
+              for c in coords]
+    order = draw(st.sampled_from(["as_listed", "reversed", "drop_last"]))
+    if order == "reversed":
+        shapes.reverse()
+    elif order == "drop_last":
+        shapes = shapes[:-1]
+    return _pat(*shapes)
+
+
+def _needs_fallback(a: Pattern, b: Pattern) -> bool:
+    if len(a.shapes) != len(b.shapes):
+        return False
+    if a.edge_view().layout_key != b.edge_view().layout_key:
+        return True
+    try:
+        pairs = match_polygons(a, b).pairs
+    except MatchError:
+        return True
+    return pairs != tuple((k, k) for k in range(len(a.shapes)))
+
+
+SLACKS = [IterationConfig().slack_for(_doc(ConstraintKind.EDGEMOVE, 2.0), it) for it in range(3)]
+
+
+class TestEvaluatePairsEdgemove:
+    DOC = _doc(ConstraintKind.EDGEMOVE, 2.0)
+
+    def _both(self, patterns, pairs, slack):
+        """(per-pair results, batch results, pairs the batch sent to
+        evaluate_pair_relaxed)."""
+        expected = [evaluate_pair_relaxed(patterns[i], patterns[j], self.DOC, slack) for i, j in pairs]
+        called = []
+        where = {id(p): k for k, p in enumerate(patterns)}
+
+        def recording(a, b, doc, slack=0.0):
+            called.append((where[id(a)], where[id(b)]))
+            return evaluate_pair_relaxed(a, b, doc, slack)
+
+        with patch.object(graph, "evaluate_pair_relaxed", recording):
+            got = evaluate_pairs_edgemove(patterns, pairs, self.DOC, slack)
+        return expected, got, called
+
+    @given(
+        st.lists(_window(), min_size=2, max_size=7),
+        st.sampled_from([(graph.BATCH_PAIRS, graph.BATCH_CELLS), (3, 1 << 20), (1024, 20)]),
+    )
+    def test_equals_per_pair_test(self, patterns, block):
+        # every pair, at each iteration's slack, and with blocks cut small
+        pairs = [(i, j) for i in range(len(patterns)) for j in range(i + 1, len(patterns))]
+        with patch.object(graph, "BATCH_PAIRS", block[0]), patch.object(graph, "BATCH_CELLS", block[1]):
+            for slack in SLACKS:
+                expected, got, called = self._both(patterns, pairs, slack)
+                assert got == expected
+                # the per-pair test runs exactly for equal shape counts
+                # without a proof of the identity correspondence
+                assert set(called) == {(i, j) for i, j in pairs if _needs_fallback(patterns[i], patterns[j])}
+
+    def test_slacks_are_the_iterations(self):
+        assert SLACKS == [0.5, 0.25, 0.0]
+
+    def test_other_shape_order_takes_the_fallback(self):
+        # equal layout keys, but the correspondence is a permutation: the
+        # batch cannot prove the identity and asks the per-pair test, which
+        # pairs the shapes up and accepts
+        shapes = [_shape(c, [0] * len(c)) for c in LAYOUTS["rects"]]
+        a, b = _pat(*shapes), _pat(*reversed(shapes))
+        assert a.edge_view().layout_key == b.edge_view().layout_key
+        expected, got, called = self._both([a, b], [(0, 1)], 0.0)
+        assert got == expected == [ZERO_SHIFT]
+        assert called == [(0, 1)]
+
+    def test_one_shape_over_two_takes_the_fallback_and_is_refused(self):
+        a = _pat(*(_shape(c, [0] * len(c)) for c in LAYOUTS["rects"]))
+        b = _pat(*(_shape(c, [0] * len(c)) for c in LAYOUTS["merged"]))
+        expected, got, called = self._both([a, b], [(0, 1)], 0.5)
+        assert got == expected == [None]
+        assert called == [(0, 1)]
+
+    def test_identity_pairs_and_unequal_counts_make_no_call(self):
+        shapes = [_shape(c, [1] * len(c)) for c in LAYOUTS["l_t"]]
+        a = _pat(*shapes)
+        b = _pat(*(_shape(c, [0] * len(c)) for c in LAYOUTS["l_t"]))
+        fewer, empty = _pat(*shapes[:-1]), _pat()
+        patterns = [a, b, fewer, empty, _pat()]
+        pairs = [(0, 1), (0, 2), (2, 3), (3, 4), (1, 3)]
+        expected, got, called = self._both(patterns, pairs, 0.0)
+        assert got == expected == [Translation(-1, -1), None, None, ZERO_SHIFT, None]
+        assert called == []
+
+    def test_residual_around_the_limit_and_rounding_toward_zero(self):
+        # one rectangle whose left and right edges move by (lo, hi): every
+        # odd and even hull width, negative and positive midpoints, and
+        # residuals from below to above threshold + slack
+        a = _pat(rect(0, 0, 20, 20))
+        others = [_pat(rect(lo, 0, 20 + hi, 20)) for lo in range(-5, 6) for hi in range(-5, 6)]
+        patterns = [a, *others]
+        pairs = [(0, k) for k in range(1, len(patterns))]
+        for slack in SLACKS:
+            expected, got, called = self._both(patterns, pairs, slack)
+            assert got == expected and called == []
+            residuals = {align.edge_fit_aligned(a, b)[1] for b in others}
+            assert {2, 3, 4} <= residuals  # T + slack - 1 .. T + slack + 1 around 2 + slack
+        # hulls [-3, 0] and [0, 3]: the midpoints -1.5 and 1.5 round toward zero
+        odd = [a, _pat(rect(-3, 0, 20, 20)), _pat(rect(0, 0, 23, 20))]
+        assert evaluate_pairs_edgemove(odd, [(0, 1), (0, 2)], self.DOC) == [Translation(-1, 0), Translation(1, 0)]
