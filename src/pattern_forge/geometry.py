@@ -146,9 +146,13 @@ class Polygon:
         return Polygon(tuple((x + dx, y + dy) for x, y in self.vertices))
 
 
-# Bound on the per-polygon cache below. Every translated clipped piece is a
-# new key, so an unbounded cache grows for the life of the process; one run
-# of the benchmark workloads (N=400) makes under 10k entries.
+# Bound on the per-polygon cache below. Its keys are the design polygons
+# (parsing validates each one through it) and every translated clipped
+# piece of an extracted pattern, a new key each, so an unbounded cache would
+# grow for the life of the process. Cosine refinement and verification read
+# the layout's rectangle table instead of extracting, so only anchor
+# extraction and edgemove mode add pieces; one run and verification of a
+# benchmark workload (N=400) end with under 10k entries.
 _CACHE_ENTRIES = 1 << 16
 
 
@@ -366,6 +370,7 @@ class Pattern:
     shapes: tuple[Polygon, ...]
     _bbox_arr: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _edge_view: EdgeView = field(default=None, init=False, repr=False, compare=False)
+    _area: int = field(default=None, init=False, repr=False, compare=False)
 
     def shape_bboxes(self) -> np.ndarray:
         if self._bbox_arr is None:
@@ -387,7 +392,11 @@ class Pattern:
         return not self.shapes
 
     def total_area(self) -> int:
-        return sum(p.area for p in self.shapes)
+        """Sum of the shapes' areas, computed on first use and kept: the
+        prescreen and the probe ask for it once per pair."""
+        if self._area is None:
+            self._area = sum(p.area for p in self.shapes)
+        return self._area
 
     def bounds(self) -> Rect | None:
         """Union bounding box of the shapes, or None for an empty pattern."""

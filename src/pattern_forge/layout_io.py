@@ -67,6 +67,8 @@ class LayoutDocument:
     markers: tuple[Marker, ...]
     marker_ids: tuple[int, ...]
     _bbox_arr: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _rect_arr: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _rect_wmax: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.pattern_radius <= MAX_RADIUS):
@@ -92,6 +94,36 @@ class LayoutDocument:
         bb = self.design_bbox_array()
         hit = (bb[:, 0] < cx + r) & (bb[:, 2] > cx - r) & (bb[:, 1] < cy + r) & (bb[:, 3] > cy - r)
         return np.nonzero(hit)[0]
+
+    def design_rect_array(self) -> np.ndarray:
+        """The `rectangles()` of every design polygon, one int64 row (xlo,
+        ylo, xhi, yhi) each, sorted by xlo. Built on first use, like the
+        bbox array, so parsing does not pay for it."""
+        if self._rect_arr is None:
+            rows = [rc for p in self.design_polygons for rc in rectangles(p)]
+            arr = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+            self._rect_arr = arr[np.argsort(arr[:, 0], kind="stable")]
+            self._rect_wmax = int((arr[:, 2] - arr[:, 0]).max(initial=0))
+        return self._rect_arr
+
+    def window_rectangles(self, center) -> np.ndarray:
+        """The design rectangles that strictly overlap the window at
+        `center`, clipped to it and shifted to window-local coordinates.
+
+        They tile the same area as the shapes of `extract_pattern(self,
+        center)` (a polygon's rectangles are disjoint), so they give the
+        same coverage. No rectangle is wider than the widest one, so only
+        rows with xlo in (cx - r - widest, cx + r) can reach the window.
+        """
+        cx, cy = center
+        r = self.pattern_radius
+        arr = self.design_rect_array()
+        lo, hi = arr[:, 0].searchsorted((cx - r - self._rect_wmax, cx + r))
+        rows = arr[lo:hi]
+        rows = rows[(rows[:, 2] > cx - r) & (rows[:, 1] < cy + r) & (rows[:, 3] > cy - r)]
+        rows -= (cx, cy, cx, cy)  # boolean indexing made a copy
+        np.minimum(rows, r, out=rows)
+        return np.maximum(rows, -r, out=rows)
 
 
 def _read_text(source) -> str:

@@ -14,8 +14,13 @@ A marker's anchor (the pattern at its marker center, plus its unit feature
 vector in cosine mode) never changes, so a run extracts it once and keeps it
 for the rest of that run: the probe (for the orphan and for each cluster's
 representative), `_extract` in every iteration and the refinement of the
-member at its anchor all read the same entry. Verification deliberately
-re-extracts everything from scratch.
+member at its anchor all read the same entry. In cosine mode every other
+center refinement tries is scored by `raster.window_features`, straight
+from the layout's decomposition rectangles, with no pattern extracted.
+Refinement of a (representative, member) marker pair depends on nothing
+else, so a run that refused a pair never refines it again: the probe and
+`_refine` skip it and count the skip. Verification reads no run state: it
+scores every window from the layout again.
 """
 
 import time
@@ -30,7 +35,7 @@ from .prescreen import CandidatePairSet, PrescreenStats, build_candidates, compa
 
 COSINE_SLACK = 0.05     # cosine threshold relaxation at the first iteration
 EDGE_SLACK_FRAC = 0.25  # fraction of T_edge relaxed at the first iteration
-SCHEMA = 2              # version of the RunStats.to_json record
+SCHEMA = 3              # version of the RunStats.to_json record
 STAGES = ("probe", "extract", "prescreen", "graph", "solve", "refine")  # keys of IterationStats.timings_ms
 
 
@@ -89,6 +94,7 @@ class IterationStats:
     accepted_members: int = 0
     deferred: int = 0
     orphaned: int = 0
+    skipped_refused: int = 0  # probe or refine pairs not refined again: refused earlier in the run
     timings_ms: dict = field(default_factory=dict)
 
 
@@ -126,7 +132,7 @@ class RunStats:
             "edges": sum(it.edges for it in its),
             "accepted_members": sum(it.accepted_members for it in its),
         }
-        for key in ("probe_joined", "deferred", "orphaned"):
+        for key in ("probe_joined", "deferred", "orphaned", "skipped_refused"):
             out[key] = sum(getattr(it, key) for it in its)
         out["solver"] = {
             "pops": sum(st.pops for st in solved),
@@ -159,7 +165,9 @@ def refine_cluster(
 
     `member_at_anchor` and `member_features` may carry the member's pattern
     and features at its marker center when the caller already has them;
-    otherwise they are computed here.
+    otherwise they are computed here. In cosine mode the other candidate
+    center is scored by `raster.window_features`, which equals the features
+    of the pattern extracted there.
     """
     anchor = marker.center()
     if member_at_anchor is None:
@@ -168,6 +176,8 @@ def refine_cluster(
     if cosine:
         if rep_features is None:
             rep_features = raster.pattern_features(rep)
+        if member_features is None:
+            member_features = raster.pattern_features(member_at_anchor)
         try:
             shift = align.xy_minmax_align(rep, member_at_anchor)
         except align.NoCorrespondenceError:  # raised only for an empty pattern
@@ -188,17 +198,12 @@ def refine_cluster(
     best = None
     anchor_score = None
     for center in centers:
-        if center == anchor:
-            member, features = member_at_anchor, member_features
-        else:
-            member, features = extract_pattern(doc, center), None
         if cosine:
-            if features is None:
-                features = raster.pattern_features(member)
+            features = member_features if center == anchor else raster.window_features(doc, center)
             sim = raster.cosine_similarity(rep_features, features)
             score, passes = sim, sim >= doc.threshold
         else:
-            off = anchor_offset if center == anchor else align.edge_fit(rep, member)
+            off = anchor_offset if center == anchor else align.edge_fit(rep, extract_pattern(doc, center))
             if off is None:
                 continue
             score, passes = -float(off), off <= doc.threshold
@@ -229,22 +234,37 @@ def _accept(stats: RunStats, members: list, m: int, result: RefineResult) -> Non
             stats.refine_violations += 1
 
 
-def _probe(doc, stats, istats, clusters, active, anchors) -> list[int]:
+def _refine_pair(doc, istats, refused, rep_marker, m, rep_anchor, member_anchor):
+    """`refine_cluster` of marker m against marker `rep_marker`, given both
+    anchors as (pattern, features), or None without a call when the run has
+    refused that pair before: its inputs, and so its outcome, are the same
+    every time. Refusals are added to `refused`; skips are counted in
+    istats.skipped_refused."""
+    if (rep_marker, m) in refused:
+        istats.skipped_refused += 1
+        return None
+    result = refine_cluster(
+        rep_anchor[0], doc.markers[m], doc, rep_features=rep_anchor[1],
+        member_at_anchor=member_anchor[0], member_features=member_anchor[1],
+    )
+    if result is None:
+        refused.add((rep_marker, m))
+    return result
+
+
+def _probe(doc, stats, istats, clusters, active, anchors, refused) -> list[int]:
     """Stage 0: join each active marker to the first settled cluster whose
-    refinement accepts it; returns the markers that joined none. Every
+    refinement accepts it (pairs the run refused before count as refused
+    without a call); returns the markers that joined none. Every
     anchor is cached: the probe runs from iteration 1, after iteration 0's
     `_extract` read them all."""
     still = []
     for m in active:
-        pattern, features = anchors[m]
         for cluster in clusters:
-            rep_pattern, rep_features = anchors[cluster.rep_marker]
-            if not compatible(pattern, rep_pattern, doc.constraint_kind):
+            rep = cluster.rep_marker
+            if not compatible(anchors[m][0], anchors[rep][0], doc.constraint_kind):
                 continue
-            result = refine_cluster(
-                rep_pattern, doc.markers[m], doc, rep_features=rep_features,
-                member_at_anchor=pattern, member_features=features,
-            )
+            result = _refine_pair(doc, istats, refused, rep, m, anchors[rep], anchors[m])
             if result is not None:
                 _accept(stats, cluster.members, m, result)
                 istats.probe_joined += 1
@@ -293,7 +313,7 @@ def _graph(doc, slack, patterns, features, pairs) -> SimilarityGraph:
     return assemble(len(patterns), pairs, results)
 
 
-def _refine(doc, stats, istats, clusters, active, patterns, features, selections, final) -> list[int]:
+def _refine(doc, stats, istats, clusters, active, patterns, features, selections, final, refused) -> list[int]:
     """Stage 4: refine each selected member against its representative and
     commit the clusters; returns the rejected members and deferred
     representatives, sorted, for the next round. A lone selection may sit
@@ -311,10 +331,9 @@ def _refine(doc, stats, istats, clusters, active, patterns, features, selections
         for k in sel.covered:
             if k == rep_local:
                 continue
-            result = refine_cluster(
-                patterns[rep_local], doc.markers[active[k]], doc,
-                rep_features=features[rep_local],
-                member_at_anchor=patterns[k], member_features=features[k],
+            result = _refine_pair(
+                doc, istats, refused, rep_idx, active[k],
+                (patterns[rep_local], features[rep_local]), (patterns[k], features[k]),
             )
             if result is None:
                 next_active.append(active[k])
@@ -350,6 +369,7 @@ def run_full(
     active = list(range(n))
     stats = RunStats(cfg, doc.constraint_kind.value, doc.threshold, marker_count=n)
     anchors: dict[int, tuple] = {}  # marker index -> (anchor pattern, features or None)
+    refused: set[tuple[int, int]] = set()  # (representative, member) markers refinement refused
 
     for it in range(cfg.max_iterations):
         if not active:
@@ -357,7 +377,7 @@ def run_full(
         istats = IterationStats(iteration=it, slack=cfg.slack_for(doc, it), active=len(active))
         stats.iterations.append(istats)
         if clusters:  # none before iteration 1
-            active = _timed(istats, "probe", _probe, doc, stats, istats, clusters, active, anchors)
+            active = _timed(istats, "probe", _probe, doc, stats, istats, clusters, active, anchors, refused)
             if not active:
                 break
         patterns, features = _timed(istats, "extract", _extract, doc, active, anchors)
@@ -371,7 +391,7 @@ def run_full(
         istats.solver = solved.stats
         active = _timed(
             istats, "refine", _refine, doc, stats, istats, clusters, active,
-            patterns, features, solved.selections, it == cfg.max_iterations - 1,
+            patterns, features, solved.selections, it == cfg.max_iterations - 1, refused,
         )
 
     # anything still unassigned becomes its own cluster at its anchor
@@ -405,16 +425,20 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
 
     Accepts a list of Cluster records or a ClusterReport (whose rows name
     each cluster's representative; it is checked at its marker center).
-    Re-extracts each member at its stored center and tests the strict
-    constraint against its cluster representative, plus center-in-marker
-    validity and the exactly-one-cluster-per-marker invariant. In edgemove
-    mode a member whose polygon count differs from the representative's has
-    no one-to-one correspondence and fails, as refine_cluster refuses it.
+    Reads each member's window at its stored center from the layout again
+    and tests the strict constraint against its cluster representative,
+    plus center-in-marker validity and the exactly-one-cluster-per-marker
+    invariant. In edgemove mode a member whose polygon count differs from
+    the representative's has no one-to-one correspondence and fails, as
+    refine_cluster refuses it.
 
     The check is independent of the run on purpose: it never reads the
-    anchors `run_full` cached, and extracts and rasterises every window
-    itself. `cfg` is not read, since no run setting changes what a valid
-    assignment is; it stays for callers that pass their config.
+    anchors `run_full` cached. In cosine mode it rasterises every window
+    from the layout's decomposition rectangles (`raster.window_features`,
+    equal bit for bit to the features of the extracted pattern); in
+    edgemove mode it extracts every window. `cfg` is not read, since no run
+    setting changes what a valid assignment is; it stays for callers that
+    pass their config.
     """
     if isinstance(clusters, ClusterReport):
         try:
@@ -422,32 +446,28 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
         except ValueError as exc:
             return Verdict(False, str(exc))
         clusters = _clusters_from_report(clusters, doc)
+    cosine = doc.constraint_kind is ConstraintKind.COSINE
     seen = set()
     for cid, cluster in enumerate(clusters):
-        rep = extract_pattern(doc, cluster.rep_center)
-        rep_features = (
-            raster.pattern_features(rep)
-            if doc.constraint_kind is ConstraintKind.COSINE
-            else None
-        )
+        if cosine:
+            rep_features = raster.window_features(doc, cluster.rep_center)
+        else:
+            rep = extract_pattern(doc, cluster.rep_center)
         for m, (cx, cy) in cluster.members:
             if m in seen:
                 return Verdict(False, f"marker {doc.marker_ids[m]} assigned twice")
             seen.add(m)
             if not doc.markers[m].contains(cx, cy):
                 return Verdict(False, f"center ({cx}, {cy}) outside marker {doc.marker_ids[m]}")
-            member = extract_pattern(doc, (cx, cy))
-            if doc.constraint_kind is ConstraintKind.COSINE:
-                sim = raster.cosine_similarity(
-                    rep_features, raster.pattern_features(member)
-                )
+            if cosine:
+                sim = raster.cosine_similarity(rep_features, raster.window_features(doc, (cx, cy)))
                 if sim < doc.threshold:
                     return Verdict(
                         False,
                         f"cluster {cid}: marker {doc.marker_ids[m]} similarity {sim:.6f} < {doc.threshold}",
                     )
             else:
-                off = align.edge_fit(rep, member)
+                off = align.edge_fit(rep, extract_pattern(doc, (cx, cy)))
                 if off is None:
                     return Verdict(False, f"cluster {cid}: marker {doc.marker_ids[m]} has no correspondence")
                 if off > doc.threshold:

@@ -1,9 +1,13 @@
 """Rasterization and spectral features for pattern windows.
 
 Pixels hold exact area-coverage fractions: each shape is decomposed into
-rectangles and the rectangle/pixel overlap is accumulated in integer
-arithmetic before a single float division. No supersampling is involved, so
-coverage is exact for any grid size.
+rectangles and the rectangle/pixel overlaps are summed as exact integers
+(in a float64 matrix product while every pixel stays below 2^53, in int64
+past that) before a single float division. No supersampling is involved, so coverage is exact
+for any grid size, and any disjoint decomposition of the same area gives
+the same pixels: `window_features` reads a window's rectangles straight
+from the layout and equals the features of the extracted pattern bit for
+bit.
 
 A window's feature vector is the low-frequency 32 x 32 block of the
 orthonormal 2D DCT of its coverage on a 64-pixel grid, scaled to unit
@@ -23,6 +27,7 @@ from .geometry import Pattern, rectangles
 
 GRID = 64   # raster side in pixels of every feature vector
 DCT_K = 32  # side of the low-frequency DCT block kept as the feature vector
+_EXACT = 2**53  # float64 holds every integer below this exactly
 
 
 @dataclass(eq=False)
@@ -49,31 +54,48 @@ def _check_side(side: int):
 def coverage_grid(pattern: Pattern, side: int) -> np.ndarray:
     """Integer coverage numerators per pixel; the common denominator is (2R)^2.
 
-    Coordinates are scaled by the grid side so pixel boundaries are integers.
-    Every decomposition rectangle gets an exact 1-D overlap with each pixel
-    column and each pixel row (0 outside its span), and the grid is the sum of
-    their outer products, taken as one int64 matrix product. Summing the grid
-    gives total shape area times side^2.
+    Summing the grid gives total shape area times side^2.
     """
     _check_side(side)
-    r = pattern.radius
-    den = 2 * r  # pixel width in scaled coordinates
     rects = [rc for shape in pattern.shapes for rc in rectangles(shape)]
-    if not rects:
-        return np.zeros((side, side), dtype=np.int64)
-    s = (np.asarray(rects, dtype=np.int64) + r) * side  # columns x0, y0, x1, y1
-    edges = np.arange(side + 1, dtype=np.int64) * den
+    grid = _coverage(np.asarray(rects, dtype=np.int64).reshape(-1, 4), pattern.radius, side)
+    return grid.astype(np.int64, copy=False)
+
+
+def _coverage(rects: np.ndarray, r: int, side: int) -> np.ndarray:
+    """Coverage numerators of window-local rectangles (int64 rows x0, y0, x1,
+    y1 inside [-r, r]^2) on a side x side grid.
+
+    Coordinates are scaled by the grid side so pixel boundaries are integers
+    (at most 2r * side <= 1.28e9, exact in float64). Every rectangle gets an
+    exact 1-D overlap with each pixel column and each pixel row (0 outside
+    its span), and the grid is the sum of their outer products, taken as one
+    float64 (BLAS) matrix product. That product is exact: each term is an
+    integer of at most (2r)^2 <= 4e14 < 2^53 and none is negative, so every
+    partial sum is at most the pixel's total, and a computed maximum below
+    2^53 means no partial sum was rounded. Only more than 22 stacked full
+    pixels near MAX_RADIUS reach 2^53; the grid is then summed again in
+    int64. The result holds exact integers, in float64 or int64, so it does
+    not depend on the order or the grouping of `rects`.
+    """
+    edges = np.arange(side + 1) * float(2 * r)  # pixel width in scaled units
     lo, hi = edges[:-1], edges[1:]
-    xov = np.maximum(np.minimum(s[:, 2:3], hi) - np.maximum(s[:, 0:1], lo), 0)
-    yov = np.maximum(np.minimum(s[:, 3:4], hi) - np.maximum(s[:, 1:2], lo), 0)
-    return yov.T @ xov
+    s = ((rects + r) * side).astype(np.float64)
+    xov = np.maximum(np.minimum(s[:, 2:3], hi) - np.maximum(s[:, 0:1], lo), 0.0)
+    yov = np.maximum(np.minimum(s[:, 3:4], hi) - np.maximum(s[:, 1:2], lo), 0.0)
+    grid = yov.T @ xov
+    if grid.max(initial=0.0) >= _EXACT:
+        return yov.T.astype(np.int64) @ xov.astype(np.int64)
+    return grid
+
+
+def _bitmap(grid: np.ndarray, r: int, side: int) -> Bitmap:
+    return Bitmap(side, grid / float((2 * r) ** 2), Fraction(2 * r, side))
 
 
 def rasterize(pattern: Pattern, side: int = GRID) -> Bitmap:
     """Coverage-fraction bitmap of the pattern window on a side x side grid."""
-    grid = coverage_grid(pattern, side)
-    den = (2 * pattern.radius) ** 2
-    return Bitmap(side, grid / float(den), Fraction(2 * pattern.radius, side))
+    return _bitmap(coverage_grid(pattern, side), pattern.radius, side)
 
 
 def dct_features(bitmap: Bitmap, k: int = DCT_K) -> np.ndarray:
@@ -83,6 +105,11 @@ def dct_features(bitmap: Bitmap, k: int = DCT_K) -> np.ndarray:
     return dctn(bitmap.pixels, norm="ortho")[:k, :k].ravel()
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm else v
+
+
 def pattern_features(pattern: Pattern) -> np.ndarray:
     """The DCT_K x DCT_K DCT block of the window's GRID-pixel raster, scaled
     to unit length; all zeros when empty.
@@ -90,9 +117,21 @@ def pattern_features(pattern: Pattern) -> np.ndarray:
     Coverage is non-negative, so the DC term, and with it the norm, is zero
     only for an empty window.
     """
-    v = dct_features(rasterize(pattern))
-    norm = float(np.linalg.norm(v))
-    return v / norm if norm else v
+    return _unit(dct_features(rasterize(pattern)))
+
+
+def window_features(doc, center) -> np.ndarray:
+    """`pattern_features(extract_pattern(doc, center))`, bit for bit, read
+    from the layout's decomposition rectangles (`doc.window_rectangles`)
+    without clipping or tracing a polygon.
+
+    Coverage is additive over any disjoint decomposition of the same area,
+    so both paths sum the same integer numerators, and every later step is
+    the same arithmetic on the same grid. Overlapping polygons are counted
+    twice on both paths.
+    """
+    r = doc.pattern_radius
+    return _unit(dct_features(_bitmap(_coverage(doc.window_rectangles(center), r, GRID), r, GRID)))
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

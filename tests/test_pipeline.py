@@ -268,8 +268,9 @@ class TestRunRecord:
         doc = jittered_docs[EDGE]
         cfg = IterationConfig(max_iterations=2, use_prescreen=False)
         record = run_full(doc, cfg)[2].to_json()
-        assert record["schema"] == SCHEMA == 2
+        assert record["schema"] == SCHEMA == 3
         assert "refine_checks" not in record  # schema 2 dropped it: probe_joined + accepted_members
+        assert record["skipped_refused"] == 0  # schema 3 added it
         assert record["config"] == {"max_iterations": 2, "use_prescreen": False}
         assert (record["constraint"], record["threshold"]) == ("edgemove", doc.threshold)
         assert list(record)[-1] == "iterations"
@@ -297,7 +298,7 @@ class TestRunRecord:
         for doc in self._docs(jittered_docs):
             record = run_full(doc)[2].to_json()
             its = record["iterations"]
-            for key in ("probe_joined", "deferred", "orphaned"):
+            for key in ("probe_joined", "deferred", "orphaned", "skipped_refused"):
                 assert record[key] == sum(it[key] for it in its)
             assert record["solver"] == {
                 key: sum(it["solver"][key] for it in its if it["solver"])
@@ -344,6 +345,30 @@ class TestRunRecord:
         record = run_full(unlike)[2].to_json()
         assert record["cluster_count"] == 3
         assert record["funnel"]["edges"] == record["funnel"]["accepted_members"] == 0
+
+
+class TestRefusedPairs:
+    def test_no_pair_refined_twice(self, jittered_docs, monkeypatch):
+        # the near-duplicate is refused against its representative in round
+        # 0 and meets it again in the probe; refining it again would give
+        # the same refusal, so the run skips the pair and counts the skip
+        real = pipeline.refine_cluster
+        pairs = Counter()
+
+        def recording(rep, marker, *args, **kwargs):
+            pairs[rep.center, marker] += 1
+            return real(rep, marker, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "refine_cluster", recording)
+        calls = probed = skipped = 0
+        for doc in TestRunRecord._docs(jittered_docs):
+            pairs.clear()
+            stats = run_full(doc)[2]
+            assert max(pairs.values(), default=1) == 1, pairs.most_common(3)
+            calls += pairs.total()
+            probed += any("probe" in it.timings_ms for it in stats.iterations)
+            skipped += stats.to_json()["skipped_refused"]
+        assert calls and probed and skipped
 
 
 class TestOnGraph:

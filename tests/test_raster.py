@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pattern_forge.geometry import Pattern, Polygon, _trace_union, clip_polygon, rectangles
-from pattern_forge.layout_io import MAX_RADIUS
+from pattern_forge.geometry import Pattern, Polygon, _trace_union, clip_polygon, extract_pattern, rectangles
+from pattern_forge.layout_io import MAX_RADIUS, ConstraintKind, LayoutDocument
 from pattern_forge.raster import (
     cosine_similarity,
     coverage_grid,
     dct_features,
     pattern_features,
     rasterize,
+    window_features,
 )
 
 from conftest import rect, random_rect_union, staircase
@@ -121,6 +122,88 @@ class TestCoverageGridOracle:
         assert got.dtype == np.int64
         assert got.shape == (side, side)
         assert np.array_equal(got, want)
+
+
+class TestStackedCoverage:
+    # A pixel covered by k stacked squares holds k (2R)^2, past 2^53 from
+    # k = 23 at MAX_RADIUS, so every case here takes the int64 path.
+    # Multiples of 4 stay exact in float64 up to 2^55: only 101 squares at
+    # an odd R would come out wrong from the float64 product alone.
+    @pytest.mark.parametrize("count", [23, 101])
+    @pytest.mark.parametrize("radius", [MAX_RADIUS, MAX_RADIUS - 3])
+    def test_deep_stacks_stay_exact(self, count, radius):
+        full = rect(-radius, -radius, radius, radius)
+        inset = rect(-radius + 1, -radius + 3, radius - 5, radius)
+        p = _pat(*[full if k % 2 else inset for k in range(count)], radius=radius)
+        rects = [rc for shape in p.shapes for rc in rectangles(shape)]
+        got = coverage_grid(p, 64)
+        assert got.dtype == np.int64 and int(got.max()) >= 2**53
+        assert np.array_equal(got, coverage_grid_loop(rects, radius, 64))
+
+
+def _u_shape(x0, y0, x1, y1, notch) -> Polygon:
+    """A U: the box x0..x1, y0..y1 minus a notch from the top, `notch` nm
+    in from each side and half the height deep. A window across the notch
+    cuts it into two pieces."""
+    ym = (y0 + y1) // 2
+    return Polygon.from_vertices([
+        (x0, y0), (x1, y0), (x1, y1), (x1 - notch, y1),
+        (x1 - notch, ym), (x0 + notch, ym), (x0 + notch, y1), (x0, y1),
+    ])
+
+
+@st.composite
+def _layout_window(draw):
+    """A layout of rectangles, staircases and U shapes around one window.
+
+    Coordinates are drawn from the window's own edges as often as from the
+    range around it, so shapes cross the edge, stop on it, touch it from
+    outside and overlap each other; a U across the edge splits in two.
+    """
+    radius = draw(st.sampled_from([5, 17, 32, 77, MAX_RADIUS - 3, MAX_RADIUS]))
+    cx, cy = draw(st.integers(-3 * radius, 3 * radius)), draw(st.integers(-3 * radius, 3 * radius))
+    xs = st.one_of(st.sampled_from([cx - radius, cx + radius]), st.integers(cx - 2 * radius, cx + 2 * radius))
+    ys = st.one_of(st.sampled_from([cy - radius, cy + radius]), st.integers(cy - 2 * radius, cy + 2 * radius))
+    polys = []
+    for _ in range(draw(st.integers(0, 6))):
+        x0, y0 = draw(xs), draw(ys)
+        w, h = draw(st.integers(4, 2 * radius)), draw(st.integers(4, 2 * radius))
+        kind = draw(st.sampled_from(["rect", "stairs", "u"]))
+        if kind == "rect":
+            polys.append(rect(x0, y0, x0 + w, y0 + h))
+        elif kind == "stairs":
+            polys.append(staircase(draw(st.integers(1, 3)), run=w, rise=h, x0=x0, y0=y0))
+        else:
+            polys.append(_u_shape(x0, y0, x0 + w, y0 + h, draw(st.integers(1, (w - 1) // 2))))
+    return _layout(polys, radius), (cx, cy)
+
+
+def _layout(polys, radius) -> LayoutDocument:
+    return LayoutDocument(
+        radius, ConstraintKind.COSINE, 0.9, tuple(polys), tuple(range(len(polys))), (), (),
+    )
+
+
+class TestWindowFeatures:
+    @given(_layout_window())
+    @example((_layout([], 32), (0, 0)))
+    @example((_layout([_u_shape(-40, -60, 40, 10, 20)], 32), (0, 30)))  # two prongs
+    @example((_layout([rect(32, -8, 60, 8), rect(-8, 32, 8, 50)], 32), (0, 0)))  # touch only
+    @example((_layout([rect(-MAX_RADIUS, -MAX_RADIUS, MAX_RADIUS, MAX_RADIUS)] * 3, MAX_RADIUS), (0, 0)))
+    def test_equals_extracted_pattern_features(self, layout_window):
+        doc, center = layout_window
+        got = window_features(doc, center)
+        want = pattern_features(extract_pattern(doc, center))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_window_rectangles_tile_the_extracted_shapes(self):
+        doc = _layout([_u_shape(-40, -60, 40, 10, 20), rect(32, -8, 60, 8)], 32)
+        pattern = extract_pattern(doc, (0, 30))
+        assert len(pattern.shapes) == 2  # the U's two prongs; the bar only touches
+        rows = doc.window_rectangles((0, 30))
+        assert rows.dtype == np.int64 and (np.abs(rows) <= 32).all()
+        area = int(((rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])).sum())
+        assert area == pattern.total_area()
 
 
 class TestRasterize:

@@ -1,0 +1,61 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from pattern_forge.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "same_outputs.py"
+
+
+def _script_module():
+    """scripts/same_outputs.py, executed from its source text into a
+    namespace of its own."""
+    ns = {"__name__": "same_outputs", "__file__": str(SCRIPT)}
+    exec(compile(SCRIPT.read_text(encoding="utf-8"), str(SCRIPT), "exec"), ns)
+    return ns
+
+
+def _outputs(record: dict, report: bytes = b"r\n", graph: bytes = b"0 1\n") -> dict:
+    return {"report.csv": report, "graph.txt": graph, "record.json": json.dumps(record).encode()}
+
+
+def _record(schema=3, clusters=4, **extra) -> dict:
+    """A run record; `extra` fields go to the totals and to the iteration."""
+    return {"schema": schema, "wall_ms": 1.0, "stage_ms": {"probe": 2.0}, "clusters": clusters, **extra,
+            "iterations": [{"edges": 7, "timings_ms": {"graph": 3.0}, **extra}]}
+
+
+class TestSameOutputs:
+    def test_checkout_against_itself(self, tmp_path):
+        layout = tmp_path / "small.lay"
+        assert main(["generate", "--output", str(layout), "--templates", "2", "--instances", "3",
+                     "--jitter", "4", "--seed", "3"]) == 0
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--layout", str(layout)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines == ["small.lay prescreen: same", "small.lay --no-prescreen: same", "no differences"]
+
+    def test_compare_ignores_timings_only(self):
+        compare = _script_module()["_compare"]
+        a = _outputs(_record())
+        timed = _record()
+        timed["wall_ms"] = 9.0
+        timed["iterations"][0]["timings_ms"] = {"graph": 8.0}
+        assert compare(a, _outputs(timed)) == ([], [])
+        assert compare(a, _outputs(_record(), graph=b"0 2\n"))[0] == ["graph.txt differs"]
+        assert compare(a, _outputs(_record(clusters=5)))[0] == ["record.json differs in clusters"]
+        # a field only one side has is a difference within one schema ...
+        assert compare(a, _outputs(_record(skipped=1)))[0] == ["record.json differs in iterations, skipped"]
+
+    def test_compare_across_schemas_skips_one_sided_fields(self):
+        compare = _script_module()["_compare"]
+        # ... and is left out, and named, across schemas
+        diffs, skipped = compare(_outputs(_record(schema=2)), _outputs(_record(skipped=1)))
+        assert (diffs, skipped) == ([], ["record.iterations[].skipped", "record.skipped"])
+        diffs, _skipped = compare(_outputs(_record(schema=2, clusters=5)), _outputs(_record(skipped=1)))
+        assert diffs == ["record.json differs in clusters"]
