@@ -7,19 +7,15 @@ the representative it is assigned to.
 
 `evaluate_pair_relaxed` tests one pair. In edgemove mode the graph stage
 calls `evaluate_pairs_edgemove` instead, which gives the same result for
-every pair of a list: pairs whose two patterns share a layout (shape by
-shape, the same direction sequence and rectangle count) are scored in one
-array pass per block once a stacked overlap test proves that their
-zero-shift correspondence is the identity; the rest fall back to
-`evaluate_pair_relaxed`, one call per pair.
+every pair of a list: it thresholds the residuals of
+`align.iter_edge_fits`, the kernel that scores pairs of patterns sharing a
+layout in array blocks and calls `align.edge_fit_aligned` for the rest.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import align, raster
-from .geometry import Pattern, Translation, ZERO_SHIFT, identity_correspondences
+from .geometry import Pattern, Translation, ZERO_SHIFT
 from .layout_io import ConstraintKind, LayoutDocument
 
 
@@ -93,67 +89,16 @@ def evaluate_pair_relaxed(
     return fit[0] if fit is not None and fit[1] <= doc.threshold + slack else None
 
 
-# Pairs per array pass of evaluate_pairs_edgemove. A block's temporaries
-# take about 3 KB per pair on the benchmark's edgemove windows, and 256
-# pairs keep the run's peak RSS within 0.2 MB of scoring pair by pair
-# (1,024 pairs: +0.6-0.9 MB) at no measurable cost in time. Blocks also
-# shrink to keep the (pairs x R x R) overlap arrays of patterns of R
-# rectangles within BATCH_CELLS.
-BATCH_PAIRS = 256
-BATCH_CELLS = 1 << 20
-
-
 def evaluate_pairs_edgemove(patterns, pairs, doc: LayoutDocument, slack: float = 0.0) -> list:
     """[evaluate_pair_relaxed(patterns[i], patterns[j], doc, slack) for i, j
-    in pairs] for an edgemove document, scoring most pairs in array passes.
-
-    Pairs whose patterns have equal `EdgeView.layout_key`s are grouped by
-    key and taken in blocks. For each block a stacked strict rectangle
-    overlap test, folded to shapes through `owner`, checks that shape k of
-    one pattern overlaps shape k of the other and nothing else, i.e. that
-    the zero-shift correspondence `match_polygons` finds is the identity;
-    the per-axis hulls of `coords[j] - coords[i]` then give `_hull_fit`'s
-    shift and residual, accepted within threshold + slack. A pair whose
-    correspondence is not the identity, or whose keys differ with equal
-    shape counts, goes through `evaluate_pair_relaxed`; unequal shape counts
-    have no one-to-one correspondence and are refused without a call.
-    """
-    results: list = [None] * len(pairs)
-    if not pairs:
-        return results
-    views = [p.edge_view() for p in patterns]
-    key_ids: dict = {}
-    kid = np.asarray([key_ids.setdefault(v.layout_key, len(key_ids)) for v in views])
-    counts = np.asarray([len(p.shapes) for p in patterns])
-    ij = np.asarray(pairs, dtype=np.int64)
-    ki, kj = kid[ij[:, 0]], kid[ij[:, 1]]
-    fallback = np.flatnonzero((ki != kj) & (counts[ij[:, 0]] == counts[ij[:, 1]])).tolist()
-    same = np.flatnonzero(ki == kj)
-    same = same[np.argsort(ki[same], kind="stable")]
+    in pairs] for an edgemove document: the fits of `align.iter_edge_fits`
+    whose residual is within threshold + slack. Only the accepted shifts are
+    kept, so the stage never holds a fit per pair."""
     limit = doc.threshold + slack
-    for group in np.split(same, np.flatnonzero(np.diff(ki[same])) + 1):
-        if not len(group):
-            continue
-        members = np.unique(ij[group])
-        first = views[members[0]]
-        rects = np.stack([views[m].rects for m in members])
-        coords = np.stack([views[m].coords for m in members])
-        step = max(1, min(BATCH_PAIRS, BATCH_CELLS // max(1, len(first.owner)) ** 2))
-        for lo in range(0, len(group), step):
-            block = group[lo:lo + step]
-            ga = np.searchsorted(members, ij[block, 0])
-            gb = np.searchsorted(members, ij[block, 1])
-            ok = identity_correspondences(rects[ga], rects[gb], first.rect_counts)
-            dx, dy, residual = align.hull_fits(coords[gb] - coords[ga], first.x_axis)
-            for k, good, x, y, r in zip(block.tolist(), ok.tolist(), dx.tolist(),
-                                        dy.tolist(), residual.tolist()):
-                if not good:
-                    fallback.append(k)
-                elif r <= limit:
-                    results[k] = Translation(x, y)
-    for k in fallback:
-        i, j = pairs[k]
-        results[k] = evaluate_pair_relaxed(patterns[i], patterns[j], doc, slack)
+    results: list = [None] * len(pairs)
+    for k, fit in align.iter_edge_fits(patterns, pairs):
+        if fit is not None and fit[1] <= limit:
+            results[k] = fit[0]
     return results
 
 

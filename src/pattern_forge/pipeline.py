@@ -16,7 +16,10 @@ for the rest of that run: the probe (for the orphan and for each cluster's
 representative), `_extract` in every iteration and the refinement of the
 member at its anchor all read the same entry. In cosine mode every other
 center refinement tries is scored by `raster.window_features`, straight
-from the layout's decomposition rectangles, with no pattern extracted.
+from the layout's decomposition rectangles, with no pattern extracted. In
+edgemove mode `_refine` refines all members of a selection at once
+(`refine_edgemove`, two `align.edge_fits` calls); the probe refines one
+pair at a time through `refine_cluster`, its one-member case.
 Refinement of a (representative, member) marker pair depends on nothing
 else, so a run that refused a pair never refines it again: the probe and
 `_refine` skip it and count the skip. Verification reads no run state: it
@@ -157,11 +160,8 @@ def refine_cluster(
     marker-center anchor, each clamped into the marker; the candidate with the
     best strict-constraint score wins and is accepted only if it passes the
     strict threshold. The anchor is always a candidate, so an accepted center
-    never scores below the anchor. In edgemove mode the strict check is
-    `align.edge_fit`: the polygons must correspond one-to-one, so a center
-    whose window holds more or fewer polygons than the representative's is
-    refused whatever its edge offsets. The anchor's offset comes from the
-    same pairing as the aligner's shift, so the anchor is paired only once.
+    never scores below the anchor. In edgemove mode this is
+    `refine_edgemove` of the one member.
 
     `member_at_anchor` and `member_features` may carry the member's pattern
     and features at its marker center when the caller already has them;
@@ -172,19 +172,16 @@ def refine_cluster(
     anchor = marker.center()
     if member_at_anchor is None:
         member_at_anchor = extract_pattern(doc, anchor)
-    cosine = doc.constraint_kind is ConstraintKind.COSINE
-    if cosine:
-        if rep_features is None:
-            rep_features = raster.pattern_features(rep)
-        if member_features is None:
-            member_features = raster.pattern_features(member_at_anchor)
-        try:
-            shift = align.xy_minmax_align(rep, member_at_anchor)
-        except align.NoCorrespondenceError:  # raised only for an empty pattern
-            shift = None
-    else:
-        fit = align.edge_fit_aligned(rep, member_at_anchor)
-        shift, anchor_offset = (fit[0], fit[2]) if fit else (None, None)
+    if doc.constraint_kind is ConstraintKind.EDGEMOVE:
+        return refine_edgemove(rep, [(marker, member_at_anchor)], doc)[0]
+    if rep_features is None:
+        rep_features = raster.pattern_features(rep)
+    if member_features is None:
+        member_features = raster.pattern_features(member_at_anchor)
+    try:
+        shift = align.xy_minmax_align(rep, member_at_anchor)
+    except align.NoCorrespondenceError:  # raised only for an empty pattern
+        shift = None
 
     centers = []
     for t in (shift, ZERO_SHIFT):
@@ -198,22 +195,51 @@ def refine_cluster(
     best = None
     anchor_score = None
     for center in centers:
-        if cosine:
-            features = member_features if center == anchor else raster.window_features(doc, center)
-            sim = raster.cosine_similarity(rep_features, features)
-            score, passes = sim, sim >= doc.threshold
-        else:
-            off = anchor_offset if center == anchor else align.edge_fit(rep, extract_pattern(doc, center))
-            if off is None:
-                continue
-            score, passes = -float(off), off <= doc.threshold
+        features = member_features if center == anchor else raster.window_features(doc, center)
+        score = raster.cosine_similarity(rep_features, features)
         if center == anchor:
             anchor_score = score
-        if passes and (best is None or score > best[1]):
+        if score >= doc.threshold and (best is None or score > best[1]):
             best = (center, score)
     if best is None:
         return None
     return RefineResult(best[0], best[1], anchor_score)
+
+
+def refine_edgemove(rep: Pattern, members, doc: LayoutDocument) -> list:
+    """`refine_cluster` in edgemove mode for every (marker, member pattern
+    at its marker center) of `members` against one representative, in two
+    `align.edge_fits` calls.
+
+    The first pairs the representative with each member at its anchor. Its
+    shift, clamped into the marker, is the aligned candidate center, and its
+    raw offset scores the anchor, so the anchor is paired only once. The
+    windows at the aligned centers that differ from their anchors are
+    extracted and scored by the second call's raw offsets. A member wins at
+    its best-scoring candidate whose offset is within the threshold, the
+    aligned center first and winning ties; a member without a one-to-one
+    correspondence at either center (such as a window holding more or fewer
+    polygons than the representative's) is refused, as None.
+    """
+    fits = align.edge_fits([(rep, p) for _marker, p in members])
+    moved = {}  # member position -> its aligned center, where that is not its anchor
+    for k, ((marker, _p), fit) in enumerate(zip(members, fits)):
+        if fit is not None:
+            anchor = marker.center()
+            c = align.clamp_to_marker(fit[0], anchor, marker)
+            if not c.is_zero():
+                moved[k] = (anchor[0] + c.dx, anchor[1] + c.dy)
+    moved_fits = align.edge_fits([(rep, extract_pattern(doc, c)) for c in moved.values()])
+    moved_offsets = {k: None if f is None else f[2] for k, f in zip(moved, moved_fits)}
+    results = []
+    for k, ((marker, _p), fit) in enumerate(zip(members, fits)):
+        best = None
+        if fit is not None:
+            for center, off in ((moved.get(k), moved_offsets.get(k)), (marker.center(), fit[2])):
+                if off is not None and off <= doc.threshold and (best is None or -off > best[1]):
+                    best = (center, -float(off))
+        results.append(None if best is None else RefineResult(best[0], best[1], -float(fit[2])))
+    return results
 
 
 def _timed(istats: IterationStats, stage: str, fn, *args):
@@ -234,41 +260,41 @@ def _accept(stats: RunStats, members: list, m: int, result: RefineResult) -> Non
             stats.refine_violations += 1
 
 
-def _refine_pair(doc, istats, refused, rep_marker, m, rep_anchor, member_anchor):
-    """`refine_cluster` of marker m against marker `rep_marker`, given both
-    anchors as (pattern, features), or None without a call when the run has
-    refused that pair before: its inputs, and so its outcome, are the same
-    every time. Refusals are added to `refused`; skips are counted in
+def _refused_before(istats, refused, rep_marker: int, m: int) -> bool:
+    """Whether the run has refused refining marker m against marker
+    `rep_marker` before: its inputs, and so its outcome, are the same every
+    time, so the caller skips the pair. Skips are counted in
     istats.skipped_refused."""
     if (rep_marker, m) in refused:
         istats.skipped_refused += 1
-        return None
-    result = refine_cluster(
-        rep_anchor[0], doc.markers[m], doc, rep_features=rep_anchor[1],
-        member_at_anchor=member_anchor[0], member_features=member_anchor[1],
-    )
-    if result is None:
-        refused.add((rep_marker, m))
-    return result
+        return True
+    return False
 
 
 def _probe(doc, stats, istats, clusters, active, anchors, refused) -> list[int]:
     """Stage 0: join each active marker to the first settled cluster whose
     refinement accepts it (pairs the run refused before count as refused
-    without a call); returns the markers that joined none. Every
-    anchor is cached: the probe runs from iteration 1, after iteration 0's
-    `_extract` read them all."""
+    without a call, and new refusals are added to `refused`); returns the
+    markers that joined none. Every anchor is cached: the probe runs from
+    iteration 1, after iteration 0's `_extract` read them all."""
     still = []
     for m in active:
         for cluster in clusters:
             rep = cluster.rep_marker
             if not compatible(anchors[m][0], anchors[rep][0], doc.constraint_kind):
                 continue
-            result = _refine_pair(doc, istats, refused, rep, m, anchors[rep], anchors[m])
-            if result is not None:
-                _accept(stats, cluster.members, m, result)
-                istats.probe_joined += 1
-                break
+            if _refused_before(istats, refused, rep, m):
+                continue
+            result = refine_cluster(
+                anchors[rep][0], doc.markers[m], doc, rep_features=anchors[rep][1],
+                member_at_anchor=anchors[m][0], member_features=anchors[m][1],
+            )
+            if result is None:
+                refused.add((rep, m))
+                continue
+            _accept(stats, cluster.members, m, result)
+            istats.probe_joined += 1
+            break
         else:
             still.append(m)
     return still
@@ -298,9 +324,9 @@ def _candidates(doc, cfg, patterns) -> CandidatePairSet:
 def _graph(doc, slack, patterns, features, pairs) -> SimilarityGraph:
     """Stage 2: the relaxed test on every candidate pair, assembled into the
     iteration's similarity graph. Edgemove mode scores the pairs in blocks
-    with `evaluate_pairs_edgemove`, which calls `evaluate_pair_relaxed` only
-    for pairs whose shapes it cannot line up by position; cosine mode calls
-    `evaluate_pair_relaxed` on each pair with the cached features."""
+    with `evaluate_pairs_edgemove`, which calls `align.edge_fit_aligned`
+    only for pairs whose shapes it cannot line up by position; cosine mode
+    calls `evaluate_pair_relaxed` on each pair with the cached features."""
     if doc.constraint_kind is ConstraintKind.EDGEMOVE:
         results = evaluate_pairs_edgemove(patterns, pairs, doc, slack)
     else:
@@ -316,9 +342,12 @@ def _graph(doc, slack, patterns, features, pairs) -> SimilarityGraph:
 def _refine(doc, stats, istats, clusters, active, patterns, features, selections, final, refused) -> list[int]:
     """Stage 4: refine each selected member against its representative and
     commit the clusters; returns the rejected members and deferred
-    representatives, sorted, for the next round. A lone selection may sit
-    out this round and try the probe later -- but only when there is (or
-    will be) a settled cluster to join; otherwise singletons commit at once."""
+    representatives, sorted, for the next round. Edgemove mode refines the
+    members of a selection together (`refine_edgemove`), cosine mode one at
+    a time (`refine_cluster`); pairs the run refused before are skipped.
+    A lone selection may sit out this round and try the probe later -- but
+    only when there is (or will be) a settled cluster to join; otherwise
+    singletons commit at once."""
     defer_allowed = not final and (
         bool(clusters) or any(len(sel.covered) >= 2 for sel in selections)
     )
@@ -328,14 +357,24 @@ def _refine(doc, stats, istats, clusters, active, patterns, features, selections
         rep_idx = active[rep_local]
         rep_center = doc.markers[rep_idx].center()
         members = [(rep_idx, rep_center)] if rep_local in sel.covered else []
-        for k in sel.covered:
-            if k == rep_local:
-                continue
-            result = _refine_pair(
-                doc, istats, refused, rep_idx, active[k],
-                (patterns[rep_local], features[rep_local]), (patterns[k], features[k]),
-            )
+        others = [k for k in sel.covered if k != rep_local]
+        tried = [k for k in others if not _refused_before(istats, refused, rep_idx, active[k])]
+        rep = patterns[rep_local]
+        if doc.constraint_kind is ConstraintKind.EDGEMOVE:
+            found = refine_edgemove(rep, [(doc.markers[active[k]], patterns[k]) for k in tried], doc)
+        else:
+            found = [
+                refine_cluster(
+                    rep, doc.markers[active[k]], doc, rep_features=features[rep_local],
+                    member_at_anchor=patterns[k], member_features=features[k],
+                )
+                for k in tried
+            ]
+        results = dict(zip(tried, found))
+        for k in others:
+            result = results.get(k)
             if result is None:
+                refused.add((rep_idx, active[k]))
                 next_active.append(active[k])
                 istats.orphaned += 1
                 continue
@@ -436,9 +475,10 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
     anchors `run_full` cached. In cosine mode it rasterises every window
     from the layout's decomposition rectangles (`raster.window_features`,
     equal bit for bit to the features of the extracted pattern); in
-    edgemove mode it extracts every window. `cfg` is not read, since no run
-    setting changes what a valid assignment is; it stays for callers that
-    pass their config.
+    edgemove mode it extracts every window and scores each cluster's
+    members in one `align.edge_fits` call, before the checks run in member
+    order. `cfg` is not read, since no run setting changes what a valid
+    assignment is; it stays for callers that pass their config.
     """
     if isinstance(clusters, ClusterReport):
         try:
@@ -453,7 +493,8 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
             rep_features = raster.window_features(doc, cluster.rep_center)
         else:
             rep = extract_pattern(doc, cluster.rep_center)
-        for m, (cx, cy) in cluster.members:
+            fits = align.edge_fits([(rep, extract_pattern(doc, c)) for _m, c in cluster.members])
+        for n, (m, (cx, cy)) in enumerate(cluster.members):
             if m in seen:
                 return Verdict(False, f"marker {doc.marker_ids[m]} assigned twice")
             seen.add(m)
@@ -467,7 +508,7 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
                         f"cluster {cid}: marker {doc.marker_ids[m]} similarity {sim:.6f} < {doc.threshold}",
                     )
             else:
-                off = align.edge_fit(rep, extract_pattern(doc, (cx, cy)))
+                off = None if fits[n] is None else fits[n][2]
                 if off is None:
                     return Verdict(False, f"cluster {cid}: marker {doc.marker_ids[m]} has no correspondence")
                 if off > doc.threshold:

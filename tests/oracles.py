@@ -2,9 +2,10 @@
 
 Everything here favors obviousness over speed: unit-cell parity scans for
 geometry, per-polygon overlap tests and edge walks for polygon pairing,
-direct double-sum DCT, linear scans for min-max fits, a full-update greedy
-set cover. Only the eager solver shares code with the package: it
-scores and covers through `scp._gain` and `scp._cover`, so its float sums are
+direct double-sum DCT, linear scans for min-max fits, edgemove refinement
+and verification one member at a time, a full-update greedy set cover.
+Only the eager solver shares code with the package: it scores and covers
+through `scp._gain` and `scp._cover`, so its float sums are
 bit-identical to the lazy solver's and the two must select exactly alike.
 """
 
@@ -14,14 +15,18 @@ from fractions import Fraction
 import numpy as np
 
 from pattern_forge import scp
+from pattern_forge.align import clamp_to_marker, edge_fit, edge_fit_aligned
 from pattern_forge.geometry import (
     Axis,
     Correspondence,
     MultipleOverlapError,
     NoOverlapError,
     TopologyMismatchError,
+    ZERO_SHIFT,
+    extract_pattern,
     rectangles,
 )
+from pattern_forge.pipeline import RefineResult
 
 
 def cells_inside(vertices, bbox) -> np.ndarray:
@@ -179,6 +184,62 @@ def edge_displacements_loop(a, b, corr) -> list:
             else:
                 out.append((Axis.Y, b0[1] - a0[1]))
     return out
+
+
+def refine_member_edgemove(rep, marker, doc, member_at_anchor=None):
+    """`pipeline.refine_cluster` in edgemove mode for one member, each
+    candidate center scored by its own aligner call: the aligned center
+    (clamped into the marker) first, then the anchor; the best offset within
+    the threshold wins, ties to the earlier candidate."""
+    anchor = marker.center()
+    if member_at_anchor is None:
+        member_at_anchor = extract_pattern(doc, anchor)
+    fit = edge_fit_aligned(rep, member_at_anchor)
+    shift, anchor_offset = (fit[0], fit[2]) if fit else (None, None)
+    centers = []
+    for t in (shift, ZERO_SHIFT):
+        if t is None:
+            continue
+        c = clamp_to_marker(t, anchor, marker)
+        center = (anchor[0] + c.dx, anchor[1] + c.dy)
+        if center not in centers:
+            centers.append(center)
+    best = None
+    anchor_score = None
+    for center in centers:
+        off = anchor_offset if center == anchor else edge_fit(rep, extract_pattern(doc, center))
+        if off is None:
+            continue
+        score = -float(off)
+        if center == anchor:
+            anchor_score = score
+        if off <= doc.threshold and (best is None or score > best[1]):
+            best = (center, score)
+    return None if best is None else RefineResult(best[0], best[1], anchor_score)
+
+
+def verify_edgemove_loop(clusters, doc) -> tuple[bool, str | None]:
+    """`pipeline.verify_clusterset` of a list of Cluster records in edgemove
+    mode, each member extracted and scored on its own; (ok, message)."""
+    seen = set()
+    for cid, cluster in enumerate(clusters):
+        rep = extract_pattern(doc, cluster.rep_center)
+        for m, (cx, cy) in cluster.members:
+            mid = doc.marker_ids[m]
+            if m in seen:
+                return False, f"marker {mid} assigned twice"
+            seen.add(m)
+            if not doc.markers[m].contains(cx, cy):
+                return False, f"center ({cx}, {cy}) outside marker {mid}"
+            off = edge_fit(rep, extract_pattern(doc, (cx, cy)))
+            if off is None:
+                return False, f"cluster {cid}: marker {mid} has no correspondence"
+            if off > doc.threshold:
+                return False, f"cluster {cid}: marker {mid} edge offset {off} > {doc.threshold}"
+    if len(seen) != len(doc.markers):
+        missing = sorted(set(range(len(doc.markers))) - seen)
+        return False, f"markers never assigned: {missing[:5]}"
+    return True, None
 
 
 def naive_dct2(pixels: np.ndarray) -> np.ndarray:

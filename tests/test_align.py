@@ -67,10 +67,10 @@ class TestHullFits:
         # odd hull widths and axes without offsets included
         e = len(x_axis)
         offsets = np.asarray([r[:e] for r in rows], dtype=np.int64).reshape(len(rows), e)
-        dx, dy, residual = hull_fits(offsets, np.asarray(x_axis, dtype=bool))
+        dx, dy, residual, raw = hull_fits(offsets, np.asarray(x_axis, dtype=bool))
         for k, row in enumerate(offsets.tolist()):
-            shift, res, _raw = _hull_fit([(Axis.X if x else Axis.Y, d) for x, d in zip(x_axis, row)])
-            assert (dx[k], dy[k], residual[k]) == (shift.dx, shift.dy, res)
+            shift, res, worst = _hull_fit([(Axis.X if x else Axis.Y, d) for x, d in zip(x_axis, row)])
+            assert (dx[k], dy[k], residual[k], raw[k]) == (shift.dx, shift.dy, res, worst)
 
 
 class TestPhaseCorrelation:

@@ -4,7 +4,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, strategies as st
 
-from pattern_forge import align, graph
+from pattern_forge import align
 from pattern_forge.align import edge_fit_aligned
 from pattern_forge.geometry import MatchError, Pattern, Polygon, Translation, ZERO_SHIFT, match_polygons
 from pattern_forge.graph import (
@@ -247,6 +247,25 @@ def _needs_fallback(a: Pattern, b: Pattern) -> bool:
 
 
 SLACKS = [IterationConfig().slack_for(_doc(ConstraintKind.EDGEMOVE, 2.0), it) for it in range(3)]
+# (BATCH_PAIRS, BATCH_CELLS): the defaults, blocks of 3 pairs, and blocks cut
+# to 1 pair by the cell bound
+BLOCKS = [(align.BATCH_PAIRS, align.BATCH_CELLS), (3, 1 << 20), (1024, 20)]
+
+
+class TestEdgeFits:
+    @given(st.lists(_window(), min_size=1, max_size=6), st.data(), st.sampled_from(BLOCKS))
+    def test_equals_per_pair_aligner(self, patterns, data, block):
+        # any pairs of the windows, in either order, repeated, or a window
+        # with itself: shift, residual and raw offset all equal the per-pair
+        # aligner's, with blocks cut small
+        n = len(patterns)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+        expected = [edge_fit_aligned(patterns[i], patterns[j]) for i, j in pairs]
+        with patch.object(align, "BATCH_PAIRS", block[0]), patch.object(align, "BATCH_CELLS", block[1]):
+            assert align.edge_fits([(patterns[i], patterns[j]) for i, j in pairs]) == expected
+
+    def test_no_pairs(self):
+        assert align.edge_fits([]) == []
 
 
 class TestEvaluatePairsEdgemove:
@@ -254,27 +273,28 @@ class TestEvaluatePairsEdgemove:
 
     def _both(self, patterns, pairs, slack):
         """(per-pair results, batch results, pairs the batch sent to
-        evaluate_pair_relaxed)."""
+        align.edge_fit_aligned)."""
         expected = [evaluate_pair_relaxed(patterns[i], patterns[j], self.DOC, slack) for i, j in pairs]
         called = []
         where = {id(p): k for k, p in enumerate(patterns)}
+        real = align.edge_fit_aligned
 
-        def recording(a, b, doc, slack=0.0):
+        def recording(a, b):
             called.append((where[id(a)], where[id(b)]))
-            return evaluate_pair_relaxed(a, b, doc, slack)
+            return real(a, b)
 
-        with patch.object(graph, "evaluate_pair_relaxed", recording):
+        with patch.object(align, "edge_fit_aligned", recording):
             got = evaluate_pairs_edgemove(patterns, pairs, self.DOC, slack)
         return expected, got, called
 
     @given(
         st.lists(_window(), min_size=2, max_size=7),
-        st.sampled_from([(graph.BATCH_PAIRS, graph.BATCH_CELLS), (3, 1 << 20), (1024, 20)]),
+        st.sampled_from(BLOCKS),
     )
     def test_equals_per_pair_test(self, patterns, block):
         # every pair, at each iteration's slack, and with blocks cut small
         pairs = [(i, j) for i in range(len(patterns)) for j in range(i + 1, len(patterns))]
-        with patch.object(graph, "BATCH_PAIRS", block[0]), patch.object(graph, "BATCH_CELLS", block[1]):
+        with patch.object(align, "BATCH_PAIRS", block[0]), patch.object(align, "BATCH_CELLS", block[1]):
             for slack in SLACKS:
                 expected, got, called = self._both(patterns, pairs, slack)
                 assert got == expected

@@ -2,9 +2,10 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pattern_forge import align, geometry, pipeline
-from pattern_forge.geometry import Marker, Pattern, extract_pattern
+from pattern_forge.geometry import Marker, Pattern, Polygon, extract_pattern
 from pattern_forge.layout_io import (
     ClusterReport,
     ConstraintKind,
@@ -18,14 +19,16 @@ from pattern_forge.pipeline import (
     STAGES,
     Cluster,
     IterationConfig,
+    Verdict,
     refine_cluster,
+    refine_edgemove,
     run_full,
     verify_clusterset,
 )
 from pattern_forge.raster import cosine_similarity, pattern_features
 
 from conftest import rect
-from oracles import eager_solve_oracle
+from oracles import eager_solve_oracle, refine_member_edgemove, verify_edgemove_loop
 
 COS = ConstraintKind.COSINE
 EDGE = ConstraintKind.EDGEMOVE
@@ -107,16 +110,16 @@ class TestRefineCluster:
 
     def test_member_at_anchor_paired_once(self, monkeypatch):
         # the aligner's pairing of the member at its anchor also gives the
-        # anchor's raw offset: an identical member costs one match_polygons,
-        # a shifted one a second for its aligned center
+        # anchor's raw offset: an identical member costs one scored pair, a
+        # shifted one a second for its aligned center
         calls = []
-        real = align.match_polygons
+        real = align.edge_fits
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(pairs):
+            calls.extend(pairs)
+            return real(pairs)
 
-        monkeypatch.setattr(align, "match_polygons", counting)
+        monkeypatch.setattr(align, "edge_fits", counting)
         for offset, expected in (((0, 0), 1), ((4, 6), 2)):
             doc = self._edge_doc(Marker(292, -8, 308, 8), offset=offset)
             rep = extract_pattern(doc, (0, 0))
@@ -179,6 +182,187 @@ class TestRefineCluster:
         doc = _doc(polys, [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0)], COS, 0.9)
         rep = extract_pattern(doc, (0, 0))
         assert refine_cluster(rep, doc.markers[1], doc) is None
+
+
+# Edgemove layouts for batched refinement and verification. Marker 0 is the
+# representative's point marker at (0, 0); marker k sits at (300k, 0) with
+# the same shapes moved by (ox, oy), one rectangle's right and top edges
+# moved by `stretch` (which moves the aligned center by about stretch / 2
+# on both axes), and a marker of half extents (hx, hy). Around the window
+# (radius 40) lie an inverted U whose base is `u` beyond the top edge (in
+# two pieces while the window's top edge stays below the base), a
+# rectangle `g` beyond the right edge (gained when the window moves right)
+# and one reaching 2 + `l` into the window from the left (lost when it
+# moves right). A member's polygons may be listed in reverse order (no
+# identity correspondence: the per-pair fallback), lack one rectangle or
+# carry an extra one (unequal counts).
+EDGE_RADIUS = 40
+VARIANTS = ("same", "reversed", "drop", "extra")
+
+
+def _member_shapes(u, g, l, stretch, variant):
+    shapes = [
+        rect(-46 + l, -8, -38 + l, 8),
+        rect(-30, -30, -14 + stretch, -14 + stretch),
+        rect(0, -30, 24, -16),
+        Polygon.from_vertices([(-20, 10), (-12, 10), (-12, 40 + u), (12, 40 + u), (12, 10), (20, 10),
+                               (20, 46 + u), (-20, 46 + u)]),
+        rect(40 + g, -8, 52 + g, 8),
+    ]
+    if variant == "drop":
+        del shapes[2]
+    elif variant == "extra":
+        shapes.append(rect(-8, -8, -2, -2))
+    elif variant == "reversed":
+        shapes.reverse()
+    return shapes
+
+
+def _edge_layout(threshold, u, g, l, members) -> LayoutDocument:
+    """members: (ox, oy, hx, hy, stretch, variant) per member marker."""
+    polys = list(_member_shapes(u, g, l, 0, "same"))
+    markers = [Marker(0, 0, 0, 0)]
+    for k, (ox, oy, hx, hy, stretch, variant) in enumerate(members, start=1):
+        x = 300 * k
+        polys += [p.translated(x + ox, oy) for p in _member_shapes(u, g, l, stretch, variant)]
+        markers.append(Marker(x - hx, -hy, x + hx, hy))
+    return _doc(polys, markers, EDGE, threshold, radius=EDGE_RADIUS)
+
+
+_member = st.tuples(
+    st.integers(-6, 6), st.integers(-6, 6), st.integers(0, 8), st.integers(0, 8),
+    st.integers(-4, 4), st.sampled_from(VARIANTS),
+)
+_edge_layouts = st.builds(
+    _edge_layout, st.sampled_from([2.0, 3.0, 6.0]), st.integers(-4, 4), st.integers(0, 4),
+    st.integers(0, 4), st.lists(_member, min_size=1, max_size=6),
+)
+
+# hand-picked layouts that between them take every path `_refine_paths` names
+PICKED = [
+    _edge_layout(3.0, -2, 0, 4, [(0, 0, 4, 4, -4, "same"), (0, 0, 4, 4, 4, "same"), (6, 0, 2, 2, 0, "same"),
+                                 (3, -2, 4, 4, 1, "same"), (0, 0, 4, 4, 0, "reversed"), (0, 0, 4, 4, 0, "drop")]),
+    _edge_layout(3.0, -4, 4, 0, [(0, 0, 4, 4, 4, "same"), (0, 0, 0, 0, 0, "extra")]),
+]
+
+
+def _refine_paths(doc) -> set:
+    """The paths refinement takes for the members of an `_edge_layout`."""
+    rep = extract_pattern(doc, (0, 0))
+    paths = set()
+    for marker in doc.markers[1:]:
+        anchor = marker.center()
+        at_anchor = extract_pattern(doc, anchor)
+        if len(at_anchor.shapes) != len(rep.shapes):
+            paths.add("unequal counts")
+            continue
+        if rep.edge_view().layout_key != at_anchor.edge_view().layout_key:
+            paths.add("fallback")
+        fit = align.edge_fit_aligned(rep, at_anchor)
+        if fit is None:
+            continue
+        c = align.clamp_to_marker(fit[0], anchor, marker)
+        if c != fit[0]:
+            paths.add("clamped")
+        center = (anchor[0] + c.dx, anchor[1] + c.dy)
+        polys = [len(doc.window_candidates(x)) for x in (anchor, center)]
+        if polys[1] != polys[0]:
+            paths.add("gains" if polys[1] > polys[0] else "loses")
+        if len(extract_pattern(doc, center).shapes) - polys[1] > len(at_anchor.shapes) - polys[0]:
+            paths.add("splits")
+    return paths
+
+
+def _refine_both(doc):
+    """(batched refinement, per-member reference) of every member of an
+    `_edge_layout` against marker 0; refine_cluster must agree member by
+    member."""
+    rep = extract_pattern(doc, (0, 0))
+    members = [(m, extract_pattern(doc, m.center())) for m in doc.markers[1:]]
+    expected = [refine_member_edgemove(rep, m, doc, member_at_anchor=p) for m, p in members]
+    assert [refine_cluster(rep, m, doc) for m, _p in members] == expected
+    return refine_edgemove(rep, members, doc), expected
+
+
+class TestRefineEdgemove:
+    @given(_edge_layouts)
+    def test_equals_per_member_reference(self, doc):
+        got, expected = _refine_both(doc)
+        assert got == expected
+
+    def test_picked_layouts_take_every_path(self):
+        paths = set()
+        outcomes = set()
+        for doc in PICKED:
+            got, expected = _refine_both(doc)
+            assert got == expected
+            outcomes |= {r is None for r in got}
+            paths |= _refine_paths(doc)
+        assert paths == {"unequal counts", "fallback", "clamped", "gains", "loses", "splits"}
+        assert outcomes == {True, False}
+
+    def test_no_members(self):
+        doc = PICKED[0]
+        assert refine_edgemove(extract_pattern(doc, (0, 0)), [], doc) == []
+
+
+def _stored_clusters(doc, centers) -> list:
+    """Clusters over an `_edge_layout`: marker 0 represents itself and the
+    first half of the members, and the first member of the second half, at
+    its marker center, represents the rest; `centers[k]` is member k + 1's
+    stored center."""
+    members = list(enumerate(centers, start=1))
+    cut = (len(members) + 1) // 2
+    clusters = [Cluster(0, (0, 0), [(0, (0, 0))] + members[:cut])]
+    if members[cut:]:
+        rep = members[cut][0]
+        clusters.append(Cluster(rep, doc.markers[rep].center(), members[cut:]))
+    return clusters
+
+
+def _verdicts(clusters, doc):
+    """(verify_clusterset, the per-member reference) of one cluster list."""
+    return verify_clusterset(clusters, doc), Verdict(*verify_edgemove_loop(clusters, doc))
+
+
+class TestVerifyEdgemoveBatch:
+    @given(_edge_layouts, st.data(), st.sampled_from(["none", "twice", "outside", "missing"]))
+    def test_same_verdict_as_per_member_reference(self, doc, data, corruption):
+        centers = [
+            (data.draw(st.integers(m.xlo, m.xhi)), data.draw(st.integers(m.ylo, m.yhi)))
+            for m in doc.markers[1:]
+        ]
+        clusters = _stored_clusters(doc, centers)
+        last = clusters[-1].members
+        if corruption == "twice":
+            last.append(clusters[0].members[-1])
+        elif corruption == "outside":
+            m, (_cx, cy) = last[-1]
+            last[-1] = (m, (doc.markers[m].xhi + 1, cy))
+        elif corruption == "missing" and len(last) > 1:
+            last.pop()
+        got, expected = _verdicts(clusters, doc)
+        assert got == expected
+
+    def test_corrupted_reports(self):
+        # a member moved past T, an extra polygon at a stored center, a
+        # marker assigned twice and a center outside its marker each fail
+        # with the reference's message; the anchors pass
+        same = (0, 0, 4, 4, 0, "same")
+        cases = [
+            ([same, same], [(300, 0), (600, 0)], None),
+            ([same, same], [(303, 0), (600, 0)], "cluster 0: marker 1 edge offset 3 > 2.0"),
+            ([(0, 0, 0, 0, 0, "extra"), same], [(300, 0), (600, 0)], "cluster 0: marker 1 has no correspondence"),
+            ([same, same], [(300, 0), (605, 0)], "center (605, 0) outside marker 2"),
+        ]
+        for members, centers, message in cases:
+            doc = _edge_layout(2.0, 4, 4, 4, members)
+            got, expected = _verdicts(_stored_clusters(doc, centers), doc)
+            assert got == expected == Verdict(message is None, message)
+        doc = _edge_layout(2.0, 4, 4, 4, [same, same])
+        twice = _stored_clusters(doc, [(300, 0), (600, 0)])
+        twice[-1].members.append(twice[0].members[-1])
+        assert _verdicts(twice, doc) == (Verdict(False, "marker 1 assigned twice"),) * 2
 
 
 class TestRunSmall:
