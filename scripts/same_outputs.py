@@ -5,16 +5,20 @@
 Runs `pattern_forge.cli cluster --verify --dump-graph --report` from each
 checkout's src/ on the benchmark workloads (the layouts of
 perfbench/workloads.py at seeds 1-3), with and without --no-prescreen, in a
-temporary directory. --layout runs the given layout files instead. For each
-case it compares the report CSVs and the graph dumps byte for byte, and the
-JSON run records without their timing fields (wall_ms, stage_ms and each
-iteration's timings_ms). When the two records carry different schema
-versions, only the fields both have are compared, and the others are
-listed. Prints one line per case and exits 1 on any difference or failed
-run, 0 otherwise.
+temporary directory. For each case it compares the report CSVs and the
+graph dumps byte for byte, and the JSON run records without their timing
+fields (wall_ms, stage_ms and each iteration's timings_ms). When the two
+records carry different schema versions, only the fields both have are
+compared, and the others are listed. It then runs `pattern_forge.cli bench
+--matrix scripts/bench_matrix.txt` from each checkout and compares the two
+records.csv files without their *_ms columns. --layout runs the given
+layout files instead of the workloads and the matrix. Prints one line per
+case and exits 1 on any difference or failed run, 0 otherwise.
 """
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -23,6 +27,7 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
+MATRIX = os.path.join(HERE, "bench_matrix.txt")
 SEEDS = (1, 2, 3)
 TIMINGS = ("wall_ms", "stage_ms", "timings_ms")
 
@@ -52,8 +57,7 @@ def _cluster(root: str, layout: str, out: str, prescreen: bool) -> tuple[dict | 
            "--report", files["record.json"], "--verify"]
     if not prescreen:
         cmd.append("--no-prescreen")
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    proc = _run(root, cmd)
     if proc.returncode != 0:
         return None, proc.stderr.strip()
     data = {}
@@ -61,6 +65,42 @@ def _cluster(root: str, layout: str, out: str, prescreen: bool) -> tuple[dict | 
         with open(path, "rb") as fh:
             data[key] = fh.read()
     return data, proc.stderr.strip()
+
+
+def _bench(root: str, out: str) -> tuple[str | None, str]:
+    """Run the checkout's `bench` on MATRIX; returns its records.csv (None
+    when it failed) and its stderr."""
+    proc = _run(root, [sys.executable, "-m", "pattern_forge.cli", "bench", "--matrix", MATRIX, "--out", out])
+    if proc.returncode != 0:
+        return None, proc.stderr.strip()
+    with open(os.path.join(out, "records.csv"), encoding="utf-8") as fh:
+        return fh.read(), proc.stderr.strip()
+
+
+def _run(root: str, cmd: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+
+def _untimed_rows(records_csv: str) -> list[list[str]]:
+    """The rows of a bench records.csv, header included, without the
+    columns whose name ends in `_ms`."""
+    rows = list(csv.reader(io.StringIO(records_csv)))
+    keep = [k for k, name in enumerate(rows[0] if rows else []) if not name.endswith("_ms")]
+    return [[row[k] for k in keep] for row in rows]
+
+
+def _compare_records(a: str, b: str) -> list[str]:
+    """The differences between two records.csv files without their timings:
+    the (scenario, variant) of each row that differs, or the header."""
+    ra, rb = _untimed_rows(a), _untimed_rows(b)
+    if len(ra) != len(rb):
+        return [f"records.csv has {len(ra)} vs {len(rb)} rows"]
+    diffs = []
+    for n, (x, y) in enumerate(zip(ra, rb)):
+        if x != y:
+            diffs.append("records.csv header differs" if n == 0 else f"records.csv differs in {' '.join(x[:2])}")
+    return diffs
 
 
 def _untimed(record: dict) -> dict:
@@ -125,6 +165,13 @@ def main(argv=None) -> int:
                 if skipped:
                     print(f"  schemas differ; not compared: {', '.join(skipped)}")
                 bad += bool(diffs)
+        if not args.layout:
+            runs = [_bench(root, os.path.join(tmp, f"bench-{side}")) for side, root in enumerate(roots)]
+            diffs = [f"{root} failed: {err}" for root, (out, err) in zip(roots, runs) if out is None]
+            if not diffs:
+                diffs = _compare_records(runs[0][0], runs[1][0])
+            print(f"bench {os.path.basename(MATRIX)}: {'; '.join(diffs) if diffs else 'same'}")
+            bad += bool(diffs)
     print(f"{bad} case(s) differ" if bad else "no differences")
     return 1 if bad else 0
 

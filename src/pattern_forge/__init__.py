@@ -32,7 +32,6 @@ from .align import (
     NoCorrespondenceError,
     clamp_to_marker,
     correlation_surface,
-    edge_fit,
     edge_fit_aligned,
     edge_minmax_align,
     phase_correlate,

@@ -232,43 +232,24 @@ def clamp_to_marker(t: Translation, center: Vertex, marker: Marker) -> Translati
     return Translation(dx, dy)
 
 
-def _one_to_one_offsets(a: Pattern, b: Pattern) -> list[tuple[Axis, int]] | None:
-    """Corresponding-edge offsets under a one-to-one correspondence: equal
-    polygon counts, a bijective overlap pairing at zero shift, and identical
-    per-pair topology. None when any of that fails; [] for two empty patterns.
+def edge_fit_aligned(a: Pattern, b: Pattern) -> tuple[Translation, int, int] | None:
+    """Best achievable edge fit over all rigid shifts: the shift, its
+    residual, and the worst raw corresponding-edge offset at zero shift.
+
+    The patterns need a one-to-one correspondence: equal polygon counts, a
+    bijective overlap pairing at zero shift, and identical per-pair
+    topology; None when any of that fails. Two empty patterns fit perfectly.
+    The minmax midpoint gives the optimal shift and its residual.
     """
     if len(a.shapes) != len(b.shapes):
         return None
     if not a.shapes:
-        return []
+        return _hull_fit([])
     try:
-        return edge_displacements(a, b, match_polygons(a, b))
+        disp = edge_displacements(a, b, match_polygons(a, b))
     except MatchError:
         return None
-
-
-def edge_fit(a: Pattern, b: Pattern) -> int | None:
-    """Worst raw corresponding-edge offset between two patterns as they sit.
-
-    None when the patterns have no one-to-one correspondence; two empty
-    patterns fit perfectly (0).
-    """
-    disp = _one_to_one_offsets(a, b)
-    if disp is None:
-        return None
-    return max((abs(d) for _, d in disp), default=0)
-
-
-def edge_fit_aligned(a: Pattern, b: Pattern) -> tuple[Translation, int, int] | None:
-    """Best achievable edge fit over all rigid shifts: the shift, its
-    residual, and the worst raw offset at zero shift (what `edge_fit` gives).
-
-    Same correspondence requirements as edge_fit; the minmax midpoint gives
-    the optimal shift and its residual. None when no one-to-one
-    correspondence exists.
-    """
-    disp = _one_to_one_offsets(a, b)
-    return None if disp is None else _hull_fit(disp)
+    return _hull_fit(disp)
 
 
 # Pairs per array pass of `iter_edge_fits`. A block's temporaries take about

@@ -14,16 +14,20 @@ A marker's anchor (the pattern at its marker center, plus its unit feature
 vector in cosine mode) never changes, so a run extracts it once and keeps it
 for the rest of that run: the probe (for the orphan and for each cluster's
 representative), `_extract` in every iteration and the refinement of the
-member at its anchor all read the same entry. In cosine mode every other
-center refinement tries is scored by `raster.window_features`, straight
-from the layout's decomposition rectangles, with no pattern extracted. In
-edgemove mode `_refine` refines all members of a selection at once
-(`refine_edgemove`, two `align.edge_fits` calls); the probe refines one
-pair at a time through `refine_cluster`, its one-member case.
-Refinement of a (representative, member) marker pair depends on nothing
-else, so a run that refused a pair never refines it again: the probe and
-`_refine` skip it and count the skip. Verification reads no run state: it
-scores every window from the layout again.
+member at its anchor all read the same entry.
+
+One routine, `refine_members`, refines in both modes: `_refine` passes it
+all members of a selection at once, and the probe one pair at a time
+through `refine_cluster`, its one-member case. Only the aligner and
+`_window_scores` depend on the constraint. `_window_scores` scores windows
+at centers other than the anchors, read from the layout: in cosine mode by
+`raster.window_features`, straight from the layout's decomposition
+rectangles, and in edgemove mode by one `align.edge_fits` call over the
+extracted windows. Refinement of a (representative, member) marker pair
+depends on nothing else, so a run that refused a pair never refines it
+again: the probe and `_refine` skip it and count the skip. Verification
+reads no run state: it scores every window from the layout again, through
+the same `_window_scores`.
 """
 
 import time
@@ -31,7 +35,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from . import align, raster, scp
-from .geometry import Marker, Pattern, ZERO_SHIFT, extract_pattern
+from .geometry import Marker, Pattern, extract_pattern
 from .graph import SimilarityGraph, assemble, evaluate_pair_relaxed, evaluate_pairs_edgemove
 from .layout_io import ClusterReport, ConstraintKind, LayoutDocument
 from .prescreen import CandidatePairSet, PrescreenStats, build_candidates, compatible
@@ -153,93 +157,85 @@ def refine_cluster(
     member_at_anchor: Pattern | None = None,
     member_features=None,
 ) -> RefineResult | None:
-    """Pick the best legal center for one member against a fixed representative.
+    """Pick the best legal center for one member against a fixed
+    representative: `refine_members` of that one member.
 
-    Candidate centers are the aligner's optimum (`align.xy_minmax_align` in
-    cosine mode, `align.edge_fit_aligned` in edgemove mode) and the
-    marker-center anchor, each clamped into the marker; the candidate with the
-    best strict-constraint score wins and is accepted only if it passes the
-    strict threshold. The anchor is always a candidate, so an accepted center
-    never scores below the anchor. In edgemove mode this is
-    `refine_edgemove` of the one member.
-
-    `member_at_anchor` and `member_features` may carry the member's pattern
-    and features at its marker center when the caller already has them;
-    otherwise they are computed here. In cosine mode the other candidate
-    center is scored by `raster.window_features`, which equals the features
-    of the pattern extracted there.
+    `rep_features`, `member_at_anchor` and `member_features` may carry the
+    representative's features and the member's pattern and features at its
+    marker center when the caller already has them; otherwise they are
+    computed here.
     """
-    anchor = marker.center()
     if member_at_anchor is None:
-        member_at_anchor = extract_pattern(doc, anchor)
-    if doc.constraint_kind is ConstraintKind.EDGEMOVE:
-        return refine_edgemove(rep, [(marker, member_at_anchor)], doc)[0]
-    if rep_features is None:
-        rep_features = raster.pattern_features(rep)
-    if member_features is None:
-        member_features = raster.pattern_features(member_at_anchor)
-    try:
-        shift = align.xy_minmax_align(rep, member_at_anchor)
-    except align.NoCorrespondenceError:  # raised only for an empty pattern
-        shift = None
-
-    centers = []
-    for t in (shift, ZERO_SHIFT):
-        if t is None:
-            continue
-        c = align.clamp_to_marker(t, anchor, marker)
-        center = (anchor[0] + c.dx, anchor[1] + c.dy)
-        if center not in centers:
-            centers.append(center)
-
-    best = None
-    anchor_score = None
-    for center in centers:
-        features = member_features if center == anchor else raster.window_features(doc, center)
-        score = raster.cosine_similarity(rep_features, features)
-        if center == anchor:
-            anchor_score = score
-        if score >= doc.threshold and (best is None or score > best[1]):
-            best = (center, score)
-    if best is None:
-        return None
-    return RefineResult(best[0], best[1], anchor_score)
+        member_at_anchor = extract_pattern(doc, marker.center())
+    return refine_members(rep, rep_features, [(marker, member_at_anchor, member_features)], doc)[0]
 
 
-def refine_edgemove(rep: Pattern, members, doc: LayoutDocument) -> list:
-    """`refine_cluster` in edgemove mode for every (marker, member pattern
-    at its marker center) of `members` against one representative, in two
-    `align.edge_fits` calls.
+def refine_members(rep: Pattern, rep_features, members, doc: LayoutDocument) -> list:
+    """The best legal center of each (marker, pattern at its marker center,
+    features there or None) of `members` against one representative, as a
+    RefineResult, or None where no candidate center passes.
 
-    The first pairs the representative with each member at its anchor. Its
-    shift, clamped into the marker, is the aligned candidate center, and its
-    raw offset scores the anchor, so the anchor is paired only once. The
-    windows at the aligned centers that differ from their anchors are
-    extracted and scored by the second call's raw offsets. A member wins at
-    its best-scoring candidate whose offset is within the threshold, the
-    aligned center first and winning ties; a member without a one-to-one
-    correspondence at either center (such as a window holding more or fewer
-    polygons than the representative's) is refused, as None.
+    A member's candidate centers are the aligner's optimum, clamped into the
+    marker, and the marker-center anchor. The aligned center is tried first
+    and wins ties; the best score that passes the strict threshold wins; the
+    anchor is always a candidate, so an accepted center never scores below
+    the anchor. The aligner is `align.xy_minmax_align` per member in cosine
+    mode (an empty pattern has no shift, so only the anchor is tried), and
+    one `align.edge_fits` call in edgemove mode, whose raw offsets also
+    score the anchors. The aligned centers that differ from their anchors
+    are scored together by `_window_scores`.
     """
-    fits = align.edge_fits([(rep, p) for _marker, p in members])
+    if doc.constraint_kind is ConstraintKind.COSINE:
+        if rep_features is None:
+            rep_features = raster.pattern_features(rep)
+        shifts, at_anchor = [], []
+        for _marker, p, f in members:
+            try:
+                shifts.append(align.xy_minmax_align(rep, p))
+            except align.NoCorrespondenceError:  # raised only for an empty pattern
+                shifts.append(None)
+            features = raster.pattern_features(p) if f is None else f
+            at_anchor.append(raster.cosine_similarity(rep_features, features))
+    else:
+        fits = align.edge_fits([(rep, p) for _marker, p, _f in members])
+        shifts = [None if fit is None else fit[0] for fit in fits]
+        at_anchor = [None if fit is None else -float(fit[2]) for fit in fits]
     moved = {}  # member position -> its aligned center, where that is not its anchor
-    for k, ((marker, _p), fit) in enumerate(zip(members, fits)):
-        if fit is not None:
+    for k, ((marker, _p, _f), shift) in enumerate(zip(members, shifts)):
+        if shift is not None:
             anchor = marker.center()
-            c = align.clamp_to_marker(fit[0], anchor, marker)
+            c = align.clamp_to_marker(shift, anchor, marker)
             if not c.is_zero():
                 moved[k] = (anchor[0] + c.dx, anchor[1] + c.dy)
-    moved_fits = align.edge_fits([(rep, extract_pattern(doc, c)) for c in moved.values()])
-    moved_offsets = {k: None if f is None else f[2] for k, f in zip(moved, moved_fits)}
+    moved_scores = dict(zip(moved, _window_scores(doc, rep, rep_features, list(moved.values()))))
+    floor = _score_floor(doc)
     results = []
-    for k, ((marker, _p), fit) in enumerate(zip(members, fits)):
+    for k, (marker, _p, _f) in enumerate(members):
         best = None
-        if fit is not None:
-            for center, off in ((moved.get(k), moved_offsets.get(k)), (marker.center(), fit[2])):
-                if off is not None and off <= doc.threshold and (best is None or -off > best[1]):
-                    best = (center, -float(off))
-        results.append(None if best is None else RefineResult(best[0], best[1], -float(fit[2])))
+        for center, score in ((moved.get(k), moved_scores.get(k)), (marker.center(), at_anchor[k])):
+            if score is not None and score >= floor and (best is None or score > best[1]):
+                best = (center, score)
+        results.append(None if best is None else RefineResult(best[0], best[1], at_anchor[k]))
     return results
+
+
+def _score_floor(doc: LayoutDocument) -> float:
+    """The lowest passing score: T for a cosine, -T for a negated edge
+    offset (exact: the offsets are integers below 2^53)."""
+    return doc.threshold if doc.constraint_kind is ConstraintKind.COSINE else -doc.threshold
+
+
+def _window_scores(doc: LayoutDocument, rep: Pattern | None, rep_features, centers) -> list:
+    """The strict score against the representative of the window at each of
+    `centers`, read from the layout: the cosine of `raster.window_features`
+    against `rep_features` (equal bit for bit to the features of the
+    extracted pattern), or the negated raw edge offset of the extracted
+    window against `rep` from one `align.edge_fits` call, None where there
+    is no one-to-one correspondence."""
+    if doc.constraint_kind is ConstraintKind.COSINE:
+        return [raster.cosine_similarity(rep_features, raster.window_features(doc, c)) for c in centers]
+    fits = align.edge_fits([(rep, extract_pattern(doc, c)) for c in centers])
+    return [None if fit is None else -float(fit[2]) for fit in fits]
 
 
 def _timed(istats: IterationStats, stage: str, fn, *args):
@@ -342,9 +338,9 @@ def _graph(doc, slack, patterns, features, pairs) -> SimilarityGraph:
 def _refine(doc, stats, istats, clusters, active, patterns, features, selections, final, refused) -> list[int]:
     """Stage 4: refine each selected member against its representative and
     commit the clusters; returns the rejected members and deferred
-    representatives, sorted, for the next round. Edgemove mode refines the
-    members of a selection together (`refine_edgemove`), cosine mode one at
-    a time (`refine_cluster`); pairs the run refused before are skipped.
+    representatives, sorted, for the next round. The members of a selection
+    are refined together (`refine_members`); pairs the run refused before
+    are skipped.
     A lone selection may sit out this round and try the probe later -- but
     only when there is (or will be) a settled cluster to join; otherwise
     singletons commit at once."""
@@ -359,17 +355,10 @@ def _refine(doc, stats, istats, clusters, active, patterns, features, selections
         members = [(rep_idx, rep_center)] if rep_local in sel.covered else []
         others = [k for k in sel.covered if k != rep_local]
         tried = [k for k in others if not _refused_before(istats, refused, rep_idx, active[k])]
-        rep = patterns[rep_local]
-        if doc.constraint_kind is ConstraintKind.EDGEMOVE:
-            found = refine_edgemove(rep, [(doc.markers[active[k]], patterns[k]) for k in tried], doc)
-        else:
-            found = [
-                refine_cluster(
-                    rep, doc.markers[active[k]], doc, rep_features=features[rep_local],
-                    member_at_anchor=patterns[k], member_features=features[k],
-                )
-                for k in tried
-            ]
+        found = refine_members(
+            patterns[rep_local], features[rep_local],
+            [(doc.markers[active[k]], patterns[k], features[k]) for k in tried], doc,
+        )
         results = dict(zip(tried, found))
         for k in others:
             result = results.get(k)
@@ -469,16 +458,16 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
     plus center-in-marker validity and the exactly-one-cluster-per-marker
     invariant. In edgemove mode a member whose polygon count differs from
     the representative's has no one-to-one correspondence and fails, as
-    refine_cluster refuses it.
+    refinement refuses it.
 
     The check is independent of the run on purpose: it never reads the
-    anchors `run_full` cached. In cosine mode it rasterises every window
-    from the layout's decomposition rectangles (`raster.window_features`,
-    equal bit for bit to the features of the extracted pattern); in
-    edgemove mode it extracts every window and scores each cluster's
-    members in one `align.edge_fits` call, before the checks run in member
-    order. `cfg` is not read, since no run setting changes what a valid
-    assignment is; it stays for callers that pass their config.
+    anchors `run_full` cached. It scores each cluster's members at their
+    stored centers with `_window_scores`, the scorer refinement uses (in
+    cosine mode every window rasterised from the layout's decomposition
+    rectangles, in edgemove mode every window extracted and scored in one
+    `align.edge_fits` call), and then runs the checks in member order.
+    `cfg` is not read, since no run setting changes what a valid assignment
+    is; it stays for callers that pass their config.
     """
     if isinstance(clusters, ClusterReport):
         try:
@@ -487,35 +476,26 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
             return Verdict(False, str(exc))
         clusters = _clusters_from_report(clusters, doc)
     cosine = doc.constraint_kind is ConstraintKind.COSINE
+    floor = _score_floor(doc)
     seen = set()
     for cid, cluster in enumerate(clusters):
         if cosine:
-            rep_features = raster.window_features(doc, cluster.rep_center)
+            rep, rep_features = None, raster.window_features(doc, cluster.rep_center)
         else:
-            rep = extract_pattern(doc, cluster.rep_center)
-            fits = align.edge_fits([(rep, extract_pattern(doc, c)) for _m, c in cluster.members])
-        for n, (m, (cx, cy)) in enumerate(cluster.members):
+            rep, rep_features = extract_pattern(doc, cluster.rep_center), None
+        scores = _window_scores(doc, rep, rep_features, [c for _m, c in cluster.members])
+        for (m, (cx, cy)), score in zip(cluster.members, scores):
+            mid = doc.marker_ids[m]
             if m in seen:
-                return Verdict(False, f"marker {doc.marker_ids[m]} assigned twice")
+                return Verdict(False, f"marker {mid} assigned twice")
             seen.add(m)
             if not doc.markers[m].contains(cx, cy):
-                return Verdict(False, f"center ({cx}, {cy}) outside marker {doc.marker_ids[m]}")
-            if cosine:
-                sim = raster.cosine_similarity(rep_features, raster.window_features(doc, (cx, cy)))
-                if sim < doc.threshold:
-                    return Verdict(
-                        False,
-                        f"cluster {cid}: marker {doc.marker_ids[m]} similarity {sim:.6f} < {doc.threshold}",
-                    )
-            else:
-                off = None if fits[n] is None else fits[n][2]
-                if off is None:
-                    return Verdict(False, f"cluster {cid}: marker {doc.marker_ids[m]} has no correspondence")
-                if off > doc.threshold:
-                    return Verdict(
-                        False,
-                        f"cluster {cid}: marker {doc.marker_ids[m]} edge offset {off} > {doc.threshold}",
-                    )
+                return Verdict(False, f"center ({cx}, {cy}) outside marker {mid}")
+            if score is None:
+                return Verdict(False, f"cluster {cid}: marker {mid} has no correspondence")
+            if score < floor:
+                failure = f"similarity {score:.6f} < " if cosine else f"edge offset {int(-score)} > "
+                return Verdict(False, f"cluster {cid}: marker {mid} {failure}{doc.threshold}")
     if len(seen) != len(doc.markers):
         missing = sorted(set(range(len(doc.markers))) - seen)
         return Verdict(False, f"markers never assigned: {missing[:5]}")

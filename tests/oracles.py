@@ -2,8 +2,9 @@
 
 Everything here favors obviousness over speed: unit-cell parity scans for
 geometry, per-polygon overlap tests and edge walks for polygon pairing,
-direct double-sum DCT, linear scans for min-max fits, edgemove refinement
-and verification one member at a time, a full-update greedy set cover.
+direct double-sum DCT, linear scans for min-max fits, refinement and
+verification one member at a time (every window extracted, none read from
+the layout's rectangle table), a full-update greedy set cover.
 Only the eager solver shares code with the package: it scores and covers
 through `scp._gain` and `scp._cover`, so its float sums are
 bit-identical to the lazy solver's and the two must select exactly alike.
@@ -15,10 +16,11 @@ from fractions import Fraction
 import numpy as np
 
 from pattern_forge import scp
-from pattern_forge.align import clamp_to_marker, edge_fit, edge_fit_aligned
+from pattern_forge.align import NoCorrespondenceError, clamp_to_marker, edge_fit_aligned, xy_minmax_align
 from pattern_forge.geometry import (
     Axis,
     Correspondence,
+    MatchError,
     MultipleOverlapError,
     NoOverlapError,
     TopologyMismatchError,
@@ -26,7 +28,9 @@ from pattern_forge.geometry import (
     extract_pattern,
     rectangles,
 )
+from pattern_forge.layout_io import ConstraintKind
 from pattern_forge.pipeline import RefineResult
+from pattern_forge.raster import cosine_similarity, pattern_features
 
 
 def cells_inside(vertices, bbox) -> np.ndarray:
@@ -186,16 +190,26 @@ def edge_displacements_loop(a, b, corr) -> list:
     return out
 
 
-def refine_member_edgemove(rep, marker, doc, member_at_anchor=None):
-    """`pipeline.refine_cluster` in edgemove mode for one member, each
-    candidate center scored by its own aligner call: the aligned center
-    (clamped into the marker) first, then the anchor; the best offset within
-    the threshold wins, ties to the earlier candidate."""
+def edge_fit(a, b) -> int | None:
+    """The worst raw corresponding-edge offset between two patterns as they
+    sit (the third element of `align.edge_fit_aligned`), through the
+    per-polygon pairing and edge walk above; None without a one-to-one
+    correspondence, 0 for two empty patterns."""
+    if len(a.shapes) != len(b.shapes):
+        return None
+    try:
+        disp = edge_displacements_loop(a, b, match_polygons_loop(a, b, ZERO_SHIFT))
+    except MatchError:
+        return None
+    return max((abs(d) for _, d in disp), default=0)
+
+
+def _best_center(marker, shift, score_at, passes):
+    """The refinement rule, one candidate at a time: the aligned center
+    (clamped into the marker) first, then the anchor; the best passing
+    score wins, ties to the earlier candidate; `score_at(center)` is None
+    where a center cannot be scored."""
     anchor = marker.center()
-    if member_at_anchor is None:
-        member_at_anchor = extract_pattern(doc, anchor)
-    fit = edge_fit_aligned(rep, member_at_anchor)
-    shift, anchor_offset = (fit[0], fit[2]) if fit else (None, None)
     centers = []
     for t in (shift, ZERO_SHIFT):
         if t is None:
@@ -207,23 +221,62 @@ def refine_member_edgemove(rep, marker, doc, member_at_anchor=None):
     best = None
     anchor_score = None
     for center in centers:
-        off = anchor_offset if center == anchor else edge_fit(rep, extract_pattern(doc, center))
-        if off is None:
+        score = score_at(center)
+        if score is None:
             continue
-        score = -float(off)
         if center == anchor:
             anchor_score = score
-        if off <= doc.threshold and (best is None or score > best[1]):
+        if passes(score) and (best is None or score > best[1]):
             best = (center, score)
     return None if best is None else RefineResult(best[0], best[1], anchor_score)
 
 
-def verify_edgemove_loop(clusters, doc) -> tuple[bool, str | None]:
-    """`pipeline.verify_clusterset` of a list of Cluster records in edgemove
-    mode, each member extracted and scored on its own; (ok, message)."""
+def refine_member_cosine(rep, marker, doc, member_at_anchor=None):
+    """`pipeline.refine_cluster` in cosine mode for one member: the shift of
+    `xy_minmax_align` (none for an empty pattern), and every candidate
+    window extracted and scored by its own `pattern_features`."""
+    anchor = marker.center()
+    if member_at_anchor is None:
+        member_at_anchor = extract_pattern(doc, anchor)
+    try:
+        shift = xy_minmax_align(rep, member_at_anchor)
+    except NoCorrespondenceError:
+        shift = None
+    rep_features = pattern_features(rep)
+
+    def score_at(center):
+        window = member_at_anchor if center == anchor else extract_pattern(doc, center)
+        return cosine_similarity(rep_features, pattern_features(window))
+
+    return _best_center(marker, shift, score_at, lambda s: s >= doc.threshold)
+
+
+def refine_member_edgemove(rep, marker, doc, member_at_anchor=None):
+    """`pipeline.refine_cluster` in edgemove mode for one member, each
+    candidate center scored by its own aligner call (`edge_fit` above away
+    from the anchor)."""
+    anchor = marker.center()
+    if member_at_anchor is None:
+        member_at_anchor = extract_pattern(doc, anchor)
+    fit = edge_fit_aligned(rep, member_at_anchor)
+    shift, anchor_offset = (fit[0], fit[2]) if fit else (None, None)
+
+    def score_at(center):
+        off = anchor_offset if center == anchor else edge_fit(rep, extract_pattern(doc, center))
+        return None if off is None else -float(off)
+
+    return _best_center(marker, shift, score_at, lambda s: s >= -doc.threshold)
+
+
+def verify_loop(clusters, doc) -> tuple[bool, str | None]:
+    """`pipeline.verify_clusterset` of a list of Cluster records, each
+    member extracted and scored on its own: by `pattern_features` in cosine
+    mode, by `edge_fit` above in edgemove mode; (ok, message)."""
+    cosine = doc.constraint_kind is ConstraintKind.COSINE
     seen = set()
     for cid, cluster in enumerate(clusters):
         rep = extract_pattern(doc, cluster.rep_center)
+        rep_features = pattern_features(rep) if cosine else None
         for m, (cx, cy) in cluster.members:
             mid = doc.marker_ids[m]
             if m in seen:
@@ -231,7 +284,13 @@ def verify_edgemove_loop(clusters, doc) -> tuple[bool, str | None]:
             seen.add(m)
             if not doc.markers[m].contains(cx, cy):
                 return False, f"center ({cx}, {cy}) outside marker {mid}"
-            off = edge_fit(rep, extract_pattern(doc, (cx, cy)))
+            window = extract_pattern(doc, (cx, cy))
+            if cosine:
+                sim = cosine_similarity(rep_features, pattern_features(window))
+                if sim < doc.threshold:
+                    return False, f"cluster {cid}: marker {mid} similarity {sim:.6f} < {doc.threshold}"
+                continue
+            off = edge_fit(rep, window)
             if off is None:
                 return False, f"cluster {cid}: marker {mid} has no correspondence"
             if off > doc.threshold:

@@ -14,7 +14,6 @@ from pattern_forge.align import (
     _hull_fit,
     clamp_to_marker,
     correlation_surface,
-    edge_fit,
     edge_fit_aligned,
     edge_minmax_align,
     hull_fits,
@@ -25,7 +24,7 @@ from pattern_forge.align import (
 )
 
 from conftest import rect, staircase
-from oracles import brute_minmax_residual, minmax_residual_at
+from oracles import brute_minmax_residual, edge_fit, minmax_residual_at
 
 
 def _pat(*polys, radius=64) -> Pattern:

@@ -21,14 +21,14 @@ from pattern_forge.pipeline import (
     IterationConfig,
     Verdict,
     refine_cluster,
-    refine_edgemove,
+    refine_members,
     run_full,
     verify_clusterset,
 )
 from pattern_forge.raster import cosine_similarity, pattern_features
 
 from conftest import rect
-from oracles import eager_solve_oracle, refine_member_edgemove, verify_edgemove_loop
+from oracles import eager_solve_oracle, refine_member_cosine, refine_member_edgemove, verify_loop
 
 COS = ConstraintKind.COSINE
 EDGE = ConstraintKind.EDGEMOVE
@@ -184,23 +184,27 @@ class TestRefineCluster:
         assert refine_cluster(rep, doc.markers[1], doc) is None
 
 
-# Edgemove layouts for batched refinement and verification. Marker 0 is the
+# Layouts for batched refinement and verification. Marker 0 is the
 # representative's point marker at (0, 0); marker k sits at (300k, 0) with
 # the same shapes moved by (ox, oy), one rectangle's right and top edges
-# moved by `stretch` (which moves the aligned center by about stretch / 2
-# on both axes), and a marker of half extents (hx, hy). Around the window
-# (radius 40) lie an inverted U whose base is `u` beyond the top edge (in
-# two pieces while the window's top edge stays below the base), a
+# moved by `stretch` (which moves the edgemove aligned center by about
+# stretch / 2 on both axes), and a marker of half extents (hx, hy). Around
+# the window (radius 40) lie an inverted U whose base is `u` beyond the top
+# edge (in two pieces while the window's top edge stays below the base), a
 # rectangle `g` beyond the right edge (gained when the window moves right)
 # and one reaching 2 + `l` into the window from the left (lost when it
 # moves right). A member's polygons may be listed in reverse order (no
-# identity correspondence: the per-pair fallback), lack one rectangle or
-# carry an extra one (unequal counts).
-EDGE_RADIUS = 40
-VARIANTS = ("same", "reversed", "drop", "extra")
+# identity correspondence: the per-pair edgemove fallback), lack one
+# rectangle or carry an extra one (unequal counts), have the left
+# rectangle jogged by (4, 4) against the rest (the cosine aligner can follow
+# it away from the better anchor), or be absent (an empty window).
+LAYOUT_RADIUS = 40
+VARIANTS = ("same", "reversed", "drop", "extra", "jog", "empty")
 
 
 def _member_shapes(u, g, l, stretch, variant):
+    if variant == "empty":
+        return []
     shapes = [
         rect(-46 + l, -8, -38 + l, 8),
         rect(-30, -30, -14 + stretch, -14 + stretch),
@@ -215,10 +219,12 @@ def _member_shapes(u, g, l, stretch, variant):
         shapes.append(rect(-8, -8, -2, -2))
     elif variant == "reversed":
         shapes.reverse()
+    elif variant == "jog":
+        shapes[0] = shapes[0].translated(4, 4)
     return shapes
 
 
-def _edge_layout(threshold, u, g, l, members) -> LayoutDocument:
+def _layout(threshold, u, g, l, members, kind=EDGE) -> LayoutDocument:
     """members: (ox, oy, hx, hy, stretch, variant) per member marker."""
     polys = list(_member_shapes(u, g, l, 0, "same"))
     markers = [Marker(0, 0, 0, 0)]
@@ -226,28 +232,37 @@ def _edge_layout(threshold, u, g, l, members) -> LayoutDocument:
         x = 300 * k
         polys += [p.translated(x + ox, oy) for p in _member_shapes(u, g, l, stretch, variant)]
         markers.append(Marker(x - hx, -hy, x + hx, hy))
-    return _doc(polys, markers, EDGE, threshold, radius=EDGE_RADIUS)
+    return _doc(polys, markers, kind, threshold, radius=LAYOUT_RADIUS)
 
 
 _member = st.tuples(
     st.integers(-6, 6), st.integers(-6, 6), st.integers(0, 8), st.integers(0, 8),
     st.integers(-4, 4), st.sampled_from(VARIANTS),
 )
-_edge_layouts = st.builds(
-    _edge_layout, st.sampled_from([2.0, 3.0, 6.0]), st.integers(-4, 4), st.integers(0, 4),
-    st.integers(0, 4), st.lists(_member, min_size=1, max_size=6),
-)
+_LAYOUTS = {
+    kind: st.builds(
+        _layout, st.sampled_from(thresholds), st.integers(-4, 4), st.integers(0, 4),
+        st.integers(0, 4), st.lists(_member, min_size=1, max_size=6), st.just(kind),
+    )
+    for kind, thresholds in ((EDGE, [2.0, 3.0, 6.0]), (COS, [0.9, 0.97, 0.99]))
+}
+REFERENCES = {EDGE: refine_member_edgemove, COS: refine_member_cosine}
 
 # hand-picked layouts that between them take every path `_refine_paths` names
 PICKED = [
-    _edge_layout(3.0, -2, 0, 4, [(0, 0, 4, 4, -4, "same"), (0, 0, 4, 4, 4, "same"), (6, 0, 2, 2, 0, "same"),
-                                 (3, -2, 4, 4, 1, "same"), (0, 0, 4, 4, 0, "reversed"), (0, 0, 4, 4, 0, "drop")]),
-    _edge_layout(3.0, -4, 4, 0, [(0, 0, 4, 4, 4, "same"), (0, 0, 0, 0, 0, "extra")]),
+    _layout(3.0, -2, 0, 4, [(0, 0, 4, 4, -4, "same"), (0, 0, 4, 4, 4, "same"), (6, 0, 2, 2, 0, "same"),
+                            (3, -2, 4, 4, 1, "same"), (0, 0, 4, 4, 0, "reversed"), (0, 0, 4, 4, 0, "drop")]),
+    _layout(3.0, -4, 4, 0, [(0, 0, 4, 4, 4, "same"), (0, 0, 0, 0, 0, "extra")]),
+]
+# ... and in cosine mode, every path `_cosine_paths` names
+PICKED_COSINE = [
+    _layout(0.9, 0, 2, 0, [(0, 0, 0, 0, 0, "empty"), (6, -6, 2, 2, 0, "same"), (0, 0, 4, 4, 0, "same"),
+                           (3, 2, 6, 6, 0, "same"), (0, 0, 6, 6, 0, "jog")], COS),
 ]
 
 
 def _refine_paths(doc) -> set:
-    """The paths refinement takes for the members of an `_edge_layout`."""
+    """The paths refinement takes for the members of an edgemove `_layout`."""
     rep = extract_pattern(doc, (0, 0))
     paths = set()
     for marker in doc.markers[1:]:
@@ -273,19 +288,47 @@ def _refine_paths(doc) -> set:
     return paths
 
 
+def _cosine_paths(doc) -> set:
+    """The paths refinement takes for the members of a cosine `_layout`."""
+    rep = extract_pattern(doc, (0, 0))
+    paths = set()
+    for marker in doc.markers[1:]:
+        anchor = marker.center()
+        result = refine_member_cosine(rep, marker, doc)
+        if result is None:
+            paths.add("refused")
+        try:
+            shift = align.xy_minmax_align(rep, extract_pattern(doc, anchor))
+        except align.NoCorrespondenceError:
+            paths.add("empty")
+            continue
+        c = align.clamp_to_marker(shift, anchor, marker)
+        if c != shift:
+            paths.add("clamped")
+        if c.is_zero():
+            paths.add("aligned at anchor")
+        elif result is not None:
+            paths.add("anchor wins" if result.center == anchor else "aligned wins")
+    return paths
+
+
 def _refine_both(doc):
-    """(batched refinement, per-member reference) of every member of an
-    `_edge_layout` against marker 0; refine_cluster must agree member by
+    """(batched refinement, per-member reference) of every member of a
+    `_layout` against marker 0; refine_cluster must agree member by
     member."""
     rep = extract_pattern(doc, (0, 0))
     members = [(m, extract_pattern(doc, m.center())) for m in doc.markers[1:]]
-    expected = [refine_member_edgemove(rep, m, doc, member_at_anchor=p) for m, p in members]
+    reference = REFERENCES[doc.constraint_kind]
+    expected = [reference(rep, m, doc, member_at_anchor=p) for m, p in members]
     assert [refine_cluster(rep, m, doc) for m, _p in members] == expected
-    return refine_edgemove(rep, members, doc), expected
+    features = doc.constraint_kind is COS
+    batch = [(m, p, pattern_features(p) if features else None) for m, p in members]
+    rep_features = pattern_features(rep) if features else None
+    return refine_members(rep, rep_features, batch, doc), expected
 
 
 class TestRefineEdgemove:
-    @given(_edge_layouts)
+    @given(_LAYOUTS[EDGE])
     def test_equals_per_member_reference(self, doc):
         got, expected = _refine_both(doc)
         assert got == expected
@@ -302,14 +345,29 @@ class TestRefineEdgemove:
         assert outcomes == {True, False}
 
     def test_no_members(self):
-        doc = PICKED[0]
-        assert refine_edgemove(extract_pattern(doc, (0, 0)), [], doc) == []
+        for doc in (PICKED[0], PICKED_COSINE[0]):
+            assert refine_members(extract_pattern(doc, (0, 0)), None, [], doc) == []
+
+
+class TestRefineCosine:
+    @given(_LAYOUTS[COS])
+    def test_equals_per_member_reference(self, doc):
+        got, expected = _refine_both(doc)
+        assert got == expected
+
+    def test_picked_layouts_take_every_path(self):
+        paths = set()
+        for doc in PICKED_COSINE:
+            got, expected = _refine_both(doc)
+            assert got == expected
+            paths |= _cosine_paths(doc)
+        assert paths == {"empty", "clamped", "aligned at anchor", "aligned wins", "anchor wins", "refused"}
 
 
 def _stored_clusters(doc, centers) -> list:
-    """Clusters over an `_edge_layout`: marker 0 represents itself and the
-    first half of the members, and the first member of the second half, at
-    its marker center, represents the rest; `centers[k]` is member k + 1's
+    """Clusters over a `_layout`: marker 0 represents itself and the first
+    half of the members, and the first member of the second half, at its
+    marker center, represents the rest; `centers[k]` is member k + 1's
     stored center."""
     members = list(enumerate(centers, start=1))
     cut = (len(members) + 1) // 2
@@ -322,12 +380,14 @@ def _stored_clusters(doc, centers) -> list:
 
 def _verdicts(clusters, doc):
     """(verify_clusterset, the per-member reference) of one cluster list."""
-    return verify_clusterset(clusters, doc), Verdict(*verify_edgemove_loop(clusters, doc))
+    return verify_clusterset(clusters, doc), Verdict(*verify_loop(clusters, doc))
 
 
-class TestVerifyEdgemoveBatch:
-    @given(_edge_layouts, st.data(), st.sampled_from(["none", "twice", "outside", "missing"]))
-    def test_same_verdict_as_per_member_reference(self, doc, data, corruption):
+@pytest.mark.parametrize("kind", [EDGE, COS])
+class TestVerifyBatch:
+    @given(data=st.data(), corruption=st.sampled_from(["none", "twice", "outside", "missing"]))
+    def test_same_verdict_as_per_member_reference(self, kind, data, corruption):
+        doc = data.draw(_LAYOUTS[kind])
         centers = [
             (data.draw(st.integers(m.xlo, m.xhi)), data.draw(st.integers(m.ylo, m.yhi)))
             for m in doc.markers[1:]
@@ -344,25 +404,32 @@ class TestVerifyEdgemoveBatch:
         got, expected = _verdicts(clusters, doc)
         assert got == expected
 
-    def test_corrupted_reports(self):
-        # a member moved past T, an extra polygon at a stored center, a
-        # marker assigned twice and a center outside its marker each fail
-        # with the reference's message; the anchors pass
+    def test_corrupted_reports(self, kind):
+        # a member moved past T, an extra polygon at a stored center (no
+        # correspondence in edgemove mode), a center outside its marker and
+        # a missing marker each fail with the reference's message, as does a
+        # marker assigned twice; the anchors pass
         same = (0, 0, 4, 4, 0, "same")
+        threshold, moved = (2.0, "edge offset 3 > 2.0") if kind is EDGE else (0.95, "similarity 0.778538 < 0.95")
         cases = [
             ([same, same], [(300, 0), (600, 0)], None),
-            ([same, same], [(303, 0), (600, 0)], "cluster 0: marker 1 edge offset 3 > 2.0"),
-            ([(0, 0, 0, 0, 0, "extra"), same], [(300, 0), (600, 0)], "cluster 0: marker 1 has no correspondence"),
+            ([same, same], [(303, 0), (600, 0)], f"cluster 0: marker 1 {moved}"),
             ([same, same], [(300, 0), (605, 0)], "center (605, 0) outside marker 2"),
         ]
+        if kind is EDGE:
+            cases.append(([(0, 0, 0, 0, 0, "extra"), same], [(300, 0), (600, 0)],
+                          "cluster 0: marker 1 has no correspondence"))
         for members, centers, message in cases:
-            doc = _edge_layout(2.0, 4, 4, 4, members)
+            doc = _layout(threshold, 4, 4, 4, members, kind)
             got, expected = _verdicts(_stored_clusters(doc, centers), doc)
             assert got == expected == Verdict(message is None, message)
-        doc = _edge_layout(2.0, 4, 4, 4, [same, same])
+        doc = _layout(threshold, 4, 4, 4, [same, same], kind)
         twice = _stored_clusters(doc, [(300, 0), (600, 0)])
         twice[-1].members.append(twice[0].members[-1])
         assert _verdicts(twice, doc) == (Verdict(False, "marker 1 assigned twice"),) * 2
+        missing = _stored_clusters(doc, [(300, 0), (600, 0)])
+        missing[-1].members.pop()
+        assert _verdicts(missing, doc) == (Verdict(False, "markers never assigned: [2]"),) * 2
 
 
 class TestRunSmall:
@@ -536,14 +603,17 @@ class TestRefusedPairs:
         # the near-duplicate is refused against its representative in round
         # 0 and meets it again in the probe; refining it again would give
         # the same refusal, so the run skips the pair and counts the skip
-        real = pipeline.refine_cluster
+        # refine_cluster (the probe) goes through refine_members too, so
+        # recording there sees every refined pair of both stages once
+        real = pipeline.refine_members
         pairs = Counter()
 
-        def recording(rep, marker, *args, **kwargs):
-            pairs[rep.center, marker] += 1
-            return real(rep, marker, *args, **kwargs)
+        def recording(rep, rep_features, members, doc):
+            for marker, _p, _f in members:
+                pairs[rep.center, marker] += 1
+            return real(rep, rep_features, members, doc)
 
-        monkeypatch.setattr(pipeline, "refine_cluster", recording)
+        monkeypatch.setattr(pipeline, "refine_members", recording)
         calls = probed = skipped = 0
         for doc in TestRunRecord._docs(jittered_docs):
             pairs.clear()

@@ -59,3 +59,22 @@ class TestSameOutputs:
         assert (diffs, skipped) == ([], ["record.iterations[].skipped", "record.skipped"])
         diffs, _skipped = compare(_outputs(_record(schema=2, clusters=5)), _outputs(_record(skipped=1)))
         assert diffs == ["record.json differs in clusters"]
+
+    def test_bench_records_compared_without_ms_columns(self, tmp_path):
+        ns = _script_module()
+        untimed, compare = ns["_untimed_rows"], ns["_compare_records"]
+        main(["bench", "--matrix", "scenario name=tiny templates=2 instances=2", "--out", str(tmp_path)])
+        text = (tmp_path / "records.csv").read_text(encoding="utf-8")
+        header = text.splitlines()[0].split(",")
+        rows = untimed(text)
+        assert rows[0] == [name for name in header if not name.endswith("_ms")]
+        assert "wall_ms" in header and "refine_ms" in header and "clusters" in rows[0]
+        assert [r[:2] for r in rows[1:]] == [["tiny", "base"], ["tiny", "noprescreen"]]
+        assert compare(text, text) == []
+        # timings alone never differ; any other column does, named by its row
+        csv_a = "scenario,variant,wall_ms,clusters,graph_ms\ns,base,1.0,4,2.0\ns,off,1.0,4,2.0\n"
+        csv_b = "scenario,variant,wall_ms,clusters,graph_ms\ns,base,9.5,4,0.1\ns,off,1.0,5,2.0\n"
+        assert untimed(csv_a) == [["scenario", "variant", "clusters"], ["s", "base", "4"], ["s", "off", "4"]]
+        assert compare(csv_a, csv_b) == ["records.csv differs in s off"]
+        assert compare(csv_a, csv_a.replace("clusters", "count")) == ["records.csv header differs"]
+        assert compare(csv_a, csv_a + "s,extra,1.0,4,2.0\n") == ["records.csv has 3 vs 4 rows"]
