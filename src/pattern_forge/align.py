@@ -7,9 +7,10 @@ One aligner per constraint gives the best rigid shift between two patterns:
 * the minmax midpoint over corresponding edge offsets for the
   edge-displacement constraint (`edge_fit_aligned`), which is both the
   relaxed pair test and the strict refinement check. `edge_fits` gives
-  `edge_fit_aligned` for a whole list of pairs, scoring most of them in
-  array passes (`iter_edge_fits`, which the graph stage calls directly);
-  refinement and verification call it.
+  `edge_fit_aligned` of one representative against a list of patterns,
+  scoring most of them in array passes (`iter_edge_fits`, which the graph
+  stage calls directly on any index pairs); refinement and verification
+  call it.
 
 Phase correlation on coverage bitmaps (`phase_correlate`, the global optimum
 for circular shifts) serves the synthetic generator, not the clustering.
@@ -20,7 +21,6 @@ center must move to line the contents up.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -262,20 +262,15 @@ BATCH_PAIRS = 256
 BATCH_CELLS = 1 << 20
 
 
-def edge_fits(pairs) -> list:
-    """[edge_fit_aligned(a, b) for a, b in pairs], scoring most pairs in
-    array passes (`iter_edge_fits`). A pattern that appears in several
-    pairs is laid out once. A single pair (each probe refinement) goes
-    straight to `edge_fit_aligned`, which costs less than a block's setup."""
-    if len(pairs) == 1:
-        return [edge_fit_aligned(*pairs[0])]
-    results: list = [None] * len(pairs)
-    flat = list(chain.from_iterable(pairs))
-    ids = list(map(id, flat))
-    by_id = dict(zip(ids, flat))  # each pattern once, in first-seen order
-    index = {key: n for n, key in enumerate(by_id)}
-    ij = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids)).reshape(-1, 2)
-    for k, fit in iter_edge_fits(list(by_id.values()), ij):
+def edge_fits(rep, patterns) -> list:
+    """[edge_fit_aligned(rep, p) for p in patterns], scoring most pairs in
+    array passes (`iter_edge_fits`). A single pattern (each probe
+    refinement) goes straight to `edge_fit_aligned`, which costs less than
+    a block's setup."""
+    if len(patterns) == 1:
+        return [edge_fit_aligned(rep, patterns[0])]
+    results: list = [None] * len(patterns)
+    for k, fit in iter_edge_fits([rep, *patterns], [(0, k) for k in range(1, len(patterns) + 1)]):
         results[k] = fit
     return results
 

@@ -13,10 +13,9 @@ the variant joined to the run's `RunStats.to_json` record, the same record
 """
 
 import io
-import os
 from dataclasses import dataclass
 
-from .layout_io import ConstraintKind, LayoutDocument, generate_synthetic
+from .layout_io import ConstraintKind, LayoutDocument, _read_text, generate_synthetic
 from .pipeline import STAGES, IterationConfig, run_full
 
 PRESCREEN_OFF_MAX_N = 400  # all-pairs evaluation is quadratic; keep it small
@@ -55,13 +54,10 @@ _PARSERS = {
 
 
 def parse_matrix(source) -> list[Scenario]:
-    if isinstance(source, os.PathLike) or (isinstance(source, str) and "\n" not in source and os.path.exists(source)):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source
+    """Scenarios from a path, string, bytes, or file object, read as
+    `layout_io.parse_layout` reads its source."""
     scenarios = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(source).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import bench as bench_mod
 from . import graph as graph_mod
@@ -63,7 +64,7 @@ def _apply_overrides(doc, args):
 
 
 def _cmd_cluster(args) -> int:
-    doc = parse_layout(args.input)
+    doc = parse_layout(Path(args.input))  # a Path is always read as a file
     doc = _apply_overrides(doc, args)
     cfg = IterationConfig(max_iterations=args.max_iters, use_prescreen=not args.no_prescreen)
     graphs = {}  # iteration -> relaxed pair graph, kept for --dump-graph
@@ -107,7 +108,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    scenarios = bench_mod.parse_matrix(args.matrix)
+    scenarios = bench_mod.parse_matrix(Path(args.matrix))
     os.makedirs(args.out, exist_ok=True)
     records, table = bench_mod.run_matrix(scenarios)
     with open(os.path.join(args.out, "records.csv"), "w", encoding="utf-8") as fh:

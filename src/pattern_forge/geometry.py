@@ -146,13 +146,13 @@ class Polygon:
         return Polygon(tuple((x + dx, y + dy) for x, y in self.vertices))
 
 
-# Bound on the per-polygon cache below. Its keys are the design polygons
-# (parsing validates each one through it) and every translated clipped
-# piece of an extracted pattern, a new key each, so an unbounded cache would
-# grow for the life of the process. Cosine refinement and verification read
-# the layout's rectangle table instead of extracting, so only anchor
-# extraction and edgemove mode add pieces; one run and verification of a
-# benchmark workload (N=400) end with under 10k entries.
+# Bound on the per-polygon cache below. Its keys are the design polygons,
+# which parsing validates and the layout's rectangle table reads (extraction
+# reads that table and decomposes none of them again), and every
+# window-local shape that is rasterised or laid out for the edgemove
+# kernels, a new key each, so an unbounded cache would grow for the life of
+# the process. One run and verification of a benchmark workload (N=400) end
+# with under 10k entries.
 _CACHE_ENTRIES = 1 << 16
 
 
@@ -407,20 +407,28 @@ class Pattern:
 
 
 def extract_pattern(doc, center: Vertex) -> Pattern:
-    """Clip the document's design polygons to the square window at `center`.
-
-    Only the polygons `doc.window_candidates(center)` names are clipped; every
-    other polygon misses the window or touches it only along an edge, so it
-    would yield no piece. Pieces of a split polygon become independent shapes.
+    """The design polygons clipped to the square window at `center`, in
+    polygon order and window-local coordinates, built from the query that
+    `raster.window_features` reads (`doc.window_rectangles`). A polygon
+    whose bbox lies inside the window is kept whole; one that crosses the
+    window's edge becomes the union of its clipped rows, one shape per
+    piece, which is what `clip_polygon` traces.
     """
     cx, cy = center
     r = doc.pattern_radius
-    window = (cx - r, cy - r, cx + r, cy + r)
+    rows, owners = doc.window_rectangles(center)
     polys = doc.design_polygons
+    pieces: dict[int, list] = {}
+    for idx, row in zip(owners.tolist(), rows.tolist()):
+        pieces.setdefault(idx, []).append(row)
     shapes = []
-    for idx in doc.window_candidates(center).tolist():
-        for piece in clip_polygon(polys[idx], window):
-            shapes.append(piece.translated(-cx, -cy))
+    for idx in sorted(pieces):
+        poly = polys[idx]
+        bx0, by0, bx1, by1 = poly.bbox
+        if cx - r <= bx0 and cy - r <= by0 and bx1 <= cx + r and by1 <= cy + r:
+            shapes.append(poly.translated(-cx, -cy))
+        else:
+            shapes.extend(Polygon.from_vertices(ring) for ring in _trace_union(pieces[idx]))
     return Pattern((cx, cy), r, tuple(shapes))
 
 

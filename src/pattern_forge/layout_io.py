@@ -66,8 +66,8 @@ class LayoutDocument:
     polygon_ids: tuple[int, ...]
     markers: tuple[Marker, ...]
     marker_ids: tuple[int, ...]
-    _bbox_arr: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _rect_arr: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _rect_poly: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _rect_wmax: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,51 +79,40 @@ class LayoutDocument:
             raise ValueError("marker ids do not match markers")
         _check_threshold(self.constraint_kind, self.threshold)
 
-    def design_bbox_array(self) -> np.ndarray:
-        if self._bbox_arr is None:
-            if self.design_polygons:
-                self._bbox_arr = np.asarray([p.bbox for p in self.design_polygons], dtype=np.int64)
-            else:
-                self._bbox_arr = np.zeros((0, 4), dtype=np.int64)
-        return self._bbox_arr
-
-    def window_candidates(self, center) -> np.ndarray:
-        """Indices of design polygons whose bbox positively overlaps the window."""
-        cx, cy = center
-        r = self.pattern_radius
-        bb = self.design_bbox_array()
-        hit = (bb[:, 0] < cx + r) & (bb[:, 2] > cx - r) & (bb[:, 1] < cy + r) & (bb[:, 3] > cy - r)
-        return np.nonzero(hit)[0]
-
     def design_rect_array(self) -> np.ndarray:
         """The `rectangles()` of every design polygon, one int64 row (xlo,
-        ylo, xhi, yhi) each, sorted by xlo. Built on first use, like the
-        bbox array, so parsing does not pay for it."""
+        ylo, xhi, yhi) each, sorted by xlo; `_rect_poly` holds the index of
+        each row's polygon. Built on first use, so parsing does not pay for
+        it."""
         if self._rect_arr is None:
-            rows = [rc for p in self.design_polygons for rc in rectangles(p)]
-            arr = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
-            self._rect_arr = arr[np.argsort(arr[:, 0], kind="stable")]
+            pieces = [rectangles(p) for p in self.design_polygons]
+            arr = np.asarray([rc for rs in pieces for rc in rs], dtype=np.int64).reshape(-1, 4)
+            owner = np.repeat(np.arange(len(pieces)), [len(rs) for rs in pieces])
+            order = np.argsort(arr[:, 0], kind="stable")
+            self._rect_arr, self._rect_poly = arr[order], owner[order]
             self._rect_wmax = int((arr[:, 2] - arr[:, 0]).max(initial=0))
         return self._rect_arr
 
-    def window_rectangles(self, center) -> np.ndarray:
+    def window_rectangles(self, center) -> tuple[np.ndarray, np.ndarray]:
         """The design rectangles that strictly overlap the window at
-        `center`, clipped to it and shifted to window-local coordinates.
-
-        They tile the same area as the shapes of `extract_pattern(self,
-        center)` (a polygon's rectangles are disjoint), so they give the
-        same coverage. No rectangle is wider than the widest one, so only
-        rows with xlo in (cx - r - widest, cx + r) can reach the window.
+        `center`, clipped to it and shifted to window-local coordinates,
+        and the index of each one's polygon: `raster.window_features` and
+        `extract_pattern` both read this one query. A polygon that misses
+        the window, touches it only along an edge, or overlaps it with its
+        bbox alone has no rows. No rectangle is wider than the widest one,
+        so only rows with xlo in (cx - r - widest, cx + r) can reach the
+        window.
         """
         cx, cy = center
         r = self.pattern_radius
         arr = self.design_rect_array()
         lo, hi = arr[:, 0].searchsorted((cx - r - self._rect_wmax, cx + r))
         rows = arr[lo:hi]
-        rows = rows[(rows[:, 2] > cx - r) & (rows[:, 1] < cy + r) & (rows[:, 3] > cy - r)]
+        keep = (rows[:, 2] > cx - r) & (rows[:, 1] < cy + r) & (rows[:, 3] > cy - r)
+        rows = rows[keep]
         rows -= (cx, cy, cx, cy)  # boolean indexing made a copy
         np.minimum(rows, r, out=rows)
-        return np.maximum(rows, -r, out=rows)
+        return np.maximum(rows, -r, out=rows), self._rect_poly[lo:hi][keep]
 
 
 def _read_text(source) -> str:

@@ -197,7 +197,7 @@ def refine_members(rep: Pattern, rep_features, members, doc: LayoutDocument) -> 
             features = raster.pattern_features(p) if f is None else f
             at_anchor.append(raster.cosine_similarity(rep_features, features))
     else:
-        fits = align.edge_fits([(rep, p) for _marker, p, _f in members])
+        fits = align.edge_fits(rep, [p for _marker, p, _f in members])
         shifts = [None if fit is None else fit[0] for fit in fits]
         at_anchor = [None if fit is None else -float(fit[2]) for fit in fits]
     moved = {}  # member position -> its aligned center, where that is not its anchor
@@ -234,7 +234,7 @@ def _window_scores(doc: LayoutDocument, rep: Pattern | None, rep_features, cente
     is no one-to-one correspondence."""
     if doc.constraint_kind is ConstraintKind.COSINE:
         return [raster.cosine_similarity(rep_features, raster.window_features(doc, c)) for c in centers]
-    fits = align.edge_fits([(rep, extract_pattern(doc, c)) for c in centers])
+    fits = align.edge_fits(rep, [extract_pattern(doc, c) for c in centers])
     return [None if fit is None else -float(fit[2]) for fit in fits]
 
 

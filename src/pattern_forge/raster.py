@@ -121,9 +121,10 @@ def pattern_features(pattern: Pattern) -> np.ndarray:
 
 
 def window_features(doc, center) -> np.ndarray:
-    """`pattern_features(extract_pattern(doc, center))`, bit for bit, read
-    from the layout's decomposition rectangles (`doc.window_rectangles`)
-    without clipping or tracing a polygon.
+    """`pattern_features(extract_pattern(doc, center))`, bit for bit,
+    rasterised straight from the rows of `doc.window_rectangles(center)`,
+    the query `extract_pattern` builds its shapes from, without tracing a
+    polygon.
 
     Coverage is additive over any disjoint decomposition of the same area,
     so both paths sum the same integer numerators, and every later step is
@@ -131,7 +132,8 @@ def window_features(doc, center) -> np.ndarray:
     twice on both paths.
     """
     r = doc.pattern_radius
-    return _unit(dct_features(_bitmap(_coverage(doc.window_rectangles(center), r, GRID), r, GRID)))
+    rows, _polys = doc.window_rectangles(center)
+    return _unit(dct_features(_bitmap(_coverage(rows, r, GRID), r, GRID)))
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -211,10 +211,13 @@ class TestCluster:
         capsys.readouterr()
 
     def test_missing_input_exits_nonzero(self, tmp_path, capsys):
-        rc = main(["cluster", "--input", str(tmp_path / "nope.lay"),
-                   "--output", "-"])
+        # the missing file is named, not parsed as a one-line layout
+        missing = tmp_path / "nope.lay"
+        rc = main(["cluster", "--input", str(missing), "--output", "-"])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No such file" in err and str(missing) in err
+        assert "line 1" not in err
 
     def test_malformed_layout_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.lay"
@@ -243,10 +246,13 @@ class TestBench:
         assert len(csv.splitlines()) == 1 + 2  # header + one row per variant
 
     def test_missing_matrix_exits_nonzero(self, tmp_path, capsys):
-        rc = main(["bench", "--matrix", str(tmp_path / "none.txt"),
-                   "--out", str(tmp_path / "o")])
+        # the missing file is named, not parsed as a one-line matrix
+        missing = tmp_path / "none.txt"
+        rc = main(["bench", "--matrix", str(missing), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No such file" in err and str(missing) in err
+        assert "line 1" not in err and "scenario" not in err
 
 
 class TestEntryPoint:

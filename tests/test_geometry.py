@@ -253,24 +253,65 @@ def _clip_every_polygon(doc, center) -> tuple[Polygon, ...]:
     )
 
 
+def _turned(points, center, turns: int) -> Polygon:
+    """The ring through `points`, turned `turns` quarter turns about `center`."""
+    cx, cy = center
+    for _ in range(turns):
+        points = [(cx - (y - cy), cy + (x - cx)) for x, y in points]
+    return Polygon.from_vertices(points)
+
+
+def _u_across_edge(center, radius, inset, top, turns) -> Polygon:
+    """A U under the window whose two prongs, 2 wide and `inset` in from its
+    sides, cross the window's bottom edge and end `top` above its center:
+    one polygon, two pieces."""
+    cx, cy = center
+    x0, x1, y0, y1 = cx - radius + inset, cx + radius - inset, cy - radius - 4, cy + top
+    ring = [(x0, y0), (x1, y0), (x1, y1), (x1 - 2, y1), (x1 - 2, y0 + 2), (x0 + 2, y0 + 2), (x0 + 2, y1), (x0, y1)]
+    return _turned(ring, center, turns)
+
+
+def _l_round_corner(center, radius, gap, turns) -> Polygon:
+    """An L round the window's top-right corner, `gap` clear of both edges:
+    its bbox overlaps the window while none of its rectangles does."""
+    cx, cy = center
+    x, y = cx + radius + gap, cy + radius + gap
+    ring = [(cx, y), (x, y), (x, cy), (x + 4, cy), (x + 4, y + 4), (cx, y + 4)]
+    return _turned(ring, center, turns)
+
+
 @st.composite
 def _design(draw):
-    """A few rectangles and staircases scattered around a small window.
+    """A few polygons scattered around a small window: rectangles and
+    staircases, U's whose prongs cross the window's edge, L's round a window
+    corner, and copies of earlier polygons moved by at most 1, which overlap
+    them.
 
     Coordinates sit on a coarse lattice near the window, so edges often land
     exactly on the window boundary (touching polygons) as well as across it.
     """
     radius = draw(st.sampled_from([4, 8, 12]))
     coord = st.integers(-6, 6).map(lambda v: 4 * v)
+    center = (draw(coord), draw(coord))
+    turns = st.integers(0, 3)
     polys = []
     for _ in range(draw(st.integers(0, 8))):
-        x0, y0 = draw(coord), draw(coord)
-        if draw(st.booleans()):
-            w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-            polys.append(rect(x0, y0, x0 + 4 * w, y0 + 4 * h))
+        kind = draw(st.sampled_from(["rect", "staircase", "u", "l"] + ["copy"] * bool(polys)))
+        if kind in ("rect", "staircase"):
+            x0, y0 = draw(coord), draw(coord)
+            if kind == "rect":
+                w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+                polys.append(rect(x0, y0, x0 + 4 * w, y0 + 4 * h))
+            else:
+                polys.append(staircase(draw(st.integers(1, 3)), run=4, rise=4, x0=x0, y0=y0))
+        elif kind == "u":
+            top = draw(st.sampled_from([2 - radius, 0, radius, radius + 4]))
+            polys.append(_u_across_edge(center, radius, draw(st.integers(-1, 1)), top, draw(turns)))
+        elif kind == "l":
+            polys.append(_l_round_corner(center, radius, draw(st.sampled_from([0, 2, 4])), draw(turns)))
         else:
-            polys.append(staircase(draw(st.integers(1, 3)), run=4, rise=4, x0=x0, y0=y0))
-    center = (draw(coord), draw(coord))
+            shift = st.integers(-1, 1)
+            polys.append(draw(st.sampled_from(polys)).translated(draw(shift), draw(shift)))
     return _doc(polys, radius), center
 
 
@@ -315,12 +356,28 @@ class TestExtract:
         assert p.shapes == _clip_every_polygon(doc, (0, 0))
 
     @given(_design())
+    @example((_doc([_u_across_edge((0, 0), 8, 0, 0, 0), rect(-8, -4, -4, 4), rect(-6, -2, 0, 2)], 8), (0, 0)))
+    @example((_doc([_l_round_corner((4, 4), 4, 0, t) for t in range(4)], 4), (4, 4)))
+    @example((_doc([rect(-20, -2, 20, 2), rect(-20, -2, 20, 2), rect(-2, -20, 2, 20)], 12), (0, 0)))
     def test_index_matches_clipping_every_polygon(self, design):
         doc, center = design
         p = extract_pattern(doc, center)
         assert p.center == center
         assert p.radius == doc.pattern_radius
         assert p.shapes == _clip_every_polygon(doc, center)
+
+    def test_u_prongs_are_two_pieces(self):
+        for turns in range(4):
+            doc = _doc([_u_across_edge((0, 0), 8, 0, 0, turns)], 8)
+            p = extract_pattern(doc, (0, 0))
+            assert len(p.shapes) == 2 and p.total_area() == 2 * 2 * 8
+
+    def test_l_round_a_corner_has_no_piece(self):
+        for turns in range(4):
+            doc = _doc([_l_round_corner((0, 0), 8, 0, turns)], 8)
+            bx0, by0, bx1, by1 = doc.design_polygons[0].bbox
+            assert bx0 < 8 and by0 < 8 and bx1 > -8 and by1 > -8  # the bbox overlaps the window
+            assert extract_pattern(doc, (0, 0)).is_empty
 
 
 def _pat(*polys, radius=32) -> Pattern:

@@ -257,15 +257,26 @@ class TestEdgeFits:
     def test_equals_per_pair_aligner(self, patterns, data, block):
         # any pairs of the windows, in either order, repeated, or a window
         # with itself: shift, residual and raw offset all equal the per-pair
-        # aligner's, with blocks cut small
+        # aligner's, with blocks cut small. The kernel yields each pair once,
+        # except the pairs with unequal shape counts, whose fit is None
         n = len(patterns)
         pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
         expected = [edge_fit_aligned(patterns[i], patterns[j]) for i, j in pairs]
+        rep, others = patterns[0], patterns[data.draw(st.integers(0, n - 1)):]
         with patch.object(align, "BATCH_PAIRS", block[0]), patch.object(align, "BATCH_CELLS", block[1]):
-            assert align.edge_fits([(patterns[i], patterns[j]) for i, j in pairs]) == expected
+            got = list(align.iter_edge_fits(patterns, pairs))
+            fits = align.edge_fits(rep, others)
+        ks = [k for k, _fit in got]
+        assert sorted(ks) == [k for k, (i, j) in enumerate(pairs)
+                              if len(patterns[i].shapes) == len(patterns[j].shapes)]
+        assert all(fit == expected[k] for k, fit in got)
+        assert all(expected[k] is None for k in set(range(len(pairs))) - set(ks))
+        # one representative against a list, itself included
+        assert fits == [edge_fit_aligned(rep, p) for p in others]
 
-    def test_no_pairs(self):
-        assert align.edge_fits([]) == []
+    def test_no_patterns(self):
+        assert align.edge_fits(_pat(), []) == []
+        assert list(align.iter_edge_fits([], [])) == []
 
 
 class TestEvaluatePairsEdgemove:

@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -148,7 +149,7 @@ class TestWrite:
         assert buf.getvalue() == data
 
 
-class TestWindowCandidates:
+class TestWindowRectangles:
     def test_positive_overlap_only(self):
         text = (
             "HEADER RADIUS 10 CONSTRAINT COSINE THRESHOLD 0.5\n"
@@ -157,12 +158,15 @@ class TestWindowCandidates:
             "POLY 2 -30 0 -26 0 -26 4 -30 4\n"  # far away
         )
         doc = parse_layout(text)
-        assert list(doc.window_candidates((0, 0))) == [0]
-        assert list(doc.window_candidates((16, 2))) == [1]
+        rows, polys = doc.window_rectangles((0, 0))
+        assert rows.tolist() == [[0, 0, 4, 4]] and polys.tolist() == [0]
+        rows, polys = doc.window_rectangles((16, 2))
+        assert rows.tolist() == [[-6, -2, -2, 2]] and polys.tolist() == [1]
 
     def test_empty_design(self):
         doc = LayoutDocument(8, ConstraintKind.COSINE, 0.5, (), (), (), ())
-        assert doc.window_candidates((0, 0)).size == 0
+        rows, polys = doc.window_rectangles((0, 0))
+        assert rows.shape == (0, 4) and polys.size == 0
 
 
 class TestClusterReport:
@@ -292,8 +296,10 @@ class TestGenerator:
 
     def test_window_isolation(self):
         doc = generate_synthetic(3, 3, 8, seed=2)
-        counts = [len(doc.window_candidates(m.center())) for m in doc.markers]
-        assert sum(counts) == len(doc.design_polygons)
+        owners = [doc.window_rectangles(m.center())[1].tolist() for m in doc.markers]
+        counts = Counter(p for polys in owners for p in set(polys))
+        assert sorted(counts) == list(range(len(doc.design_polygons)))
+        assert set(counts.values()) == {1}  # each polygon in exactly one marker window
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -115,9 +115,9 @@ class TestRefineCluster:
         calls = []
         real = align.edge_fits
 
-        def counting(pairs):
-            calls.extend(pairs)
-            return real(pairs)
+        def counting(rep, patterns):
+            calls.extend(patterns)
+            return real(rep, patterns)
 
         monkeypatch.setattr(align, "edge_fits", counting)
         for offset, expected in (((0, 0), 1), ((4, 6), 2)):
@@ -280,7 +280,7 @@ def _refine_paths(doc) -> set:
         if c != fit[0]:
             paths.add("clamped")
         center = (anchor[0] + c.dx, anchor[1] + c.dy)
-        polys = [len(doc.window_candidates(x)) for x in (anchor, center)]
+        polys = [len(set(doc.window_rectangles(x)[1].tolist())) for x in (anchor, center)]
         if polys[1] != polys[0]:
             paths.add("gains" if polys[1] > polys[0] else "loses")
         if len(extract_pattern(doc, center).shapes) - polys[1] > len(at_anchor.shapes) - polys[0]:

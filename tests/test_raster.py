@@ -200,10 +200,11 @@ class TestWindowFeatures:
         doc = _layout([_u_shape(-40, -60, 40, 10, 20), rect(32, -8, 60, 8)], 32)
         pattern = extract_pattern(doc, (0, 30))
         assert len(pattern.shapes) == 2  # the U's two prongs; the bar only touches
-        rows = doc.window_rectangles((0, 30))
+        rows, polys = doc.window_rectangles((0, 30))
         assert rows.dtype == np.int64 and (np.abs(rows) <= 32).all()
         area = int(((rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])).sum())
         assert area == pattern.total_area()
+        assert set(polys.tolist()) == {0}  # only the U has rows
 
 
 class TestRasterize:

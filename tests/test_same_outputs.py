@@ -63,7 +63,9 @@ class TestSameOutputs:
     def test_bench_records_compared_without_ms_columns(self, tmp_path):
         ns = _script_module()
         untimed, compare = ns["_untimed_rows"], ns["_compare_records"]
-        main(["bench", "--matrix", "scenario name=tiny templates=2 instances=2", "--out", str(tmp_path)])
+        matrix = tmp_path / "matrix.txt"
+        matrix.write_text("scenario name=tiny templates=2 instances=2\n", encoding="utf-8")
+        main(["bench", "--matrix", str(matrix), "--out", str(tmp_path)])
         text = (tmp_path / "records.csv").read_text(encoding="utf-8")
         header = text.splitlines()[0].split(",")
         rows = untimed(text)
