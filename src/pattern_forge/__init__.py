@@ -50,7 +50,7 @@ from .layout_io import (
 )
 from .prescreen import CandidatePairSet, PrescreenStats, TopoSignature, build_candidates, signature
 from .graph import SimilarityGraph, assemble, dump_edges, evaluate_pair_relaxed
-from .scp import SolveResult, SolverStats, SurprisalScore, initial_scores, solve
+from .scp import SolveResult, SolverStats, solve
 from .pipeline import (
     Cluster,
     IterationConfig,

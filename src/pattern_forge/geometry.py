@@ -371,6 +371,7 @@ class Pattern:
     _bbox_arr: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _edge_view: EdgeView = field(default=None, init=False, repr=False, compare=False)
     _area: int = field(default=None, init=False, repr=False, compare=False)
+    _features: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def shape_bboxes(self) -> np.ndarray:
         if self._bbox_arr is None:
@@ -397,6 +398,16 @@ class Pattern:
         if self._area is None:
             self._area = sum(p.area for p in self.shapes)
         return self._area
+
+    def features(self) -> np.ndarray:
+        """`raster.pattern_features` of this window, computed on first use
+        and kept: a cosine run reads an anchor's vector in every graph pair,
+        refinement and probe it takes part in."""
+        if self._features is None:
+            from . import raster  # raster imports this module
+
+            self._features = raster.pattern_features(self)
+        return self._features
 
     def bounds(self) -> Rect | None:
         """Union bounding box of the shapes, or None for an empty pattern."""

@@ -1,15 +1,16 @@
 """Relaxed pair evaluation and sparse similarity-graph assembly.
 
 Each surviving candidate pair is tested under the strict constraint with
-only its threshold loosened; accepted pairs become undirected edges. The
-graph carries adjacency only: refinement recomputes every alignment against
-the representative it is assigned to.
+only its threshold loosened; the accepted pairs are the graph's undirected
+edges, and `assemble` builds the graph from them. The graph carries
+adjacency only: refinement recomputes every alignment against the
+representative it is assigned to.
 
 `evaluate_pair_relaxed` tests one pair. In edgemove mode the graph stage
-calls `evaluate_pairs_edgemove` instead, which gives the same result for
-every pair of a list: it thresholds the residuals of
-`align.iter_edge_fits`, the kernel that scores pairs of patterns sharing a
-layout in array blocks and calls `align.edge_fit_aligned` for the rest.
+calls `evaluate_pairs_edgemove` instead, which accepts the same pairs of a
+list: it thresholds the residuals of `align.iter_edge_fits`, the kernel that
+scores pairs of patterns sharing a layout in array blocks and calls
+`align.edge_fit_aligned` for the rest.
 """
 
 from dataclasses import dataclass
@@ -38,16 +39,6 @@ class SimilarityGraph:
                 if i not in neighbours[j]:
                     raise ValueError(f"edge {i}->{j} missing its reverse")
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "SimilarityGraph":
-        adj = [set() for _ in range(n)]
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) outside 0..{n - 1}")
-            adj[i].add(j)
-            adj[j].add(i)
-        return cls(n, _sorted_adjacency(adj))
-
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
 
@@ -67,64 +58,48 @@ def evaluate_pair_relaxed(
     b: Pattern,
     doc: LayoutDocument,
     slack: float = 0.0,
-    *,
-    fa=None,
-    fb=None,
 ) -> Translation | None:
     """Test one pair under the document constraint loosened by `slack`.
 
-    Cosine mode compares features at zero shift against threshold - slack and
-    reports a zero alignment. EdgeMove mode is the strict check,
-    `align.edge_fit_aligned`, accepting a residual within threshold + slack
-    and reporting the min-max translation. Rejection returns None.
+    Cosine mode compares the patterns' `features()` at zero shift against
+    threshold - slack and reports a zero alignment. EdgeMove mode is the
+    strict check, `align.edge_fit_aligned`, accepting a residual within
+    threshold + slack and reporting the min-max translation. Rejection
+    returns None.
     """
     if doc.constraint_kind is ConstraintKind.COSINE:
-        if fa is None:
-            fa = raster.pattern_features(a)
-        if fb is None:
-            fb = raster.pattern_features(b)
-        sim = raster.cosine_similarity(fa, fb)
+        sim = raster.cosine_similarity(a.features(), b.features())
         return ZERO_SHIFT if sim >= doc.threshold - slack else None
     fit = align.edge_fit_aligned(a, b)
     return fit[0] if fit is not None and fit[1] <= doc.threshold + slack else None
 
 
 def evaluate_pairs_edgemove(patterns, pairs, doc: LayoutDocument, slack: float = 0.0) -> list:
-    """[evaluate_pair_relaxed(patterns[i], patterns[j], doc, slack) for i, j
-    in pairs] for an edgemove document: the fits of `align.iter_edge_fits`
-    whose residual is within threshold + slack. Only the accepted shifts are
-    kept, so the stage never holds a fit per pair."""
+    """The pairs (i, j) of `pairs` that `evaluate_pair_relaxed(patterns[i],
+    patterns[j], doc, slack)` accepts for an edgemove document, in no fixed
+    order: the fits of `align.iter_edge_fits` whose residual is within
+    threshold + slack. The list holds the tuples of `pairs` themselves, and
+    no fit is kept."""
     limit = doc.threshold + slack
-    results: list = [None] * len(pairs)
-    for k, fit in align.iter_edge_fits(patterns, pairs):
-        if fit is not None and fit[1] <= limit:
-            results[k] = fit[0]
-    return results
+    fits = align.iter_edge_fits(patterns, pairs)
+    return [pairs[k] for k, fit in fits if fit is not None and fit[1] <= limit]
 
 
-def assemble(n: int, pairs, results) -> SimilarityGraph:
-    """Fold per-pair outcomes into a symmetric graph; None entries are
-    rejections. Deterministic for a fixed (pairs, results) regardless of the
-    order the evaluations actually ran in."""
-    if len(pairs) != len(results):
-        raise ValueError("results do not match pairs")
+def assemble(n: int, edges) -> SimilarityGraph:
+    """The graph over n nodes whose undirected edges are `edges`, (i, j)
+    node pairs in any order and orientation; a pair named twice is an
+    error."""
     adj = [set() for _ in range(n)]
-    for (i, j), t in zip(pairs, results):
-        if t is None:
-            continue
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) outside 0..{n - 1}")
         if j in adj[i]:
             raise ValueError(f"duplicate pair {(min(i, j), max(i, j))}")
         adj[i].add(j)
         adj[j].add(i)
-    return SimilarityGraph(n, _sorted_adjacency(adj))
-
-
-def _sorted_adjacency(adj: list) -> tuple[tuple[int, ...], ...]:
-    """The neighbour sets as ascending tuples. The list is emptied, so the
-    sets are freed before SimilarityGraph's check builds its own."""
-    out = tuple(tuple(sorted(s)) for s in adj)
-    adj.clear()
-    return out
+    adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+    adj.clear()  # free the sets before SimilarityGraph's check builds its own
+    return SimilarityGraph(n, adjacency)
 
 
 def dump_edges(g: SimilarityGraph) -> str:

@@ -115,8 +115,17 @@ class LayoutDocument:
         return np.maximum(rows, -r, out=rows), self._rect_poly[lo:hi][keep]
 
 
+def _names_file(source: str) -> bool:
+    """Whether a str source is a path: it is non-empty with no whitespace
+    (every document has some, so a missing file raises FileNotFoundError
+    naming it), or a single line naming an existing file."""
+    if source and not any(ch.isspace() for ch in source):
+        return True
+    return "\n" not in source and os.path.exists(source)
+
+
 def _read_text(source) -> str:
-    if isinstance(source, os.PathLike) or (isinstance(source, str) and "\n" not in source and os.path.exists(source)):
+    if isinstance(source, os.PathLike) or (isinstance(source, str) and _names_file(source)):
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
     if isinstance(source, bytes):
@@ -421,7 +430,6 @@ def generate_synthetic(
     radius: int = 512,
     constraint: ConstraintKind = ConstraintKind.COSINE,
     threshold: float | None = None,
-    verify_templates: bool = True,
 ) -> LayoutDocument:
     """Deterministic benchmark layout: K templates stamped M times each.
 
@@ -449,7 +457,7 @@ def generate_synthetic(
     for k in range(template_count):
         count = 3 + k
         shapes = _template_shapes(rng, count, half)
-        if verify_templates and constraint is ConstraintKind.COSINE:
+        if constraint is ConstraintKind.COSINE:
             tries = 0
             while any(_cosine_alike(prev, shapes, radius, threshold) for prev in templates):
                 tries += 1

@@ -10,11 +10,14 @@ Stages call module globals, where `perfbench/tracer.py` wraps them. Slack
 shrinks linearly to zero across iterations, so the last round admits only
 strictly-valid clusters and unassigned markers degrade to singletons.
 
-A marker's anchor (the pattern at its marker center, plus its unit feature
-vector in cosine mode) never changes, so a run extracts it once and keeps it
-for the rest of that run: the probe (for the orphan and for each cluster's
-representative), `_extract` in every iteration and the refinement of the
-member at its anchor all read the same entry.
+A marker's anchor (the pattern at its marker center) never changes, so a
+run extracts it once and keeps it for the rest of that run: the probe (for
+the orphan and for each cluster's representative), `_extract` in every
+iteration and the refinement of the member at its anchor all read the same
+pattern. Stages pass patterns and index pairs only: in cosine mode each
+reads an anchor's unit feature vector through `Pattern.features()`, which
+computes it once per pattern, and the graph stage hands `graph.assemble`
+the candidate pairs the relaxed test accepts.
 
 One routine, `refine_members`, refines in both modes: `_refine` passes it
 all members of a selection at once, and the probe one pair at a time
@@ -153,27 +156,23 @@ def refine_cluster(
     rep: Pattern,
     marker: Marker,
     doc: LayoutDocument,
-    rep_features=None,
     member_at_anchor: Pattern | None = None,
-    member_features=None,
 ) -> RefineResult | None:
     """Pick the best legal center for one member against a fixed
     representative: `refine_members` of that one member.
 
-    `rep_features`, `member_at_anchor` and `member_features` may carry the
-    representative's features and the member's pattern and features at its
-    marker center when the caller already has them; otherwise they are
-    computed here.
+    `member_at_anchor` may carry the member's pattern at its marker center
+    when the caller already has it; otherwise it is extracted here.
     """
     if member_at_anchor is None:
         member_at_anchor = extract_pattern(doc, marker.center())
-    return refine_members(rep, rep_features, [(marker, member_at_anchor, member_features)], doc)[0]
+    return refine_members(rep, [(marker, member_at_anchor)], doc)[0]
 
 
-def refine_members(rep: Pattern, rep_features, members, doc: LayoutDocument) -> list:
-    """The best legal center of each (marker, pattern at its marker center,
-    features there or None) of `members` against one representative, as a
-    RefineResult, or None where no candidate center passes.
+def refine_members(rep: Pattern, members, doc: LayoutDocument) -> list:
+    """The best legal center of each (marker, pattern at its marker center)
+    of `members` against one representative, as a RefineResult, or None
+    where no candidate center passes.
 
     A member's candidate centers are the aligner's optimum, clamped into the
     marker, and the marker-center anchor. The aligned center is tried first
@@ -183,25 +182,25 @@ def refine_members(rep: Pattern, rep_features, members, doc: LayoutDocument) -> 
     mode (an empty pattern has no shift, so only the anchor is tried), and
     one `align.edge_fits` call in edgemove mode, whose raw offsets also
     score the anchors. The aligned centers that differ from their anchors
-    are scored together by `_window_scores`.
+    are scored together by `_window_scores`. Cosine scores read the
+    patterns' `features()`.
     """
     if doc.constraint_kind is ConstraintKind.COSINE:
-        if rep_features is None:
-            rep_features = raster.pattern_features(rep)
+        rep_features = rep.features()
         shifts, at_anchor = [], []
-        for _marker, p, f in members:
+        for _marker, p in members:
             try:
                 shifts.append(align.xy_minmax_align(rep, p))
             except align.NoCorrespondenceError:  # raised only for an empty pattern
                 shifts.append(None)
-            features = raster.pattern_features(p) if f is None else f
-            at_anchor.append(raster.cosine_similarity(rep_features, features))
+            at_anchor.append(raster.cosine_similarity(rep_features, p.features()))
     else:
-        fits = align.edge_fits(rep, [p for _marker, p, _f in members])
+        rep_features = None
+        fits = align.edge_fits(rep, [p for _marker, p in members])
         shifts = [None if fit is None else fit[0] for fit in fits]
         at_anchor = [None if fit is None else -float(fit[2]) for fit in fits]
     moved = {}  # member position -> its aligned center, where that is not its anchor
-    for k, ((marker, _p, _f), shift) in enumerate(zip(members, shifts)):
+    for k, ((marker, _p), shift) in enumerate(zip(members, shifts)):
         if shift is not None:
             anchor = marker.center()
             c = align.clamp_to_marker(shift, anchor, marker)
@@ -210,7 +209,7 @@ def refine_members(rep: Pattern, rep_features, members, doc: LayoutDocument) -> 
     moved_scores = dict(zip(moved, _window_scores(doc, rep, rep_features, list(moved.values()))))
     floor = _score_floor(doc)
     results = []
-    for k, (marker, _p, _f) in enumerate(members):
+    for k, (marker, _p) in enumerate(members):
         best = None
         for center, score in ((moved.get(k), moved_scores.get(k)), (marker.center(), at_anchor[k])):
             if score is not None and score >= floor and (best is None or score > best[1]):
@@ -277,14 +276,11 @@ def _probe(doc, stats, istats, clusters, active, anchors, refused) -> list[int]:
     for m in active:
         for cluster in clusters:
             rep = cluster.rep_marker
-            if not compatible(anchors[m][0], anchors[rep][0], doc.constraint_kind):
+            if not compatible(anchors[m], anchors[rep], doc.constraint_kind):
                 continue
             if _refused_before(istats, refused, rep, m):
                 continue
-            result = refine_cluster(
-                anchors[rep][0], doc.markers[m], doc, rep_features=anchors[rep][1],
-                member_at_anchor=anchors[m][0], member_features=anchors[m][1],
-            )
+            result = refine_cluster(anchors[rep], doc.markers[m], doc, member_at_anchor=anchors[m])
             if result is None:
                 refused.add((rep, m))
                 continue
@@ -296,15 +292,13 @@ def _probe(doc, stats, istats, clusters, active, anchors, refused) -> list[int]:
     return still
 
 
-def _extract(doc, active, anchors) -> tuple[list, list]:
-    """Stage 1: the active markers' anchor patterns and features (None in
-    edgemove mode), extracted into `anchors` the first time a run needs them."""
-    cosine = doc.constraint_kind is ConstraintKind.COSINE
+def _extract(doc, active, anchors) -> list[Pattern]:
+    """Stage 1: the active markers' anchor patterns, extracted into
+    `anchors` the first time a run needs them."""
     for m in active:
         if m not in anchors:
-            p = extract_pattern(doc, doc.markers[m].center())
-            anchors[m] = (p, raster.pattern_features(p) if cosine else None)
-    return [anchors[m][0] for m in active], [anchors[m][1] for m in active]
+            anchors[m] = extract_pattern(doc, doc.markers[m].center())
+    return [anchors[m] for m in active]
 
 
 def _candidates(doc, cfg, patterns) -> CandidatePairSet:
@@ -317,25 +311,24 @@ def _candidates(doc, cfg, patterns) -> CandidatePairSet:
     return CandidatePairSet(pairs, PrescreenStats(len(pairs), len(pairs)))
 
 
-def _graph(doc, slack, patterns, features, pairs) -> SimilarityGraph:
-    """Stage 2: the relaxed test on every candidate pair, assembled into the
-    iteration's similarity graph. Edgemove mode scores the pairs in blocks
-    with `evaluate_pairs_edgemove`, which calls `align.edge_fit_aligned`
-    only for pairs whose shapes it cannot line up by position; cosine mode
-    calls `evaluate_pair_relaxed` on each pair with the cached features."""
+def _graph(doc, slack, patterns, pairs) -> SimilarityGraph:
+    """Stage 2: the relaxed test on every candidate pair; the pairs it
+    accepts are the edges of the iteration's similarity graph. Edgemove
+    mode scores the pairs in blocks with `evaluate_pairs_edgemove`, which
+    calls `align.edge_fit_aligned` only for pairs whose shapes it cannot
+    line up by position; cosine mode calls `evaluate_pair_relaxed` on each
+    pair, reading each pattern's cached features."""
     if doc.constraint_kind is ConstraintKind.EDGEMOVE:
-        results = evaluate_pairs_edgemove(patterns, pairs, doc, slack)
+        edges = evaluate_pairs_edgemove(patterns, pairs, doc, slack)
     else:
-        results = [
-            evaluate_pair_relaxed(
-                patterns[i], patterns[j], doc, slack, fa=features[i], fb=features[j],
-            )
-            for i, j in pairs
+        edges = [  # the candidate tuples themselves: new (i, j) tuples would raise the peak RSS
+            pair for pair in pairs
+            if evaluate_pair_relaxed(patterns[pair[0]], patterns[pair[1]], doc, slack) is not None
         ]
-    return assemble(len(patterns), pairs, results)
+    return assemble(len(patterns), edges)
 
 
-def _refine(doc, stats, istats, clusters, active, patterns, features, selections, final, refused) -> list[int]:
+def _refine(doc, stats, istats, clusters, active, patterns, selections, final, refused) -> list[int]:
     """Stage 4: refine each selected member against its representative and
     commit the clusters; returns the rejected members and deferred
     representatives, sorted, for the next round. The members of a selection
@@ -356,8 +349,7 @@ def _refine(doc, stats, istats, clusters, active, patterns, features, selections
         others = [k for k in sel.covered if k != rep_local]
         tried = [k for k in others if not _refused_before(istats, refused, rep_idx, active[k])]
         found = refine_members(
-            patterns[rep_local], features[rep_local],
-            [(doc.markers[active[k]], patterns[k], features[k]) for k in tried], doc,
+            patterns[rep_local], [(doc.markers[active[k]], patterns[k]) for k in tried], doc,
         )
         results = dict(zip(tried, found))
         for k in others:
@@ -396,7 +388,7 @@ def run_full(
     clusters: list[Cluster] = []
     active = list(range(n))
     stats = RunStats(cfg, doc.constraint_kind.value, doc.threshold, marker_count=n)
-    anchors: dict[int, tuple] = {}  # marker index -> (anchor pattern, features or None)
+    anchors: dict[int, Pattern] = {}  # marker index -> pattern at its marker center
     refused: set[tuple[int, int]] = set()  # (representative, member) markers refinement refused
 
     for it in range(cfg.max_iterations):
@@ -408,10 +400,10 @@ def run_full(
             active = _timed(istats, "probe", _probe, doc, stats, istats, clusters, active, anchors, refused)
             if not active:
                 break
-        patterns, features = _timed(istats, "extract", _extract, doc, active, anchors)
+        patterns = _timed(istats, "extract", _extract, doc, active, anchors)
         cand = _timed(istats, "prescreen", _candidates, doc, cfg, patterns)
         istats.prescreen = cand.stats
-        g = _timed(istats, "graph", _graph, doc, istats.slack, patterns, features, cand.pairs)
+        g = _timed(istats, "graph", _graph, doc, istats.slack, patterns, cand.pairs)
         istats.edges = g.edge_count
         if on_graph is not None:
             on_graph(it, g)
@@ -419,7 +411,7 @@ def run_full(
         istats.solver = solved.stats
         active = _timed(
             istats, "refine", _refine, doc, stats, istats, clusters, active,
-            patterns, features, solved.selections, it == cfg.max_iterations - 1, refused,
+            patterns, solved.selections, it == cfg.max_iterations - 1, refused,
         )
 
     # anything still unassigned becomes its own cluster at its anchor

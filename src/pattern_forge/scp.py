@@ -18,15 +18,6 @@ from .graph import SimilarityGraph
 
 
 @dataclass(frozen=True)
-class SurprisalScore:
-    node: int
-    frequency: int
-    surprisal: float
-    tentative_score: float
-    epoch: int
-
-
-@dataclass(frozen=True)
 class Selection:
     node: int
     covered: tuple[int, ...]  # newly covered, ascending; includes node unless already covered
@@ -46,14 +37,6 @@ class SolveResult:
     selections: tuple[Selection, ...]
     stats: SolverStats
 
-    def assignment(self) -> dict[int, int]:
-        """node -> representative that covered it (earliest wins by construction)."""
-        out = {}
-        for sel in self.selections:
-            for k in sel.covered:
-                out[k] = sel.node
-        return out
-
 
 def _surprisals(g: SimilarityGraph):
     return [1.0 / (1 + g.degree(i)) for i in range(g.n)]
@@ -70,15 +53,6 @@ def _gain(g: SimilarityGraph, s, covered, j: int):
         if not covered[k]:
             total += s[k]
     return total
-
-
-def initial_scores(g: SimilarityGraph) -> list[SurprisalScore]:
-    s = _surprisals(g)
-    covered = [False] * g.n
-    return [
-        SurprisalScore(j, 1 + g.degree(j), s[j], _gain(g, s, covered, j), 0)
-        for j in range(g.n)
-    ]
 
 
 def _cover(g: SimilarityGraph, covered, epoch, j: int) -> list[int]:
@@ -101,10 +75,9 @@ def solve(g: SimilarityGraph) -> SolveResult:
     covered = [False] * g.n
     epoch = [0] * g.n
     stats = SolverStats()
-    initial = initial_scores(g)
-    heap = [(-sc.tentative_score, sc.node, sc.epoch) for sc in initial]
+    tentative = [_gain(g, s, covered, j) for j in range(g.n)]  # each node's last computed gain
+    heap = [(-gain, j, 0) for j, gain in enumerate(tentative)]
     heapq.heapify(heap)
-    tentative = {sc.node: sc.tentative_score for sc in initial}
     selections = []
     remaining = g.n
     while remaining:

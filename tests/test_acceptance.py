@@ -17,7 +17,7 @@ import pattern_forge
 from oracles import eager_solve_oracle, naive_dct2
 from pattern_forge import align, raster, scp
 from pattern_forge.geometry import Axis, extract_pattern
-from pattern_forge.graph import SimilarityGraph
+from pattern_forge.graph import SimilarityGraph, assemble
 from pattern_forge.layout_io import ConstraintKind, generate_synthetic, write_report
 from pattern_forge.pipeline import IterationConfig, run_full, verify_clusterset
 from pattern_forge.prescreen import build_candidates
@@ -96,7 +96,7 @@ def _random_graph(rng, n: int, density: float) -> SimilarityGraph:
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density
     ]
-    return SimilarityGraph.from_edges(n, edges)
+    return assemble(n, edges)
 
 
 def test_lazy_solver_matches_eager():
@@ -117,9 +117,9 @@ def test_lazy_solver_matches_eager():
         if density <= 0.02:
             lazy_work += lazy.stats.recomputations
             eager_work += eager.stats.recomputations
-    star = SimilarityGraph.from_edges(9, [(0, k) for k in range(1, 9)])
-    clique = SimilarityGraph.from_edges(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
-    path = SimilarityGraph.from_edges(10, [(k, k + 1) for k in range(9)])
+    star = assemble(9, [(0, k) for k in range(1, 9)])
+    clique = assemble(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
+    path = assemble(10, [(k, k + 1) for k in range(9)])
     for g in (star, clique, path):
         if scp.solve(g).selections != eager_solve_oracle(g).selections:
             divergences += 1

@@ -1,4 +1,5 @@
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,14 @@ class TestParseMatrix:
         path.write_text(MATRIX)
         assert parse_matrix(path) == parse_matrix(MATRIX)
         assert parse_matrix(str(path)) == parse_matrix(MATRIX)
+
+    def test_missing_path_is_named(self, tmp_path):
+        for missing in ("nosuch.txt", str(tmp_path / "matrix.txt")):
+            with pytest.raises(FileNotFoundError, match=re.escape(missing)):
+                parse_matrix(missing)
+        # a one-line matrix has spaces, so it is read as text
+        (sc,) = parse_matrix("scenario name=tiny templates=2")
+        assert sc == Scenario("tiny", templates=2)
 
     def test_comments_and_blanks_skipped(self):
         text = "\n# note\nscenario name=a  # trailing\n\n"

@@ -1,4 +1,5 @@
 import io
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -57,6 +58,18 @@ class TestParse:
         assert parse_layout(str(p)) == doc
         assert parse_layout(io.BytesIO(GOOD.encode())) == doc
         assert parse_layout(io.StringIO(GOOD)) == doc
+
+    def test_missing_path_is_named(self, tmp_path):
+        # a str without whitespace is a path, so a typo names the file
+        # instead of being parsed as a one-line document
+        for missing in ("/nonexistent/x.lay", str(tmp_path / "x.lay"), "x.lay"):
+            with pytest.raises(FileNotFoundError, match=re.escape(missing)):
+                parse_layout(missing)
+        # one-line documents have spaces, and "" is empty text
+        one_line = parse_layout("HEADER RADIUS 8 CONSTRAINT COSINE THRESHOLD 0.9")
+        assert one_line.pattern_radius == 8 and one_line.markers == ()
+        with pytest.raises(LayoutParseError, match="missing HEADER"):
+            parse_layout("")
 
     def test_constraint_spelling(self):
         for token in ("COSINE", "cosine", "Cosine"):
@@ -219,6 +232,13 @@ class TestClusterReport:
         path = tmp_path / "rep.csv"
         write_report(rep, path)
         assert read_report(path) == rep
+
+    def test_read_missing_path_is_named(self, tmp_path):
+        for missing in ("/nonexistent/r.csv", str(tmp_path / "r.csv")):
+            with pytest.raises(FileNotFoundError, match=re.escape(missing)):
+                read_report(missing)
+        with pytest.raises(ValueError, match="header row"):
+            read_report("")
 
     def test_write_report_validates(self):
         bad = ClusterReport(((0, 0, 1, 1, 0), (0, 1, 1, 1, 0)), 2, 1)

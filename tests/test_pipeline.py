@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from pattern_forge import align, geometry, pipeline
+from pattern_forge import align, geometry, pipeline, raster
 from pattern_forge.geometry import Marker, Pattern, Polygon, extract_pattern
 from pattern_forge.layout_io import (
     ClusterReport,
@@ -152,9 +152,10 @@ class TestRefineCluster:
         res = refine_cluster(rep, doc.markers[1], doc)
         assert res.center == (300, 0)
         assert res.score == pytest.approx(1.0)
-        pre = pattern_features(rep)
-        res2 = refine_cluster(rep, doc.markers[1], doc, rep_features=pre)
-        assert res2 == res
+        # a representative that already holds its features gives the same
+        fresh = Pattern(rep.center, rep.radius, rep.shapes)
+        fresh.features()
+        assert refine_cluster(fresh, doc.markers[1], doc) == res
 
     def test_pre_extracted_anchor_gives_same_result(self, jittered_docs):
         cases = [
@@ -164,17 +165,11 @@ class TestRefineCluster:
         ]
         cases.extend(jittered_docs.values())
         for doc in cases:
-            cosine = doc.constraint_kind is COS
             rep = extract_pattern(doc, doc.markers[0].center())
             for marker in doc.markers[1:]:
                 anchor = extract_pattern(doc, marker.center())
-                feats = pattern_features(anchor) if cosine else None
                 plain = refine_cluster(rep, marker, doc)
-                given_anchor = refine_cluster(
-                    rep, marker, doc,
-                    member_at_anchor=anchor, member_features=feats,
-                )
-                assert given_anchor == plain
+                assert refine_cluster(rep, marker, doc, member_at_anchor=anchor) == plain
         assert {d.constraint_kind for d in cases} == {COS, EDGE}
 
     def test_cosine_dissimilar_rejected(self):
@@ -321,10 +316,7 @@ def _refine_both(doc):
     reference = REFERENCES[doc.constraint_kind]
     expected = [reference(rep, m, doc, member_at_anchor=p) for m, p in members]
     assert [refine_cluster(rep, m, doc) for m, _p in members] == expected
-    features = doc.constraint_kind is COS
-    batch = [(m, p, pattern_features(p) if features else None) for m, p in members]
-    rep_features = pattern_features(rep) if features else None
-    return refine_members(rep, rep_features, batch, doc), expected
+    return refine_members(rep, members, doc), expected
 
 
 class TestRefineEdgemove:
@@ -346,7 +338,7 @@ class TestRefineEdgemove:
 
     def test_no_members(self):
         for doc in (PICKED[0], PICKED_COSINE[0]):
-            assert refine_members(extract_pattern(doc, (0, 0)), None, [], doc) == []
+            assert refine_members(extract_pattern(doc, (0, 0)), [], doc) == []
 
 
 class TestRefineCosine:
@@ -608,10 +600,10 @@ class TestRefusedPairs:
         real = pipeline.refine_members
         pairs = Counter()
 
-        def recording(rep, rep_features, members, doc):
-            for marker, _p, _f in members:
+        def recording(rep, members, doc):
+            for marker, _p in members:
                 pairs[rep.center, marker] += 1
-            return real(rep, rep_features, members, doc)
+            return real(rep, members, doc)
 
         monkeypatch.setattr(pipeline, "refine_members", recording)
         calls = probed = skipped = 0
@@ -704,6 +696,48 @@ class TestEdgeViewOnce:
         assert built.edge_view() is view
         assert built == fresh and repr(built) == repr(fresh)
         assert built != Pattern((0, 0), 32, (rect(-8, -8, 8, 9),))
+
+
+class TestFeaturesOnce:
+    @staticmethod
+    def _counting(monkeypatch):
+        """Record every pattern raster.pattern_features is called with."""
+        seen = []
+        real = raster.pattern_features
+
+        def counting(pattern):
+            seen.append(pattern)
+            return real(pattern)
+
+        monkeypatch.setattr(raster, "pattern_features", counting)
+        return seen
+
+    def test_computed_once_and_bit_equal(self, jittered_docs, monkeypatch):
+        doc = jittered_docs[COS]
+        for marker in doc.markers[:4]:
+            p = extract_pattern(doc, marker.center())
+            expected = pattern_features(Pattern(p.center, p.radius, p.shapes))
+            seen = self._counting(monkeypatch)
+            first = p.features()
+            assert p.features() is first
+            monkeypatch.undo()
+            assert seen == [p]
+            assert first.dtype == expected.dtype and first.tobytes() == expected.tobytes()
+            assert p == Pattern(p.center, p.radius, p.shapes) and "features" not in repr(p)
+
+    def test_one_call_per_anchor_in_cosine_run(self, jittered_docs, monkeypatch):
+        # the graph, every refinement, the probe and later iterations all
+        # read the anchors' cached features; verification rasterises the
+        # layout instead
+        near = _doc([rect(-23, -20, 23, 20), rect(277, -20, 323, 20), rect(577, -22, 623, 22)],
+                    [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0), Marker(600, 0, 600, 0)], COS, 0.99)
+        for doc in (jittered_docs[COS], near):
+            seen = self._counting(monkeypatch)
+            clusters, _report, stats = run_full(doc)
+            assert verify_clusterset(clusters, doc)
+            monkeypatch.undo()
+            assert sorted(p.center for p in seen) == sorted(m.center() for m in doc.markers)
+        assert stats.iterations_used > 1 and any("probe" in it.timings_ms for it in stats.iterations)
 
 
 class TestRunGenerated:

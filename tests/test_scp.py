@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pattern_forge.graph import SimilarityGraph
+from pattern_forge.graph import SimilarityGraph, assemble
 from pattern_forge.scp import (
     Selection,
     SolveResult,
     _gain,
     _surprisals,
-    initial_scores,
     solve,
 )
 
@@ -18,7 +17,13 @@ from oracles import eager_solve_oracle, exact_surprisals
 
 
 def _graph(n: int, edges) -> SimilarityGraph:
-    return SimilarityGraph.from_edges(n, edges)
+    return assemble(n, edges)
+
+
+def _initial_gains(g: SimilarityGraph) -> list:
+    """Each node's gain before anything is covered: the solver's first
+    tentative scores."""
+    return [_gain(g, _surprisals(g), [False] * g.n, j) for j in range(g.n)]
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> SimilarityGraph:
@@ -44,26 +49,25 @@ def _check_cover(g: SimilarityGraph, result: SolveResult):
 class TestScores:
     def test_isolated_node_scores_one(self):
         g = _graph(3, [])
-        scores = initial_scores(g)
-        assert all(sc.surprisal == 1.0 for sc in scores)
-        assert all(sc.tentative_score == 1.0 for sc in scores)
-        assert all(sc.frequency == 1 for sc in scores)
+        assert _surprisals(g) == [1.0] * 3
+        assert _initial_gains(g) == [1.0] * 3
+        assert all(1 + g.degree(j) == 1 for j in range(3))
 
     def test_triangle_scores_one(self):
         # each node has degree 2: s = 1/3, covering all three earns 1.0
         g = _graph(3, [(0, 1), (1, 2), (0, 2)])
-        for sc in initial_scores(g):
-            assert sc.frequency == 3
-            assert sc.surprisal == pytest.approx(1 / 3)
-            assert sc.tentative_score == pytest.approx(1.0)
+        for j, (s, gain) in enumerate(zip(_surprisals(g), _initial_gains(g))):
+            assert 1 + g.degree(j) == 3
+            assert s == pytest.approx(1 / 3)
+            assert gain == pytest.approx(1.0)
 
     def test_star_center_dominates(self):
         g = _graph(5, [(0, k) for k in range(1, 5)])
-        scores = initial_scores(g)
+        gains = _initial_gains(g)
         # center: 1/5 + 4 * (1/2); leaves: 1/2 + 1/5
-        assert scores[0].tentative_score == pytest.approx(1 / 5 + 2.0)
-        for sc in scores[1:]:
-            assert sc.tentative_score == pytest.approx(0.7)
+        assert gains[0] == pytest.approx(1 / 5 + 2.0)
+        for gain in gains[1:]:
+            assert gain == pytest.approx(0.7)
 
     def test_gain_shrinks_with_coverage(self):
         g = _graph(4, [(0, 1), (0, 2), (0, 3)])
@@ -128,7 +132,7 @@ class TestSolveSmall:
     def test_assignment_earliest_wins(self):
         g = _graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         res = solve(g)
-        assign = res.assignment()
+        assign = {k: sel.node for sel in res.selections for k in sel.covered}
         assert set(assign) == set(range(5))
         first = res.selections[0]
         for k in first.covered:
