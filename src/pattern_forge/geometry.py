@@ -94,32 +94,41 @@ class Polygon:
 
         Accepts any vertex order; the stored ring is counter-clockwise and
         rotated to start at the lexicographically smallest vertex. Raises
-        GeometryError naming the offending vertex for diagonal edges,
-        zero-length edges, missing alternation, or repeated vertices.
+        GeometryError naming the offending vertex for repeated vertices,
+        diagonal edges or missing alternation, in that order of precedence
+        and, within each, the first fault in ring order.
+
+        One pass over the edges checks them and sums the signed area. With
+        no vertex repeated, no edge has zero length, so an edge that is not
+        diagonal is horizontal or vertical but never both.
         """
         pts = [(int(x), int(y)) for x, y in points]
-        if len(pts) < 4:
-            raise GeometryError(f"ring needs at least 4 vertices, got {len(pts)}")
-        if len(set(pts)) != len(pts):
+        n = len(pts)
+        if n < 4:
+            raise GeometryError(f"ring needs at least 4 vertices, got {n}")
+        if len(set(pts)) != n:
             dup = next(p for p in pts if pts.count(p) > 1)
             raise GeometryError(f"repeated vertex {dup}")
-        n = len(pts)
-        dirs = []
-        for i in range(n):
-            x0, y0 = pts[i]
-            x1, y1 = pts[(i + 1) % n]
-            if x0 == x1 and y0 == y1:
-                raise GeometryError(f"zero-length edge at vertex ({x0}, {y0})")
-            if x0 != x1 and y0 != y1:
+        area2 = 0
+        parallel = None  # first vertex joining two parallel edges; pts[0] is checked last
+        horiz = None     # whether the previous edge is horizontal
+        x0, y0 = pts[0]
+        for x1, y1 in pts[1:] + pts[:1]:
+            h = y0 == y1
+            if not h and x0 != x1:
                 raise GeometryError(f"diagonal edge at vertex ({x0}, {y0})")
-            dirs.append("h" if y0 == y1 else "v")
-        for i in range(n):
-            if dirs[i] == dirs[(i + 1) % n]:
-                x, y = pts[(i + 1) % n]
-                raise GeometryError(f"consecutive parallel edges at vertex ({x}, {y})")
-        if _signed_area2(pts) < 0:
+            if h == horiz and parallel is None:
+                parallel = (x0, y0)
+            horiz = h
+            area2 += x0 * y1 - x1 * y0
+            x0, y0 = x1, y1
+        if parallel is None and horiz == (pts[0][1] == pts[1][1]):
+            parallel = pts[0]  # the last edge and the first
+        if parallel is not None:
+            raise GeometryError(f"consecutive parallel edges at vertex ({parallel[0]}, {parallel[1]})")
+        if area2 < 0:
             pts.reverse()
-        k = min(range(n), key=lambda i: pts[i])
+        k = pts.index(min(pts))
         return Polygon(tuple(pts[k:] + pts[:k]))
 
     def edges(self):

@@ -6,11 +6,14 @@ edges, and `assemble` builds the graph from them. The graph carries
 adjacency only: refinement recomputes every alignment against the
 representative it is assigned to.
 
-`evaluate_pair_relaxed` tests one pair. In edgemove mode the graph stage
-calls `evaluate_pairs_edgemove` instead, which accepts the same pairs of a
-list: it thresholds the residuals of `align.iter_edge_fits`, the kernel that
-scores pairs of patterns sharing a layout in array blocks and calls
-`align.edge_fit_aligned` for the rest.
+`evaluate_pair_relaxed` tests one pair, and is the reference for the two
+batch functions the graph stage calls instead, one per constraint; each
+accepts the same pairs of a list and returns the accepted tuples of that
+list. `evaluate_pairs_cosine` reads every pattern's features once and
+compares each pair's `raster.cosine_similarity` with one threshold - slack.
+`evaluate_pairs_edgemove` thresholds the residuals of
+`align.iter_edge_fits`, the kernel that scores pairs of patterns sharing a
+layout in array blocks and calls `align.edge_fit_aligned` for the rest.
 """
 
 from dataclasses import dataclass
@@ -72,6 +75,17 @@ def evaluate_pair_relaxed(
         return ZERO_SHIFT if sim >= doc.threshold - slack else None
     fit = align.edge_fit_aligned(a, b)
     return fit[0] if fit is not None and fit[1] <= doc.threshold + slack else None
+
+
+def evaluate_pairs_cosine(patterns, pairs, doc: LayoutDocument, slack: float = 0.0) -> list:
+    """The pairs (i, j) of `pairs` that `evaluate_pair_relaxed(patterns[i],
+    patterns[j], doc, slack)` accepts for a cosine document, in the order of
+    `pairs`: the same cosine against the same threshold - slack, with each
+    pattern's `features()` read once. The list holds the tuples of `pairs`
+    themselves."""
+    feats = [p.features() for p in patterns]
+    floor = doc.threshold - slack
+    return [pair for pair in pairs if raster.cosine_similarity(feats[pair[0]], feats[pair[1]]) >= floor]
 
 
 def evaluate_pairs_edgemove(patterns, pairs, doc: LayoutDocument, slack: float = 0.0) -> list:

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import align, raster, scp
 from .geometry import Marker, Pattern, extract_pattern
-from .graph import SimilarityGraph, assemble, evaluate_pair_relaxed, evaluate_pairs_edgemove
+from .graph import SimilarityGraph, assemble, evaluate_pairs_cosine, evaluate_pairs_edgemove
 from .layout_io import ClusterReport, ConstraintKind, LayoutDocument
 from .prescreen import CandidatePairSet, PrescreenStats, build_candidates, compatible
 
@@ -313,18 +313,18 @@ def _candidates(doc, cfg, patterns) -> CandidatePairSet:
 
 def _graph(doc, slack, patterns, pairs) -> SimilarityGraph:
     """Stage 2: the relaxed test on every candidate pair; the pairs it
-    accepts are the edges of the iteration's similarity graph. Edgemove
-    mode scores the pairs in blocks with `evaluate_pairs_edgemove`, which
-    calls `align.edge_fit_aligned` only for pairs whose shapes it cannot
-    line up by position; cosine mode calls `evaluate_pair_relaxed` on each
-    pair, reading each pattern's cached features."""
-    if doc.constraint_kind is ConstraintKind.EDGEMOVE:
-        edges = evaluate_pairs_edgemove(patterns, pairs, doc, slack)
+    accepts are the edges of the iteration's similarity graph. One of two
+    sibling batch functions scores the pairs, each accepting what
+    `graph.evaluate_pair_relaxed` accepts pair by pair:
+    `evaluate_pairs_cosine` compares the features of each pattern, read
+    once, and `evaluate_pairs_edgemove` scores the pairs in blocks, calling
+    `align.edge_fit_aligned` only for pairs whose shapes it cannot line up
+    by position. Both return the candidate tuples themselves: new (i, j)
+    tuples would raise the peak RSS."""
+    if doc.constraint_kind is ConstraintKind.COSINE:
+        edges = evaluate_pairs_cosine(patterns, pairs, doc, slack)
     else:
-        edges = [  # the candidate tuples themselves: new (i, j) tuples would raise the peak RSS
-            pair for pair in pairs
-            if evaluate_pair_relaxed(patterns[pair[0]], patterns[pair[1]], doc, slack) is not None
-        ]
+        edges = evaluate_pairs_edgemove(patterns, pairs, doc, slack)
     return assemble(len(patterns), edges)
 
 

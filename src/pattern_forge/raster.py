@@ -10,18 +10,25 @@ from the layout and equals the features of the extracted pattern bit for
 bit.
 
 A window's feature vector is the low-frequency 32 x 32 block of the
-orthonormal 2D DCT of its coverage on a 64-pixel grid, scaled to unit
-length (all zeros for an empty window). The geometry is fixed, so a report
-and its layout alone decide every similarity. The cosine of two windows is
-the dot product of their vectors, except that equal vectors score exactly
-1, so two windows with the same shapes are identical under any threshold.
+orthonormal 2D DCT-II of its coverage on a 64-pixel grid, scaled to unit
+length (all zeros for an empty window). The block alone is `C @ P @ C.T`,
+two fixed matrix products, where P is the coverage-fraction grid and C the
+first k rows of the orthonormal DCT-II basis (Ahmed, Natarajan & Rao 1974),
+built once per (side, k); the rest of the transform is never computed. The
+exact integer coverage grid stays the one input of the transform, and it is
+not folded into the rectangle overlaps: the grid is what makes every
+decomposition of a window give the same features bit for bit. The
+geometry is fixed, so a report and its layout alone decide every
+similarity. The cosine of two windows is the dot product of their vectors,
+except that equal vectors score exactly 1, so two windows with the same
+shapes are identical under any threshold.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dctn
 
 from .geometry import Pattern, rectangles
 
@@ -98,11 +105,28 @@ def rasterize(pattern: Pattern, side: int = GRID) -> Bitmap:
     return _bitmap(coverage_grid(pattern, side), pattern.radius, side)
 
 
+@lru_cache(maxsize=None)
+def _dct_basis(side: int, k: int) -> np.ndarray:
+    """The first k rows of the orthonormal DCT-II matrix of size side:
+    C[u, n] = s_u cos(pi (2n + 1) u / (2 side)), s_0 = sqrt(1/side) and
+    s_u = sqrt(2/side) otherwise. The angle is reduced modulo 2 pi in
+    exact integers before the cosine. Every caller shares the one array, so
+    it is read-only."""
+    n = np.arange(side)
+    u = np.arange(k)[:, None]
+    c = np.cos(np.pi / (2 * side) * ((2 * n + 1) * u % (4 * side)))
+    c *= np.sqrt(2.0 / side)
+    c[0] = np.sqrt(1.0 / side)
+    c.flags.writeable = False
+    return c
+
+
 def dct_features(bitmap: Bitmap, k: int = DCT_K) -> np.ndarray:
     """Top-left k x k block of the orthonormal 2D DCT-II, flattened row-major."""
     if k < 1 or k > bitmap.side:
         raise ValueError(f"block size {k} outside [1, {bitmap.side}]")
-    return dctn(bitmap.pixels, norm="ortho")[:k, :k].ravel()
+    c = _dct_basis(bitmap.side, k)
+    return (c @ bitmap.pixels @ c.T).ravel()
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the fast paths.
 
-Everything here favors obviousness over speed: unit-cell parity scans for
-geometry, per-polygon overlap tests and edge walks for polygon pairing,
+Everything here favors obviousness over speed: ring validation one check
+after another, unit-cell parity scans for geometry, per-polygon overlap tests and edge walks for polygon pairing,
 direct double-sum DCT, linear scans for min-max fits, refinement and
 verification one member at a time (every window extracted, none read from
 the layout's rectangle table), a full-update greedy set cover.
@@ -20,17 +20,51 @@ from pattern_forge.align import NoCorrespondenceError, clamp_to_marker, edge_fit
 from pattern_forge.geometry import (
     Axis,
     Correspondence,
+    GeometryError,
     MatchError,
     MultipleOverlapError,
     NoOverlapError,
+    Polygon,
     TopologyMismatchError,
     ZERO_SHIFT,
+    _signed_area2,
     extract_pattern,
     rectangles,
 )
 from pattern_forge.layout_io import ConstraintKind
 from pattern_forge.pipeline import RefineResult
 from pattern_forge.raster import cosine_similarity, pattern_features
+
+
+def from_vertices_loop(points) -> Polygon:
+    """`Polygon.from_vertices` one check after another: repeated vertices,
+    then every edge for a diagonal (or zero length), then every pair of
+    consecutive edges for alternation, then the signed area for the
+    orientation."""
+    pts = [(int(x), int(y)) for x, y in points]
+    if len(pts) < 4:
+        raise GeometryError(f"ring needs at least 4 vertices, got {len(pts)}")
+    if len(set(pts)) != len(pts):
+        dup = next(p for p in pts if pts.count(p) > 1)
+        raise GeometryError(f"repeated vertex {dup}")
+    n = len(pts)
+    dirs = []
+    for i in range(n):
+        x0, y0 = pts[i]
+        x1, y1 = pts[(i + 1) % n]
+        if x0 == x1 and y0 == y1:
+            raise GeometryError(f"zero-length edge at vertex ({x0}, {y0})")
+        if x0 != x1 and y0 != y1:
+            raise GeometryError(f"diagonal edge at vertex ({x0}, {y0})")
+        dirs.append("h" if y0 == y1 else "v")
+    for i in range(n):
+        if dirs[i] == dirs[(i + 1) % n]:
+            x, y = pts[(i + 1) % n]
+            raise GeometryError(f"consecutive parallel edges at vertex ({x}, {y})")
+    if _signed_area2(pts) < 0:
+        pts.reverse()
+    k = min(range(n), key=lambda i: pts[i])
+    return Polygon(tuple(pts[k:] + pts[:k]))
 
 
 def cells_inside(vertices, bbox) -> np.ndarray:

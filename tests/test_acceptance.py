@@ -18,7 +18,7 @@ from oracles import eager_solve_oracle, naive_dct2
 from pattern_forge import align, raster, scp
 from pattern_forge.geometry import Axis, extract_pattern
 from pattern_forge.graph import SimilarityGraph, assemble
-from pattern_forge.layout_io import ConstraintKind, generate_synthetic, write_report
+from pattern_forge.layout_io import ConstraintKind, generate_synthetic
 from pattern_forge.pipeline import IterationConfig, run_full, verify_clusterset
 from pattern_forge.prescreen import build_candidates
 

@@ -264,3 +264,21 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "pattern-forge" in proc.stdout
         assert {"cluster", "generate", "bench"} <= set(proc.stdout.split())
+
+    def test_cosine_run_imports_no_scipy(self):
+        # numpy is the one run-time dependency: the CLI module, a cosine run
+        # and its verification load no scipy module
+        script = "\n".join([
+            "import sys",
+            "import pattern_forge.cli",
+            "from pattern_forge.layout_io import ConstraintKind, generate_synthetic",
+            "from pattern_forge.pipeline import run_full, verify_clusterset",
+            "doc = generate_synthetic(3, 4, 4, 1)",
+            "assert doc.constraint_kind is ConstraintKind.COSINE",
+            "clusters, _report, stats = run_full(doc)",
+            "assert verify_clusterset(clusters, doc).ok and stats.cluster_count >= 1",
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

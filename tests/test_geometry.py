@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +29,7 @@ from conftest import rect, staircase, random_rect_union
 from oracles import (
     cells_inside,
     edge_displacements_loop,
+    from_vertices_loop,
     hull_bbox,
     match_polygons_loop,
     rect_cells,
@@ -61,12 +60,62 @@ class TestPolygonValidation:
             Polygon.from_vertices([(0, 0), (4, 0), (4, 4), (0, 4), (0, 0)])
 
     def test_zero_length_edge_rejected(self):
-        with pytest.raises(GeometryError):
+        # two equal consecutive vertices: the repeated-vertex check names them
+        with pytest.raises(GeometryError, match=r"repeated vertex \(4, 0\)"):
             Polygon.from_vertices([(0, 0), (4, 0), (4, 0), (4, 4), (0, 4)])
 
     def test_consecutive_parallel_edges_rejected(self):
         with pytest.raises(GeometryError, match="parallel"):
             Polygon.from_vertices([(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)])
+
+    @staticmethod
+    def _outcome(build, points):
+        """The stored ring, or the error message."""
+        try:
+            return build(points).vertices
+        except GeometryError as exc:
+            return str(exc)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_loop_oracle_on_corrupted_rings(self, data):
+        # a valid ring, in either orientation from any start, then up to
+        # three faults: a vertex moved on one axis (diagonal or parallel
+        # edges), duplicated in place or elsewhere, dropped, or a collinear
+        # midpoint inserted
+        rects = random_rect_union(data.draw(st.randoms(use_true_random=False)))
+        ring = list(_trace_union(rects)[0])
+        k = data.draw(st.integers(0, len(ring) - 1))
+        ring = ring[k:] + ring[:k]
+        if data.draw(st.booleans()):
+            ring.reverse()
+        for _ in range(data.draw(st.integers(0, 3))):
+            if not ring:
+                break
+            i = data.draw(st.integers(0, len(ring) - 1))
+            op = data.draw(st.sampled_from(["move", "dup", "copy", "drop", "mid"]))
+            x, y = ring[i]
+            if op == "move":
+                d = data.draw(st.integers(-3, 3))
+                ring[i] = (x + d, y) if data.draw(st.booleans()) else (x, y + d)
+            elif op == "dup":
+                ring.insert(i, (x, y))
+            elif op == "copy":
+                ring.insert(data.draw(st.integers(0, len(ring))), (x, y))
+            elif op == "drop":
+                del ring[i]
+            else:
+                x1, y1 = ring[(i + 1) % len(ring)]
+                ring.insert(i + 1, ((x + x1) // 2, (y + y1) // 2))
+        assert self._outcome(Polygon.from_vertices, ring) == self._outcome(from_vertices_loop, ring)
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=10))
+    @example([(0, 0), (1, 1), (1, 0), (2, 2)])  # two diagonals: the first in ring order
+    @example([(0, 0), (2, 0), (2, 1), (2, 2), (0, 2), (0, 1)])  # two parallel joints: (2, 1) before (0, 1)
+    @example([(0, 1), (0, 0), (2, 0), (2, 2), (0, 2)])  # only the last and first edges are parallel
+    @example([(0, 1), (0, 0), (2, 0), (2, 1), (2, 2), (0, 2)])  # (2, 1) before the joint at the start
+    def test_matches_loop_oracle_on_random_points(self, points):
+        assert self._outcome(Polygon.from_vertices, points) == self._outcome(from_vertices_loop, points)
 
     def test_direction_sequence_alternates(self):
         p = staircase(3)

@@ -1,4 +1,4 @@
-import random
+import math
 from unittest.mock import patch
 
 import pytest
@@ -12,6 +12,7 @@ from pattern_forge.graph import (
     assemble,
     dump_edges,
     evaluate_pair_relaxed,
+    evaluate_pairs_cosine,
     evaluate_pairs_edgemove,
 )
 from pattern_forge.layout_io import ConstraintKind, LayoutDocument
@@ -363,3 +364,77 @@ class TestEvaluatePairsEdgemove:
         odd = [_pat(rect(-3, 0, 20, 20)), _pat(rect(0, 0, 23, 20))]
         assert [fit[0] for fit in align.edge_fits(a, odd)] == [Translation(-1, 0), Translation(1, 0)]
         assert sorted(evaluate_pairs_edgemove([a, *odd], [(0, 1), (0, 2)], self.DOC)) == [(0, 1), (0, 2)]
+
+
+COSINE_SLACKS = [IterationConfig().slack_for(_doc(ConstraintKind.COSINE, 0.9), it) for it in range(3)]
+
+
+class TestEvaluatePairsCosine:
+    def _both(self, patterns, pairs, doc, slack):
+        """(the pairs the per-pair test accepts, in order; the pairs the
+        batch accepts). The batch must return the tuples of `pairs`
+        themselves, in their order."""
+        expected = _accepted(pairs, [evaluate_pair_relaxed(patterns[i], patterns[j], doc, slack) for i, j in pairs])
+        got = evaluate_pairs_cosine(patterns, pairs, doc, slack)
+        position = {id(pair): k for k, pair in enumerate(pairs)}
+        ks = [position.get(id(pair)) for pair in got]
+        assert None not in ks and ks == sorted(set(ks))
+        return expected, got
+
+    @given(st.lists(_window(), min_size=1, max_size=7), st.data(), st.sampled_from([0.9, 0.97, 1.0]))
+    def test_equals_per_pair_test(self, patterns, data, threshold):
+        # any pairs of the windows, in either order, repeated, or a window
+        # with itself, at each iteration's slack
+        n = len(patterns)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16))
+        doc = _doc(ConstraintKind.COSINE, threshold)
+        for slack in COSINE_SLACKS:
+            expected, got = self._both(patterns, pairs, doc, slack)
+            assert got == expected
+
+    def test_slacks_are_the_iterations(self):
+        assert COSINE_SLACKS == [0.05, 0.025, 0.0]
+
+    def test_equal_and_empty_windows(self):
+        # equal windows score exactly 1 and two empty windows are equal;
+        # one empty window scores 0, so it is an edge only at a floor of 0
+        a, b = _pat(rect(-10, -10, 10, 10)), _pat(rect(-10, -10, 10, 10))
+        patterns = [a, b, _pat(), _pat()]
+        pairs = [(0, 1), (0, 2), (2, 3), (3, 1)]
+        for threshold, slack, accepted in [
+            (1.0, 0.0, [(0, 1), (2, 3)]),
+            (0.05, 0.05, pairs),
+            (0.05, 0.025, [(0, 1), (2, 3)]),
+        ]:
+            expected, got = self._both(patterns, pairs, _doc(ConstraintKind.COSINE, threshold), slack)
+            assert got == expected == accepted
+
+    def test_pair_at_exactly_the_floor(self):
+        # a pair whose cosine s equals threshold - slack exactly is an edge;
+        # a floor one ulp higher refuses it
+        a, b = _pat(rect(-20, -20, 20, 20)), _pat(rect(-20, -20, 20, 20), rect(-60, -60, -30, 60))
+        s = raster.cosine_similarity(a.features(), b.features())
+        assert 0.5 <= s < 0.75  # s + 0.25 and its difference with 0.25 are then exact
+        for threshold, slack in [(s, 0.0), (s + 0.25, 0.25)]:
+            assert threshold - slack == s
+            above = math.nextafter(threshold, 2.0)
+            for t, accepted in [(threshold, [(0, 1)]), (above, [])]:
+                expected, got = self._both([a, b], [(0, 1)], _doc(ConstraintKind.COSINE, t), slack)
+                assert got == expected == accepted
+
+    def test_reads_each_pattern_features_once(self):
+        patterns = [_pat(rect(-10, -10, 10, 10 + k)) for k in range(4)]
+        pairs = [(i, j) for i in range(4) for j in range(4)]
+        reads = []
+        real = Pattern.features
+
+        def recording(p):
+            reads.append(p)
+            return real(p)
+
+        with patch.object(Pattern, "features", recording):
+            evaluate_pairs_cosine(patterns, pairs, _doc(ConstraintKind.COSINE, 0.9))
+        assert reads == patterns
+
+    def test_no_pairs(self):
+        assert evaluate_pairs_cosine([_pat()], [], _doc(ConstraintKind.COSINE, 0.9)) == []

@@ -3,10 +3,9 @@ import re
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from pattern_forge.geometry import Marker, Polygon
+from pattern_forge.geometry import Marker
 from pattern_forge.align import edge_fit_aligned
 from pattern_forge.layout_io import (
     ClusterReport,

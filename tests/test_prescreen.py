@@ -1,7 +1,5 @@
 from itertools import combinations
 
-import pytest
-
 from pattern_forge.geometry import Pattern, extract_pattern
 from pattern_forge.layout_io import ConstraintKind, generate_synthetic
 from pattern_forge.prescreen import (

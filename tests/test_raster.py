@@ -5,10 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.fft import dct, dctn
 
 from pattern_forge.geometry import Pattern, Polygon, _trace_union, clip_polygon, extract_pattern, rectangles
 from pattern_forge.layout_io import MAX_RADIUS, ConstraintKind, LayoutDocument
 from pattern_forge.raster import (
+    Bitmap,
+    _dct_basis,
     cosine_similarity,
     coverage_grid,
     dct_features,
@@ -228,6 +231,26 @@ class TestDct:
                 feat = dct_features(bm, k=side)
                 ref = naive_dct2(bm.pixels).ravel()
                 assert np.allclose(feat, ref, atol=1e-12, rtol=0)
+
+    def test_basis_products_match_scipy_dctn(self):
+        # C @ P @ C.T against the k x k corner of scipy's full transform,
+        # on random grids, for every block size of every side
+        gen = np.random.default_rng(19)
+        for side in (8, 16, 32, 64):
+            pixels = gen.random((side, side))
+            full = dctn(pixels, norm="ortho")
+            for k in range(1, side + 1):
+                feat = dct_features(Bitmap(side, pixels), k=k)
+                assert np.abs(feat - full[:k, :k].ravel()).max() <= 1e-12
+
+    def test_basis_is_the_orthonormal_dct_matrix(self):
+        for side in (8, 16, 32, 64):
+            c = _dct_basis(side, side)
+            assert np.abs(c - dct(np.eye(side), norm="ortho", axis=0)).max() <= 1e-12
+            assert np.abs(c @ c.T - np.eye(side)).max() <= 1e-12
+            assert np.array_equal(_dct_basis(side, side // 2), c[: side // 2])
+            assert _dct_basis(side, 3) is _dct_basis(side, 3)  # built once per (side, k)
+            assert not c.flags.writeable
 
     def test_truncation_is_prefix_block(self):
         rng = random.Random(7)
