@@ -6,11 +6,12 @@ One aligner per constraint gives the best rigid shift between two patterns:
   for the cosine constraint (`xy_minmax_align`),
 * the minmax midpoint over corresponding edge offsets for the
   edge-displacement constraint (`edge_fit_aligned`), which is both the
-  relaxed pair test and the strict refinement check. `edge_fits` gives
-  `edge_fit_aligned` of one representative against a list of patterns,
-  scoring most of them in array passes (`iter_edge_fits`, which the graph
-  stage calls directly on any index pairs); refinement and verification
-  call it.
+  relaxed pair test and the strict refinement check. `iter_edge_fits`
+  scores any index pairs in array passes and yields each block's fits as
+  int64 arrays, which the graph stage thresholds as they are; `edge_fits`
+  gives `edge_fit_aligned` of one representative against a list of
+  patterns from those blocks, as the (shift, residual, raw) tuples that
+  refinement and verification read.
 
 Phase correlation on coverage bitmaps (`phase_correlate`, the global optimum
 for circular shifts) serves the synthetic generator, not the clustering.
@@ -270,16 +271,21 @@ def edge_fits(rep, patterns) -> list:
     if len(patterns) == 1:
         return [edge_fit_aligned(rep, patterns[0])]
     results: list = [None] * len(patterns)
-    for k, fit in iter_edge_fits([rep, *patterns], [(0, k) for k in range(1, len(patterns) + 1)]):
-        results[k] = fit
+    pairs = [(0, k) for k in range(1, len(patterns) + 1)]
+    for block in iter_edge_fits([rep, *patterns], pairs):
+        for k, x, y, r, w in zip(*(a.tolist() for a in block)):
+            results[k] = (Translation(x, y), r, w)
     return results
 
 
 def iter_edge_fits(patterns, pairs):
-    """Yield (k, edge_fit_aligned(patterns[i], patterns[j])) for each pair
-    k = (i, j) of `pairs` (index pairs), in no fixed order, except the pairs
-    with unequal shape counts: they have no one-to-one correspondence, so
-    their fit is None, and they are skipped without a call.
+    """Yield the fits of `edge_fit_aligned(patterns[i], patterns[j])` for
+    the pairs k = (i, j) of `pairs` (index pairs) in blocks: one tuple (ks,
+    dx, dy, residual, raw) of equal-length int64 arrays per block, row m
+    holding pair ks[m]'s shift, residual and raw offset. Only pairs that
+    have a fit appear, each once, in no fixed order; pairs with unequal
+    shape counts have no one-to-one correspondence and are skipped without
+    a call.
 
     Pairs whose patterns have equal `EdgeView.layout_key`s are grouped by
     key and taken in blocks. For each block a stacked strict rectangle
@@ -289,8 +295,10 @@ def iter_edge_fits(patterns, pairs):
     the per-axis hulls of `coords[j] - coords[i]` then give `_hull_fit`'s
     shift, residual and raw offset. A pair whose correspondence is not the
     identity, or whose keys differ with equal shape counts, goes through
-    `edge_fit_aligned`. Fits are yielded block by block, so a caller that
-    keeps only some of them never holds them all.
+    `edge_fit_aligned`, and those fits come as one final block. Fits are
+    yielded block by block, so a caller that keeps only some of them never
+    holds them all, and a caller that thresholds them builds no object per
+    pair.
     """
     if not len(pairs):
         return
@@ -300,7 +308,7 @@ def iter_edge_fits(patterns, pairs):
     counts = np.asarray([len(v.shapes) for v in views])
     ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     ki, kj = kid[ij[:, 0]], kid[ij[:, 1]]
-    fallback = np.flatnonzero((ki != kj) & (counts[ij[:, 0]] == counts[ij[:, 1]])).tolist()
+    fallback = [np.flatnonzero((ki != kj) & (counts[ij[:, 0]] == counts[ij[:, 1]]))]
     same = np.flatnonzero(ki == kj)
     same = same[np.argsort(ki[same], kind="stable")]
     for group in np.split(same, np.flatnonzero(np.diff(ki[same])) + 1):
@@ -316,12 +324,15 @@ def iter_edge_fits(patterns, pairs):
             ga = np.searchsorted(members, ij[block, 0])
             gb = np.searchsorted(members, ij[block, 1])
             ok = identity_correspondences(rects[ga], rects[gb], first.rect_counts)
-            fits = hull_fits(coords[gb] - coords[ga], first.x_axis)
-            for k, good, x, y, r, w in zip(block.tolist(), ok.tolist(), *(f.tolist() for f in fits)):
-                if good:
-                    yield k, (Translation(x, y), r, w)
-                else:
-                    fallback.append(k)
-    for k in fallback:
+            fallback.append(block[~ok])
+            if ok.any():
+                fits = hull_fits(coords[gb[ok]] - coords[ga[ok]], first.x_axis)
+                yield (block[ok], *fits)
+    rows = []
+    for k in np.concatenate(fallback).tolist():
         i, j = ij[k].tolist()
-        yield k, edge_fit_aligned(patterns[i], patterns[j])
+        fit = edge_fit_aligned(patterns[i], patterns[j])
+        if fit is not None:
+            rows.append((k, fit[0].dx, fit[0].dy, fit[1], fit[2]))
+    if rows:
+        yield tuple(np.asarray(rows, dtype=np.int64).T)

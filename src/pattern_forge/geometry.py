@@ -84,9 +84,10 @@ class Polygon:
     bbox: Rect = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        object.__setattr__(self, "bbox", (min(xs), min(ys), max(xs), max(ys)))
+        if self.bbox is None:
+            xs = [v[0] for v in self.vertices]
+            ys = [v[1] for v in self.vertices]
+            object.__setattr__(self, "bbox", (min(xs), min(ys), max(xs), max(ys)))
 
     @staticmethod
     def from_vertices(points) -> "Polygon":
@@ -151,17 +152,20 @@ class Polygon:
         return _signed_area2(self.vertices) // 2
 
     def translated(self, dx: int, dy: int) -> "Polygon":
-        # translation preserves orientation and the lexicographic start
-        return Polygon(tuple((x + dx, y + dy) for x, y in self.vertices))
+        # translation preserves orientation, the lexicographic start and the
+        # bbox's shape, so the shifted bbox is passed in, not recomputed
+        x0, y0, x1, y1 = self.bbox
+        return Polygon(tuple((x + dx, y + dy) for x, y in self.vertices), (x0 + dx, y0 + dy, x1 + dx, y1 + dy))
 
 
 # Bound on the per-polygon cache below. Its keys are the design polygons,
-# which parsing validates and the layout's rectangle table reads (extraction
-# reads that table and decomposes none of them again), and every
-# window-local shape that is rasterised or laid out for the edgemove
-# kernels, a new key each, so an unbounded cache would grow for the life of
-# the process. One run and verification of a benchmark workload (N=400) end
-# with under 10k entries.
+# which parsing validates and the layout's rectangle table reads. An
+# extracted window's shapes are no keys: a polygon kept whole takes its
+# rows from the window's query (`extract_pattern`), and only the pieces
+# traced where a polygon crosses a window's edge, and the shapes of
+# patterns built by hand, are decomposed again, a new key each. Those keys
+# would grow an unbounded cache for the life of the process. One run and
+# verification of a benchmark workload (N=400) end with under 10k entries.
 _CACHE_ENTRIES = 1 << 16
 
 
@@ -318,16 +322,21 @@ class Marker:
 
 
 class EdgeView:
-    """The shapes of one pattern, laid out for the edgemove kernels.
+    """The shapes of one pattern, laid out for the edgemove kernels and the
+    raster.
 
     Row k of `rects` is a decomposition rectangle of shape `owner[k]`; that
-    is all the overlap test reads. The per-edge table and the arrays derived
+    is all the overlap test and `raster.coverage_grid` read. `pieces`, when
+    given, holds each shape's rectangles, in the order `rectangles()` gives
+    them (`extract_pattern` passes the rows of its window query); without
+    it every shape is decomposed. The per-edge table and the arrays derived
     from it are built on first read, because cosine-mode alignment pairs
     polygons but never compares their edges.
     """
 
-    def __init__(self, shapes: tuple[Polygon, ...]):
-        pieces = [rectangles(p) for p in shapes]
+    def __init__(self, shapes: tuple[Polygon, ...], pieces=None):
+        if pieces is None:
+            pieces = [rectangles(p) for p in shapes]
         self.shapes = shapes
         self.rect_counts = tuple(len(rs) for rs in pieces)
         self.rects = np.asarray([r for rs in pieces for r in rs], dtype=np.int64).reshape(-1, 4)
@@ -391,8 +400,10 @@ class Pattern:
         return self._bbox_arr
 
     def edge_view(self) -> EdgeView:
-        """The shapes laid out for the edgemove kernels, built on first use
-        and kept, so each pattern pays for it once however many pairs it is in."""
+        """The shapes laid out for the edgemove kernels and the raster, kept
+        so each pattern pays for it once however many pairs it is in.
+        `extract_pattern` builds it from its window query; a pattern built
+        by hand decomposes its shapes on first use."""
         if self._edge_view is None:
             self._edge_view = EdgeView(self.shapes)
         return self._edge_view
@@ -433,23 +444,35 @@ def extract_pattern(doc, center: Vertex) -> Pattern:
     whose bbox lies inside the window is kept whole; one that crosses the
     window's edge becomes the union of its clipped rows, one shape per
     piece, which is what `clip_polygon` traces.
+
+    The pattern's `edge_view()` is built from the same query: a polygon
+    kept whole lies inside the window, so its rows are its design
+    rectangles shifted, unclipped and, since `design_rect_array` sorts
+    stably by xlo and `rectangles()` emits nondecreasing xlo, in
+    `rectangles()` order, which is `rectangles()` of the shifted shape.
+    Only a traced piece is decomposed again.
     """
     cx, cy = center
     r = doc.pattern_radius
     rows, owners = doc.window_rectangles(center)
     polys = doc.design_polygons
-    pieces: dict[int, list] = {}
+    by_poly: dict[int, list] = {}
     for idx, row in zip(owners.tolist(), rows.tolist()):
-        pieces.setdefault(idx, []).append(row)
-    shapes = []
-    for idx in sorted(pieces):
+        by_poly.setdefault(idx, []).append(row)
+    shapes, pieces = [], []
+    for idx in sorted(by_poly):
         poly = polys[idx]
         bx0, by0, bx1, by1 = poly.bbox
         if cx - r <= bx0 and cy - r <= by0 and bx1 <= cx + r and by1 <= cy + r:
             shapes.append(poly.translated(-cx, -cy))
+            pieces.append(by_poly[idx])
         else:
-            shapes.extend(Polygon.from_vertices(ring) for ring in _trace_union(pieces[idx]))
-    return Pattern((cx, cy), r, tuple(shapes))
+            traced = [Polygon.from_vertices(ring) for ring in _trace_union(by_poly[idx])]
+            shapes.extend(traced)
+            pieces.extend(rectangles(p) for p in traced)
+    pattern = Pattern((cx, cy), r, tuple(shapes))
+    pattern._edge_view = EdgeView(pattern.shapes, pieces)
+    return pattern
 
 
 @dataclass(frozen=True)

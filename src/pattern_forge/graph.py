@@ -11,9 +11,10 @@ batch functions the graph stage calls instead, one per constraint; each
 accepts the same pairs of a list and returns the accepted tuples of that
 list. `evaluate_pairs_cosine` reads every pattern's features once and
 compares each pair's `raster.cosine_similarity` with one threshold - slack.
-`evaluate_pairs_edgemove` thresholds the residuals of
+`evaluate_pairs_edgemove` thresholds the residual arrays of
 `align.iter_edge_fits`, the kernel that scores pairs of patterns sharing a
-layout in array blocks and calls `align.edge_fit_aligned` for the rest.
+layout in array blocks and calls `align.edge_fit_aligned` for the rest,
+block by block, without building a shift per pair.
 """
 
 from dataclasses import dataclass
@@ -91,12 +92,14 @@ def evaluate_pairs_cosine(patterns, pairs, doc: LayoutDocument, slack: float = 0
 def evaluate_pairs_edgemove(patterns, pairs, doc: LayoutDocument, slack: float = 0.0) -> list:
     """The pairs (i, j) of `pairs` that `evaluate_pair_relaxed(patterns[i],
     patterns[j], doc, slack)` accepts for an edgemove document, in no fixed
-    order: the fits of `align.iter_edge_fits` whose residual is within
-    threshold + slack. The list holds the tuples of `pairs` themselves, and
-    no fit is kept."""
+    order: in each block of `align.iter_edge_fits`, the pairs whose
+    residual is within threshold + slack. The list holds the tuples of
+    `pairs` themselves, and no fit is kept."""
     limit = doc.threshold + slack
-    fits = align.iter_edge_fits(patterns, pairs)
-    return [pairs[k] for k, fit in fits if fit is not None and fit[1] <= limit]
+    edges = []
+    for ks, _dx, _dy, residual, _raw in align.iter_edge_fits(patterns, pairs):
+        edges.extend(pairs[k] for k in ks[residual <= limit].tolist())
+    return edges
 
 
 def assemble(n: int, edges) -> SimilarityGraph:

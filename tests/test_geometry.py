@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from pattern_forge.geometry import (
     Axis,
     Correspondence,
+    EdgeView,
     GeometryError,
     Marker,
     MatchError,
@@ -24,10 +25,12 @@ from pattern_forge.geometry import (
 )
 from pattern_forge.align import edge_fit_aligned
 from pattern_forge.layout_io import ConstraintKind, LayoutDocument
+from pattern_forge.raster import coverage_grid
 
 from conftest import rect, staircase, random_rect_union
 from oracles import (
     cells_inside,
+    coverage_grid_loop,
     edge_displacements_loop,
     from_vertices_loop,
     hull_bbox,
@@ -137,6 +140,20 @@ class TestPolygonValidation:
         p = rect(0, 0, 4, 6).translated(10, -3)
         assert p.vertices == ((10, -3), (14, -3), (14, 3), (10, 3))
         assert p.area == 24
+
+    @given(
+        st.sampled_from(["rect", "staircase", "u"]), st.integers(0, 3),
+        st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+    )
+    def test_translated_equals_the_shifted_ring(self, kind, turns, dx, dy):
+        # the shifted bbox passed in is the one the vertices give
+        p = {"rect": rect(-3, 1, 5, 9), "staircase": staircase(3, x0=-7, y0=2),
+             "u": _u_across_edge((0, 0), 8, 0, 0, turns)}[kind]
+        q = p.translated(dx, dy)
+        built = Polygon.from_vertices([(x + dx, y + dy) for x, y in p.vertices])
+        assert q == built and hash(q) == hash(built)
+        assert q.vertices == built.vertices and q.bbox == built.bbox
+        assert q.bbox == Polygon(q.vertices).bbox
 
     def test_bbox(self):
         assert staircase(2).bbox == (0, 0, 9, 6)
@@ -414,6 +431,27 @@ class TestExtract:
         assert p.center == center
         assert p.radius == doc.pattern_radius
         assert p.shapes == _clip_every_polygon(doc, center)
+
+    @given(_design())
+    @example((_doc([rect(-4, -4, 4, 2), staircase(2, run=2, rise=2, x0=-6, y0=-6)], 8), (0, 0)))  # whole
+    @example((_doc([rect(-20, -2, 4, 2), rect(6, -12, 10, 12)], 8), (0, 0)))  # crossing the edge
+    @example((_doc([rect(8, -4, 12, 4), rect(-4, -12, 4, -8), rect(8, 8, 12, 12)], 8), (0, 0)))  # touching
+    @example((_doc([_u_across_edge((0, 0), 8, 0, 0, 1), rect(-2, -2, 2, 2)], 8), (0, 0)))  # a U cut in two
+    @example((_doc([], 8), (0, 0)))  # empty
+    @example((_doc([rect(100, 100, 104, 104)], 8), (0, 0)))  # empty
+    def test_view_seeded_from_the_query(self, design):
+        # the view extraction builds from its window query equals the one
+        # built by decomposing the shapes, and so does the raster read from it
+        doc, center = design
+        p = extract_pattern(doc, center)
+        seeded, built = p.edge_view(), EdgeView(p.shapes)
+        assert seeded.rects.dtype == np.int64 and seeded.rects.shape == built.rects.shape
+        assert np.array_equal(seeded.rects, built.rects)
+        assert np.array_equal(seeded.owner, built.owner)
+        assert seeded.rect_counts == built.rect_counts
+        rects = [rc for shape in p.shapes for rc in rectangles(shape)]
+        for side in (8, 16):
+            assert np.array_equal(coverage_grid(p, side), coverage_grid_loop(rects, p.radius, side))
 
     def test_u_prongs_are_two_pieces(self):
         for turns in range(4):

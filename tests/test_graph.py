@@ -1,6 +1,7 @@
 import math
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -245,31 +246,90 @@ SLACKS = [IterationConfig().slack_for(_doc(ConstraintKind.EDGEMOVE, 2.0), it) fo
 BLOCKS = [(align.BATCH_PAIRS, align.BATCH_CELLS), (3, 1 << 20), (1024, 20)]
 
 
+def _block_fits(patterns, pairs) -> dict:
+    """pair position -> (shift, residual, raw) from the blocks of
+    align.iter_edge_fits, checking that every block is int64 arrays of one
+    length and that no pair appears twice."""
+    out = {}
+    for block in align.iter_edge_fits(patterns, pairs):
+        assert len(block) == 5
+        assert all(a.dtype == np.int64 and a.ndim == 1 and len(a) == len(block[0]) for a in block)
+        for k, dx, dy, residual, raw in zip(*(a.tolist() for a in block)):
+            assert k not in out
+            out[k] = (Translation(dx, dy), residual, raw)
+    return out
+
+
 class TestEdgeFits:
     @given(st.lists(_window(), min_size=1, max_size=6), st.data(), st.sampled_from(BLOCKS))
     def test_equals_per_pair_aligner(self, patterns, data, block):
         # any pairs of the windows, in either order, repeated, or a window
         # with itself: shift, residual and raw offset all equal the per-pair
-        # aligner's, with blocks cut small. The kernel yields each pair once,
-        # except the pairs with unequal shape counts, whose fit is None
+        # aligner's, with blocks cut small. The kernel yields exactly the
+        # pairs that have a fit, each once
         n = len(patterns)
         pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
         expected = [edge_fit_aligned(patterns[i], patterns[j]) for i, j in pairs]
         rep, others = patterns[0], patterns[data.draw(st.integers(0, n - 1)):]
         with patch.object(align, "BATCH_PAIRS", block[0]), patch.object(align, "BATCH_CELLS", block[1]):
-            got = list(align.iter_edge_fits(patterns, pairs))
+            got = _block_fits(patterns, pairs)
             fits = align.edge_fits(rep, others)
-        ks = [k for k, _fit in got]
-        assert sorted(ks) == [k for k, (i, j) in enumerate(pairs)
-                              if len(patterns[i].shapes) == len(patterns[j].shapes)]
-        assert all(fit == expected[k] for k, fit in got)
-        assert all(expected[k] is None for k in set(range(len(pairs))) - set(ks))
+        assert got == {k: fit for k, fit in enumerate(expected) if fit is not None}
         # one representative against a list, itself included
         assert fits == [edge_fit_aligned(rep, p) for p in others]
 
     def test_no_patterns(self):
         assert align.edge_fits(_pat(), []) == []
         assert list(align.iter_edge_fits([], [])) == []
+        assert list(align.iter_edge_fits([_pat(rect(0, 0, 4, 4))], [])) == []
+
+    def test_fallback_pairs_come_as_one_last_block(self):
+        # a permuted correspondence under equal layout keys, and unequal
+        # layout keys with equal shape counts: both go through the per-pair
+        # aligner, and their fits come after every array block
+        shapes = [_shape(c, [0] * len(c)) for c in LAYOUTS["rects"]]
+        a, permuted = _pat(*shapes), _pat(*reversed(shapes))
+        other_key = _pat(*(_shape(c, [0] * len(c)) for c in LAYOUTS["l_t"]))
+        assert a.edge_view().layout_key == permuted.edge_view().layout_key
+        assert a.edge_view().layout_key != other_key.edge_view().layout_key
+        assert len(a.shapes) == len(other_key.shapes)
+        patterns = [a, permuted, other_key, a]
+        pairs = [(0, 1), (0, 2), (0, 3)]
+        blocks = list(align.iter_edge_fits(patterns, pairs))
+        assert [b[0].tolist() for b in blocks] == [[2], [0]]  # (0, 2) has no fit
+        assert _block_fits(patterns, pairs) == {
+            k: fit for k, (i, j) in enumerate(pairs)
+            if (fit := edge_fit_aligned(patterns[i], patterns[j])) is not None
+        }
+        assert edge_fit_aligned(a, other_key) is None
+        assert edge_fit_aligned(a, permuted) == (ZERO_SHIFT, 0, 0)
+
+    def test_unequal_counts_never_appear(self):
+        a = _pat(rect(0, 0, 8, 8), rect(20, 0, 28, 8))
+        patterns = [a, _pat(rect(0, 0, 8, 8)), _pat(), a]
+        pairs = [(0, 1), (1, 0), (0, 2), (2, 1), (0, 3)]
+        called = []
+        real = align.edge_fit_aligned
+
+        def recording(x, y):
+            called.append((x, y))
+            return real(x, y)
+
+        with patch.object(align, "edge_fit_aligned", recording):
+            assert _block_fits(patterns, pairs) == {4: (ZERO_SHIFT, 0, 0)}
+        assert called == []
+
+    def test_residuals_at_and_above_the_limit(self):
+        # a right edge moved by 4 and by 5: residuals 2 and 3 (hulls [0, 4]
+        # and [0, 5]), so a limit of 2 keeps the first pair and refuses the
+        # second, in the kernel's arrays and in the graph
+        a = _pat(rect(0, 0, 20, 20))
+        patterns = [a, _pat(rect(0, 0, 24, 20)), _pat(rect(0, 0, 25, 20))]
+        pairs = [(0, 1), (0, 2)]
+        assert _block_fits(patterns, pairs) == {0: (Translation(2, 0), 2, 4), 1: (Translation(2, 0), 3, 5)}
+        doc = _doc(ConstraintKind.EDGEMOVE, 2.0)
+        assert evaluate_pairs_edgemove(patterns, pairs, doc) == [(0, 1)]
+        assert sorted(evaluate_pairs_edgemove(patterns, pairs, doc, 1.0)) == pairs
 
 
 def _accepted(pairs, results) -> list:

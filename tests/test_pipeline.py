@@ -671,9 +671,9 @@ class TestEdgeViewOnce:
         real_view = Pattern.edge_view
 
         class CountingView(geometry.EdgeView):
-            def __init__(self, shapes):
+            def __init__(self, shapes, pieces=None):
                 builds.append(shapes)
-                super().__init__(shapes)
+                super().__init__(shapes, pieces)
 
         def recording_view(pattern):
             view = real_view(pattern)
@@ -696,6 +696,36 @@ class TestEdgeViewOnce:
         assert built.edge_view() is view
         assert built == fresh and repr(built) == repr(fresh)
         assert built != Pattern((0, 0), 32, (rect(-8, -8, 8, 9),))
+
+
+def _windows_never_cut(doc) -> bool:
+    """Whether no polygon crosses the edge of any window centred in a
+    marker: each polygon lies inside the window at all four marker corners
+    (so at every center between them) or misses the union of those windows."""
+    r = doc.pattern_radius
+    for m in doc.markers:
+        for bx0, by0, bx1, by1 in (p.bbox for p in doc.design_polygons):
+            inside = m.xhi - r <= bx0 and m.yhi - r <= by0 and bx1 <= m.xlo + r and by1 <= m.ylo + r
+            apart = bx0 >= m.xhi + r or bx1 <= m.xlo - r or by0 >= m.yhi + r or by1 <= m.ylo - r
+            if not (inside or apart):
+                return False
+    return True
+
+
+class TestBoundedCache:
+    @pytest.mark.parametrize("kind", [COS, EDGE])
+    def test_run_and_verify_decompose_no_window(self, jittered_docs, kind):
+        # every window of the run and of its verification takes its
+        # rectangles from the layout's query, so rectangles() sees no new key
+        doc = jittered_docs[kind]
+        assert _windows_never_cut(doc)
+        doc.design_rect_array()  # the layout's table, built once per layout
+        geometry.rectangles.cache_clear()  # so a window decomposed before counts as a miss
+        misses = geometry.rectangles.cache_info().misses
+        clusters, _report, _stats = run_full(doc)
+        assert verify_clusterset(clusters, doc)
+        assert any(c != doc.markers[m].center() for cl in clusters for m, c in cl.members)  # moved windows
+        assert geometry.rectangles.cache_info().misses == misses
 
 
 class TestFeaturesOnce:
