@@ -7,10 +7,10 @@ One aligner per constraint gives the best rigid shift between two patterns:
 * the minmax midpoint over corresponding edge offsets for the
   edge-displacement constraint (`edge_fit_aligned`), which is both the
   relaxed pair test and the strict refinement check. `iter_edge_fits`
-  scores any index pairs in array passes and yields each block's fits as
-  int64 arrays, which the graph stage thresholds as they are; `edge_fits`
-  gives `edge_fit_aligned` of one representative against a list of
-  patterns from those blocks, as the (shift, residual, raw) tuples that
+  scores an (m, 2) index pair array in array passes and yields each block's
+  fits as int64 arrays, which the graph stage thresholds as they are;
+  `edge_fits` gives `edge_fit_aligned` of one representative against a list
+  of patterns from those blocks, as the (shift, residual, raw) tuples that
   refinement and verification read.
 
 Phase correlation on coverage bitmaps (`phase_correlate`, the global optimum
@@ -271,8 +271,8 @@ def edge_fits(rep, patterns) -> list:
     if len(patterns) == 1:
         return [edge_fit_aligned(rep, patterns[0])]
     results: list = [None] * len(patterns)
-    pairs = [(0, k) for k in range(1, len(patterns) + 1)]
-    for block in iter_edge_fits([rep, *patterns], pairs):
+    others = np.arange(1, len(patterns) + 1)
+    for block in iter_edge_fits([rep, *patterns], np.column_stack((np.zeros_like(others), others))):
         for k, x, y, r, w in zip(*(a.tolist() for a in block)):
             results[k] = (Translation(x, y), r, w)
     return results
@@ -280,9 +280,9 @@ def edge_fits(rep, patterns) -> list:
 
 def iter_edge_fits(patterns, pairs):
     """Yield the fits of `edge_fit_aligned(patterns[i], patterns[j])` for
-    the pairs k = (i, j) of `pairs` (index pairs) in blocks: one tuple (ks,
-    dx, dy, residual, raw) of equal-length int64 arrays per block, row m
-    holding pair ks[m]'s shift, residual and raw offset. Only pairs that
+    the rows k = (i, j) of `pairs`, an (m, 2) int64 array, in blocks: one
+    tuple (ks, dx, dy, residual, raw) of equal-length int64 arrays per
+    block, row m holding pair ks[m]'s shift, residual and raw offset. Only pairs that
     have a fit appear, each once, in no fixed order; pairs with unequal
     shape counts have no one-to-one correspondence and are skipped without
     a call.
@@ -306,23 +306,22 @@ def iter_edge_fits(patterns, pairs):
     key_ids: dict = {}
     kid = np.asarray([key_ids.setdefault(v.layout_key, len(key_ids)) for v in views])
     counts = np.asarray([len(v.shapes) for v in views])
-    ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    ki, kj = kid[ij[:, 0]], kid[ij[:, 1]]
-    fallback = [np.flatnonzero((ki != kj) & (counts[ij[:, 0]] == counts[ij[:, 1]]))]
+    ki, kj = kid[pairs[:, 0]], kid[pairs[:, 1]]
+    fallback = [np.flatnonzero((ki != kj) & (counts[pairs[:, 0]] == counts[pairs[:, 1]]))]
     same = np.flatnonzero(ki == kj)
     same = same[np.argsort(ki[same], kind="stable")]
     for group in np.split(same, np.flatnonzero(np.diff(ki[same])) + 1):
         if not len(group):
             continue
-        members = np.unique(ij[group])
+        members = np.unique(pairs[group])
         first = views[members[0]]
         rects = np.stack([views[m].rects for m in members])
         coords = np.stack([views[m].coords for m in members])
         step = max(1, min(BATCH_PAIRS, BATCH_CELLS // max(1, len(first.owner)) ** 2))
         for lo in range(0, len(group), step):
             block = group[lo:lo + step]
-            ga = np.searchsorted(members, ij[block, 0])
-            gb = np.searchsorted(members, ij[block, 1])
+            ga = np.searchsorted(members, pairs[block, 0])
+            gb = np.searchsorted(members, pairs[block, 1])
             ok = identity_correspondences(rects[ga], rects[gb], first.rect_counts)
             fallback.append(block[~ok])
             if ok.any():
@@ -330,7 +329,7 @@ def iter_edge_fits(patterns, pairs):
                 yield (block[ok], *fits)
     rows = []
     for k in np.concatenate(fallback).tolist():
-        i, j = ij[k].tolist()
+        i, j = pairs[k].tolist()
         fit = edge_fit_aligned(patterns[i], patterns[j])
         if fit is not None:
             rows.append((k, fit[0].dx, fit[0].dy, fit[1], fit[2]))

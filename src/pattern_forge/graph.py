@@ -1,16 +1,16 @@
 """Relaxed pair evaluation and sparse similarity-graph assembly.
 
-Each surviving candidate pair is tested under the strict constraint with
-only its threshold loosened; the accepted pairs are the graph's undirected
-edges, and `assemble` builds the graph from them. The graph carries
-adjacency only: refinement recomputes every alignment against the
-representative it is assigned to.
+Each candidate pair, a row of an (m, 2) int64 array, is tested under the
+strict constraint with only its threshold loosened; the accepted rows are
+the graph's undirected edges, and `assemble` lays them out in compressed
+sparse rows (CSR). The graph carries adjacency only: refinement recomputes
+every alignment against the representative it is assigned to.
 
 `evaluate_pair_relaxed` tests one pair, and is the reference for the two
 batch functions the graph stage calls instead, one per constraint; each
-accepts the same pairs of a list and returns the accepted tuples of that
-list. `evaluate_pairs_cosine` reads every pattern's features once and
-compares each pair's `raster.cosine_similarity` with one threshold - slack.
+takes a pair array and returns its accepted rows, in their order.
+`evaluate_pairs_cosine` reads every pattern's features once and compares
+each pair's `raster.cosine_similarity` with one threshold - slack.
 `evaluate_pairs_edgemove` thresholds the residual arrays of
 `align.iter_edge_fits`, the kernel that scores pairs of patterns sharing a
 layout in array blocks and calls `align.edge_fit_aligned` for the rest,
@@ -19,42 +19,38 @@ block by block, without building a shift per pair.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import align, raster
 from .geometry import Pattern, Translation, ZERO_SHIFT
 from .layout_io import ConstraintKind, LayoutDocument
 
 
-@dataclass
+@dataclass(eq=False)
 class SimilarityGraph:
-    """Undirected graph over n nodes; adjacency[i] lists i's neighbours in
-    ascending order."""
+    """Undirected graph over n nodes in CSR form: node i's neighbours are
+    indices[indptr[i]:indptr[i + 1]], ascending; `assemble` lists each edge
+    at both its ends, so the graph is symmetric by construction."""
 
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray   # (n + 1,) int64
+    indices: np.ndarray  # (2 * edge_count,) int64
 
-    def __post_init__(self):
-        if len(self.adjacency) != self.n:
-            raise ValueError("adjacency size does not match node count")
-        neighbours = [set(nbrs) for nbrs in self.adjacency]
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if j == i:
-                    raise ValueError(f"self-loop at node {i}")
-                if i not in neighbours[j]:
-                    raise ValueError(f"edge {i}->{j} missing its reverse")
+    def neighbours(self, i: int) -> list[int]:
+        return self.indices[self.indptr[i]:self.indptr[i + 1]].tolist()
 
     def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return len(self.indices) // 2
 
-    def edges(self):
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if i < j:
-                    yield i, j
+    def edges(self) -> np.ndarray:
+        """The edges as (i, j) rows with i < j, in ascending order."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        upper = rows < self.indices
+        return np.column_stack((rows[upper], self.indices[upper]))
 
 
 def evaluate_pair_relaxed(
@@ -78,47 +74,59 @@ def evaluate_pair_relaxed(
     return fit[0] if fit is not None and fit[1] <= doc.threshold + slack else None
 
 
-def evaluate_pairs_cosine(patterns, pairs, doc: LayoutDocument, slack: float = 0.0) -> list:
-    """The pairs (i, j) of `pairs` that `evaluate_pair_relaxed(patterns[i],
-    patterns[j], doc, slack)` accepts for a cosine document, in the order of
-    `pairs`: the same cosine against the same threshold - slack, with each
-    pattern's `features()` read once. The list holds the tuples of `pairs`
-    themselves."""
+def evaluate_pairs_cosine(patterns, pairs, doc: LayoutDocument, slack: float = 0.0) -> np.ndarray:
+    """The rows (i, j) of the (m, 2) int64 array `pairs` that
+    `evaluate_pair_relaxed(patterns[i], patterns[j], doc, slack)` accepts
+    for a cosine document, in their order, reading each pattern's
+    `features()` once and the pairs a block of Python ints at a time."""
     feats = [p.features() for p in patterns]
     floor = doc.threshold - slack
-    return [pair for pair in pairs if raster.cosine_similarity(feats[pair[0]], feats[pair[1]]) >= floor]
+    keep = np.zeros(len(pairs), dtype=bool)
+    for lo in range(0, len(pairs), align.BATCH_PAIRS):
+        block = pairs[lo:lo + align.BATCH_PAIRS].tolist()
+        keep[lo:lo + len(block)] = [raster.cosine_similarity(feats[i], feats[j]) >= floor for i, j in block]
+    return pairs[keep]
 
 
-def evaluate_pairs_edgemove(patterns, pairs, doc: LayoutDocument, slack: float = 0.0) -> list:
-    """The pairs (i, j) of `pairs` that `evaluate_pair_relaxed(patterns[i],
-    patterns[j], doc, slack)` accepts for an edgemove document, in no fixed
-    order: in each block of `align.iter_edge_fits`, the pairs whose
-    residual is within threshold + slack. The list holds the tuples of
-    `pairs` themselves, and no fit is kept."""
+def evaluate_pairs_edgemove(patterns, pairs, doc: LayoutDocument, slack: float = 0.0) -> np.ndarray:
+    """The rows (i, j) of the (m, 2) int64 array `pairs` that
+    `evaluate_pair_relaxed(patterns[i], patterns[j], doc, slack)` accepts
+    for an edgemove document, in their order: the residuals of
+    `align.iter_edge_fits` within threshold + slack. No fit is kept."""
     limit = doc.threshold + slack
-    edges = []
+    keep = np.zeros(len(pairs), dtype=bool)
     for ks, _dx, _dy, residual, _raw in align.iter_edge_fits(patterns, pairs):
-        edges.extend(pairs[k] for k in ks[residual <= limit].tolist())
-    return edges
+        keep[ks[residual <= limit]] = True
+    return pairs[keep]
 
 
 def assemble(n: int, edges) -> SimilarityGraph:
-    """The graph over n nodes whose undirected edges are `edges`, (i, j)
-    node pairs in any order and orientation; a pair named twice is an
-    error."""
-    adj = [set() for _ in range(n)]
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) outside 0..{n - 1}")
-        if j in adj[i]:
-            raise ValueError(f"duplicate pair {(min(i, j), max(i, j))}")
-        adj[i].add(j)
-        adj[j].add(i)
-    adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-    adj.clear()  # free the sets before SimilarityGraph's check builds its own
-    return SimilarityGraph(n, adjacency)
+    """The CSR graph over n nodes whose undirected edges are the rows of
+    `edges`, (i, j) pairs in any order and orientation, as an (m, 2) int
+    array or a list. It raises what adding the rows one by one would: at the
+    first row naming a node outside 0..n-1 or repeating a pair in either
+    orientation, else at the lowest self-loop."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    outside = np.flatnonzero((lo < 0) | (hi >= n))
+    head = outside[0] if len(outside) else len(e)  # the rows before the first one outside
+    key = lo[:head] * n + hi[:head]  # one int per pair; n * n < 2**63
+    order = np.argsort(key, kind="stable")  # a pair's repeats follow its first row
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if len(repeats):
+        i, j = e[repeats.min()].tolist()
+        raise ValueError(f"duplicate pair {(min(i, j), max(i, j))}")
+    if len(outside):
+        raise ValueError(f"edge ({e[head, 0]}, {e[head, 1]}) outside 0..{n - 1}")
+    if (lo == hi).any():
+        raise ValueError(f"self-loop at node {lo[lo == hi].min()}")
+    del lo, hi, key, order  # the sort below sets the peak memory: free these first
+    code = np.concatenate((e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]))  # row * n + column
+    code.sort()
+    indptr = np.searchsorted(code, np.arange(n + 1) * n)
+    return SimilarityGraph(n, indptr, np.remainder(code, n, out=code))
 
 
 def dump_edges(g: SimilarityGraph) -> str:
-    """Edge list as "i j" lines with i < j (debugging aid behind --dump-graph)."""
-    return "".join(f"{i} {j}\n" for i, j in g.edges())
+    """Edge list as ascending "i j" lines with i < j (behind --dump-graph)."""
+    return "".join(f"{i} {j}\n" for i, j in g.edges().tolist())

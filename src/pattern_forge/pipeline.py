@@ -16,8 +16,8 @@ the orphan and for each cluster's representative), `_extract` in every
 iteration and the refinement of the member at its anchor all read the same
 pattern. Stages pass patterns and index pairs only: in cosine mode each
 reads an anchor's unit feature vector through `Pattern.features()`, which
-computes it once per pattern, and the graph stage hands `graph.assemble`
-the candidate pairs the relaxed test accepts.
+computes it once per pattern, and pairs are (m, 2) int64 arrays from the
+prescreen to `graph.assemble`, whose CSR graph `scp.solve` reads.
 
 One routine, `refine_members`, refines in both modes: `_refine` passes it
 all members of a selection at once, and the probe one pair at a time
@@ -36,6 +36,8 @@ the same `_window_scores`.
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from . import align, raster, scp
 from .geometry import Marker, Pattern, extract_pattern
@@ -303,29 +305,21 @@ def _extract(doc, active, anchors) -> list[Pattern]:
 
 def _candidates(doc, cfg, patterns) -> CandidatePairSet:
     """Stage 1, filtering: the prescreen's candidate pairs, or every pair
-    when the config turns the prescreen off."""
+    when the config turns the prescreen off; either way (i, j) rows with
+    i < j, ascending."""
     if cfg.use_prescreen:
         return build_candidates(patterns, doc.constraint_kind)
-    n = len(patterns)
-    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    pairs = np.column_stack(np.triu_indices(len(patterns), 1))
     return CandidatePairSet(pairs, PrescreenStats(len(pairs), len(pairs)))
 
 
 def _graph(doc, slack, patterns, pairs) -> SimilarityGraph:
-    """Stage 2: the relaxed test on every candidate pair; the pairs it
-    accepts are the edges of the iteration's similarity graph. One of two
-    sibling batch functions scores the pairs, each accepting what
-    `graph.evaluate_pair_relaxed` accepts pair by pair:
-    `evaluate_pairs_cosine` compares the features of each pattern, read
-    once, and `evaluate_pairs_edgemove` scores the pairs in blocks, calling
-    `align.edge_fit_aligned` only for pairs whose shapes it cannot line up
-    by position. Both return the candidate tuples themselves: new (i, j)
-    tuples would raise the peak RSS."""
-    if doc.constraint_kind is ConstraintKind.COSINE:
-        edges = evaluate_pairs_cosine(patterns, pairs, doc, slack)
-    else:
-        edges = evaluate_pairs_edgemove(patterns, pairs, doc, slack)
-    return assemble(len(patterns), edges)
+    """Stage 2: the iteration's CSR similarity graph, whose edges are the
+    rows of `pairs` the relaxed test accepts, scored in one batch
+    (`graph.evaluate_pairs_cosine` or `graph.evaluate_pairs_edgemove`, each
+    accepting what `graph.evaluate_pair_relaxed` accepts pair by pair)."""
+    evaluate = evaluate_pairs_cosine if doc.constraint_kind is ConstraintKind.COSINE else evaluate_pairs_edgemove
+    return assemble(len(patterns), evaluate(patterns, pairs, doc, slack))
 
 
 def _refine(doc, stats, istats, clusters, active, patterns, selections, final, refused) -> list[int]:

@@ -2,9 +2,10 @@
 
 Stage A, the only filtering stage, buckets patterns by a cheap
 translation-invariant key; only intra-bucket pairs go on to the relaxed pair
-test. Under edgemove the key is the full topological signature (shape count,
-vertex-count histogram, quantized area and bbox); under cosine it is the
-shape count plus a band of total area within 10 %.
+test, as an (m, 2) int64 array of ascending (i, j) rows, the pair format
+every later stage reads. Under edgemove the key is the full topological
+signature (shape count, vertex-count histogram, quantized area and bbox);
+under cosine it is the shape count plus a band of total area within 10 %.
 
 Neither filter is a necessary condition for a match. The cosine test is a
 heuristic: two windows with different shape counts, or areas more than 10 %
@@ -16,6 +17,8 @@ evaluates every pair.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import Pattern
 from .layout_io import ConstraintKind
@@ -45,9 +48,9 @@ class PrescreenStats:
         return self.after_topology
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidatePairSet:
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray  # (m, 2) int64 rows (i, j), i < j, ascending
     stats: PrescreenStats
 
 
@@ -72,53 +75,46 @@ def compatible(a: Pattern, b: Pattern, kind: ConstraintKind) -> bool:
         return signature(a) == signature(b)
     if len(a.shapes) != len(b.shapes):
         return False
-    return _area_banded(a.total_area(), b.total_area())
-
-
-def _area_banded(area_a: int, area_b: int) -> bool:
+    area_a, area_b = a.total_area(), b.total_area()
     return abs(area_a - area_b) <= AREA_BAND_FRAC * max(area_a, area_b)
 
 
-def _stage_a_edgemove(patterns) -> list[tuple[int, int]]:
-    buckets: dict[TopoSignature, list[int]] = {}
-    for i, p in enumerate(patterns):
-        buckets.setdefault(signature(p), []).append(i)
-    pairs = []
-    for members in buckets.values():
-        for k, i in enumerate(members):
-            for j in members[k + 1:]:
-                pairs.append((i, j))
-    pairs.sort()
-    return pairs
+def _pairs_below(order: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The pairs {order[k], order[j]} for every position j and every k in
+    [lo[j], j), as (i, j) rows with i < j, in no fixed order."""
+    counts = np.arange(len(order)) - lo
+    j = np.repeat(np.arange(len(order)), counts)
+    k = np.arange(len(j)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    a, b = order[k], order[j]
+    return np.column_stack((np.minimum(a, b), np.maximum(a, b)))
 
 
-def _stage_a_cosine(patterns) -> list[tuple[int, int]]:
-    by_count: dict[int, list[int]] = {}
-    for i, p in enumerate(patterns):
-        by_count.setdefault(len(p.shapes), []).append(i)
-    pairs = []
-    for members in by_count.values():
-        order = sorted(members, key=lambda i: (patterns[i].total_area(), i))
-        areas = [patterns[i].total_area() for i in order]
-        lo = 0
-        for j in range(1, len(order)):
-            # areas ascending: the band |a_i - a_j| <= frac * a_j has a
-            # monotone left boundary, so a single sweep suffices
-            while lo < j and not _area_banded(areas[lo], areas[j]):
-                lo += 1
-            for k in range(lo, j):
-                a, b = order[k], order[j]
-                pairs.append((a, b) if a < b else (b, a))
-    pairs.sort()
-    return pairs
+def _stage_a_edgemove(patterns) -> np.ndarray:
+    ids: dict[TopoSignature, int] = {}
+    bucket = np.array([ids.setdefault(signature(p), len(ids)) for p in patterns], dtype=np.int64)
+    order = np.argsort(bucket, kind="stable")
+    return _pairs_below(order, np.searchsorted(bucket[order], bucket[order]))  # every pair of a bucket
+
+
+def _stage_a_cosine(patterns) -> np.ndarray:
+    count = np.array([len(p.shapes) for p in patterns], dtype=np.int64)
+    area = np.array([p.total_area() for p in patterns], dtype=np.int64)
+    order = np.lexsort((area, count))  # by shape count, then area, then index
+    a = area[order]
+    # within a shape count areas ascend, so `compatible` for k <= j is the integer
+    # a[j] - a[k] <= frac * a[j]: j's band starts at the first a[k] >= a[j] - floor(frac * a[j])
+    floor = a - np.floor(AREA_BAND_FRAC * a).astype(np.int64)
+    cuts = [0, *(np.flatnonzero(np.diff(count[order])) + 1).tolist(), len(order)]
+    lo = np.empty_like(order)
+    for start, end in zip(cuts, cuts[1:]):
+        lo[start:end] = start + np.searchsorted(a[start:end], floor[start:end])
+    return _pairs_below(order, lo)
 
 
 def build_candidates(patterns, kind: ConstraintKind) -> CandidatePairSet:
-    """Filter all pattern pairs down to the intra-bucket candidates, as
-    ascending (i, j) pairs with i < j."""
+    """Filter all pattern pairs down to the intra-bucket candidates, as an
+    (m, 2) int64 array of (i, j) rows with i < j, in ascending order."""
     n = len(patterns)
-    if kind is ConstraintKind.EDGEMOVE:
-        pairs = _stage_a_edgemove(patterns)
-    else:
-        pairs = _stage_a_cosine(patterns)
-    return CandidatePairSet(tuple(pairs), PrescreenStats(n * (n - 1) // 2, len(pairs)))
+    pairs = _stage_a_edgemove(patterns) if kind is ConstraintKind.EDGEMOVE else _stage_a_cosine(patterns)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return CandidatePairSet(pairs, PrescreenStats(n * (n - 1) // 2, len(pairs)))

@@ -1,4 +1,4 @@
-"""Surprisal-weighted greedy set cover over the similarity graph.
+"""Surprisal-weighted greedy set cover over the CSR similarity graph.
 
 Each node carries surprisal S = 1/(1 + degree): rare patterns are worth more.
 A selection covers the node and its uncovered neighbors, earning their summed
@@ -6,9 +6,10 @@ surprisal. The lazy solver keeps tentative scores in a max-priority queue and
 recomputes only on staleness, which submodularity makes exact: a popped entry
 whose fresh gain still beats the queue top is the true argmax.
 
-`_gain` fixes the summation order, so any solver built on it (the tests'
-eager reference among them) gets bit-identical floats and must make exactly
-the same selections.
+`_gain` fixes the summation order (self, then the node's CSR slice of
+neighbours, ascending), so any solver built on it (the tests' eager
+reference among them) gets bit-identical floats and must make exactly the
+same selections.
 """
 
 import heapq
@@ -49,7 +50,7 @@ def _gain(g: SimilarityGraph, s, covered, j: int):
     gets the identical float.
     """
     total = s[j] if not covered[j] else type(s[j])(0)
-    for k in g.adjacency[j]:
+    for k in g.neighbours(j):
         if not covered[k]:
             total += s[k]
     return total
@@ -57,14 +58,14 @@ def _gain(g: SimilarityGraph, s, covered, j: int):
 
 def _cover(g: SimilarityGraph, covered, epoch, j: int) -> list[int]:
     """Mark j and its uncovered neighbors covered; bump epochs around them."""
-    newly = [k for k in g.adjacency[j] if not covered[k]]
+    newly = [k for k in g.neighbours(j) if not covered[k]]
     if not covered[j]:
         newly.append(j)
     newly.sort()
     for k in newly:
         covered[k] = True
         epoch[k] += 1
-        for m in g.adjacency[k]:
+        for m in g.neighbours(k):
             epoch[m] += 1
     return newly
 

@@ -4,7 +4,9 @@ Everything here favors obviousness over speed: ring validation one check
 after another, unit-cell parity scans for geometry, per-polygon overlap tests and edge walks for polygon pairing,
 direct double-sum DCT, linear scans for min-max fits, refinement and
 verification one member at a time (every window extracted, none read from
-the layout's rectangle table), a full-update greedy set cover.
+the layout's rectangle table), a similarity graph built one pair at a time
+into a set per node and checked for symmetry, a full-update greedy set
+cover.
 Only the eager solver shares code with the package: it scores and covers
 through `scp._gain` and `scp._cover`, so its float sums are
 bit-identical to the lazy solver's and the two must select exactly alike.
@@ -370,6 +372,38 @@ def brute_minmax_residual(values) -> int:
 
 def minmax_residual_at(values, t: int) -> int:
     return max((abs(d - t) for d in values), default=0)
+
+
+def assemble_sets(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """The graph over n nodes with the undirected (i, j) `edges`, as each
+    node's neighbours in ascending order: the pairs added one at a time to a
+    set per node, then `check_symmetric`. The CSR `graph.assemble` must
+    build the same graph and raise the same errors."""
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) outside 0..{n - 1}")
+        if j in adj[i]:
+            raise ValueError(f"duplicate pair {(min(i, j), max(i, j))}")
+        adj[i].add(j)
+        adj[j].add(i)
+    adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+    check_symmetric(n, adjacency)
+    return adjacency
+
+
+def check_symmetric(n: int, adjacency) -> None:
+    """Raise ValueError unless `adjacency` lists n nodes, has no self-loop
+    and holds every edge in both directions."""
+    if len(adjacency) != n:
+        raise ValueError("adjacency size does not match node count")
+    neighbours = [set(nbrs) for nbrs in adjacency]
+    for i, nbrs in enumerate(adjacency):
+        for j in nbrs:
+            if j == i:
+                raise ValueError(f"self-loop at node {i}")
+            if i not in neighbours[j]:
+                raise ValueError(f"edge {i}->{j} missing its reverse")
 
 
 def exact_surprisals(g) -> list[Fraction]:

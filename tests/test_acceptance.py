@@ -176,7 +176,7 @@ def test_prescreen_eliminates_most_pairs_soundly(matrix):
         patterns = [extract_pattern(doc, m.center()) for m in doc.markers]
         cand = build_candidates(patterns, kind)
         elim = 1 - len(cand.pairs) / cand.stats.total_pairs
-        dropped = len(same_template - set(cand.pairs))
+        dropped = len(same_template - set(map(tuple, cand.pairs.tolist())))
         ok = ok and elim >= 0.95 and dropped == 0
         lines.append(f"{kind.value}/j{jitter}: {elim:.2%} eliminated, {dropped} dropped")
     assert _verdict("pre-screen soundness", ok, "; ".join(lines))

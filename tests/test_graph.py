@@ -9,7 +9,6 @@ from pattern_forge import align, raster
 from pattern_forge.align import edge_fit_aligned
 from pattern_forge.geometry import MatchError, Pattern, Polygon, Translation, ZERO_SHIFT, match_polygons
 from pattern_forge.graph import (
-    SimilarityGraph,
     assemble,
     dump_edges,
     evaluate_pair_relaxed,
@@ -20,6 +19,7 @@ from pattern_forge.layout_io import ConstraintKind, LayoutDocument
 from pattern_forge.pipeline import IterationConfig
 
 from conftest import rect, staircase
+from oracles import assemble_sets, check_symmetric
 
 
 def _doc(kind: ConstraintKind, threshold: float) -> LayoutDocument:
@@ -30,23 +30,101 @@ def _pat(*polys, radius=64) -> Pattern:
     return Pattern((0, 0), radius, tuple(polys))
 
 
+def _arr(pairs) -> np.ndarray:
+    """A list of (i, j) pairs as the (m, 2) int64 pair array."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _rows(pairs: np.ndarray) -> list:
+    """The rows of a pair array as (i, j) tuples, in their order."""
+    assert pairs.dtype == np.int64 and pairs.ndim == 2 and pairs.shape[1] == 2
+    return [tuple(pair) for pair in pairs.tolist()]
+
+
+def _assemble_error(build, n, edges) -> str:
+    with pytest.raises(ValueError) as info:
+        build(n, edges)
+    return str(info.value)
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, edges): a simple graph over 0..11 nodes (n = 0 and 1 included,
+    isolated nodes common) as a shuffled list of pairs, each in either
+    orientation."""
+    n = draw(st.integers(0, 12))
+    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, draw(st.permutations([(j, i) if f else (i, j) for (i, j), f in zip(chosen, flips)]))
+
+
 class TestSimilarityGraph:
     def test_assemble_basics(self):
         g = assemble(4, [(0, 1), (2, 1), (0, 3)])
-        assert g.adjacency == ((1, 3), (0, 2), (1,), (0,))
+        assert [g.neighbours(i) for i in range(4)] == [[1, 3], [0, 2], [1], [0]]
+        assert g.indptr.tolist() == [0, 2, 4, 5, 6] and g.indices.tolist() == [1, 3, 0, 2, 1, 0]
         assert g.edge_count == 3
         assert g.degree(1) == 2 and g.degree(2) == 1
-        assert list(g.edges()) == [(0, 1), (0, 3), (1, 2)]
+        assert _rows(g.edges()) == [(0, 1), (0, 3), (1, 2)]
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            SimilarityGraph(2, ((0,), ()))
-        with pytest.raises(ValueError, match="reverse"):
-            SimilarityGraph(2, ((1,), ()))
-        with pytest.raises(ValueError, match="size"):
-            SimilarityGraph(3, ((), ()))
-        with pytest.raises(ValueError, match="outside"):
-            assemble(2, [(0, 5)])
+        # assemble's errors carry the set-based builder's messages: an
+        # index outside 0..n-1 (negative too), a self-loop, a pair named
+        # twice in either orientation
+        for n, edges, message in [
+            (2, [(0, 5)], "edge (0, 5) outside 0..1"),
+            (3, [(0, 1), (-1, 2)], "edge (-1, 2) outside 0..2"),
+            (0, [(0, 0)], "edge (0, 0) outside 0..-1"),
+            (3, [(0, 1), (2, 2)], "self-loop at node 2"),
+            (3, [(0, 1), (1, 0)], "duplicate pair (0, 1)"),
+            (3, [(1, 2), (0, 1), (1, 2)], "duplicate pair (1, 2)"),
+            (3, [(1, 1), (1, 1)], "duplicate pair (1, 1)"),
+        ]:
+            assert _assemble_error(assemble, n, edges) == message
+            assert _assemble_error(assemble, n, _arr(edges)) == message
+            assert _assemble_error(assemble_sets, n, edges) == message
+        # the reference's symmetry check, which the CSR graph needs no more
+        for adjacency, message in [(((0,), ()), "self-loop"), (((1,), ()), "reverse"), (((), ()), "size")]:
+            with pytest.raises(ValueError, match=message):
+                check_symmetric(3 if message == "size" else 2, adjacency)
+
+    @given(_edge_lists(), st.booleans())
+    def test_matches_the_set_based_builder(self, case, as_array):
+        # neighbour lists, degrees, edge count, edges and the dump all
+        # equal those of the set-based reference, for a list or an array
+        n, edges = case
+        g = assemble(n, _arr(edges) if as_array else edges)
+        adjacency = assemble_sets(n, edges)
+        assert g.n == n and g.indptr.dtype == g.indices.dtype == np.int64
+        assert [g.neighbours(i) for i in range(n)] == [list(nbrs) for nbrs in adjacency]
+        assert [g.degree(i) for i in range(n)] == [len(nbrs) for nbrs in adjacency]
+        assert g.edge_count == len(edges) == sum(map(len, adjacency)) // 2
+        upper = [(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs if i < j]
+        assert _rows(g.edges()) == upper
+        assert dump_edges(g) == "".join(f"{i} {j}\n" for i, j in upper)
+
+    @given(_edge_lists(), st.lists(st.tuples(st.sampled_from(["outside", "negative", "loop", "again", "flipped"]),
+                                             st.integers(0, 40)), min_size=1, max_size=3))
+    def test_faults_raise_as_the_set_based_builder(self, case, faults):
+        # one to three faults put anywhere in a valid list: the first error
+        # in input order (or the lowest self-loop) is the reference's
+        n, edges = case
+        edges = list(edges)
+        for kind, at in faults:
+            if kind in ("again", "flipped") and not edges:
+                kind = "loop"
+            if kind == "outside":
+                bad = (at % (n + 1), n + at % 3)
+            elif kind == "negative":
+                bad = (-1 - at % 3, at % max(n, 1))
+            elif kind == "loop":
+                bad = (at % max(n, 1),) * 2
+            else:
+                i, j = edges[at % len(edges)]
+                bad = (i, j) if kind == "again" else (j, i)
+            edges.insert(at % (len(edges) + 1), bad)
+        assert _assemble_error(assemble, n, edges) == _assemble_error(assemble_sets, n, edges)
 
 
 class TestEvaluatePair:
@@ -143,7 +221,7 @@ class TestAssemble:
     def test_rejections_leave_no_edge(self):
         # of the pairs (0, 1), (0, 2), (1, 2), the relaxed test refused (0, 2)
         g = assemble(3, [(0, 1), (1, 2)])
-        assert list(g.edges()) == [(0, 1), (1, 2)]
+        assert _rows(g.edges()) == [(0, 1), (1, 2)]
 
     def test_shuffled_input_same_graph(self, rng):
         edges = [(i, j) for i in range(8) for j in range(i + 1, 8) if (i + j) % 3]
@@ -152,11 +230,11 @@ class TestAssemble:
             shuffled = list(edges)
             rng.shuffle(shuffled)
             g = assemble(8, shuffled)
-            assert g.adjacency == base.adjacency
+            assert np.array_equal(g.indptr, base.indptr) and np.array_equal(g.indices, base.indices)
 
     def test_flipped_pair_normalized(self):
         g = assemble(2, [(1, 0)])
-        assert list(g.edges()) == [(0, 1)]
+        assert _rows(g.edges()) == [(0, 1)]
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -251,7 +329,7 @@ def _block_fits(patterns, pairs) -> dict:
     align.iter_edge_fits, checking that every block is int64 arrays of one
     length and that no pair appears twice."""
     out = {}
-    for block in align.iter_edge_fits(patterns, pairs):
+    for block in align.iter_edge_fits(patterns, _arr(pairs)):
         assert len(block) == 5
         assert all(a.dtype == np.int64 and a.ndim == 1 and len(a) == len(block[0]) for a in block)
         for k, dx, dy, residual, raw in zip(*(a.tolist() for a in block)):
@@ -280,8 +358,8 @@ class TestEdgeFits:
 
     def test_no_patterns(self):
         assert align.edge_fits(_pat(), []) == []
-        assert list(align.iter_edge_fits([], [])) == []
-        assert list(align.iter_edge_fits([_pat(rect(0, 0, 4, 4))], [])) == []
+        assert list(align.iter_edge_fits([], _arr([]))) == []
+        assert list(align.iter_edge_fits([_pat(rect(0, 0, 4, 4))], _arr([]))) == []
 
     def test_fallback_pairs_come_as_one_last_block(self):
         # a permuted correspondence under equal layout keys, and unequal
@@ -295,7 +373,7 @@ class TestEdgeFits:
         assert len(a.shapes) == len(other_key.shapes)
         patterns = [a, permuted, other_key, a]
         pairs = [(0, 1), (0, 2), (0, 3)]
-        blocks = list(align.iter_edge_fits(patterns, pairs))
+        blocks = list(align.iter_edge_fits(patterns, _arr(pairs)))
         assert [b[0].tolist() for b in blocks] == [[2], [0]]  # (0, 2) has no fit
         assert _block_fits(patterns, pairs) == {
             k: fit for k, (i, j) in enumerate(pairs)
@@ -328,8 +406,8 @@ class TestEdgeFits:
         pairs = [(0, 1), (0, 2)]
         assert _block_fits(patterns, pairs) == {0: (Translation(2, 0), 2, 4), 1: (Translation(2, 0), 3, 5)}
         doc = _doc(ConstraintKind.EDGEMOVE, 2.0)
-        assert evaluate_pairs_edgemove(patterns, pairs, doc) == [(0, 1)]
-        assert sorted(evaluate_pairs_edgemove(patterns, pairs, doc, 1.0)) == pairs
+        assert _rows(evaluate_pairs_edgemove(patterns, _arr(pairs), doc)) == [(0, 1)]
+        assert _rows(evaluate_pairs_edgemove(patterns, _arr(pairs), doc, 1.0)) == pairs
 
 
 def _accepted(pairs, results) -> list:
@@ -341,9 +419,9 @@ class TestEvaluatePairsEdgemove:
     DOC = _doc(ConstraintKind.EDGEMOVE, 2.0)
 
     def _both(self, patterns, pairs, slack):
-        """(per-pair results, the pairs the batch accepted in the order of
-        `pairs`, pairs the batch sent to align.edge_fit_aligned). The batch
-        returns the tuples of `pairs` themselves."""
+        """(per-pair results, the rows the batch accepted, pairs the batch
+        sent to align.edge_fit_aligned). The batch returns rows of the
+        pair array, in their order."""
         expected = [evaluate_pair_relaxed(patterns[i], patterns[j], self.DOC, slack) for i, j in pairs]
         called = []
         where = {id(p): k for k, p in enumerate(patterns)}
@@ -354,10 +432,8 @@ class TestEvaluatePairsEdgemove:
             return real(a, b)
 
         with patch.object(align, "edge_fit_aligned", recording):
-            got = evaluate_pairs_edgemove(patterns, pairs, self.DOC, slack)
-        position = {id(pair): k for k, pair in enumerate(pairs)}
-        assert len(set(map(id, got))) == len(got) and all(id(pair) in position for pair in got)
-        return expected, sorted(got, key=lambda pair: position[id(pair)]), called
+            got = evaluate_pairs_edgemove(patterns, _arr(pairs), self.DOC, slack)
+        return expected, _rows(got), called
 
     @given(
         st.lists(_window(), min_size=2, max_size=7),
@@ -423,7 +499,7 @@ class TestEvaluatePairsEdgemove:
         # hulls [-3, 0] and [0, 3]: the midpoints -1.5 and 1.5 round toward zero
         odd = [_pat(rect(-3, 0, 20, 20)), _pat(rect(0, 0, 23, 20))]
         assert [fit[0] for fit in align.edge_fits(a, odd)] == [Translation(-1, 0), Translation(1, 0)]
-        assert sorted(evaluate_pairs_edgemove([a, *odd], [(0, 1), (0, 2)], self.DOC)) == [(0, 1), (0, 2)]
+        assert _rows(evaluate_pairs_edgemove([a, *odd], _arr([(0, 1), (0, 2)]), self.DOC)) == [(0, 1), (0, 2)]
 
 
 COSINE_SLACKS = [IterationConfig().slack_for(_doc(ConstraintKind.COSINE, 0.9), it) for it in range(3)]
@@ -431,15 +507,10 @@ COSINE_SLACKS = [IterationConfig().slack_for(_doc(ConstraintKind.COSINE, 0.9), i
 
 class TestEvaluatePairsCosine:
     def _both(self, patterns, pairs, doc, slack):
-        """(the pairs the per-pair test accepts, in order; the pairs the
-        batch accepts). The batch must return the tuples of `pairs`
-        themselves, in their order."""
+        """(the pairs the per-pair test accepts, in order; the rows of the
+        pair array the batch accepts, in their order)."""
         expected = _accepted(pairs, [evaluate_pair_relaxed(patterns[i], patterns[j], doc, slack) for i, j in pairs])
-        got = evaluate_pairs_cosine(patterns, pairs, doc, slack)
-        position = {id(pair): k for k, pair in enumerate(pairs)}
-        ks = [position.get(id(pair)) for pair in got]
-        assert None not in ks and ks == sorted(set(ks))
-        return expected, got
+        return expected, _rows(evaluate_pairs_cosine(patterns, _arr(pairs), doc, slack))
 
     @given(st.lists(_window(), min_size=1, max_size=7), st.data(), st.sampled_from([0.9, 0.97, 1.0]))
     def test_equals_per_pair_test(self, patterns, data, threshold):
@@ -493,8 +564,9 @@ class TestEvaluatePairsCosine:
             return real(p)
 
         with patch.object(Pattern, "features", recording):
-            evaluate_pairs_cosine(patterns, pairs, _doc(ConstraintKind.COSINE, 0.9))
+            evaluate_pairs_cosine(patterns, _arr(pairs), _doc(ConstraintKind.COSINE, 0.9))
         assert reads == patterns
 
     def test_no_pairs(self):
-        assert evaluate_pairs_cosine([_pat()], [], _doc(ConstraintKind.COSINE, 0.9)) == []
+        assert _rows(evaluate_pairs_cosine([_pat()], _arr([]), _doc(ConstraintKind.COSINE, 0.9))) == []
+        assert _rows(evaluate_pairs_edgemove([_pat()], _arr([]), _doc(ConstraintKind.EDGEMOVE, 2.0))) == []

@@ -1,5 +1,8 @@
 from itertools import combinations
 
+import numpy as np
+from hypothesis import given, strategies as st
+
 from pattern_forge.geometry import Pattern, extract_pattern
 from pattern_forge.layout_io import ConstraintKind, generate_synthetic
 from pattern_forge.prescreen import (
@@ -22,6 +25,11 @@ def _extract_all(doc):
 
 def _pat(*polys, radius=64) -> Pattern:
     return Pattern((0, 0), radius, tuple(polys))
+
+
+def _pairs(cand) -> list:
+    """The candidate rows as (i, j) tuples, in their order."""
+    return [tuple(pair) for pair in cand.pairs.tolist()]
 
 
 class TestSignature:
@@ -99,7 +107,7 @@ class TestBuildCandidates:
         pats = [_pat(rect(0, 0, 16, 16)) for _ in range(5)]
         for kind in (COS, EDGE):
             cand = build_candidates(pats, kind)
-            assert cand.pairs == tuple(combinations(range(5), 2))
+            assert _pairs(cand) == list(combinations(range(5), 2))
             assert cand.stats.total_pairs == 10
             assert cand.stats.after_topology == 10
             assert cand.stats.after_thumbnail == 10
@@ -111,9 +119,11 @@ class TestBuildCandidates:
             _pat(rect(2, 2, 18, 18)),
             _pat(rect(-8, -8, 8, 8)),
         ]
-        cand = build_candidates(pats, COS)
-        assert list(cand.pairs) == sorted(cand.pairs)
-        assert all(i < j for i, j in cand.pairs)
+        for kind in (COS, EDGE):
+            cand = build_candidates(pats, kind)
+            assert cand.pairs.dtype == np.int64 and cand.pairs.shape == (len(_pairs(cand)), 2)
+            assert _pairs(cand) == sorted(_pairs(cand))
+            assert all(i < j for i, j in _pairs(cand))
 
     def test_distinct_counts_eliminate_everything(self):
         pats = [
@@ -123,7 +133,7 @@ class TestBuildCandidates:
         ]
         for kind in (COS, EDGE):
             cand = build_candidates(pats, kind)
-            assert cand.pairs == ()
+            assert cand.pairs.shape == (0, 2) and cand.pairs.dtype == np.int64
             assert cand.stats.after_topology == 0
 
     def test_cosine_area_band_matches_brute_filter(self, rng):
@@ -133,12 +143,12 @@ class TestBuildCandidates:
             h = rng.randrange(8, 60)
             pats.append(_pat(rect(0, 0, w, h)))
         cand = build_candidates(pats, COS)
-        brute = tuple(
+        brute = [
             (i, j)
             for i, j in combinations(range(30), 2)
             if compatible(pats[i], pats[j], COS)
-        )
-        assert cand.pairs == brute
+        ]
+        assert _pairs(cand) == brute
         assert cand.stats.after_thumbnail == cand.stats.after_topology
 
     def test_cosine_stage_a_is_the_only_cut(self):
@@ -147,7 +157,7 @@ class TestBuildCandidates:
         bar_h = _pat(rect(-32, -4, 32, 4), radius=32)
         bar_v = _pat(rect(-4, -32, 4, 32), radius=32)
         cand = build_candidates([bar_h, bar_v], COS)
-        assert cand.pairs == ((0, 1),)
+        assert _pairs(cand) == [(0, 1)]
         assert cand.stats.after_thumbnail == cand.stats.after_topology == 1
 
     def test_edgemove_bbox_is_per_axis(self):
@@ -155,10 +165,10 @@ class TestBuildCandidates:
         bar_v = _pat(rect(-4, -32, 4, 32), radius=32)
         cand = build_candidates([bar_h, bar_v], EDGE)
         # same signature up to bbox orientation? no: bbox quantizes per axis
-        assert cand.pairs == ()
+        assert _pairs(cand) == []
         square = [_pat(rect(-16, -16, 16, 16)), _pat(rect(-16, -16, 16, 16))]
         cand2 = build_candidates(square, EDGE)
-        assert cand2.pairs == ((0, 1),)
+        assert _pairs(cand2) == [(0, 1)]
         assert cand2.stats.after_thumbnail == cand2.stats.after_topology
 
     def test_generated_corpus_no_false_negatives(self):
@@ -172,9 +182,9 @@ class TestBuildCandidates:
                 for t in range(k)
                 for i, j in combinations(range(t * m, (t + 1) * m), 2)
             }
-            assert same_template <= set(cand.pairs)
+            assert same_template <= set(_pairs(cand))
             # templates differ in polygon count, so nothing else survives
-            assert set(cand.pairs) == same_template
+            assert set(_pairs(cand)) == same_template
             assert cand.stats.total_pairs == (k * m) * (k * m - 1) // 2
 
     def test_determinism(self):
@@ -182,4 +192,14 @@ class TestBuildCandidates:
         pats = _extract_all(doc)
         a = build_candidates(pats, COS)
         b = build_candidates(pats, COS)
-        assert a == b
+        assert np.array_equal(a.pairs, b.pairs) and a.stats == b.stats
+
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 40), st.integers(1, 40)), max_size=24))
+    def test_both_stages_match_the_pair_test(self, windows):
+        # windows of 1-3 bars whose total areas crowd the 10 % band edge
+        # (widths and heights 1..40, many equal areas): each Stage A is
+        # exactly `compatible` over all pairs, in ascending order
+        pats = [_pat(*(rect(40 * k, 0, 40 * k + w, h) for k in range(count))) for count, w, h in windows]
+        for kind in (COS, EDGE):
+            brute = [(i, j) for i, j in combinations(range(len(pats)), 2) if compatible(pats[i], pats[j], kind)]
+            assert _pairs(build_candidates(pats, kind)) == brute

@@ -40,7 +40,7 @@ def _check_cover(g: SimilarityGraph, result: SolveResult):
         assert sel.covered == tuple(sorted(sel.covered))
         for k in sel.covered:
             assert k not in covered, "node covered twice"
-            assert k == sel.node or k in g.adjacency[sel.node]
+            assert k == sel.node or k in g.neighbours(sel.node)
         covered.update(sel.covered)
     assert covered == set(range(g.n))
     assert result.stats.selections == len(result.selections)
