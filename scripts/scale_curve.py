@@ -1,23 +1,23 @@
-"""Wall time and memory of `run_full` against marker count, per checkout.
+"""Wall time and memory of `run_full` against marker count, parent against change.
 
-    python3 scripts/scale_curve.py NAME=ROOT [NAME=ROOT ...] [--sizes N ...]
-        [--repeats R] [--out FILE]
+    python3 scripts/scale_curve.py PARENT CHANGE [--out FILE]
 
-Each cell clusters `generate_synthetic(5, N // 5, 6, 7)` (5 templates, jitter
-6, seed 7) in one constraint mode with `run_full`, from ROOT's src/, in a
-fresh child process with OPENBLAS_NUM_THREADS=1. A cell records the run's
-per-stage times (summed over iterations, as the run record's stage_ms), its
+PARENT and CHANGE are the roots of two source checkouts. Each cell clusters
+`generate_synthetic(5, N // 5, 6, 7)` (5 templates, jitter 6, seed 7) in one
+constraint mode with `run_full`, from one checkout's src/, in a fresh child
+process with OPENBLAS_NUM_THREADS=1. A cell records the run's per-stage
+times (summed over iterations, as the run record's stage_ms), its
 first-iteration edge count, the child's peak RSS after the run (the layout
 generation included) and the SHA-256 of the report CSV. Cells run one at a
-time. For each repeat, size and mode, every checkout runs once; the order
-of the checkouts alternates from one repeat to the next, so drift in the
-host's speed falls on each side alike.
+time, at N = 400, 1,600 and 3,200 in both modes, 5 repeats. For each
+repeat, size and mode, each checkout runs once; the order of the two
+alternates from one repeat to the next, so drift in the host's speed falls
+on each side alike.
 
 The JSON written to FILE (default stdout) holds every cell, plus a summary
 per size and mode: per checkout the median graph + solve time, the median
-peak RSS and the set of report digests, and for the second and later
-checkouts the number of repeats whose graph + solve time beat the first
-checkout's in the same repeat. Defaults: sizes 400, 1600 and 3200, 5 repeats.
+peak RSS and the set of report digests, and the number of repeats whose
+graph + solve time at the change beat the parent's in the same repeat.
 """
 
 import argparse
@@ -31,7 +31,9 @@ import subprocess
 import sys
 
 MODES = ("edgemove", "cosine")
-STAGES = ("probe", "extract", "prescreen", "graph", "solve", "refine")
+SIZES = (400, 1600, 3200)
+REPEATS = 5
+CHECKOUTS = ("parent", "change")
 
 
 def _cell(mode: str, n: int) -> dict:
@@ -65,52 +67,48 @@ def _graph_solve(cell: dict) -> float:
     return cell["stage_ms"]["graph"] + cell["stage_ms"]["solve"]
 
 
-def _summary(cells: list, names: list[str], sizes, repeats: int) -> dict:
+def _summary(cells: list) -> dict:
     out = {}
-    for n in sizes:
+    for n in SIZES:
         for mode in MODES:
-            mine = [c for c in cells if c["N"] == n and c["mode"] == mode]
-            by = {name: sorted((c for c in mine if c["checkout"] == name), key=lambda c: c["repeat"])
-                  for name in names}
-            row = {}
-            for name in names:
-                row[name] = {
+            by = {name: sorted((c for c in cells if (c["N"], c["mode"], c["checkout"]) == (n, mode, name)),
+                               key=lambda c: c["repeat"])
+                  for name in CHECKOUTS}
+            row = {
+                name: {
                     "graph_solve_ms_median": statistics.median(_graph_solve(c) for c in by[name]),
                     "peak_rss_mb_median": statistics.median(c["peak_rss_mb"] for c in by[name]),
                     "edges": sorted({c["edges"] for c in by[name]}),
                     "report_sha256": sorted({c["report_sha256"] for c in by[name]}),
                 }
-                if name != names[0]:
-                    row[name]["graph_solve_faster_than_" + names[0]] = sum(
-                        _graph_solve(c) < _graph_solve(b) for c, b in zip(by[name], by[names[0]])
-                    )
-            row["repeats"] = repeats
+                for name in CHECKOUTS
+            }
+            row["graph_solve_change_faster"] = sum(
+                _graph_solve(c) < _graph_solve(p) for p, c in zip(by["parent"], by["change"])
+            )
+            row["repeats"] = REPEATS
             out[f"{mode} N={n}"] = row
     return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("checkouts", nargs="*", metavar="NAME=ROOT")
-    ap.add_argument("--sizes", type=int, nargs="+", default=[400, 1600, 3200])
-    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("parent", nargs="?")
+    ap.add_argument("change", nargs="?")
     ap.add_argument("--out")
     ap.add_argument("--cell", nargs=2, metavar=("MODE", "N"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.cell:
         print(json.dumps(_cell(args.cell[0], int(args.cell[1]))))
         return 0
-    roots = dict(arg.split("=", 1) for arg in args.checkouts)
-    if not roots or len(roots) != len(args.checkouts):
-        ap.error("give each checkout once, as NAME=ROOT")
+    roots = {"parent": args.parent, "change": args.change}
     for name, root in roots.items():
-        if not os.path.isfile(os.path.join(root, "src", "pattern_forge", "pipeline.py")):
+        if root is None or not os.path.isfile(os.path.join(root, "src", "pattern_forge", "pipeline.py")):
             ap.error(f"{name}: no pattern_forge sources under {root}/src")
-    names = list(roots)
     cells = []
-    for repeat in range(args.repeats):
-        order = names if repeat % 2 == 0 else names[::-1]
-        for n in args.sizes:
+    for repeat in range(REPEATS):
+        order = CHECKOUTS if repeat % 2 == 0 else CHECKOUTS[::-1]
+        for n in SIZES:
             for mode in MODES:
                 for name in order:
                     cell = {"checkout": name, "N": n, "mode": mode, "repeat": repeat,
@@ -120,10 +118,9 @@ def main(argv=None) -> int:
                           f"peak RSS {cell['peak_rss_mb']:.0f} MB", file=sys.stderr)
     result = {
         "description": __doc__.split("\n\n", 2)[2].strip(),
-        "command": "python3 scripts/scale_curve.py " + " ".join(f"{n}=<checkout>" for n in names)
-        + f" --sizes {' '.join(map(str, args.sizes))} --repeats {args.repeats}",
+        "command": "python3 scripts/scale_curve.py <parent> <change>",
         "machine": {"vcpus": os.cpu_count(), "python": platform.python_version()},
-        "summary": _summary(cells, names, args.sizes, args.repeats),
+        "summary": _summary(cells),
         "cells": cells,
     }
     text = json.dumps(result, indent=1) + "\n"

@@ -3,9 +3,10 @@
 `run_full` loops over the iterations, timing each stage with `_timed`. A
 stage is one function over the not-yet-assigned markers: `_probe` (from
 iteration 1, joining settled clusters), `_extract` (anchor patterns),
-`_candidates` (prescreen), `_graph` (relaxed pair evaluation), `scp.solve`
-(surprisal-greedy set cover) and `_refine` (alignment refinement with strict
-verification); probe and refinement accept members through `_accept`.
+`_candidates` (prescreen), the graph (relaxed pair evaluation, then
+`graph.assemble`), `scp.solve` (surprisal-greedy set cover) and `_refine`
+(alignment refinement with strict verification); probe and refinement
+accept members through `_accept`.
 Stages call module globals, where `perfbench/tracer.py` wraps them. Slack
 shrinks linearly to zero across iterations, so the last round admits only
 strictly-valid clusters and unassigned markers degrade to singletons.
@@ -240,10 +241,10 @@ def _window_scores(doc: LayoutDocument, rep: Pattern | None, rep_features, cente
 
 
 def _timed(istats: IterationStats, stage: str, fn, *args):
-    """Run one stage and record its wall time under `stage` in timings_ms."""
+    """Run one stage, or one part of it, and add its wall time to `stage` in timings_ms."""
     t0 = time.perf_counter()
     out = fn(*args)
-    istats.timings_ms[stage] = (time.perf_counter() - t0) * 1000
+    istats.timings_ms[stage] = istats.timings_ms.get(stage, 0.0) + (time.perf_counter() - t0) * 1000
     return out
 
 
@@ -311,15 +312,6 @@ def _candidates(doc, cfg, patterns) -> CandidatePairSet:
         return build_candidates(patterns, doc.constraint_kind)
     pairs = np.column_stack(np.triu_indices(len(patterns), 1))
     return CandidatePairSet(pairs, PrescreenStats(len(pairs), len(pairs)))
-
-
-def _graph(doc, slack, patterns, pairs) -> SimilarityGraph:
-    """Stage 2: the iteration's CSR similarity graph, whose edges are the
-    rows of `pairs` the relaxed test accepts, scored in one batch
-    (`graph.evaluate_pairs_cosine` or `graph.evaluate_pairs_edgemove`, each
-    accepting what `graph.evaluate_pair_relaxed` accepts pair by pair)."""
-    evaluate = evaluate_pairs_cosine if doc.constraint_kind is ConstraintKind.COSINE else evaluate_pairs_edgemove
-    return assemble(len(patterns), evaluate(patterns, pairs, doc, slack))
 
 
 def _refine(doc, stats, istats, clusters, active, patterns, selections, final, refused) -> list[int]:
@@ -397,7 +389,11 @@ def run_full(
         patterns = _timed(istats, "extract", _extract, doc, active, anchors)
         cand = _timed(istats, "prescreen", _candidates, doc, cfg, patterns)
         istats.prescreen = cand.stats
-        g = _timed(istats, "graph", _graph, doc, istats.slack, patterns, cand.pairs)
+        evaluate = evaluate_pairs_cosine if doc.constraint_kind is ConstraintKind.COSINE else evaluate_pairs_edgemove
+        edges = _timed(istats, "graph", evaluate, patterns, cand.pairs, doc, istats.slack)
+        del cand  # free the candidate pairs before assembly, which sets the stage's peak memory
+        g = _timed(istats, "graph", assemble, len(patterns), edges)
+        del edges
         istats.edges = g.edge_count
         if on_graph is not None:
             on_graph(it, g)

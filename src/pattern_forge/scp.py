@@ -15,6 +15,8 @@ same selections.
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import SimilarityGraph
 
 
@@ -56,17 +58,14 @@ def _gain(g: SimilarityGraph, s, covered, j: int):
     return total
 
 
-def _cover(g: SimilarityGraph, covered, epoch, j: int) -> list[int]:
-    """Mark j and its uncovered neighbors covered; bump epochs around them."""
+def _cover(g: SimilarityGraph, covered, j: int) -> list[int]:
+    """Mark j and its uncovered neighbors covered; return them ascending."""
     newly = [k for k in g.neighbours(j) if not covered[k]]
     if not covered[j]:
         newly.append(j)
     newly.sort()
     for k in newly:
         covered[k] = True
-        epoch[k] += 1
-        for m in g.neighbours(k):
-            epoch[m] += 1
     return newly
 
 
@@ -74,7 +73,7 @@ def solve(g: SimilarityGraph) -> SolveResult:
     """Lazy-greedy cover: pop, freshness-check, select or reinsert."""
     s = _surprisals(g)
     covered = [False] * g.n
-    epoch = [0] * g.n
+    epoch = np.zeros(g.n, dtype=np.int64)  # bumped whenever a node's gain may have changed
     stats = SolverStats()
     tentative = [_gain(g, s, covered, j) for j in range(g.n)]  # each node's last computed gain
     heap = [(-gain, j, 0) for j, gain in enumerate(tentative)]
@@ -100,7 +99,9 @@ def solve(g: SimilarityGraph) -> SolveResult:
                 continue
         if gain == 0:
             continue
-        newly = _cover(g, covered, epoch, j)
+        newly = _cover(g, covered, j)
+        # the gains that changed: the newly covered nodes' and their neighbours'
+        np.add.at(epoch, np.concatenate([newly, *(g.indices[g.indptr[k]:g.indptr[k + 1]] for k in newly)]), 1)
         selections.append(Selection(j, tuple(newly)))
         stats.selections += 1
         remaining -= len(newly)

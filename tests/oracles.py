@@ -419,7 +419,6 @@ def eager_solve_oracle(g, exact: bool = False) -> scp.SolveResult:
     """
     s = exact_surprisals(g) if exact else scp._surprisals(g)
     covered = [False] * g.n
-    epoch = [0] * g.n
     stats = scp.SolverStats()
     selections = []
     remaining = g.n
@@ -431,7 +430,7 @@ def eager_solve_oracle(g, exact: bool = False) -> scp.SolveResult:
             stats.recomputations += 1
             if gain > 0 and (best_gain is None or gain > best_gain):
                 best_j, best_gain = j, gain
-        newly = scp._cover(g, covered, epoch, best_j)
+        newly = scp._cover(g, covered, best_j)
         selections.append(scp.Selection(best_j, tuple(newly)))
         stats.selections += 1
         remaining -= len(newly)
