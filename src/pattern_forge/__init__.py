@@ -28,7 +28,6 @@ from .raster import Bitmap, cosine_similarity, coverage_grid, dct_features, patt
 from .align import (
     CorrelationSurface,
     DegenerateSpectrumError,
-    FeasibleInterval,
     NoCorrespondenceError,
     clamp_to_marker,
     correlation_surface,

@@ -30,7 +30,6 @@ from .geometry import (
     Marker,
     MatchError,
     Pattern,
-    Polygon,
     Translation,
     Vertex,
     edge_displacements,
@@ -56,27 +55,6 @@ class CorrelationSurface:
     values: np.ndarray
     peak: tuple[int, int]  # (px, py) in [0, side)^2
     peak_value: float
-
-
-@dataclass(frozen=True)
-class FeasibleInterval:
-    """Closed interval of per-axis shifts keeping a polygon pair's boxes aligned."""
-
-    axis: Axis
-    d_min: int
-    d_max: int
-
-    def __post_init__(self):
-        if self.d_min > self.d_max:
-            raise ValueError(f"inverted interval [{self.d_min}, {self.d_max}]")
-
-    @property
-    def width(self) -> int:
-        return self.d_max - self.d_min
-
-    @property
-    def midpoint(self) -> int:
-        return _half_toward_zero(self.d_min + self.d_max)
 
 
 def _half_toward_zero(m):
@@ -135,56 +113,41 @@ def phase_correlate(reference: Bitmap, moving: Bitmap) -> Translation:
     return Translation(round(sx * reference.pitch), round(sy * reference.pitch))
 
 
-def pair_intervals(pa: Polygon, pb: Polygon) -> tuple[FeasibleInterval, FeasibleInterval]:
-    """Per-axis shift intervals bounded by aligning b's box to a's on each side."""
-    ax0, ay0, ax1, ay1 = pa.bbox
-    bx0, by0, bx1, by1 = pb.bbox
-    xlo, xhi = sorted((bx0 - ax0, bx1 - ax1))
-    ylo, yhi = sorted((by0 - ay0, by1 - ay1))
-    return FeasibleInterval(Axis.X, xlo, xhi), FeasibleInterval(Axis.Y, ylo, yhi)
-
-
-def _centroid_pairs(a: Pattern, b: Pattern) -> list[tuple[int, int]]:
-    """Fallback pairing: nearest bounding-box centers, smaller pattern first."""
+def _centroid_pairs(a: Pattern, b: Pattern) -> tuple[np.ndarray, np.ndarray]:
+    """Fallback pairing: each shape of the pattern with fewer shapes (a on
+    a tie), in order, with the shape of the other whose bbox center is
+    nearest (the first on a tie); the pairs as index arrays into a and b."""
     flip = len(a.shapes) > len(b.shapes)
     small, big = (b, a) if flip else (a, b)
-    sb = small.shape_bboxes()
-    bb = big.shape_bboxes()
-    scx = sb[:, 0] + sb[:, 2]  # doubled centers stay integral
-    scy = sb[:, 1] + sb[:, 3]
-    bcx = bb[:, 0] + bb[:, 2]
-    bcy = bb[:, 1] + bb[:, 3]
-    pairs = []
-    for i in range(len(small.shapes)):
-        d2 = (bcx - scx[i]) ** 2 + (bcy - scy[i]) ** 2
-        j = int(np.argmin(d2))
-        pairs.append((j, i) if flip else (i, j))
-    return pairs
+    sc = small.bboxes[:, :2] + small.bboxes[:, 2:]  # doubled centers stay integral
+    bc = big.bboxes[:, :2] + big.bboxes[:, 2:]
+    near = ((sc[:, None, :] - bc[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    rows = np.arange(len(sc))
+    return (near, rows) if flip else (rows, near)
 
 
 def xy_minmax_align(a: Pattern, b: Pattern) -> Translation:
     """Interval competition: the narrowest per-axis interval dictates the shift.
 
-    Each corresponding polygon pair proposes a feasible interval per axis;
-    the pair with the smallest interval width wins the axis (first pair wins
-    ties) and its midpoint becomes that axis of the shift. Falls back to
-    bounding-box-centroid pairing when no overlap correspondence exists at
-    zero shift; raises NoCorrespondenceError when either pattern is empty.
+    Each corresponding polygon pair bounds a feasible interval of shifts per
+    axis, between the offsets of its boxes' low sides and of their high
+    sides; the pair with the smallest interval width wins the axis (first
+    pair wins ties) and its midpoint, rounded half toward zero, becomes that
+    axis of the shift. All pairs are scored in one pass over the rows of
+    `a.bboxes` and `b.bboxes`. Falls back to bounding-box-centroid pairing
+    when no overlap correspondence exists at zero shift; raises
+    NoCorrespondenceError when either pattern is empty.
     """
     if not a.shapes or not b.shapes:
         raise NoCorrespondenceError("cannot align an empty pattern geometrically")
     try:
-        pairs = match_polygons(a, b).pairs
+        ia, ib = np.asarray(match_polygons(a, b).pairs, dtype=np.int64).T
     except MatchError:
-        pairs = _centroid_pairs(a, b)
-    best_x = best_y = None
-    for i, j in pairs:
-        ix, iy = pair_intervals(a.shapes[i], b.shapes[j])
-        if best_x is None or ix.width < best_x.width:
-            best_x = ix
-        if best_y is None or iy.width < best_y.width:
-            best_y = iy
-    return Translation(best_x.midpoint, best_y.midpoint)
+        ia, ib = _centroid_pairs(a, b)
+    off = b.bboxes[ib] - a.bboxes[ia]  # per pair: the x and y offsets of the low sides, then of the high sides
+    best = np.abs(off[:, 2:] - off[:, :2]).argmin(axis=0)  # per axis, the first narrowest pair
+    dx, dy = _half_toward_zero(off[best, [0, 1]] + off[best, [2, 3]]).tolist()
+    return Translation(dx, dy)
 
 
 def _hull_fit(displacements) -> tuple[Translation, int, int]:
@@ -287,7 +250,7 @@ def iter_edge_fits(patterns, pairs):
     shape counts have no one-to-one correspondence and are skipped without
     a call.
 
-    Pairs whose patterns have equal `EdgeView.layout_key`s are grouped by
+    Pairs whose patterns have equal `Pattern.layout_key`s are grouped by
     key and taken in blocks. For each block a stacked strict rectangle
     overlap test, folded to shapes through `owner`, checks that shape k of
     one pattern overlaps shape k of the other and nothing else, i.e. that
@@ -302,10 +265,9 @@ def iter_edge_fits(patterns, pairs):
     """
     if not len(pairs):
         return
-    views = [p.edge_view() for p in patterns]
     key_ids: dict = {}
-    kid = np.asarray([key_ids.setdefault(v.layout_key, len(key_ids)) for v in views])
-    counts = np.asarray([len(v.shapes) for v in views])
+    kid = np.asarray([key_ids.setdefault(p.layout_key, len(key_ids)) for p in patterns])
+    counts = np.asarray([len(p.shapes) for p in patterns])
     ki, kj = kid[pairs[:, 0]], kid[pairs[:, 1]]
     fallback = [np.flatnonzero((ki != kj) & (counts[pairs[:, 0]] == counts[pairs[:, 1]]))]
     same = np.flatnonzero(ki == kj)
@@ -313,10 +275,11 @@ def iter_edge_fits(patterns, pairs):
     for group in np.split(same, np.flatnonzero(np.diff(ki[same])) + 1):
         if not len(group):
             continue
-        members = np.unique(pairs[group])
-        first = views[members[0]]
-        rects = np.stack([views[m].rects for m in members])
-        coords = np.stack([views[m].coords for m in members])
+        members = np.sort(pairs[group], axis=None)
+        members = members[np.diff(members, prepend=-1) > 0]  # each pattern once
+        first = patterns[members[0]]
+        rects = np.stack([patterns[m].rects for m in members])
+        coords = np.stack([patterns[m].coords for m in members])
         step = max(1, min(BATCH_PAIRS, BATCH_CELLS // max(1, len(first.owner)) ** 2))
         for lo in range(0, len(group), step):
             block = group[lo:lo + step]

@@ -7,7 +7,7 @@ vertex, without a repeated closing vertex.
 
 import enum
 import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from itertools import pairwise
 
@@ -321,26 +321,36 @@ class Marker:
         return self.yhi - self.ylo
 
 
-class EdgeView:
-    """The shapes of one pattern, laid out for the edgemove kernels and the
-    raster.
+@dataclass
+class Pattern:
+    """Window content at a candidate center.
 
-    Row k of `rects` is a decomposition rectangle of shape `owner[k]`; that
-    is all the overlap test and `raster.coverage_grid` read. `pieces`, when
-    given, holds each shape's rectangles, in the order `rectangles()` gives
-    them (`extract_pattern` passes the rows of its window query); without
-    it every shape is decomposed. The per-edge table and the arrays derived
-    from it are built on first read, because cosine-mode alignment pairs
-    polygons but never compares their edges.
+    Shapes are stored in window-local coordinates (center at the origin), so
+    the `shapes` of two windows with identical content compare equal
+    wherever the windows sit on the design (the patterns themselves differ
+    in `center`). Every vertex lies in [-radius, radius]^2.
+
+    What the kernels read of the shapes is an attribute, built at most once
+    per pattern and not part of equality or repr. Row k of `rects` is a
+    decomposition rectangle of shape `owner[k]`, each shape's rows in the
+    order `rectangles()` gives them; `pieces`, when given, holds those rows
+    per shape (`extract_pattern` passes its window query's rows), else every
+    shape is decomposed. The edge table and the arrays read from it are
+    built on first read, since cosine runs never compare edges; so are
+    `bboxes`, `area` and `features`.
     """
 
-    def __init__(self, shapes: tuple[Polygon, ...], pieces=None):
+    center: Vertex
+    radius: int
+    shapes: tuple[Polygon, ...]
+    pieces: InitVar[list | None] = None
+
+    def __post_init__(self, pieces):
         if pieces is None:
-            pieces = [rectangles(p) for p in shapes]
-        self.shapes = shapes
+            pieces = [rectangles(p) for p in self.shapes]
         self.rect_counts = tuple(len(rs) for rs in pieces)
         self.rects = np.asarray([r for rs in pieces for r in rs], dtype=np.int64).reshape(-1, 4)
-        self.owner = np.repeat(np.arange(len(shapes)), self.rect_counts)
+        self.owner = np.repeat(np.arange(len(self.shapes)), self.rect_counts)
 
     @cached_property
     def edges(self) -> tuple[tuple[str, tuple[Axis, ...], tuple[int, ...]], ...]:
@@ -358,7 +368,7 @@ class EdgeView:
     @cached_property
     def layout_key(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
         """Each shape's direction_sequence() and its number of decomposition
-        rectangles. Two views with equal keys have equal-shaped `rects`,
+        rectangles. Two patterns with equal keys have equal-shaped `rects`,
         `owner`, `coords` and `x_axis`, so their pairs can be stacked."""
         return tuple(d for d, _axes, _coords in self.edges), self.rect_counts
 
@@ -372,68 +382,34 @@ class EdgeView:
         """True where the edge at that position of `coords` moves along X."""
         return np.asarray([a is Axis.X for _d, axes, _cs in self.edges for a in axes], dtype=bool)
 
+    @cached_property
+    def bboxes(self) -> np.ndarray:
+        """The shapes' bboxes as (xlo, ylo, xhi, yhi) int64 rows."""
+        return np.asarray([p.bbox for p in self.shapes], dtype=np.int64).reshape(-1, 4)
 
-@dataclass
-class Pattern:
-    """Window content at a candidate center.
+    @cached_property
+    def area(self) -> int:
+        """Sum of the shapes' areas: the prescreen and the probe read it once per pair."""
+        return sum(p.area for p in self.shapes)
 
-    Shapes are stored in window-local coordinates (center at the origin), so
-    the `shapes` of two windows with identical content compare equal
-    wherever the windows sit on the design (the patterns themselves differ
-    in `center`). Every vertex lies in [-radius, radius]^2.
-    """
+    @cached_property
+    def features(self) -> np.ndarray:
+        """`raster.pattern_features` of this window: a cosine run reads an
+        anchor's vector in every graph pair, refinement and probe it takes
+        part in."""
+        from . import raster  # raster imports this module
 
-    center: Vertex
-    radius: int
-    shapes: tuple[Polygon, ...]
-    _bbox_arr: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _edge_view: EdgeView = field(default=None, init=False, repr=False, compare=False)
-    _area: int = field(default=None, init=False, repr=False, compare=False)
-    _features: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-
-    def shape_bboxes(self) -> np.ndarray:
-        if self._bbox_arr is None:
-            if self.shapes:
-                self._bbox_arr = np.asarray([p.bbox for p in self.shapes], dtype=np.int64)
-            else:
-                self._bbox_arr = np.zeros((0, 4), dtype=np.int64)
-        return self._bbox_arr
-
-    def edge_view(self) -> EdgeView:
-        """The shapes laid out for the edgemove kernels and the raster, kept
-        so each pattern pays for it once however many pairs it is in.
-        `extract_pattern` builds it from its window query; a pattern built
-        by hand decomposes its shapes on first use."""
-        if self._edge_view is None:
-            self._edge_view = EdgeView(self.shapes)
-        return self._edge_view
+        return raster.pattern_features(self)
 
     @property
     def is_empty(self) -> bool:
         return not self.shapes
 
-    def total_area(self) -> int:
-        """Sum of the shapes' areas, computed on first use and kept: the
-        prescreen and the probe ask for it once per pair."""
-        if self._area is None:
-            self._area = sum(p.area for p in self.shapes)
-        return self._area
-
-    def features(self) -> np.ndarray:
-        """`raster.pattern_features` of this window, computed on first use
-        and kept: a cosine run reads an anchor's vector in every graph pair,
-        refinement and probe it takes part in."""
-        if self._features is None:
-            from . import raster  # raster imports this module
-
-            self._features = raster.pattern_features(self)
-        return self._features
-
     def bounds(self) -> Rect | None:
         """Union bounding box of the shapes, or None for an empty pattern."""
         if not self.shapes:
             return None
-        bb = self.shape_bboxes()
+        bb = self.bboxes
         return (int(bb[:, 0].min()), int(bb[:, 1].min()), int(bb[:, 2].max()), int(bb[:, 3].max()))
 
 
@@ -445,12 +421,12 @@ def extract_pattern(doc, center: Vertex) -> Pattern:
     window's edge becomes the union of its clipped rows, one shape per
     piece, which is what `clip_polygon` traces.
 
-    The pattern's `edge_view()` is built from the same query: a polygon
-    kept whole lies inside the window, so its rows are its design
-    rectangles shifted, unclipped and, since `design_rect_array` sorts
-    stably by xlo and `rectangles()` emits nondecreasing xlo, in
-    `rectangles()` order, which is `rectangles()` of the shifted shape.
-    Only a traced piece is decomposed again.
+    The pattern's `rects` come from the same query: a polygon kept whole
+    lies inside the window, so its rows are its design rectangles shifted,
+    unclipped and, since `design_rect_array` sorts stably by xlo and
+    `rectangles()` emits nondecreasing xlo, in `rectangles()` order, which
+    is `rectangles()` of the shifted shape. Only a traced piece is
+    decomposed again.
     """
     cx, cy = center
     r = doc.pattern_radius
@@ -470,9 +446,7 @@ def extract_pattern(doc, center: Vertex) -> Pattern:
             traced = [Polygon.from_vertices(ring) for ring in _trace_union(by_poly[idx])]
             shapes.extend(traced)
             pieces.extend(rectangles(p) for p in traced)
-    pattern = Pattern((cx, cy), r, tuple(shapes))
-    pattern._edge_view = EdgeView(pattern.shapes, pieces)
-    return pattern
+    return Pattern((cx, cy), r, tuple(shapes), pieces)
 
 
 @dataclass(frozen=True)
@@ -496,11 +470,10 @@ def _rect_overlaps(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
 def _overlap_matrix(a: Pattern, b: Pattern, shift: Translation) -> np.ndarray:
     """out[i, j]: shape i of a and shape j of b (displaced by `shift`) share
     positive area, i.e. some pair of their rectangles overlaps strictly."""
-    va, vb = a.edge_view(), b.edge_view()
     out = np.zeros((len(a.shapes), len(b.shapes)), dtype=bool)
-    rb = vb.rects + np.asarray([shift.dx, shift.dy, shift.dx, shift.dy], dtype=np.int64)
-    ia, ib = np.nonzero(_rect_overlaps(va.rects, rb))
-    out[va.owner[ia], vb.owner[ib]] = True
+    rb = b.rects + np.asarray([shift.dx, shift.dy, shift.dx, shift.dy], dtype=np.int64)
+    ia, ib = np.nonzero(_rect_overlaps(a.rects, rb))
+    out[a.owner[ia], b.owner[ib]] = True
     return out
 
 
@@ -508,7 +481,7 @@ def identity_correspondences(ra: np.ndarray, rb: np.ndarray, rect_counts: tuple[
     """Per stacked pair p: whether `match_polygons` at zero shift pairs
     shape k of one pattern with shape k of the other, for every k.
 
-    ra and rb are (pairs, R, 4) stacks of `EdgeView.rects` of patterns that
+    ra and rb are (pairs, R, 4) stacks of `Pattern.rects` of patterns that
     all have the shapes' rectangle counts `rect_counts`. The strict
     rectangle overlaps are folded to shapes through the shared `owner`
     layout, and the shape overlap matrix must be the identity: each shape
@@ -565,11 +538,10 @@ def edge_displacements(a: Pattern, b: Pattern, corr: Correspondence) -> list[tup
     offsets, horizontal edges Y offsets. Raises TopologyMismatchError when a
     pair cannot be compared edge-by-edge.
     """
-    va, vb = a.edge_view(), b.edge_view()
     out: list[tuple[Axis, int]] = []
     for i, j in corr.pairs:
-        da, axes, ca = va.edges[i]
-        db, _axes, cb = vb.edges[j]
+        da, axes, ca = a.edges[i]
+        db, _axes, cb = b.edges[j]
         if len(da) != len(db):
             raise TopologyMismatchError(f"pair ({i}, {j}): vertex counts {len(da)} vs {len(db)}")
         if da != db:

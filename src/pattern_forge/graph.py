@@ -61,14 +61,14 @@ def evaluate_pair_relaxed(
 ) -> Translation | None:
     """Test one pair under the document constraint loosened by `slack`.
 
-    Cosine mode compares the patterns' `features()` at zero shift against
+    Cosine mode compares the patterns' `features` at zero shift against
     threshold - slack and reports a zero alignment. EdgeMove mode is the
     strict check, `align.edge_fit_aligned`, accepting a residual within
     threshold + slack and reporting the min-max translation. Rejection
     returns None.
     """
     if doc.constraint_kind is ConstraintKind.COSINE:
-        sim = raster.cosine_similarity(a.features(), b.features())
+        sim = raster.cosine_similarity(a.features, b.features)
         return ZERO_SHIFT if sim >= doc.threshold - slack else None
     fit = align.edge_fit_aligned(a, b)
     return fit[0] if fit is not None and fit[1] <= doc.threshold + slack else None
@@ -78,8 +78,8 @@ def evaluate_pairs_cosine(patterns, pairs, doc: LayoutDocument, slack: float = 0
     """The rows (i, j) of the (m, 2) int64 array `pairs` that
     `evaluate_pair_relaxed(patterns[i], patterns[j], doc, slack)` accepts
     for a cosine document, in their order, reading each pattern's
-    `features()` once and the pairs a block of Python ints at a time."""
-    feats = [p.features() for p in patterns]
+    `features` once and the pairs a block of Python ints at a time."""
+    feats = [p.features for p in patterns]
     floor = doc.threshold - slack
     keep = np.zeros(len(pairs), dtype=bool)
     for lo in range(0, len(pairs), align.BATCH_PAIRS):
@@ -105,26 +105,38 @@ def assemble(n: int, edges) -> SimilarityGraph:
     `edges`, (i, j) pairs in any order and orientation, as an (m, 2) int
     array or a list. It raises what adding the rows one by one would: at the
     first row naming a node outside 0..n-1 or repeating a pair in either
-    orientation, else at the lowest self-loop."""
+    orientation, else at the lowest self-loop.
+
+    Each row is listed at both its ends as the code row * n + column. With
+    every node in range, two equal codes, adjacent once sorted, mean a
+    repeated pair or a self-loop; only then are the rows walked (`_fault`)
+    for the error."""
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    lo, hi = e.min(axis=1), e.max(axis=1)
-    outside = np.flatnonzero((lo < 0) | (hi >= n))
-    head = outside[0] if len(outside) else len(e)  # the rows before the first one outside
-    key = lo[:head] * n + hi[:head]  # one int per pair; n * n < 2**63
-    order = np.argsort(key, kind="stable")  # a pair's repeats follow its first row
-    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
-    if len(repeats):
-        i, j = e[repeats.min()].tolist()
-        raise ValueError(f"duplicate pair {(min(i, j), max(i, j))}")
-    if len(outside):
-        raise ValueError(f"edge ({e[head, 0]}, {e[head, 1]}) outside 0..{n - 1}")
-    if (lo == hi).any():
-        raise ValueError(f"self-loop at node {lo[lo == hi].min()}")
-    del lo, hi, key, order  # the sort below sets the peak memory: free these first
-    code = np.concatenate((e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]))  # row * n + column
+    if ((e < 0) | (e >= n)).any():
+        _fault(n, e)
+    code = np.concatenate((e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]))  # n * n < 2**63
     code.sort()
+    if (code[1:] == code[:-1]).any():
+        _fault(n, e)
     indptr = np.searchsorted(code, np.arange(n + 1) * n)
     return SimilarityGraph(n, indptr, np.remainder(code, n, out=code))
+
+
+def _fault(n: int, e: np.ndarray):
+    """Raise `assemble`'s error for the rows of `e`, which hold a node
+    outside 0..n-1, a repeated pair or a self-loop, adding them one by one."""
+    seen = set()
+    loops = []
+    for i, j in e.tolist():
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) outside 0..{n - 1}")
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise ValueError(f"duplicate pair {pair}")
+        seen.add(pair)
+        if i == j:
+            loops.append(i)
+    raise ValueError(f"self-loop at node {min(loops)}")
 
 
 def dump_edges(g: SimilarityGraph) -> str:

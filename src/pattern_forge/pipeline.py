@@ -16,8 +16,8 @@ run extracts it once and keeps it for the rest of that run: the probe (for
 the orphan and for each cluster's representative), `_extract` in every
 iteration and the refinement of the member at its anchor all read the same
 pattern. Stages pass patterns and index pairs only: in cosine mode each
-reads an anchor's unit feature vector through `Pattern.features()`, which
-computes it once per pattern, and pairs are (m, 2) int64 arrays from the
+reads an anchor's unit feature vector, `Pattern.features`, which is
+computed once per pattern, and pairs are (m, 2) int64 arrays from the
 prescreen to `graph.assemble`, whose CSR graph `scp.solve` reads.
 
 One routine, `refine_members`, refines in both modes: `_refine` passes it
@@ -186,17 +186,17 @@ def refine_members(rep: Pattern, members, doc: LayoutDocument) -> list:
     one `align.edge_fits` call in edgemove mode, whose raw offsets also
     score the anchors. The aligned centers that differ from their anchors
     are scored together by `_window_scores`. Cosine scores read the
-    patterns' `features()`.
+    patterns' `features`.
     """
     if doc.constraint_kind is ConstraintKind.COSINE:
-        rep_features = rep.features()
+        rep_features = rep.features
         shifts, at_anchor = [], []
         for _marker, p in members:
             try:
                 shifts.append(align.xy_minmax_align(rep, p))
             except align.NoCorrespondenceError:  # raised only for an empty pattern
                 shifts.append(None)
-            at_anchor.append(raster.cosine_similarity(rep_features, p.features()))
+            at_anchor.append(raster.cosine_similarity(rep_features, p.features))
     else:
         rep_features = None
         fits = align.edge_fits(rep, [p for _marker, p in members])

@@ -66,7 +66,7 @@ def signature(p: Pattern) -> TopoSignature:
         qbox = (0, 0)
     else:
         qbox = ((b[2] - b[0]) // QUANTUM, (b[3] - b[1]) // QUANTUM)
-    return TopoSignature(len(p.shapes), tuple(hist), p.total_area() // QUANTUM, qbox)
+    return TopoSignature(len(p.shapes), tuple(hist), p.area // QUANTUM, qbox)
 
 
 def compatible(a: Pattern, b: Pattern, kind: ConstraintKind) -> bool:
@@ -75,7 +75,7 @@ def compatible(a: Pattern, b: Pattern, kind: ConstraintKind) -> bool:
         return signature(a) == signature(b)
     if len(a.shapes) != len(b.shapes):
         return False
-    area_a, area_b = a.total_area(), b.total_area()
+    area_a, area_b = a.area, b.area
     return abs(area_a - area_b) <= AREA_BAND_FRAC * max(area_a, area_b)
 
 
@@ -98,7 +98,7 @@ def _stage_a_edgemove(patterns) -> np.ndarray:
 
 def _stage_a_cosine(patterns) -> np.ndarray:
     count = np.array([len(p.shapes) for p in patterns], dtype=np.int64)
-    area = np.array([p.total_area() for p in patterns], dtype=np.int64)
+    area = np.array([p.area for p in patterns], dtype=np.int64)
     order = np.lexsort((area, count))  # by shape count, then area, then index
     a = area[order]
     # within a shape count areas ascend, so `compatible` for k <= j is the integer

@@ -1,14 +1,13 @@
 """Rasterization and spectral features for pattern windows.
 
 Pixels hold exact area-coverage fractions: the rectangle/pixel overlaps of
-a pattern's decomposition rectangles, the `rects` of its `edge_view()`, are
-summed as exact integers (in a float64 matrix product while every pixel
+a pattern's decomposition rectangles, its `rects`, are summed as exact integers (in a float64 matrix product while every pixel
 stays below 2^53, in int64 past that) before a single float division. No
 supersampling is involved, so coverage is exact for any grid size, and any
 disjoint decomposition of the same area gives the same pixels:
 `window_features` reads a window's rectangles straight from the layout and
 equals the features of the extracted pattern bit for bit, and an extracted
-pattern's view holds its window query's rows where a polygon is kept whole.
+pattern's `rects` are its window query's rows where a polygon is kept whole.
 
 A window's feature vector is the low-frequency 32 x 32 block of the
 orthonormal 2D DCT-II of its coverage on a 64-pixel grid, scaled to unit
@@ -62,12 +61,12 @@ def _check_side(side: int):
 def coverage_grid(pattern: Pattern, side: int) -> np.ndarray:
     """Integer coverage numerators per pixel; the common denominator is (2R)^2.
 
-    The rectangles are the pattern's `edge_view().rects`, so an extracted
-    window decomposes no shape it kept whole. Summing the grid gives total
+    The rectangles are the pattern's `rects`, so an extracted window
+    decomposes no shape it kept whole. Summing the grid gives total
     shape area times side^2.
     """
     _check_side(side)
-    grid = _coverage(pattern.edge_view().rects, pattern.radius, side)
+    grid = _coverage(pattern.rects, pattern.radius, side)
     return grid.astype(np.int64, copy=False)
 
 

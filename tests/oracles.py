@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: ring validation one check
 after another, unit-cell parity scans for geometry, per-polygon overlap tests and edge walks for polygon pairing,
-direct double-sum DCT, linear scans for min-max fits, refinement and
+direct double-sum DCT, linear scans for min-max fits, interval competition
+one polygon pair at a time with an interval object per axis, refinement and
 verification one member at a time (every window extracted, none read from
 the layout's rectangle table), a similarity graph built one pair at a time
 into a set per node and checked for symmetry, a full-update greedy set
@@ -13,12 +14,13 @@ bit-identical to the lazy solver's and the two must select exactly alike.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from pattern_forge import scp
-from pattern_forge.align import NoCorrespondenceError, clamp_to_marker, edge_fit_aligned, xy_minmax_align
+from pattern_forge.align import NoCorrespondenceError, clamp_to_marker, edge_fit_aligned
 from pattern_forge.geometry import (
     Axis,
     Correspondence,
@@ -28,6 +30,7 @@ from pattern_forge.geometry import (
     NoOverlapError,
     Polygon,
     TopologyMismatchError,
+    Translation,
     ZERO_SHIFT,
     _signed_area2,
     extract_pattern,
@@ -158,8 +161,8 @@ def overlap_matrix(a, b, shift) -> np.ndarray:
     out = np.zeros((na, nb), dtype=bool)
     if na == 0 or nb == 0:
         return out
-    bba = a.shape_bboxes()
-    bbb = b.shape_bboxes() + np.asarray([shift.dx, shift.dy, shift.dx, shift.dy], dtype=np.int64)
+    bba = a.bboxes
+    bbb = b.bboxes + np.asarray([shift.dx, shift.dy, shift.dx, shift.dy], dtype=np.int64)
     cand = (
         (bba[:, None, 0] < bbb[None, :, 2])
         & (bbb[None, :, 0] < bba[:, None, 2])
@@ -240,6 +243,66 @@ def edge_fit(a, b) -> int | None:
     return max((abs(d) for _, d in disp), default=0)
 
 
+@dataclass(frozen=True)
+class FeasibleInterval:
+    """Closed interval of one axis's shifts bounded by a polygon pair's
+    boxes: the offsets of their low sides and of their high sides."""
+
+    d_min: int
+    d_max: int
+
+    @property
+    def width(self) -> int:
+        return self.d_max - self.d_min
+
+    @property
+    def midpoint(self) -> int:
+        return math.trunc(Fraction(self.d_min + self.d_max, 2))  # halves toward zero
+
+
+def pair_intervals(pa, pb) -> tuple[FeasibleInterval, FeasibleInterval]:
+    """The x and y shift intervals that align b's box to a's on each side."""
+    ax0, ay0, ax1, ay1 = pa.bbox
+    bx0, by0, bx1, by1 = pb.bbox
+    xlo, xhi = sorted((bx0 - ax0, bx1 - ax1))
+    ylo, yhi = sorted((by0 - ay0, by1 - ay1))
+    return FeasibleInterval(xlo, xhi), FeasibleInterval(ylo, yhi)
+
+
+def centroid_pairs_loop(a, b) -> list[tuple[int, int]]:
+    """Each shape of the pattern with fewer shapes (a on a tie), in order,
+    with the first shape of the other whose doubled bbox center is nearest."""
+    flip = len(a.shapes) > len(b.shapes)
+    small, big = (b, a) if flip else (a, b)
+    pairs = []
+    for i, ps in enumerate(small.shapes):
+        sx, sy = ps.bbox[0] + ps.bbox[2], ps.bbox[1] + ps.bbox[3]
+        d2 = [(pb.bbox[0] + pb.bbox[2] - sx) ** 2 + (pb.bbox[1] + pb.bbox[3] - sy) ** 2 for pb in big.shapes]
+        j = d2.index(min(d2))
+        pairs.append((j, i) if flip else (i, j))
+    return pairs
+
+
+def xy_minmax_align_loop(a, b) -> Translation:
+    """`align.xy_minmax_align` one polygon pair at a time: the pairs of
+    `match_polygons_loop` at zero shift (else `centroid_pairs_loop`), and
+    per axis the first pair with the narrowest interval gives its midpoint."""
+    if not a.shapes or not b.shapes:
+        raise NoCorrespondenceError("cannot align an empty pattern geometrically")
+    try:
+        pairs = match_polygons_loop(a, b, ZERO_SHIFT).pairs
+    except MatchError:
+        pairs = centroid_pairs_loop(a, b)
+    best_x = best_y = None
+    for i, j in pairs:
+        ix, iy = pair_intervals(a.shapes[i], b.shapes[j])
+        if best_x is None or ix.width < best_x.width:
+            best_x = ix
+        if best_y is None or iy.width < best_y.width:
+            best_y = iy
+    return Translation(best_x.midpoint, best_y.midpoint)
+
+
 def _best_center(marker, shift, score_at, passes):
     """The refinement rule, one candidate at a time: the aligned center
     (clamped into the marker) first, then the anchor; the best passing
@@ -269,13 +332,13 @@ def _best_center(marker, shift, score_at, passes):
 
 def refine_member_cosine(rep, marker, doc, member_at_anchor=None):
     """`pipeline.refine_cluster` in cosine mode for one member: the shift of
-    `xy_minmax_align` (none for an empty pattern), and every candidate
+    `xy_minmax_align_loop` (none for an empty pattern), and every candidate
     window extracted and scored by its own `pattern_features`."""
     anchor = marker.center()
     if member_at_anchor is None:
         member_at_anchor = extract_pattern(doc, anchor)
     try:
-        shift = xy_minmax_align(rep, member_at_anchor)
+        shift = xy_minmax_align_loop(rep, member_at_anchor)
     except NoCorrespondenceError:
         shift = None
     rep_features = pattern_features(rep)

@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pattern_forge.geometry import Axis, Marker, Pattern, Translation, ZERO_SHIFT
 from pattern_forge.raster import Bitmap, rasterize
 from pattern_forge.align import (
     DegenerateSpectrumError,
-    FeasibleInterval,
     NoCorrespondenceError,
     _half_toward_zero,
     _hull_fit,
@@ -17,18 +16,37 @@ from pattern_forge.align import (
     edge_fit_aligned,
     edge_minmax_align,
     hull_fits,
-    pair_intervals,
     phase_correlate,
     pixel_shift,
     xy_minmax_align,
 )
 
 from conftest import rect, staircase
-from oracles import brute_minmax_residual, edge_fit, minmax_residual_at
+from oracles import brute_minmax_residual, edge_fit, minmax_residual_at, xy_minmax_align_loop
 
 
 def _pat(*polys, radius=64) -> Pattern:
     return Pattern((0, 0), radius, tuple(polys))
+
+
+@st.composite
+def _box_pairs(draw):
+    """Patterns a and b of 1-4 rectangles, one per 40 nm slot: b's boxes
+    are a's with each side moved by -3..3 nm (so interval widths often tie),
+    all shifted together by up to 60 nm (far enough that the zero-shift
+    pairing can fail and the centroid fallback runs), and either pattern
+    may drop its last shapes."""
+    n = draw(st.integers(1, 4))
+    side = st.integers(-3, 3)
+    a_shapes, b_shapes = [], []
+    for k in range(n):
+        x0, y0 = 40 * k, draw(st.integers(-10, 10))
+        x1, y1 = x0 + draw(st.integers(8, 14)), y0 + draw(st.integers(8, 14))
+        a_shapes.append(rect(x0, y0, x1, y1))
+        b_shapes.append(rect(x0 + draw(side), y0 + draw(side), x1 + draw(side), y1 + draw(side)))
+    sx, sy = draw(st.integers(-60, 60)), draw(st.integers(-60, 60))
+    b_shapes = [p.translated(sx, sy) for p in b_shapes]
+    return _pat(*a_shapes[:draw(st.integers(1, n))]), _pat(*b_shapes[:draw(st.integers(1, n))])
 
 
 def _bitmap(side: int, ones: list[tuple[int, int]], pitch=1) -> Bitmap:
@@ -144,35 +162,36 @@ class TestPhaseCorrelation:
         assert surf.peak_value > 0.9
 
 
-class TestIntervals:
-    def test_inverted_interval_rejected(self):
-        with pytest.raises(ValueError):
-            FeasibleInterval(Axis.X, 3, 2)
+class TestXyMinmax:
+    @given(_box_pairs())
+    @example((_pat(rect(0, 0, 4, 4), rect(10, 0, 14, 4)), _pat(rect(1, 0, 5, 4), rect(13, 0, 17, 4))))  # tie
+    @example((_pat(rect(0, 0, 10, 10)), _pat(rect(-3, -5, 8, 8))))  # odd negative sums
+    @example((_pat(rect(0, 0, 4, 4)), _pat(rect(50, 50, 54, 54), rect(90, 50, 94, 54))))  # fallback, a smaller
+    @example((_pat(rect(0, 0, 4, 4), rect(40, 0, 44, 4)), _pat(rect(-50, 50, -46, 54))))  # fallback, b smaller
+    @example((_pat(rect(0, 0, 10, 10), rect(200, 0, 210, 10)),
+              _pat(rect(-100, 0, -90, 10), rect(-90, 0, -78, 12))))  # fallback, equal counts: a's shapes choose
+    def test_matches_interval_loop_oracle(self, pair):
+        a, b = pair
+        assert xy_minmax_align(a, b) == xy_minmax_align_loop(a, b)
 
-    def test_pair_intervals_sorted_both_ways(self):
-        a = rect(0, 0, 4, 4)
-        b = rect(2, 2, 14, 14)
-        ix, iy = pair_intervals(a, b)
-        assert (ix.d_min, ix.d_max) == (2, 10)
-        assert ix.midpoint == 6 and ix.width == 8
-        # swap roles: interval mirrors
-        jx, _ = pair_intervals(b, a)
-        assert (jx.d_min, jx.d_max) == (-10, -2)
-        assert jx.midpoint == -6
+    @pytest.mark.parametrize("lo, hi, mid", [(-3, 2, 0), (-2, 3, 0), (1, 2, 1), (-2, -1, -1)])
+    def test_midpoint_rounds_toward_zero(self, lo, hi, mid):
+        # one pair whose low and high box sides move by lo and hi on both
+        # axes: the interval is [lo, hi] and its midpoint rounds toward zero
+        b = _pat(rect(lo, lo, 10 + hi, 10 + hi))
+        assert xy_minmax_align(_pat(rect(0, 0, 10, 10)), b) == Translation(mid, mid)
+
+    def test_interval_bounds_sorted_both_ways(self):
+        # the box sides move by 2 and 10: midpoint 6; with the roles swapped, -6
+        a, b = _pat(rect(0, 0, 4, 4)), _pat(rect(2, 2, 14, 14))
+        assert xy_minmax_align(a, b) == Translation(6, 6)
+        assert xy_minmax_align(b, a) == Translation(-6, -6)
 
     def test_equal_boxes_degenerate_interval(self):
-        ix, iy = pair_intervals(rect(5, 5, 9, 9), rect(8, 1, 12, 5))
-        assert (ix.d_min, ix.d_max, ix.width) == (3, 3, 0)
-        assert (iy.d_min, iy.d_max) == (-4, -4)
+        # boxes that only touch pair by centroid; equal sizes pin each axis
+        a, b = _pat(rect(5, 5, 9, 9)), _pat(rect(8, 1, 12, 5))
+        assert xy_minmax_align(a, b) == Translation(3, -4)
 
-    def test_midpoint_rounds_toward_zero(self):
-        assert FeasibleInterval(Axis.X, -3, 2).midpoint == 0
-        assert FeasibleInterval(Axis.X, -2, 3).midpoint == 0
-        assert FeasibleInterval(Axis.X, 1, 2).midpoint == 1
-        assert FeasibleInterval(Axis.X, -2, -1).midpoint == -1
-
-
-class TestXyMinmax:
     @given(st.integers(-8, 8), st.integers(-8, 8))
     def test_recovers_exact_translation(self, dx, dy):
         # shapes are separated by much more than the shift, so whichever

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 from pattern_forge.geometry import (
     Axis,
     Correspondence,
-    EdgeView,
     GeometryError,
     Marker,
     MatchError,
@@ -393,7 +392,7 @@ class TestExtract:
         doc = _doc([rect(-40, -40, 40, 40)], radius=16)
         p = extract_pattern(doc, (0, 0))
         assert p.shapes == (rect(-16, -16, 16, 16),)
-        assert p.total_area() == 32 * 32
+        assert p.area == 32 * 32
 
     def test_empty_window(self):
         doc = _doc([rect(100, 100, 110, 110)], radius=16)
@@ -403,7 +402,7 @@ class TestExtract:
         doc = _doc([rect(2, 2, 6, 8)], radius=16)
         p = extract_pattern(doc, (0, 0))
         assert p.bounds() == (2, 2, 6, 8)
-        assert p.total_area() == 24
+        assert p.area == 24
         assert extract_pattern(doc, (100, 100)).bounds() is None
 
     def test_edge_touching_and_crossing_polygons(self):
@@ -439,16 +438,18 @@ class TestExtract:
     @example((_doc([_u_across_edge((0, 0), 8, 0, 0, 1), rect(-2, -2, 2, 2)], 8), (0, 0)))  # a U cut in two
     @example((_doc([], 8), (0, 0)))  # empty
     @example((_doc([rect(100, 100, 104, 104)], 8), (0, 0)))  # empty
-    def test_view_seeded_from_the_query(self, design):
-        # the view extraction builds from its window query equals the one
-        # built by decomposing the shapes, and so does the raster read from it
+    def test_arrays_seeded_from_the_query(self, design):
+        # the arrays extraction builds from its window query equal those of
+        # a pattern built by hand from the same shapes, which decomposes
+        # them, and so does the raster read from them
         doc, center = design
         p = extract_pattern(doc, center)
-        seeded, built = p.edge_view(), EdgeView(p.shapes)
-        assert seeded.rects.dtype == np.int64 and seeded.rects.shape == built.rects.shape
-        assert np.array_equal(seeded.rects, built.rects)
-        assert np.array_equal(seeded.owner, built.owner)
-        assert seeded.rect_counts == built.rect_counts
+        built = Pattern(p.center, p.radius, p.shapes)
+        assert p.rects.dtype == np.int64 and p.rects.shape == built.rects.shape
+        for name in ("rects", "owner", "coords", "x_axis", "bboxes"):
+            assert np.array_equal(getattr(p, name), getattr(built, name)), name
+        for name in ("rect_counts", "edges", "layout_key", "area"):
+            assert getattr(p, name) == getattr(built, name), name
         rects = [rc for shape in p.shapes for rc in rectangles(shape)]
         for side in (8, 16):
             assert np.array_equal(coverage_grid(p, side), coverage_grid_loop(rects, p.radius, side))
@@ -457,7 +458,7 @@ class TestExtract:
         for turns in range(4):
             doc = _doc([_u_across_edge((0, 0), 8, 0, 0, turns)], 8)
             p = extract_pattern(doc, (0, 0))
-            assert len(p.shapes) == 2 and p.total_area() == 2 * 2 * 8
+            assert len(p.shapes) == 2 and p.area == 2 * 2 * 8
 
     def test_l_round_a_corner_has_no_piece(self):
         for turns in range(4):

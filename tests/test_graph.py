@@ -148,7 +148,7 @@ class TestEvaluatePair:
         a = _pat(rect(-10, -10, 10, 10))
         b = _pat(rect(-10, -10, 10, 12))
         expected = evaluate_pair_relaxed(_pat(*a.shapes), _pat(*b.shapes), doc)
-        a.features()
+        a.features  # computed here and kept
         computed = []
         real = raster.pattern_features
 
@@ -309,7 +309,7 @@ def _window(draw):
 def _needs_fallback(a: Pattern, b: Pattern) -> bool:
     if len(a.shapes) != len(b.shapes):
         return False
-    if a.edge_view().layout_key != b.edge_view().layout_key:
+    if a.layout_key != b.layout_key:
         return True
     try:
         pairs = match_polygons(a, b).pairs
@@ -368,8 +368,8 @@ class TestEdgeFits:
         shapes = [_shape(c, [0] * len(c)) for c in LAYOUTS["rects"]]
         a, permuted = _pat(*shapes), _pat(*reversed(shapes))
         other_key = _pat(*(_shape(c, [0] * len(c)) for c in LAYOUTS["l_t"]))
-        assert a.edge_view().layout_key == permuted.edge_view().layout_key
-        assert a.edge_view().layout_key != other_key.edge_view().layout_key
+        assert a.layout_key == permuted.layout_key
+        assert a.layout_key != other_key.layout_key
         assert len(a.shapes) == len(other_key.shapes)
         patterns = [a, permuted, other_key, a]
         pairs = [(0, 1), (0, 2), (0, 3)]
@@ -459,7 +459,7 @@ class TestEvaluatePairsEdgemove:
         # pairs the shapes up and accepts
         shapes = [_shape(c, [0] * len(c)) for c in LAYOUTS["rects"]]
         a, b = _pat(*shapes), _pat(*reversed(shapes))
-        assert a.edge_view().layout_key == b.edge_view().layout_key
+        assert a.layout_key == b.layout_key
         expected, got, called = self._both([a, b], [(0, 1)], 0.0)
         assert expected == [ZERO_SHIFT] and got == [(0, 1)]
         assert called == [(0, 1)]
@@ -544,7 +544,7 @@ class TestEvaluatePairsCosine:
         # a pair whose cosine s equals threshold - slack exactly is an edge;
         # a floor one ulp higher refuses it
         a, b = _pat(rect(-20, -20, 20, 20)), _pat(rect(-20, -20, 20, 20), rect(-60, -60, -30, 60))
-        s = raster.cosine_similarity(a.features(), b.features())
+        s = raster.cosine_similarity(a.features, b.features)
         assert 0.5 <= s < 0.75  # s + 0.25 and its difference with 0.25 are then exact
         for threshold, slack in [(s, 0.0), (s + 0.25, 0.25)]:
             assert threshold - slack == s
@@ -557,13 +557,13 @@ class TestEvaluatePairsCosine:
         patterns = [_pat(rect(-10, -10, 10, 10 + k)) for k in range(4)]
         pairs = [(i, j) for i in range(4) for j in range(4)]
         reads = []
-        real = Pattern.features
+        cached = Pattern.__dict__["features"]
 
         def recording(p):
             reads.append(p)
-            return real(p)
+            return cached.__get__(p, Pattern)
 
-        with patch.object(Pattern, "features", recording):
+        with patch.object(Pattern, "features", property(recording)):
             evaluate_pairs_cosine(patterns, _arr(pairs), _doc(ConstraintKind.COSINE, 0.9))
         assert reads == patterns
 

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, strategies as st
@@ -154,7 +155,7 @@ class TestRefineCluster:
         assert res.score == pytest.approx(1.0)
         # a representative that already holds its features gives the same
         fresh = Pattern(rep.center, rep.radius, rep.shapes)
-        fresh.features()
+        fresh.features  # computed here and kept
         assert refine_cluster(fresh, doc.markers[1], doc) == res
 
     def test_pre_extracted_anchor_gives_same_result(self, jittered_docs):
@@ -266,7 +267,7 @@ def _refine_paths(doc) -> set:
         if len(at_anchor.shapes) != len(rep.shapes):
             paths.add("unequal counts")
             continue
-        if rep.edge_view().layout_key != at_anchor.edge_view().layout_key:
+        if rep.layout_key != at_anchor.layout_key:
             paths.add("fallback")
         fit = align.edge_fit_aligned(rep, at_anchor)
         if fit is None:
@@ -663,37 +664,38 @@ class TestExtractOnce:
         assert counts == [1, 1, 1]
 
 
-class TestEdgeViewOnce:
+class TestPatternValuesOnce:
+    DERIVED = ("edges", "layout_key", "coords", "x_axis", "bboxes", "area", "features")
+
     def test_one_build_per_pattern(self, jittered_docs, monkeypatch):
-        doc = jittered_docs[EDGE]
-        builds = []
-        views = {}  # id(pattern) -> (pattern, every view it returned)
-        real_view = Pattern.edge_view
+        # each value derived from a pattern's shapes is computed once per
+        # pattern, however many pairs, refinements and probes read it
+        builds = []  # (value, id of the pattern)
+        alive = []  # the patterns, so that no id is reused
 
-        class CountingView(geometry.EdgeView):
-            def __init__(self, shapes, pieces=None):
-                builds.append(shapes)
-                super().__init__(shapes, pieces)
+        for name in self.DERIVED:
+            prop = Pattern.__dict__[name]
+            assert isinstance(prop, cached_property)
 
-        def recording_view(pattern):
-            view = real_view(pattern)
-            views.setdefault(id(pattern), (pattern, set()))[1].add(id(view))
-            return view
+            def counting(pattern, name=name, real=prop.func):
+                builds.append((name, id(pattern)))
+                alive.append(pattern)
+                return real(pattern)
 
-        monkeypatch.setattr(geometry, "EdgeView", CountingView)
-        monkeypatch.setattr(Pattern, "edge_view", recording_view)
-        _clusters, _report, stats = run_full(doc)
+            monkeypatch.setattr(prop, "func", counting)
+        for kind in (COS, EDGE):
+            _clusters, _report, stats = run_full(jittered_docs[kind])
+            assert sum(it.probe_joined + it.accepted_members for it in stats.iterations) > 0
         monkeypatch.undo()
-        assert sum(it.probe_joined + it.accepted_members for it in stats.iterations) > 0
-        assert builds
-        assert all(len(seen) == 1 for _p, seen in views.values())
-        assert len(builds) <= len(views)
+        assert {name for name, _p in builds} == set(self.DERIVED)
+        assert len(builds) == len(set(builds))
 
-    def test_view_is_not_part_of_equality(self):
+    def test_values_are_not_part_of_equality(self):
         shapes = (rect(-8, -8, 8, 8),)
         built, fresh = Pattern((0, 0), 32, shapes), Pattern((0, 0), 32, shapes)
-        view = built.edge_view()
-        assert built.edge_view() is view
+        for name in ("rects", "owner", "rect_counts", *self.DERIVED):
+            value = getattr(built, name)
+            assert getattr(built, name) is value
         assert built == fresh and repr(built) == repr(fresh)
         assert built != Pattern((0, 0), 32, (rect(-8, -8, 8, 9),))
 
@@ -748,8 +750,8 @@ class TestFeaturesOnce:
             p = extract_pattern(doc, marker.center())
             expected = pattern_features(Pattern(p.center, p.radius, p.shapes))
             seen = self._counting(monkeypatch)
-            first = p.features()
-            assert p.features() is first
+            first = p.features
+            assert p.features is first
             monkeypatch.undo()
             assert seen == [p]
             assert first.dtype == expected.dtype and first.tobytes() == expected.tobytes()

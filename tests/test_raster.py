@@ -78,7 +78,7 @@ class TestCoverageGrid:
             p = _random_pattern(rng)
             for side in (8, 16, 64):
                 g = coverage_grid(p, side)
-                assert int(g.sum()) == p.total_area() * side * side
+                assert int(g.sum()) == p.area * side * side
 
     def test_row_order_is_y_up(self):
         # row 0 is the bottom row of the window
@@ -206,7 +206,7 @@ class TestWindowFeatures:
         rows, polys = doc.window_rectangles((0, 30))
         assert rows.dtype == np.int64 and (np.abs(rows) <= 32).all()
         area = int(((rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])).sum())
-        assert area == pattern.total_area()
+        assert area == pattern.area
         assert set(polys.tolist()) == {0}  # only the U has rows
 
 
