@@ -7,7 +7,6 @@ using analytical alignment kernels and a surprisal-weighted greedy set cover.
 
 from .geometry import (
     Axis,
-    Correspondence,
     GeometryError,
     Marker,
     MatchError,

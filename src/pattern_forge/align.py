@@ -141,7 +141,7 @@ def xy_minmax_align(a: Pattern, b: Pattern) -> Translation:
     if not a.shapes or not b.shapes:
         raise NoCorrespondenceError("cannot align an empty pattern geometrically")
     try:
-        ia, ib = np.asarray(match_polygons(a, b).pairs, dtype=np.int64).T
+        ia, ib = match_polygons(a, b)
     except MatchError:
         ia, ib = _centroid_pairs(a, b)
     off = b.bboxes[ib] - a.bboxes[ia]  # per pair: the x and y offsets of the low sides, then of the high sides

@@ -1,6 +1,7 @@
 """Command line entry points: cluster, generate, bench."""
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -45,22 +46,15 @@ def _add_bench_parser(sub):
 
 
 def _apply_overrides(doc, args):
-    changed = False
-    radius = doc.pattern_radius
-    kind = doc.constraint_kind
-    threshold = doc.threshold
-    if args.radius is not None and args.radius != radius:
-        radius, changed = args.radius, True
-    if args.constraint is not None and ConstraintKind(args.constraint) is not kind:
-        kind, changed = ConstraintKind(args.constraint), True
-    if args.threshold is not None and args.threshold != threshold:
-        threshold, changed = args.threshold, True
-    if not changed:
-        return doc
-    return type(doc)(
-        radius, kind, threshold,
-        doc.design_polygons, doc.polygon_ids, doc.markers, doc.marker_ids,
-    )
+    """The document with the header values given on the command line; `doc`
+    itself when none differs, so its rectangle table is not built again."""
+    given = {
+        "pattern_radius": args.radius,
+        "constraint_kind": None if args.constraint is None else ConstraintKind(args.constraint),
+        "threshold": args.threshold,
+    }
+    changes = {k: v for k, v in given.items() if v is not None and v != getattr(doc, k)}
+    return dataclasses.replace(doc, **changes) if changes else doc
 
 
 def _cmd_cluster(args) -> int:

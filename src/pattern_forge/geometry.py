@@ -8,7 +8,7 @@ vertex, without a repeated closing vertex.
 import enum
 import operator
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import pairwise
 
 import numpy as np
@@ -158,18 +158,6 @@ class Polygon:
         return Polygon(tuple((x + dx, y + dy) for x, y in self.vertices), (x0 + dx, y0 + dy, x1 + dx, y1 + dy))
 
 
-# Bound on the per-polygon cache below. Its keys are the design polygons,
-# which parsing validates and the layout's rectangle table reads. An
-# extracted window's shapes are no keys: a polygon kept whole takes its
-# rows from the window's query (`extract_pattern`), and only the pieces
-# traced where a polygon crosses a window's edge, and the shapes of
-# patterns built by hand, are decomposed again, a new key each. Those keys
-# would grow an unbounded cache for the life of the process. One run and
-# verification of a benchmark workload (N=400) end with under 10k entries.
-_CACHE_ENTRIES = 1 << 16
-
-
-@lru_cache(maxsize=_CACHE_ENTRIES)
 def rectangles(poly: Polygon) -> tuple[Rect, ...]:
     """Exact decomposition of a simple rectilinear ring into disjoint rectangles.
 
@@ -423,10 +411,10 @@ def extract_pattern(doc, center: Vertex) -> Pattern:
 
     The pattern's `rects` come from the same query: a polygon kept whole
     lies inside the window, so its rows are its design rectangles shifted,
-    unclipped and, since `design_rect_array` sorts stably by xlo and
-    `rectangles()` emits nondecreasing xlo, in `rectangles()` order, which
-    is `rectangles()` of the shifted shape. Only a traced piece is
-    decomposed again.
+    unclipped and, since the layout's table (`doc.rects`) is sorted stably
+    by xlo and `rectangles()` emits nondecreasing xlo, in `rectangles()`
+    order, which is `rectangles()` of the shifted shape. Only a traced piece
+    is decomposed again.
     """
     cx, cy = center
     r = doc.pattern_radius
@@ -447,13 +435,6 @@ def extract_pattern(doc, center: Vertex) -> Pattern:
             shapes.extend(traced)
             pieces.extend(rectangles(p) for p in traced)
     return Pattern((cx, cy), r, tuple(shapes), pieces)
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """Polygon index pairs (into pattern a, pattern b)."""
-
-    pairs: tuple[tuple[int, int], ...]
 
 
 def _rect_overlaps(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
@@ -506,12 +487,14 @@ def _check_overlap_counts(counts: np.ndarray, side: str) -> None:
         raise MultipleOverlapError(side, i, c)
 
 
-def match_polygons(a: Pattern, b: Pattern, shift: Translation = ZERO_SHIFT) -> Correspondence:
+def match_polygons(a: Pattern, b: Pattern, shift: Translation = ZERO_SHIFT) -> tuple[np.ndarray, np.ndarray]:
     """Pair up polygons by positive-area overlap, testing b displaced by `shift`.
 
     Every polygon of the pattern with fewer polygons must overlap exactly one
     polygon of the other; with equal counts the rule is enforced from both
-    sides, which makes the pairing a bijection. Raises NoOverlapError or
+    sides, which makes the pairing a bijection. The pairs come as two int64
+    index arrays (ia, ib), pair k joining shape ia[k] of a with shape ib[k]
+    of b, in order of the smaller side's shapes. Raises NoOverlapError or
     MultipleOverlapError naming the first violating polygon.
     """
     na, nb = len(a.shapes), len(b.shapes)
@@ -526,11 +509,12 @@ def match_polygons(a: Pattern, b: Pattern, shift: Translation = ZERO_SHIFT) -> C
     else:
         _check_overlap_counts(m.sum(axis=0), "b")
         ib, ia = np.nonzero(m.T)
-    return Correspondence(tuple(zip(ia.tolist(), ib.tolist())))
+    return ia, ib
 
 
-def edge_displacements(a: Pattern, b: Pattern, corr: Correspondence) -> list[tuple[Axis, int]]:
-    """Signed perpendicular offsets of corresponding edges, b relative to a.
+def edge_displacements(a: Pattern, b: Pattern, corr: tuple[np.ndarray, np.ndarray]) -> list[tuple[Axis, int]]:
+    """Signed perpendicular offsets of corresponding edges, b relative to a,
+    over the pairs of `corr`, the index arrays `match_polygons` returns.
 
     Rings are already normalized (counter-clockwise, lexicographically
     smallest vertex first), so edges correspond by position once the vertex
@@ -539,7 +523,8 @@ def edge_displacements(a: Pattern, b: Pattern, corr: Correspondence) -> list[tup
     pair cannot be compared edge-by-edge.
     """
     out: list[tuple[Axis, int]] = []
-    for i, j in corr.pairs:
+    ia, ib = corr
+    for i, j in zip(ia.tolist(), ib.tolist()):
         da, axes, ca = a.edges[i]
         db, _axes, cb = b.edges[j]
         if len(da) != len(db):

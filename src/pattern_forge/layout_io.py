@@ -17,7 +17,7 @@ import io
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +59,18 @@ def _check_threshold(kind: ConstraintKind, threshold: float) -> None:
 
 @dataclass
 class LayoutDocument:
+    """A parsed (or generated) layout: the header, the design polygons and
+    the markers, each with its id.
+
+    The document also owns the design's rectangle table, built once at
+    construction and not part of equality or repr: row k of `rects` is a
+    `rectangles()` row (xlo, ylo, xhi, yhi) of design polygon `owner[k]`,
+    the rows sorted stably by xlo, and `widest` is the width of the widest
+    row. `pieces`, when given, holds each polygon's `rectangles()`
+    (`parse_layout` passes the ones it computed to validate the polygons),
+    else every polygon is decomposed.
+    """
+
     pattern_radius: int
     constraint_kind: ConstraintKind
     threshold: float
@@ -66,11 +78,9 @@ class LayoutDocument:
     polygon_ids: tuple[int, ...]
     markers: tuple[Marker, ...]
     marker_ids: tuple[int, ...]
-    _rect_arr: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _rect_poly: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-    _rect_wmax: int = field(default=0, init=False, repr=False, compare=False)
+    pieces: InitVar[list | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, pieces):
         if not (0 < self.pattern_radius <= MAX_RADIUS):
             raise ValueError(f"pattern radius {self.pattern_radius} outside (0, {MAX_RADIUS}]")
         if len(self.design_polygons) != len(self.polygon_ids):
@@ -78,41 +88,33 @@ class LayoutDocument:
         if len(self.markers) != len(self.marker_ids):
             raise ValueError("marker ids do not match markers")
         _check_threshold(self.constraint_kind, self.threshold)
-
-    def design_rect_array(self) -> np.ndarray:
-        """The `rectangles()` of every design polygon, one int64 row (xlo,
-        ylo, xhi, yhi) each, sorted by xlo; `_rect_poly` holds the index of
-        each row's polygon. Built on first use, so parsing does not pay for
-        it."""
-        if self._rect_arr is None:
+        if pieces is None:
             pieces = [rectangles(p) for p in self.design_polygons]
-            arr = np.asarray([rc for rs in pieces for rc in rs], dtype=np.int64).reshape(-1, 4)
-            owner = np.repeat(np.arange(len(pieces)), [len(rs) for rs in pieces])
-            order = np.argsort(arr[:, 0], kind="stable")
-            self._rect_arr, self._rect_poly = arr[order], owner[order]
-            self._rect_wmax = int((arr[:, 2] - arr[:, 0]).max(initial=0))
-        return self._rect_arr
+        arr = np.asarray([rc for rs in pieces for rc in rs], dtype=np.int64).reshape(-1, 4)
+        owner = np.repeat(np.arange(len(pieces)), [len(rs) for rs in pieces])
+        order = np.argsort(arr[:, 0], kind="stable")
+        self.rects, self.owner = arr[order], owner[order]
+        self.widest = int((arr[:, 2] - arr[:, 0]).max(initial=0))
 
     def window_rectangles(self, center) -> tuple[np.ndarray, np.ndarray]:
-        """The design rectangles that strictly overlap the window at
-        `center`, clipped to it and shifted to window-local coordinates,
-        and the index of each one's polygon: `raster.window_features` and
-        `extract_pattern` both read this one query. A polygon that misses
-        the window, touches it only along an edge, or overlaps it with its
-        bbox alone has no rows. No rectangle is wider than the widest one,
-        so only rows with xlo in (cx - r - widest, cx + r) can reach the
+        """The rows of `rects` that strictly overlap the window at `center`,
+        clipped to it and shifted to window-local coordinates, and the
+        index of each one's polygon (from `owner`): `raster.window_features`
+        and `extract_pattern` both read this one query. A polygon that
+        misses the window, touches it only along an edge, or overlaps it
+        with its bbox alone has no rows. No row is wider than `widest`, so
+        only rows with xlo in (cx - r - widest, cx + r) can reach the
         window.
         """
         cx, cy = center
         r = self.pattern_radius
-        arr = self.design_rect_array()
-        lo, hi = arr[:, 0].searchsorted((cx - r - self._rect_wmax, cx + r))
-        rows = arr[lo:hi]
+        lo, hi = self.rects[:, 0].searchsorted((cx - r - self.widest, cx + r))
+        rows = self.rects[lo:hi]
         keep = (rows[:, 2] > cx - r) & (rows[:, 1] < cy + r) & (rows[:, 3] > cy - r)
         rows = rows[keep]
         rows -= (cx, cy, cx, cy)  # boolean indexing made a copy
         np.minimum(rows, r, out=rows)
-        return np.maximum(rows, -r, out=rows), self._rect_poly[lo:hi][keep]
+        return np.maximum(rows, -r, out=rows), self.owner[lo:hi][keep]
 
 
 def _names_file(source: str) -> bool:
@@ -146,6 +148,7 @@ def parse_layout(source) -> LayoutDocument:
     text = _read_text(source)
     header = None
     polys: dict[int, Polygon] = {}  # id -> polygon, in file order
+    pieces: list[tuple] = []  # each polygon's rectangles(), in file order
     markers: dict[int, Marker] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -190,12 +193,13 @@ def parse_layout(source) -> LayoutDocument:
             pts = list(zip(coords[::2], coords[1::2]))
             try:
                 poly = Polygon.from_vertices(pts)
-                rectangles(poly)  # validates simplicity
+                rects = rectangles(poly)  # validates simplicity
             except GeometryError as exc:
                 raise LayoutParseError(lineno, str(exc)) from None
             if pid in polys:
                 raise LayoutParseError(lineno, f"duplicate polygon id {pid}")
             polys[pid] = poly
+            pieces.append(rects)
         elif kind == "MARKER":
             if header is None:
                 raise LayoutParseError(lineno, "record before HEADER")
@@ -219,7 +223,7 @@ def parse_layout(source) -> LayoutDocument:
     header_line, radius, ckind, threshold = header
     try:
         return LayoutDocument(radius, ckind, threshold, tuple(polys.values()), tuple(polys),
-                              tuple(markers.values()), tuple(markers))
+                              tuple(markers.values()), tuple(markers), pieces)
     except ValueError as exc:
         raise LayoutParseError(header_line, str(exc)) from None
 

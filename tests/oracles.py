@@ -23,7 +23,6 @@ from pattern_forge import scp
 from pattern_forge.align import NoCorrespondenceError, clamp_to_marker, edge_fit_aligned
 from pattern_forge.geometry import (
     Axis,
-    Correspondence,
     GeometryError,
     MatchError,
     MultipleOverlapError,
@@ -174,8 +173,9 @@ def overlap_matrix(a, b, shift) -> np.ndarray:
     return out
 
 
-def match_polygons_loop(a, b, shift) -> Correspondence:
-    """`geometry.match_polygons`, checking one polygon at a time."""
+def match_polygons_loop(a, b, shift) -> tuple[tuple[int, int], ...]:
+    """`geometry.match_polygons`, checking one polygon at a time; the pairs
+    as (index into a, index into b) tuples."""
     na, nb = len(a.shapes), len(b.shapes)
     m = overlap_matrix(a, b, shift)
     pairs: list[tuple[int, int]] = []
@@ -207,13 +207,14 @@ def match_polygons_loop(a, b, shift) -> Correspondence:
                 raise MultipleOverlapError("b", j, c)
         for j in range(nb):
             pairs.append((int(np.nonzero(m[:, j])[0][0]), j))
-    return Correspondence(tuple(pairs))
+    return tuple(pairs)
 
 
-def edge_displacements_loop(a, b, corr) -> list:
-    """`geometry.edge_displacements`, walking both rings edge by edge."""
+def edge_displacements_loop(a, b, pairs) -> list:
+    """`geometry.edge_displacements`, walking both rings edge by edge, over
+    (i, j) pair tuples."""
     out = []
-    for i, j in corr.pairs:
+    for i, j in pairs:
         pa, pb = a.shapes[i], b.shapes[j]
         if len(pa.vertices) != len(pb.vertices):
             raise TopologyMismatchError(
@@ -290,7 +291,7 @@ def xy_minmax_align_loop(a, b) -> Translation:
     if not a.shapes or not b.shapes:
         raise NoCorrespondenceError("cannot align an empty pattern geometrically")
     try:
-        pairs = match_polygons_loop(a, b, ZERO_SHIFT).pairs
+        pairs = match_polygons_loop(a, b, ZERO_SHIFT)
     except MatchError:
         pairs = centroid_pairs_loop(a, b)
     best_x = best_y = None

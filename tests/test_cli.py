@@ -1,7 +1,10 @@
+import argparse
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pattern_forge import cli
@@ -95,6 +98,22 @@ class TestCluster:
               "--constraint", "cosine"])
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_overrides_replace_the_given_fields(self, layout_path):
+        doc = parse_layout(layout_path)
+
+        def overridden(radius=None, constraint=None, threshold=None):
+            args = argparse.Namespace(radius=radius, constraint=constraint, threshold=threshold)
+            return cli._apply_overrides(doc, args)
+
+        # no override, or one equal to the header: the parsed document itself
+        assert overridden() is doc
+        assert overridden(doc.pattern_radius, "cosine", doc.threshold) is doc
+        new = overridden(radius=doc.pattern_radius + 8)
+        fields = [f.name for f in dataclasses.fields(doc)]
+        assert fields[0] == "pattern_radius" and new.pattern_radius == doc.pattern_radius + 8
+        assert all(getattr(new, name) == getattr(doc, name) for name in fields[1:])
+        assert np.array_equal(new.rects, doc.rects) and np.array_equal(new.owner, doc.owner)
 
     def test_threshold_override_applies(self, layout_path, tmp_path, capsys):
         # threshold 0 accepts every pair of these windows; with the

@@ -1,18 +1,22 @@
+import dataclasses
 import json
 from collections import Counter
 from functools import cached_property
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pattern_forge import align, geometry, pipeline, raster
+from pattern_forge import align, geometry, layout_io, pipeline, raster
 from pattern_forge.geometry import Marker, Pattern, Polygon, extract_pattern
 from pattern_forge.layout_io import (
     ClusterReport,
     ConstraintKind,
     LayoutDocument,
     generate_synthetic,
+    parse_layout,
     read_report,
+    write_layout,
     write_report,
 )
 from pattern_forge.pipeline import (
@@ -714,20 +718,53 @@ def _windows_never_cut(doc) -> bool:
     return True
 
 
-class TestBoundedCache:
+class TestLayoutTable:
+    @staticmethod
+    def _docs(jittered_docs):
+        """The jittered documents, whose windows no polygon crosses, and the
+        picked layouts, whose polygons cross the windows' edges."""
+        assert not any(_windows_never_cut(doc) for doc in [*PICKED, *PICKED_COSINE])
+        return [*jittered_docs.values(), *PICKED, *PICKED_COSINE]
+
+    def test_parsed_table_equals_built(self, jittered_docs):
+        # parse_layout hands the document the rectangles it computed to
+        # validate each polygon; a document built from the polygons alone
+        # decomposes them itself
+        for built in self._docs(jittered_docs):
+            parsed = parse_layout(write_layout(built))
+            assert parsed == built
+            assert parsed.rects.dtype == np.int64 and parsed.widest == built.widest
+            assert np.array_equal(parsed.rects, built.rects) and np.array_equal(parsed.owner, built.owner)
+            # each polygon's rows in rectangles() order, all sorted by xlo
+            pieces = [geometry.rectangles(p) for p in built.design_polygons]
+            for k, rs in enumerate(pieces):
+                assert built.rects[built.owner == k].tolist() == [list(r) for r in rs]
+            assert (np.diff(built.rects[:, 0]) >= 0).all()
+            assert built.widest == max(x1 - x0 for rs in pieces for x0, _y0, x1, _y1 in rs)
+            for m in built.markers:
+                got, want = parsed.window_rectangles(m.center()), built.window_rectangles(m.center())
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     @pytest.mark.parametrize("kind", [COS, EDGE])
-    def test_run_and_verify_decompose_no_window(self, jittered_docs, kind):
-        # every window of the run and of its verification takes its
-        # rectangles from the layout's query, so rectangles() sees no new key
-        doc = jittered_docs[kind]
+    def test_run_and_verify_decompose_nothing(self, jittered_docs, kind, monkeypatch):
+        # the document builds its table when it is made, and every window of
+        # the run and of its verification takes its rectangles from the
+        # table's query, so no polygon is decomposed again
+        doc = dataclasses.replace(jittered_docs[kind])  # a new document, its table never read
         assert _windows_never_cut(doc)
-        doc.design_rect_array()  # the layout's table, built once per layout
-        geometry.rectangles.cache_clear()  # so a window decomposed before counts as a miss
-        misses = geometry.rectangles.cache_info().misses
+        calls = []
+        real = geometry.rectangles
+
+        def counting(poly):
+            calls.append(poly)
+            return real(poly)
+
+        for module in (geometry, layout_io):  # wherever the name is looked up
+            monkeypatch.setattr(module, "rectangles", counting)
         clusters, _report, _stats = run_full(doc)
         assert verify_clusterset(clusters, doc)
         assert any(c != doc.markers[m].center() for cl in clusters for m, c in cl.members)  # moved windows
-        assert geometry.rectangles.cache_info().misses == misses
+        assert calls == []
 
 
 class TestFeaturesOnce:
