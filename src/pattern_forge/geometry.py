@@ -377,8 +377,11 @@ class Pattern:
 
     @cached_property
     def area(self) -> int:
-        """Sum of the shapes' areas: the prescreen and the probe read it once per pair."""
-        return sum(p.area for p in self.shapes)
+        """Sum of the shapes' areas: the prescreen and the probe read it once
+        per pair. It is the area of `rects`, since `rectangles()` checks that
+        each shape's rectangles cover exactly its area."""
+        r = self.rects
+        return int(((r[:, 2] - r[:, 0]) * (r[:, 3] - r[:, 1])).sum())
 
     @cached_property
     def features(self) -> np.ndarray:

@@ -166,6 +166,10 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     equal, otherwise their dot product clamped to [-1, 1].
 
     Two empty windows are equal vectors (1.0); one empty window gives 0.0.
+    This is the definition: a batch caller that sums the dot product in
+    another order, as `graph.evaluate_pairs_cosine`'s Gram tiles do, may
+    decide a pair from its own value only when that lies more than
+    `graph.MARGIN` from the threshold, and must call this otherwise.
     """
     if u[0] == v[0] and np.array_equal(u, v):
         return 1.0

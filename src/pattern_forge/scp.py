@@ -58,6 +58,20 @@ def _gain(g: SimilarityGraph, s, covered, j: int):
     return total
 
 
+def _first_gains(g: SimilarityGraph, s) -> list:
+    """`_gain` of every node with nothing covered, one array pass per
+    neighbour position: each node's sum runs over self, then its neighbours
+    ascending, as `_gain` adds them, so the floats are the same bit for bit."""
+    sv = np.asarray(s, dtype=np.float64)
+    gains = sv.copy()
+    degree = np.diff(g.indptr)
+    rows = np.arange(g.n)
+    for p in range(int(degree.max(initial=0))):
+        rows = rows[degree[rows] > p]
+        gains[rows] += sv[g.indices[g.indptr[rows] + p]]
+    return gains.tolist()
+
+
 def _cover(g: SimilarityGraph, covered, j: int) -> list[int]:
     """Mark j and its uncovered neighbors covered; return them ascending."""
     newly = [k for k in g.neighbours(j) if not covered[k]]
@@ -75,7 +89,7 @@ def solve(g: SimilarityGraph) -> SolveResult:
     covered = [False] * g.n
     epoch = np.zeros(g.n, dtype=np.int64)  # bumped whenever a node's gain may have changed
     stats = SolverStats()
-    tentative = [_gain(g, s, covered, j) for j in range(g.n)]  # each node's last computed gain
+    tentative = _first_gains(g, s)  # each node's last computed gain
     heap = [(-gain, j, 0) for j, gain in enumerate(tentative)]
     heapq.heapify(heap)
     selections = []

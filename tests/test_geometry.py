@@ -435,6 +435,19 @@ class TestExtract:
         for side in (8, 16):
             assert np.array_equal(coverage_grid(p, side), coverage_grid_loop(rects, p.radius, side))
 
+    @given(_design())
+    @example((_doc([_u_across_edge((0, 0), 8, 0, 0, 1), rect(-2, -2, 2, 2)], 8), (0, 0)))  # a U cut in two
+    @example((_doc([rect(-20, -2, 4, 2), staircase(2, run=2, rise=2, x0=-6, y0=-6)], 8), (0, 0)))
+    @example((_doc([rect(-20, -2, 20, 2), rect(-20, -2, 20, 2)], 8), (0, 0)))  # overlapping, both cut
+    @example((_doc([], 8), (0, 0)))  # empty
+    def test_area_is_the_shapes_areas(self, design):
+        # the area of `rects`, traced pieces included, is the sum of the
+        # shapes' own areas, as an int
+        doc, center = design
+        p = extract_pattern(doc, center)
+        assert type(p.area) is int
+        assert p.area == sum(shape.area for shape in p.shapes)
+
     def test_u_prongs_are_two_pieces(self):
         for turns in range(4):
             doc = _doc([_u_across_edge((0, 0), 8, 0, 0, turns)], 8)

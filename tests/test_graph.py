@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pattern_forge import align, raster
+from pattern_forge import align, graph, raster
 from pattern_forge.align import edge_fit_aligned
 from pattern_forge.geometry import MatchError, Pattern, Polygon, Translation, ZERO_SHIFT, match_polygons
 from pattern_forge.graph import (
+    MARGIN,
     assemble,
     dump_edges,
     evaluate_pair_relaxed,
@@ -553,6 +554,52 @@ class TestEvaluatePairsCosine:
             for t, accepted in [(threshold, [(0, 1)]), (above, [])]:
                 expected, got = self._both([a, b], [(0, 1)], _doc(ConstraintKind.COSINE, t), slack)
                 assert got == expected == accepted
+
+    @given(st.lists(_window(), min_size=1, max_size=6), st.data(), st.sampled_from([1, 2, 3]))
+    def test_equals_per_pair_test_by_tiles_at_a_pair_floor(self, windows, data, tile):
+        # windows with equal copies (empty ones among them), any pairs of
+        # them shuffled, repeated and with i == j, tiles of 1 to 3 anchors
+        # and partners, and floors at one pair's cosine and one ulp either
+        # side of it
+        copies = data.draw(st.lists(st.sampled_from(windows), max_size=3))
+        patterns = data.draw(st.permutations(windows + [_pat(*w.shapes) for w in copies]))
+        n = len(patterns)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=24))
+        i, j = data.draw(st.sampled_from(pairs))
+        s = raster.cosine_similarity(patterns[i].features, patterns[j].features)
+        with patch.object(graph, "TILE", tile):
+            for floor in [f for f in (math.nextafter(s, -2.0), s, math.nextafter(s, 2.0)) if 0.0 <= f <= 1.0]:
+                expected, got = self._both(patterns, pairs, _doc(ConstraintKind.COSINE, floor), 0.0)
+                assert got == expected
+                assert ((i, j) in got) == (floor <= s)
+
+    def test_exact_path_only_near_the_floor_or_for_two_empty_windows(self):
+        # pattern 4 equals 0, and 2 and 3 are empty; the floor is the
+        # cosine of (0, 1). The per-pair cosine runs for exactly the pairs
+        # at that cosine and those of two empty windows, whatever the tile
+        a, b = _pat(rect(-20, -20, 20, 20)), _pat(rect(-20, -20, 20, 20), rect(-60, -60, -30, 60))
+        patterns = [a, b, _pat(), _pat(), _pat(*a.shapes), _pat(rect(-10, -30, 30, 10))]
+        pairs = [(i, j) for i in range(6) for j in range(6)]
+        feats = [p.features for p in patterns]
+        s = raster.cosine_similarity(feats[0], feats[1])
+        near = {(i, j) for i, j in pairs if abs(float(feats[i] @ feats[j]) - s) <= 2 * MARGIN}
+        assert near == {(0, 1), (1, 0), (4, 1), (1, 4)}
+        assert all(abs(float(feats[i] @ feats[j]) - s) > 1e-3 for i, j in pairs if (i, j) not in near)
+        empty_pairs = {(i, j) for i in (2, 3) for j in (2, 3)}
+        where = {id(f): k for k, f in enumerate(feats)}
+        real = raster.cosine_similarity
+        for tile in (1, 4, graph.TILE):
+            called = []
+
+            def recording(u, v):
+                called.append((where[id(u)], where[id(v)]))
+                return real(u, v)
+
+            with patch.object(graph, "TILE", tile), patch.object(raster, "cosine_similarity", recording):
+                got = _rows(evaluate_pairs_cosine(patterns, _arr(pairs), _doc(ConstraintKind.COSINE, s)))
+            assert sorted(called) == sorted(near | empty_pairs)
+            assert got == [(i, j) for i, j in pairs if real(feats[i], feats[j]) >= s]
+            assert (0, 1) in got and (2, 3) in got and (0, 2) not in got
 
     def test_reads_each_pattern_features_once(self):
         patterns = [_pat(rect(-10, -10, 10, 10 + k)) for k in range(4)]

@@ -8,6 +8,7 @@ from pattern_forge.graph import SimilarityGraph, assemble
 from pattern_forge.scp import (
     Selection,
     SolveResult,
+    _first_gains,
     _gain,
     _surprisals,
     solve,
@@ -75,6 +76,29 @@ class TestScores:
         assert _gain(g, s, [False] * 4, 0) == pytest.approx(0.25 + 3 * 0.5)
         assert _gain(g, s, [False, True, True, False], 0) == pytest.approx(0.25 + 0.5)
         assert _gain(g, s, [True, True, True, True], 0) == 0.0
+
+    @settings(max_examples=200)
+    @given(st.data(), st.booleans())
+    def test_first_pass_is_gain_bit_for_bit(self, data, arbitrary):
+        # the array first pass against `_gain` per node, with the graph's
+        # surprisals or arbitrary floats, whose sums depend on the order
+        n = data.draw(st.integers(0, 16))
+        possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+        g = _graph(n, edges)
+        floats = st.floats(1e-6, 1e6, allow_nan=False)
+        s = data.draw(st.lists(floats, min_size=n, max_size=n)) if arbitrary else _surprisals(g)
+        expected = [_gain(g, s, [False] * n, j) for j in range(n)]
+        got = _first_gains(g, s)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+    def test_first_pass_on_cliques(self):
+        # five 5-cliques joined in a ring, and a 9-node clique
+        ring = [(5 * c + i, 5 * c + j) for c in range(5) for i in range(5) for j in range(i + 1, 5)]
+        ring += [(5 * c + 4, (5 * c + 5) % 25) for c in range(5)]
+        for g in (_graph(25, ring), _graph(9, [(i, j) for i in range(9) for j in range(i + 1, 9)])):
+            s = _surprisals(g)
+            assert _first_gains(g, s) == [_gain(g, s, [False] * g.n, j) for j in range(g.n)]
 
     def test_exact_surprisals_are_rational(self):
         g = _graph(3, [(0, 1)])
