@@ -11,9 +11,16 @@ fields (wall_ms, stage_ms and each iteration's timings_ms). When the two
 records carry different schema versions, only the fields both have are
 compared, and the others are listed. It then runs `pattern_forge.cli bench
 --matrix scripts/bench_matrix.txt` from each checkout and compares the two
-records.csv files without their *_ms columns. --layout runs the given
-layout files instead of the workloads and the matrix. Prints one line per
-case and exits 1 on any difference or failed run, 0 otherwise.
+records.csv files without their *_ms columns. Last, one child per
+checkout writes `write_layout(generate_synthetic(...))` for every case of
+a generator sweep and prints one digest per case: cosine layouts of 1-8
+templates (3 instances each) x jitter 0, 4 and 8 x seeds 0-11, the
+matrix's scenarios, and
+`cli generate` with its defaults under each constraint. The two lists must
+be equal. --layout runs the given layout files instead of the workloads,
+the matrix and the sweep. Prints one line per case (the sweep is one line
+naming the layouts that differ) and exits 1 on any difference or failed
+run, 0 otherwise.
 """
 
 import argparse
@@ -30,6 +37,33 @@ PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 MATRIX = os.path.join(HERE, "bench_matrix.txt")
 SEEDS = (1, 2, 3)
 TIMINGS = ("wall_ms", "stage_ms", "timings_ms")
+
+# The generator sweep's child: argv is the matrix file and a scratch
+# directory; prints `<case>: <sha256 of the layout>` per line. It imports
+# from the package root, which exports the same names in every checkout.
+GENERATE = '''
+import hashlib, os, sys
+from pattern_forge import bench, cli, generate_synthetic, write_layout
+
+def show(case, data):
+    print(f"{case}: {hashlib.sha256(data).hexdigest()}")
+
+for templates in range(1, 9):
+    for jitter in (0, 4, 8):
+        for seed in range(12):
+            doc = generate_synthetic(templates, 3, jitter, seed)
+            show(f"cosine templates={templates} jitter={jitter} seed={seed}", write_layout(doc))
+for sc in bench.parse_matrix(sys.argv[1]):
+    doc = generate_synthetic(sc.templates, sc.instances, sc.jitter, sc.seed, radius=sc.radius,
+                             constraint=sc.constraint, threshold=sc.threshold)
+    show(f"matrix {sc.name}", write_layout(doc))
+for constraint in ("cosine", "edgemove"):
+    path = os.path.join(sys.argv[2], constraint + ".txt")
+    if cli.main(["generate", "--output", path, "--constraint", constraint]) != 0:
+        sys.exit(1)
+    with open(path, "rb") as fh:
+        show(f"cli generate --constraint {constraint}", fh.read())
+'''
 
 
 def _workload_layouts(tmp: str) -> list[str]:
@@ -75,6 +109,25 @@ def _bench(root: str, out: str) -> tuple[str | None, str]:
         return None, proc.stderr.strip()
     with open(os.path.join(out, "records.csv"), encoding="utf-8") as fh:
         return fh.read(), proc.stderr.strip()
+
+
+def _generate(root: str, out: str) -> tuple[list[str] | None, str]:
+    """Run the GENERATE child from the checkout; returns its digest lines
+    (None when it failed) and its stderr."""
+    os.makedirs(out)
+    proc = _run(root, [sys.executable, "-c", GENERATE, MATRIX, out])
+    if proc.returncode != 0:
+        return None, proc.stderr.strip()
+    return proc.stdout.splitlines(), proc.stderr.strip()
+
+
+def _compare_digests(a: list[str], b: list[str]) -> list[str]:
+    """The differences between two sweeps' digest lines: the count when it
+    differs, else the cases whose layouts differ."""
+    if len(a) != len(b):
+        return [f"{len(a)} vs {len(b)} layouts"]
+    cases = [x.rpartition(": ")[0] for x, y in zip(a, b) if x != y]
+    return [f"layouts differ: {', '.join(cases)}"] if cases else []
 
 
 def _run(root: str, cmd: list[str]) -> subprocess.CompletedProcess:
@@ -171,6 +224,12 @@ def main(argv=None) -> int:
             if not diffs:
                 diffs = _compare_records(runs[0][0], runs[1][0])
             print(f"bench {os.path.basename(MATRIX)}: {'; '.join(diffs) if diffs else 'same'}")
+            bad += bool(diffs)
+            runs = [_generate(root, os.path.join(tmp, f"generate-{side}")) for side, root in enumerate(roots)]
+            diffs = [f"{root} failed: {err}" for root, (out, err) in zip(roots, runs) if out is None]
+            if not diffs:
+                diffs = _compare_digests(runs[0][0], runs[1][0])
+            print(f"generator sweep: {'; '.join(diffs) if diffs else f'same ({len(runs[0][0])} layouts)'}")
             bad += bool(diffs)
     print(f"{bad} case(s) differ" if bad else "no differences")
     return 1 if bad else 0

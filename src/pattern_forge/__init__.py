@@ -40,12 +40,12 @@ from .layout_io import (
     ConstraintKind,
     LayoutDocument,
     LayoutParseError,
-    generate_synthetic,
     parse_layout,
     read_report,
     write_layout,
     write_report,
 )
+from .synthetic import generate_synthetic
 from .prescreen import CandidatePairSet, PrescreenStats, TopoSignature, build_candidates, signature
 from .graph import SimilarityGraph, assemble, dump_edges, evaluate_pair_relaxed
 from .scp import SolveResult, SolverStats, solve

@@ -15,8 +15,9 @@ the variant joined to the run's `RunStats.to_json` record, the same record
 import io
 from dataclasses import dataclass
 
-from .layout_io import ConstraintKind, LayoutDocument, _read_text, generate_synthetic
+from .layout_io import ConstraintKind, LayoutDocument, _read_text
 from .pipeline import STAGES, IterationConfig, run_full
+from .synthetic import generate_synthetic
 
 PRESCREEN_OFF_MAX_N = 400  # all-pairs evaluation is quadratic; keep it small
 

@@ -9,8 +9,9 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import graph as graph_mod
-from .layout_io import ConstraintKind, generate_synthetic, parse_layout, write_layout, write_report
+from .layout_io import ConstraintKind, parse_layout, write_layout, write_report
 from .pipeline import IterationConfig, run_full, verify_clusterset
+from .synthetic import generate_synthetic
 
 
 def _add_cluster_parser(sub):

@@ -111,8 +111,6 @@ def solve(g: SimilarityGraph) -> SolveResult:
                 heapq.heappush(heap, (-gain, j, epoch[j]))
                 stats.reinsertions += 1
                 continue
-        if gain == 0:
-            continue
         newly = _cover(g, covered, j)
         # the gains that changed: the newly covered nodes' and their neighbours'
         np.add.at(epoch, np.concatenate([newly, *(g.indices[g.indptr[k]:g.indptr[k + 1]] for k in newly)]), 1)

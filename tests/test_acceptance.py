@@ -18,7 +18,8 @@ from oracles import eager_solve_oracle, naive_dct2
 from pattern_forge import align, raster, scp
 from pattern_forge.geometry import Axis, extract_pattern
 from pattern_forge.graph import SimilarityGraph, assemble
-from pattern_forge.layout_io import ConstraintKind, generate_synthetic
+from pattern_forge.layout_io import ConstraintKind
+from pattern_forge.synthetic import generate_synthetic
 from pattern_forge.pipeline import IterationConfig, run_full, verify_clusterset
 from pattern_forge.prescreen import build_candidates
 
@@ -139,7 +140,7 @@ def test_dct_matches_direct_summation():
     for case in range(100):
         side = 8 if case < 50 else 16
         pixels = rng.random((side, side))
-        feat = raster.dct_features(raster.Bitmap(side, pixels), k=side)
+        feat = raster.dct_features(pixels, k=side)
         err = float(np.abs(feat - naive_dct2(pixels).ravel()).max())
         worst = max(worst, err)
     ok = worst <= 1e-9
@@ -198,7 +199,8 @@ def test_refined_centers_never_worse_than_anchors(matrix):
 
 _REPORTS_SCRIPT = """
 import json, sys
-from pattern_forge.layout_io import ConstraintKind, generate_synthetic, write_report
+from pattern_forge.layout_io import ConstraintKind, write_report
+from pattern_forge.synthetic import generate_synthetic
 from pattern_forge.pipeline import run_full
 for kind in (ConstraintKind.COSINE, ConstraintKind.EDGEMOVE):
     doc = generate_synthetic(5, 20, 8, seed=int(sys.argv[2]), constraint=kind)

@@ -15,7 +15,8 @@ from pattern_forge.bench import (
     run_matrix,
     run_scenario,
 )
-from pattern_forge.layout_io import ConstraintKind, generate_synthetic
+from pattern_forge.layout_io import ConstraintKind
+from pattern_forge.synthetic import generate_synthetic
 from pattern_forge.pipeline import SCHEMA, STAGES, run_full, verify_clusterset
 from pattern_forge.prescreen import PrescreenStats
 from pattern_forge.scp import SolverStats

@@ -290,7 +290,8 @@ class TestEntryPoint:
         script = "\n".join([
             "import sys",
             "import pattern_forge.cli",
-            "from pattern_forge.layout_io import ConstraintKind, generate_synthetic",
+            "from pattern_forge.layout_io import ConstraintKind",
+            "from pattern_forge.synthetic import generate_synthetic",
             "from pattern_forge.pipeline import run_full, verify_clusterset",
             "doc = generate_synthetic(3, 4, 4, 1)",
             "assert doc.constraint_kind is ConstraintKind.COSINE",

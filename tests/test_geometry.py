@@ -433,7 +433,7 @@ class TestExtract:
             assert getattr(p, name) == getattr(built, name), name
         rects = [rc for shape in p.shapes for rc in rectangles(shape)]
         for side in (8, 16):
-            assert np.array_equal(coverage_grid(p, side), coverage_grid_loop(rects, p.radius, side))
+            assert np.array_equal(coverage_grid(p.rects, p.radius, side), coverage_grid_loop(rects, p.radius, side))
 
     @given(_design())
     @example((_doc([_u_across_edge((0, 0), 8, 0, 0, 1), rect(-2, -2, 2, 2)], 8), (0, 0)))  # a U cut in two

@@ -1,3 +1,4 @@
+import ast
 import io
 import re
 from collections import Counter
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pattern_forge import layout_io
 from pattern_forge.geometry import Marker
 from pattern_forge.align import edge_fit_aligned
 from pattern_forge.layout_io import (
@@ -12,12 +14,12 @@ from pattern_forge.layout_io import (
     ConstraintKind,
     LayoutDocument,
     LayoutParseError,
-    generate_synthetic,
     parse_layout,
     read_report,
     write_layout,
     write_report,
 )
+from pattern_forge.synthetic import generate_synthetic
 from pattern_forge.geometry import extract_pattern
 
 from conftest import rect
@@ -329,3 +331,24 @@ class TestGenerator:
             generate_synthetic(1, 1, -1, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(1, 1, 200, seed=0, radius=512)
+
+
+def _package_imports(path: str) -> set[str]:
+    """The pattern_forge modules a source file imports, relative or absolute."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("pattern_forge" if node.level else "", node.module)))
+            names += [f"{base}.{a.name}" for a in node.names] if base == "pattern_forge" else [base]
+    return {n.split(".")[1] for n in names if n.startswith("pattern_forge.")}
+
+
+class TestModuleGraph:
+    def test_layout_io_imports_geometry_alone(self):
+        # the document model, the text formats and the report need no
+        # aligner and no raster; the synthetic generator brings its own
+        assert _package_imports(layout_io.__file__) == {"geometry"}

@@ -13,12 +13,12 @@ from pattern_forge.layout_io import (
     ClusterReport,
     ConstraintKind,
     LayoutDocument,
-    generate_synthetic,
     parse_layout,
     read_report,
     write_layout,
     write_report,
 )
+from pattern_forge.synthetic import generate_synthetic
 from pattern_forge.pipeline import (
     SCHEMA,
     STAGES,

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from pattern_forge.geometry import Pattern, extract_pattern
-from pattern_forge.layout_io import ConstraintKind, generate_synthetic
+from pattern_forge.layout_io import ConstraintKind
+from pattern_forge.synthetic import generate_synthetic
 from pattern_forge.prescreen import (
     HIST_BINS,
     QUANTUM,

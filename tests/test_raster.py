@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,9 @@ from scipy.fft import dct, dctn
 
 from pattern_forge.geometry import Pattern, Polygon, _trace_union, clip_polygon, extract_pattern, rectangles
 from pattern_forge.layout_io import MAX_RADIUS, ConstraintKind, LayoutDocument
+from pattern_forge.pipeline import run_full, verify_clusterset
+from pattern_forge import raster
 from pattern_forge.raster import (
-    Bitmap,
     _dct_basis,
     cosine_similarity,
     coverage_grid,
@@ -19,6 +21,7 @@ from pattern_forge.raster import (
     rasterize,
     window_features,
 )
+from pattern_forge.synthetic import generate_synthetic
 
 from conftest import rect, random_rect_union, staircase
 from oracles import cosine_of_blocks, coverage_grid_loop, naive_dct2
@@ -41,26 +44,27 @@ class TestCoverageGrid:
     def test_side_must_be_power_of_two(self):
         p = _pat(rect(-4, -4, 4, 4))
         with pytest.raises(ValueError):
-            coverage_grid(p, 48)
+            coverage_grid(p.rects, p.radius, 48)
         with pytest.raises(ValueError):
-            coverage_grid(p, 4)
+            coverage_grid(p.rects, p.radius, 4)
 
     # coverage_grid returns integer numerators; a fully covered pixel holds
-    # (2R)^2 and the shared denominator never appears until rasterize
+    # (2R)^2, and only its callers divide by that shared denominator
 
     def test_full_window_saturates_numerators(self):
         p = _pat(rect(-32, -32, 32, 32))
-        g = coverage_grid(p, 8)
+        g = coverage_grid(p.rects, p.radius, 8)
         assert np.array_equal(g, np.full((8, 8), 64 * 64))
 
     def test_empty_window_is_zero(self):
-        g = coverage_grid(_pat(), 8)
+        p = _pat()
+        g = coverage_grid(p.rects, p.radius, 8)
         assert not g.any()
 
     def test_exact_pixel_alignment(self):
         # radius 32, side 8: one pixel spans 8nm; shape = exactly 2x1 pixels
         p = _pat(rect(-8, -8, 8, 0))
-        g = coverage_grid(p, 8)
+        g = coverage_grid(p.rects, p.radius, 8)
         full = 64 * 64
         assert g[3, 3] == full and g[3, 4] == full
         assert g.sum() == 2 * full
@@ -68,7 +72,7 @@ class TestCoverageGrid:
     def test_half_pixel_coverage(self):
         # 4nm-wide strip in an 8nm pixel covers half of it
         p = _pat(rect(0, 0, 4, 8))
-        g = coverage_grid(p, 8)
+        g = coverage_grid(p.rects, p.radius, 8)
         assert g[4, 4] == 64 * 64 // 2
         assert g.sum() == 64 * 64 // 2
 
@@ -77,13 +81,13 @@ class TestCoverageGrid:
         for _ in range(40):
             p = _random_pattern(rng)
             for side in (8, 16, 64):
-                g = coverage_grid(p, side)
+                g = coverage_grid(p.rects, p.radius, side)
                 assert int(g.sum()) == p.area * side * side
 
     def test_row_order_is_y_up(self):
         # row 0 is the bottom row of the window
         p = _pat(rect(-32, -32, 32, -24))
-        g = coverage_grid(p, 8)
+        g = coverage_grid(p.rects, p.radius, 8)
         assert g[0].sum() == 8 * 64 * 64 and g[1:].sum() == 0
 
 
@@ -120,7 +124,7 @@ class TestCoverageGridOracle:
     @example(_pat(rect(-5, -5, 5, 5), rect(-3, -5, 2, 1), radius=5), 8)
     def test_matches_per_rectangle_loop(self, pattern, side):
         rects = [rc for shape in pattern.shapes for rc in rectangles(shape)]
-        got = coverage_grid(pattern, side)
+        got = coverage_grid(pattern.rects, pattern.radius, side)
         want = coverage_grid_loop(rects, pattern.radius, side)
         assert got.dtype == np.int64
         assert got.shape == (side, side)
@@ -139,7 +143,7 @@ class TestStackedCoverage:
         inset = rect(-radius + 1, -radius + 3, radius - 5, radius)
         p = _pat(*[full if k % 2 else inset for k in range(count)], radius=radius)
         rects = [rc for shape in p.shapes for rc in rectangles(shape)]
-        got = coverage_grid(p, 64)
+        got = coverage_grid(p.rects, p.radius, 64)
         assert got.dtype == np.int64 and int(got.max()) >= 2**53
         assert np.array_equal(got, coverage_grid_loop(rects, radius, 64))
 
@@ -210,6 +214,24 @@ class TestWindowFeatures:
         assert set(polys.tolist()) == {0}  # only the U has rows
 
 
+class TestOneFeaturePath:
+    def test_coverage_grid_runs_once_per_feature_vector(self, monkeypatch):
+        # both feature functions rasterise through the module's one
+        # coverage_grid, so a cosine run and its verification call it once
+        # for every vector they build, anchors and windows alike
+        doc = generate_synthetic(3, 4, 4, seed=1)  # its template probe rasterises too
+        calls = Counter()
+        for name in ("coverage_grid", "pattern_features", "window_features"):
+            def counted(*args, _name=name, _fn=getattr(raster, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(raster, name, counted)
+        clusters, _report, _stats = run_full(doc)
+        assert verify_clusterset(clusters, doc).ok
+        assert calls["pattern_features"] and calls["window_features"]
+        assert calls["coverage_grid"] == calls["pattern_features"] + calls["window_features"]
+
+
 class TestRasterize:
     def test_pitch_and_shape(self):
         bm = rasterize(_pat(rect(0, 0, 8, 8)), 16)
@@ -228,7 +250,7 @@ class TestDct:
             for _ in range(25):
                 p = _random_pattern(rng, radius=side)
                 bm = rasterize(p, side)
-                feat = dct_features(bm, k=side)
+                feat = dct_features(bm.pixels, k=side)
                 ref = naive_dct2(bm.pixels).ravel()
                 assert np.allclose(feat, ref, atol=1e-12, rtol=0)
 
@@ -240,7 +262,7 @@ class TestDct:
             pixels = gen.random((side, side))
             full = dctn(pixels, norm="ortho")
             for k in range(1, side + 1):
-                feat = dct_features(Bitmap(side, pixels), k=k)
+                feat = dct_features(pixels, k=k)
                 assert np.abs(feat - full[:k, :k].ravel()).max() <= 1e-12
 
     def test_basis_is_the_orthonormal_dct_matrix(self):
@@ -256,30 +278,30 @@ class TestDct:
         rng = random.Random(7)
         p = _random_pattern(rng, radius=16)
         bm = rasterize(p, 16)
-        full = dct_features(bm, k=16)
-        k4 = dct_features(bm, k=4)
+        full = dct_features(bm.pixels, k=16)
+        k4 = dct_features(bm.pixels, k=4)
         assert k4.shape == (4 * 4,)
         assert np.array_equal(k4, full.reshape(16, 16)[:4, :4].ravel())
 
     def test_k_bounds(self):
         bm = rasterize(_pat(rect(0, 0, 4, 4)), 8)
         with pytest.raises(ValueError):
-            dct_features(bm, k=0)
+            dct_features(bm.pixels, k=0)
         with pytest.raises(ValueError):
-            dct_features(bm, k=9)
+            dct_features(bm.pixels, k=9)
 
     def test_dc_term_is_mean_coverage(self):
         # orthonormal DCT: coefficient (0,0) = side * mean(pixels)
         p = _pat(rect(-32, -32, 32, 0))
         bm = rasterize(p, 8)
-        feat = dct_features(bm, k=1)
+        feat = dct_features(bm.pixels, k=1)
         assert feat.shape == (1,)
         assert math.isclose(feat[0], 8 * 0.5, rel_tol=1e-12)
 
     def test_pattern_features_is_unit_block(self):
         p = _pat(rect(0, 0, 10, 10))
         a = pattern_features(p)
-        b = dct_features(rasterize(p, 64), k=32)
+        b = dct_features(rasterize(p, 64).pixels, k=32)
         assert a.dtype == np.float64 and a.shape == (32 * 32,)
         assert np.array_equal(a, b / np.linalg.norm(b))
         assert math.isclose(float(a @ a), 1.0, rel_tol=1e-14)
@@ -307,11 +329,11 @@ class TestCosine:
         for _ in range(20):
             pa = _random_pattern(rng)
             pb = _random_pattern(rng)
-            ga = coverage_grid(pa, 16).ravel()
-            gb = coverage_grid(pb, 16).ravel()
+            ga = coverage_grid(pa.rects, pa.radius, 16).ravel()
+            gb = coverage_grid(pb.rects, pb.radius, 16).ravel()
             raw = float(ga @ gb) / (np.linalg.norm(ga) * np.linalg.norm(gb))
-            fa = dct_features(rasterize(pa, 16), k=16)
-            fb = dct_features(rasterize(pb, 16), k=16)
+            fa = dct_features(rasterize(pa, 16).pixels, k=16)
+            fb = dct_features(rasterize(pb, 16).pixels, k=16)
             fa, fb = fa / np.linalg.norm(fa), fb / np.linalg.norm(fb)
             assert math.isclose(cosine_similarity(fa, fb), raw, abs_tol=1e-9)
 
@@ -332,8 +354,8 @@ class TestCosine:
     def test_disjoint_support_is_orthogonal(self):
         a = _pat(rect(-32, -32, 0, 32))
         b = _pat(rect(0, -32, 32, 32))
-        fa = dct_features(rasterize(a, 8), k=8)
-        fb = dct_features(rasterize(b, 8), k=8)
+        fa = dct_features(rasterize(a, 8).pixels, k=8)
+        fb = dct_features(rasterize(b, 8).pixels, k=8)
         fa, fb = fa / np.linalg.norm(fa), fb / np.linalg.norm(fb)
         # full-block cosine equals pixel cosine; supports are disjoint
         assert abs(cosine_similarity(fa, fb)) < 1e-12
@@ -352,8 +374,8 @@ class TestCosine:
         shapes = pa.shapes if same else _random_pattern(random.Random(seed_b)).shapes
         pb = Pattern(center, pa.radius, shapes)
         got = cosine_similarity(pattern_features(pa), pattern_features(pb))
-        raw_a = dct_features(rasterize(pa, 64), k=32)
-        raw_b = dct_features(rasterize(pb, 64), k=32)
+        raw_a = dct_features(rasterize(pa, 64).pixels, k=32)
+        raw_b = dct_features(rasterize(pb, 64).pixels, k=32)
         assert abs(got - cosine_of_blocks(raw_a, raw_b)) <= 1e-12
         if pa.shapes == pb.shapes:
             assert got == 1.0
