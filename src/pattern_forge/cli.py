@@ -47,8 +47,9 @@ def _add_bench_parser(sub):
 
 
 def _apply_overrides(doc, args):
-    """The document with the header values given on the command line; `doc`
-    itself when none differs, so its rectangle table is not built again."""
+    """The document with the header values given on the command line: `doc`
+    itself when none differs, else a new document that shares its vertex
+    table, so no polygon is checked or decomposed again."""
     given = {
         "pattern_radius": args.radius,
         "constraint_kind": None if args.constraint is None else ConstraintKind(args.constraint),
@@ -96,7 +97,7 @@ def _cmd_generate(args) -> int:
     )
     write_layout(doc, args.output)
     print(
-        f"wrote {args.output}: {len(doc.markers)} markers, {len(doc.design_polygons)} polygons",
+        f"wrote {args.output}: {len(doc.markers)} markers, {len(doc.polygon_ids)} polygons",
         file=sys.stderr,
     )
     return 0

@@ -326,19 +326,27 @@ class Pattern:
     shape is decomposed. The edge table and the arrays read from it are
     built on first read, since cosine runs never compare edges; so are
     `bboxes`, `area` and `features`.
+
+    `rings`, when given, is (table, spans): every shape is a ring of the
+    layout's vertex table `table` (a `layout_io.VertexTable`), shape k
+    being rows spans[k] = (lo, hi) shifted by -center. `layout_key`,
+    `coords` and `x_axis` are then read from the table's edge arrays
+    instead of from `edges`.
     """
 
     center: Vertex
     radius: int
     shapes: tuple[Polygon, ...]
     pieces: InitVar[list | None] = None
+    rings: InitVar[tuple | None] = None
 
-    def __post_init__(self, pieces):
+    def __post_init__(self, pieces, rings):
         if pieces is None:
             pieces = [rectangles(p) for p in self.shapes]
         self.rect_counts = tuple(len(rs) for rs in pieces)
         self.rects = np.asarray([r for rs in pieces for r in rs], dtype=np.int64).reshape(-1, 4)
         self.owner = np.repeat(np.arange(len(self.shapes)), self.rect_counts)
+        self._rings = rings
 
     @cached_property
     def edges(self) -> tuple[tuple[str, tuple[Axis, ...], tuple[int, ...]], ...]:
@@ -358,17 +366,30 @@ class Pattern:
         """Each shape's direction_sequence() and its number of decomposition
         rectangles. Two patterns with equal keys have equal-shaped `rects`,
         `owner`, `coords` and `x_axis`, so their pairs can be stacked."""
+        if self._rings is not None:
+            table, spans = self._rings
+            return tuple(table.edge_table[0][lo:hi] for lo, hi in spans), self.rect_counts
         return tuple(d for d, _axes, _coords in self.edges), self.rect_counts
 
     @cached_property
     def coords(self) -> np.ndarray:
-        """Every edge's coordinate from `edges`, shape after shape, as int64."""
+        """Every edge's coordinate as `edges` gives it, shape after shape, as int64."""
+        if self._rings is not None:
+            table, rows = self._rings[0], self._edge_rows
+            return table.edge_table[2][rows] - np.where(self.x_axis, *self.center)
         return np.asarray([c for _d, _axes, cs in self.edges for c in cs], dtype=np.int64)
 
     @cached_property
     def x_axis(self) -> np.ndarray:
         """True where the edge at that position of `coords` moves along X."""
+        if self._rings is not None:
+            return self._rings[0].edge_table[1][self._edge_rows]
         return np.asarray([a is Axis.X for _d, axes, _cs in self.edges for a in axes], dtype=bool)
+
+    @cached_property
+    def _edge_rows(self) -> np.ndarray:
+        """The rows of the vertex table whose edges are this pattern's, in order."""
+        return np.asarray([e for lo, hi in self._rings[1] for e in range(lo, hi)], dtype=np.int64)
 
     @cached_property
     def bboxes(self) -> np.ndarray:
@@ -408,36 +429,46 @@ def extract_pattern(doc, center: Vertex) -> Pattern:
     """The design polygons clipped to the square window at `center`, in
     polygon order and window-local coordinates, built from the query that
     `raster.window_features` reads (`doc.window_rectangles`). A polygon
-    whose bbox lies inside the window is kept whole; one that crosses the
-    window's edge becomes the union of its clipped rows, one shape per
-    piece, which is what `clip_polygon` traces.
+    whose bbox (from the document's vertex table, `doc.rings.bboxes`) lies
+    inside the window is kept whole: its ring is sliced from the table's
+    vertices and shifted by the center. One that crosses the window's edge
+    becomes the union of its clipped rows, one shape per piece, which is
+    what `clip_polygon` traces.
 
     The pattern's `rects` come from the same query: a polygon kept whole
     lies inside the window, so its rows are its design rectangles shifted,
     unclipped and, since the layout's table (`doc.rects`) is sorted stably
     by xlo and `rectangles()` emits nondecreasing xlo, in `rectangles()`
     order, which is `rectangles()` of the shifted shape. Only a traced piece
-    is decomposed again.
+    is decomposed again. When every shape is a polygon kept whole, the
+    pattern is also given their rows of the vertex table (`rings`), so its
+    `layout_key`, `coords` and `x_axis` are sliced from the table's edge
+    arrays rather than built from `edges`.
     """
     cx, cy = center
     r = doc.pattern_radius
     rows, owners = doc.window_rectangles(center)
-    polys = doc.design_polygons
     by_poly: dict[int, list] = {}
     for idx, row in zip(owners.tolist(), rows.tolist()):
         by_poly.setdefault(idx, []).append(row)
-    shapes, pieces = [], []
-    for idx in sorted(by_poly):
-        poly = polys[idx]
-        bx0, by0, bx1, by1 = poly.bbox
+    table = doc.rings
+    idxs = sorted(by_poly)
+    # np.take reads a few rows for a list of indices faster than indexing does
+    boxes = np.take(table.bboxes, idxs, axis=0).tolist()
+    bounds = np.take(table.offsets, idxs + [k + 1 for k in idxs]).tolist()
+    shapes, pieces, spans = [], [], []
+    for idx, (bx0, by0, bx1, by1), lo, hi in zip(idxs, boxes, bounds[:len(idxs)], bounds[len(idxs):]):
         if cx - r <= bx0 and cy - r <= by0 and bx1 <= cx + r and by1 <= cy + r:
-            shapes.append(poly.translated(-cx, -cy))
+            ring = tuple([(x - cx, y - cy) for x, y in table.vertices[lo:hi].tolist()])
+            shapes.append(Polygon(ring, (bx0 - cx, by0 - cy, bx1 - cx, by1 - cy)))
             pieces.append(by_poly[idx])
+            spans.append((lo, hi))
         else:
             traced = [Polygon.from_vertices(ring) for ring in _trace_union(by_poly[idx])]
             shapes.extend(traced)
             pieces.extend(rectangles(p) for p in traced)
-    return Pattern((cx, cy), r, tuple(shapes), pieces)
+    rings = (table, spans) if len(spans) == len(shapes) else None
+    return Pattern((cx, cy), r, tuple(shapes), pieces, rings)
 
 
 def _rect_overlaps(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:

@@ -6,6 +6,19 @@ Layout text format, one record per line, '#' starts a comment:
     POLY <id> <x1> <y1> <x2> <y2> ...
     MARKER <id> <xlo> <ylo> <xhi> <yhi>
 
+A document keeps its design polygons as one vertex table (`VertexTable`):
+every ring's vertices in one (V, 2) int64 array, ring k in rows
+offsets[k]:offsets[k + 1] of it (compressed sparse rows). `parse_layout`
+reads every POLY line into that table and checks and normalises all rings
+together in array passes. Each ring is stored counter-clockwise from its
+lexicographically smallest vertex, as `Polygon.from_vertices` stores it;
+its orientation is read from the edge leaving that vertex (East means
+counter-clockwise), so no coordinate can overflow the test. A `Polygon` is
+built only for a ring of more than 4 vertices (for the slab sweep that
+decomposes it), for a ring that a check flags (to raise the error the
+per-polygon path raises) and, on demand, for callers that want objects
+(`LayoutDocument.design_polygons`, the generator, tests).
+
 Report CSV: ``marker_id,cluster_id,center_x,center_y,rep_marker_id`` rows
 followed by a ``# clusters=<n> iterations=<m> compression=<r>`` summary line.
 The representative is matched at its own marker center, and need not be a
@@ -16,7 +29,8 @@ import enum
 import io
 import math
 import os
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -46,44 +60,143 @@ def _check_threshold(kind: ConstraintKind, threshold: float) -> None:
         raise ValueError(f"cosine threshold {threshold} outside [0, 1]")
 
 
+def _bboxes(vertices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each ring's (xlo, ylo, xhi, yhi), ring k being `vertices[offsets[k]:offsets[k + 1]]`."""
+    if len(offsets) == 1:
+        return np.empty((0, 4), dtype=np.int64)
+    return np.hstack((np.minimum.reduceat(vertices, offsets[:-1]), np.maximum.reduceat(vertices, offsets[:-1])))
+
+
+def _next_vertex(offsets: np.ndarray) -> np.ndarray:
+    """Per vertex of the rings at `offsets`, the index of the next vertex
+    of its ring: each ring's last vertex closes it."""
+    nxt = np.arange(1, offsets[-1] + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    return nxt
+
+
+@dataclass(frozen=True, eq=False)
+class VertexTable:
+    """Normalised rectilinear rings in one table.
+
+    Ring k is `vertices[offsets[k]:offsets[k + 1]]`, (x, y) int64 rows,
+    normalised as `Polygon.from_vertices` leaves a ring: counter-clockwise
+    and starting at its lexicographically smallest vertex. `bboxes[k]` is
+    its (xlo, ylo, xhi, yhi). Row j of `rects` is a `rectangles()` row of
+    ring `owner[j]`, the rows sorted stably by xlo, and `widest` is the
+    width of the widest row. Two tables are equal when their rings are: the
+    other arrays follow from them.
+    """
+
+    vertices: np.ndarray
+    offsets: np.ndarray
+    bboxes: np.ndarray = field(repr=False)
+    rects: np.ndarray = field(repr=False)
+    owner: np.ndarray = field(repr=False)
+    widest: int = field(repr=False)
+
+    @classmethod
+    def build(cls, vertices: np.ndarray, offsets: np.ndarray, bboxes: np.ndarray, pieces: dict) -> "VertexTable":
+        """The table of the normalised rings `vertices` and `offsets` with
+        their `bboxes` (`_bboxes`), given `rectangles()` of every ring of
+        more than 4 vertices (`pieces`, by ring index, in ring order). A
+        4-vertex ring is a rectangle: its one row is its bbox."""
+        counts = np.ones(len(bboxes), dtype=np.int64)
+        counts[list(pieces)] = [len(rs) for rs in pieces.values()]
+        owner = np.repeat(np.arange(len(bboxes)), counts)
+        rows = bboxes[owner]
+        if pieces:
+            swept = np.zeros(len(bboxes), dtype=bool)
+            swept[list(pieces)] = True
+            rows[swept[owner]] = [rc for rs in pieces.values() for rc in rs]
+        order = np.argsort(rows[:, 0], kind="stable")
+        return cls(vertices, offsets, bboxes, rows[order], owner[order],
+                   int((rows[:, 2] - rows[:, 0]).max(initial=0)))
+
+    @classmethod
+    def of_polygons(cls, polygons) -> "VertexTable":
+        """The rings of `polygons`, already normalised (`Polygon.from_vertices`
+        results or translations of them), concatenated in order."""
+        rings = [p.vertices for p in polygons]
+        offsets = np.zeros(len(rings) + 1, dtype=np.int64)
+        np.cumsum([len(ring) for ring in rings], out=offsets[1:])
+        vertices = np.array([v for ring in rings for v in ring], dtype=np.int64).reshape(-1, 2)
+        pieces = {k: rectangles(p) for k, p in enumerate(polygons) if len(p.vertices) != 4}
+        return cls.build(vertices, offsets, _bboxes(vertices, offsets), pieces)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, VertexTable):
+            return NotImplemented
+        return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.vertices, other.vertices)
+
+    @cached_property
+    def edge_table(self) -> tuple[str, np.ndarray, np.ndarray]:
+        """For the edge leaving each vertex: its direction letter (E, W, N
+        or S, one str for the whole table), whether it is vertical, and its
+        coordinate across its run (x of a vertical edge, y of a horizontal
+        one), as `Pattern.edges` reads them off a ring. Built on first
+        read, since cosine runs never compare edges."""
+        x, y = self.vertices[:, 0], self.vertices[:, 1]
+        nxt = _next_vertex(self.offsets)
+        vertical = x == x[nxt]
+        letters = np.where(vertical, np.where(y[nxt] > y, ord("N"), ord("S")), np.where(x[nxt] > x, ord("E"), ord("W")))
+        return letters.astype(np.uint8).tobytes().decode("ascii"), vertical, np.where(vertical, x, y)
+
+    def polygons(self) -> tuple[Polygon, ...]:
+        """Every ring as a `Polygon`, in order."""
+        points = list(map(tuple, self.vertices.tolist()))
+        bounds = self.offsets.tolist()
+        return tuple(Polygon(tuple(points[lo:hi]), tuple(box))
+                     for lo, hi, box in zip(bounds, bounds[1:], self.bboxes.tolist()))
+
+
 @dataclass
 class LayoutDocument:
-    """A parsed (or generated) layout: the header, the design polygons and
-    the markers, each with its id.
+    """A parsed (or generated) layout: the header, the design polygons as
+    one vertex table (`rings`) with each polygon's id, and the markers,
+    each with its id.
 
-    The document also owns the design's rectangle table, built once at
-    construction and not part of equality or repr: row k of `rects` is a
-    `rectangles()` row (xlo, ylo, xhi, yhi) of design polygon `owner[k]`,
-    the rows sorted stably by xlo, and `widest` is the width of the widest
-    row. `pieces`, when given, holds each polygon's `rectangles()`
-    (`parse_layout` passes the ones it computed to validate the polygons),
-    else every polygon is decomposed.
+    `rings` may also be given as a sequence of already normalised
+    polygons, the way the generator and tests hold them; their rings are
+    concatenated into the table (`VertexTable.of_polygons`). A header
+    override (`dataclasses.replace` of the radius, constraint or threshold)
+    hands the new document the same table, so nothing is decomposed again.
+    Equality compares the header, the ids, the markers and the rings.
+
+    `rects`, `owner` and `widest` are the table's rectangle table, which
+    `window_rectangles` queries: row k of `rects` is a `rectangles()` row
+    (xlo, ylo, xhi, yhi) of design polygon `owner[k]`, the rows sorted
+    stably by xlo, and `widest` is the width of the widest row.
     """
 
     pattern_radius: int
     constraint_kind: ConstraintKind
     threshold: float
-    design_polygons: tuple[Polygon, ...]
+    rings: VertexTable
     polygon_ids: tuple[int, ...]
     markers: tuple[Marker, ...]
     marker_ids: tuple[int, ...]
-    pieces: InitVar[list | None] = None
 
-    def __post_init__(self, pieces):
+    def __post_init__(self):
         if not (0 < self.pattern_radius <= MAX_RADIUS):
             raise ValueError(f"pattern radius {self.pattern_radius} outside (0, {MAX_RADIUS}]")
-        if len(self.design_polygons) != len(self.polygon_ids):
+        if len(self.rings) != len(self.polygon_ids):
             raise ValueError("polygon ids do not match polygons")
         if len(self.markers) != len(self.marker_ids):
             raise ValueError("marker ids do not match markers")
         _check_threshold(self.constraint_kind, self.threshold)
-        if pieces is None:
-            pieces = [rectangles(p) for p in self.design_polygons]
-        arr = np.asarray([rc for rs in pieces for rc in rs], dtype=np.int64).reshape(-1, 4)
-        owner = np.repeat(np.arange(len(pieces)), [len(rs) for rs in pieces])
-        order = np.argsort(arr[:, 0], kind="stable")
-        self.rects, self.owner = arr[order], owner[order]
-        self.widest = int((arr[:, 2] - arr[:, 0]).max(initial=0))
+        if not isinstance(self.rings, VertexTable):
+            self.rings = VertexTable.of_polygons(self.rings)
+        self.rects, self.owner, self.widest = self.rings.rects, self.rings.owner, self.rings.widest
+
+    @property
+    def design_polygons(self) -> tuple[Polygon, ...]:
+        """The rings as `Polygon` objects, in file order, built on each read:
+        for callers that want objects, such as tests."""
+        return self.rings.polygons()
 
     def window_rectangles(self, center) -> tuple[np.ndarray, np.ndarray]:
         """The rows of `rects` that strictly overlap the window at `center`,
@@ -127,92 +240,172 @@ def _read_text(source) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
+def _reference_ring(coords: list, line: int) -> tuple[Polygon, tuple]:
+    """One ring through the per-polygon path, `Polygon.from_vertices` and
+    `rectangles()`: the ring and its rectangles, or the LayoutParseError
+    of its first fault at `line`."""
+    try:
+        poly = Polygon.from_vertices(zip(coords[::2], coords[1::2]))
+        return poly, rectangles(poly)
+    except GeometryError as exc:
+        raise LayoutParseError(line, str(exc)) from None
+
+
+def _ring_table(flat: list, counts: list, lines: list) -> VertexTable:
+    """The POLY rings read so far, checked and normalised in array passes.
+
+    `flat` holds every ring's coordinates, x y x y ..., ring k with
+    `counts[k]` vertices, read from line `lines[k]`. A ring is flagged for
+    a repeated vertex, a diagonal edge or two consecutive edges that are
+    both horizontal or both vertical: the faults `Polygon.from_vertices`
+    refuses. Every ring is rotated to start at its lexicographically
+    smallest vertex and turned counter-clockwise: the edge leaving that
+    vertex of a valid ring runs East or North, and East means the ring is
+    counter-clockwise, a comparison no coordinate can overflow (a shoelace
+    sum can). A ring of more than 4 vertices is decomposed by
+    `rectangles()`; a 4-vertex ring is its bbox.
+
+    A flagged ring, and a ring whose `rectangles()` fails in that
+    orientation, goes through the per-polygon path (`_reference_ring`), so
+    the first faulty ring in file order raises the error and line that
+    path raises; a ring that the slab sweep accepts only in the shoelace's
+    orientation is stored in that one. A coordinate beyond int64 raises
+    LayoutParseError at its line, after any fault on an earlier line.
+    """
+    n_rings = len(counts)
+    offsets = np.zeros(n_rings + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    try:
+        xy = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        k = next(k for k in range(n_rings)
+                 if not all(-2**63 <= v < 2**63 for v in flat[2 * offsets[k]:2 * offsets[k + 1]]))
+        _ring_table(flat[:2 * offsets[k]], counts[:k], lines[:k])  # a fault on an earlier line comes first
+        raise LayoutParseError(lines[k], "coordinate outside the int64 range") from None
+    size = np.asarray(counts, dtype=np.int64)
+    first = offsets[:-1]
+    ring = np.repeat(np.arange(n_rings), size)
+    nxt = _next_vertex(offsets)
+    x, y = xy[:, 0], xy[:, 1]
+    horizontal = y == y[nxt]
+    flagged = np.zeros(n_rings, dtype=bool)
+    flagged[ring[~horizontal & (x != x[nxt])]] = True  # a diagonal edge
+    flagged[ring[horizontal == horizontal[nxt]]] = True  # two parallel edges in a row
+    order = np.lexsort((y, x, ring))  # each ring's vertices, lexicographically
+    xs, ys, rs = x[order], y[order], ring[order]
+    flagged[rs[1:][(xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1]) & (rs[1:] == rs[:-1])]] = True  # a repeat
+    start = order[first]  # each ring's smallest vertex
+    step = np.where(x[nxt[start]] > x[start], 1, -1)  # East: counter-clockwise, else walk back
+    local = np.arange(len(xy)) - first[ring]
+    vertices = xy[first[ring] + ((start - first)[ring] + step[ring] * local) % size[ring]]
+    bounds = offsets.tolist()
+    boxes = _bboxes(xy, offsets)
+    pieces = {}  # rectangles() of each ring of more than 4 vertices
+    for k in np.flatnonzero(flagged | (size != 4)).tolist():
+        s, e = bounds[k], bounds[k + 1]
+        if not flagged[k]:
+            try:
+                pieces[k] = rectangles(Polygon(tuple(map(tuple, vertices[s:e].tolist())), tuple(boxes[k].tolist())))
+                continue
+            except GeometryError:
+                pass
+        poly, pieces[k] = _reference_ring(flat[2 * s:2 * e], lines[k])
+        vertices[s:e] = poly.vertices
+    return VertexTable.build(vertices, offsets, boxes, pieces)
+
+
 def parse_layout(source) -> LayoutDocument:
     """Parse a layout document from a path, string, bytes, or file object.
 
-    Raises LayoutParseError with a line number for syntax problems, and wraps
-    geometry validation errors (diagonal edges, non-simple rings) the same way;
-    a check of the whole document (the radius) is reported at the HEADER's line.
+    Each POLY line's coordinates are read into one list; `_ring_table`
+    checks and normalises the rings together at the end. Raises
+    LayoutParseError with a line number for syntax problems, and wraps
+    geometry validation errors (diagonal edges, non-simple rings) the same
+    way, the error of the first faulty line winning: when a record fails,
+    the rings read before it (and its own, for a duplicate polygon id) are
+    checked first. A check of the whole document (the radius) is reported
+    at the HEADER's line.
     """
     text = _read_text(source)
     header = None
-    polys: dict[int, Polygon] = {}  # id -> polygon, in file order
-    pieces: list[tuple] = []  # each polygon's rectangles(), in file order
+    ids: dict[int, None] = {}  # polygon ids, in file order
+    flat: list[int] = []  # every ring's x y x y ..., in file order
+    counts: list[int] = []  # each ring's vertex count
+    lines: list[int] = []  # each ring's line
     markers: dict[int, Marker] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "HEADER":
-            if header is not None:
-                raise LayoutParseError(lineno, "duplicate HEADER")
-            if len(tokens) != 7 or tokens[1] != "RADIUS" or tokens[3] != "CONSTRAINT" or tokens[5] != "THRESHOLD":
-                raise LayoutParseError(lineno, "header must read: HEADER RADIUS <int> CONSTRAINT <kind> THRESHOLD <value>")
-            try:
-                radius = int(tokens[2])
-            except ValueError:
-                raise LayoutParseError(lineno, f"bad radius {tokens[2]!r}") from None
-            try:
-                ckind = ConstraintKind[tokens[4]] if tokens[4] in ConstraintKind.__members__ else ConstraintKind(tokens[4].lower())
-            except ValueError:
-                raise LayoutParseError(lineno, f"unknown constraint {tokens[4]!r}") from None
-            try:
-                threshold = float(tokens[6])
-            except ValueError:
-                raise LayoutParseError(lineno, f"bad threshold {tokens[6]!r}") from None
-            try:
-                _check_threshold(ckind, threshold)
-            except ValueError as exc:
-                raise LayoutParseError(lineno, str(exc)) from None
-            header = (lineno, radius, ckind, threshold)
-        elif kind == "POLY":
-            if header is None:
-                raise LayoutParseError(lineno, "record before HEADER")
-            if len(tokens) < 2:
-                raise LayoutParseError(lineno, "POLY needs an id")
-            try:
-                vals = [int(t) for t in tokens[1:]]
-            except ValueError:
-                raise LayoutParseError(lineno, "POLY fields must be integers") from None
-            pid, coords = vals[0], vals[1:]
-            if len(coords) < 8 or len(coords) % 2:
-                raise LayoutParseError(lineno, "POLY needs at least 4 x,y pairs")
-            pts = list(zip(coords[::2], coords[1::2]))
-            try:
-                poly = Polygon.from_vertices(pts)
-                rects = rectangles(poly)  # validates simplicity
-            except GeometryError as exc:
-                raise LayoutParseError(lineno, str(exc)) from None
-            if pid in polys:
-                raise LayoutParseError(lineno, f"duplicate polygon id {pid}")
-            polys[pid] = poly
-            pieces.append(rects)
-        elif kind == "MARKER":
-            if header is None:
-                raise LayoutParseError(lineno, "record before HEADER")
-            if len(tokens) != 6:
-                raise LayoutParseError(lineno, "MARKER needs: id xlo ylo xhi yhi")
-            try:
-                mid, xlo, ylo, xhi, yhi = (int(t) for t in tokens[1:])
-            except ValueError:
-                raise LayoutParseError(lineno, "MARKER fields must be integers") from None
-            try:
-                marker = Marker(xlo, ylo, xhi, yhi)
-            except GeometryError as exc:
-                raise LayoutParseError(lineno, str(exc)) from None
-            if mid in markers:
-                raise LayoutParseError(lineno, f"duplicate marker id {mid}")
-            markers[mid] = marker
-        else:
-            raise LayoutParseError(lineno, f"unknown record {kind!r}")
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            kind = tokens[0]
+            if kind == "HEADER":
+                if header is not None:
+                    raise LayoutParseError(lineno, "duplicate HEADER")
+                if len(tokens) != 7 or tokens[1] != "RADIUS" or tokens[3] != "CONSTRAINT" or tokens[5] != "THRESHOLD":
+                    raise LayoutParseError(lineno, "header must read: HEADER RADIUS <int> CONSTRAINT <kind> THRESHOLD <value>")
+                try:
+                    radius = int(tokens[2])
+                except ValueError:
+                    raise LayoutParseError(lineno, f"bad radius {tokens[2]!r}") from None
+                try:
+                    ckind = ConstraintKind[tokens[4]] if tokens[4] in ConstraintKind.__members__ else ConstraintKind(tokens[4].lower())
+                except ValueError:
+                    raise LayoutParseError(lineno, f"unknown constraint {tokens[4]!r}") from None
+                try:
+                    threshold = float(tokens[6])
+                except ValueError:
+                    raise LayoutParseError(lineno, f"bad threshold {tokens[6]!r}") from None
+                try:
+                    _check_threshold(ckind, threshold)
+                except ValueError as exc:
+                    raise LayoutParseError(lineno, str(exc)) from None
+                header = (lineno, radius, ckind, threshold)
+            elif kind == "POLY":
+                if header is None:
+                    raise LayoutParseError(lineno, "record before HEADER")
+                if len(tokens) < 2:
+                    raise LayoutParseError(lineno, "POLY needs an id")
+                try:
+                    vals = list(map(int, tokens[1:]))
+                except ValueError:
+                    raise LayoutParseError(lineno, "POLY fields must be integers") from None
+                if len(vals) < 9 or len(vals) % 2 == 0:
+                    raise LayoutParseError(lineno, "POLY needs at least 4 x,y pairs")
+                flat += vals[1:]
+                counts.append(len(vals) // 2)
+                lines.append(lineno)
+                if vals[0] in ids:  # after the ring is read: a fault in it comes first
+                    raise LayoutParseError(lineno, f"duplicate polygon id {vals[0]}")
+                ids[vals[0]] = None
+            elif kind == "MARKER":
+                if header is None:
+                    raise LayoutParseError(lineno, "record before HEADER")
+                if len(tokens) != 6:
+                    raise LayoutParseError(lineno, "MARKER needs: id xlo ylo xhi yhi")
+                try:
+                    mid, xlo, ylo, xhi, yhi = (int(t) for t in tokens[1:])
+                except ValueError:
+                    raise LayoutParseError(lineno, "MARKER fields must be integers") from None
+                try:
+                    marker = Marker(xlo, ylo, xhi, yhi)
+                except GeometryError as exc:
+                    raise LayoutParseError(lineno, str(exc)) from None
+                if mid in markers:
+                    raise LayoutParseError(lineno, f"duplicate marker id {mid}")
+                markers[mid] = marker
+            else:
+                raise LayoutParseError(lineno, f"unknown record {kind!r}")
+    except LayoutParseError:
+        _ring_table(flat, counts, lines)  # raises the fault of an earlier ring instead
+        raise
     if header is None:
         raise LayoutParseError(len(text.splitlines()) or 1, "missing HEADER record")
+    rings = _ring_table(flat, counts, lines)
     header_line, radius, ckind, threshold = header
     try:
-        return LayoutDocument(radius, ckind, threshold, tuple(polys.values()), tuple(polys),
-                              tuple(markers.values()), tuple(markers), pieces)
+        return LayoutDocument(radius, ckind, threshold, rings, tuple(ids), tuple(markers.values()), tuple(markers))
     except ValueError as exc:
         raise LayoutParseError(header_line, str(exc)) from None
 
@@ -222,9 +415,10 @@ def write_layout(doc: LayoutDocument, sink=None) -> bytes:
     out = io.StringIO()
     kind = "COSINE" if doc.constraint_kind is ConstraintKind.COSINE else "EDGEMOVE"
     out.write(f"HEADER RADIUS {doc.pattern_radius} CONSTRAINT {kind} THRESHOLD {doc.threshold!r}\n")
-    for pid, poly in zip(doc.polygon_ids, doc.design_polygons):
-        coords = " ".join(f"{x} {y}" for x, y in poly.vertices)
-        out.write(f"POLY {pid} {coords}\n")
+    coords = doc.rings.vertices.ravel().tolist()
+    bounds = (2 * doc.rings.offsets).tolist()
+    for k, pid in enumerate(doc.polygon_ids):
+        out.write(f"POLY {pid} {' '.join(map(str, coords[bounds[k]:bounds[k + 1]]))}\n")
     for mid, m in zip(doc.marker_ids, doc.markers):
         out.write(f"MARKER {mid} {m.xlo} {m.ylo} {m.xhi} {m.yhi}\n")
     data = out.getvalue().encode("utf-8")

@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the fast paths.
 
-Everything here favors obviousness over speed: ring validation one check
-after another, unit-cell parity scans for geometry, per-polygon overlap tests and edge walks for polygon pairing,
+Everything here favors obviousness over speed: layout parsing one polygon
+at a time, ring validation one check after another, unit-cell parity scans for geometry, per-polygon overlap tests and edge walks for polygon pairing,
 direct double-sum DCT, linear scans for min-max fits, interval competition
 one polygon pair at a time with an interval object per axis, refinement and
 verification one member at a time (every window extracted, none read from
@@ -24,6 +24,7 @@ from pattern_forge.align import NoCorrespondenceError, clamp_to_marker, edge_fit
 from pattern_forge.geometry import (
     Axis,
     GeometryError,
+    Marker,
     MatchError,
     MultipleOverlapError,
     NoOverlapError,
@@ -35,7 +36,7 @@ from pattern_forge.geometry import (
     extract_pattern,
     rectangles,
 )
-from pattern_forge.layout_io import ConstraintKind
+from pattern_forge.layout_io import MAX_RADIUS, ConstraintKind, LayoutParseError, _check_threshold
 from pattern_forge.pipeline import RefineResult
 from pattern_forge.raster import cosine_similarity, pattern_features
 
@@ -69,6 +70,106 @@ def from_vertices_loop(points) -> Polygon:
         pts.reverse()
     k = min(range(n), key=lambda i: pts[i])
     return Polygon(tuple(pts[k:] + pts[:k]))
+
+
+@dataclass
+class ParsedLayout:
+    """What `parse_layout_loop` reads: the header, each polygon with its id
+    and its `rectangles()`, and each marker with its id, in file order."""
+
+    pattern_radius: int
+    constraint_kind: ConstraintKind
+    threshold: float
+    polygons: tuple[Polygon, ...]
+    polygon_ids: tuple[int, ...]
+    pieces: tuple[tuple, ...]
+    markers: tuple[Marker, ...]
+    marker_ids: tuple[int, ...]
+
+
+def parse_layout_loop(text: str) -> ParsedLayout:
+    """`parse_layout` of layout text one polygon at a time: each POLY line
+    through `Polygon.from_vertices` and `rectangles()` as it is read, so the
+    first faulty line raises. The radius is checked last, at the HEADER's
+    line."""
+    header = None
+    polys: dict[int, Polygon] = {}
+    pieces = []
+    markers: dict[int, Marker] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "HEADER":
+            if header is not None:
+                raise LayoutParseError(lineno, "duplicate HEADER")
+            if len(tokens) != 7 or tokens[1] != "RADIUS" or tokens[3] != "CONSTRAINT" or tokens[5] != "THRESHOLD":
+                raise LayoutParseError(lineno, "header must read: HEADER RADIUS <int> CONSTRAINT <kind> THRESHOLD <value>")
+            try:
+                radius = int(tokens[2])
+            except ValueError:
+                raise LayoutParseError(lineno, f"bad radius {tokens[2]!r}") from None
+            try:
+                ckind = ConstraintKind[tokens[4]] if tokens[4] in ConstraintKind.__members__ else ConstraintKind(tokens[4].lower())
+            except ValueError:
+                raise LayoutParseError(lineno, f"unknown constraint {tokens[4]!r}") from None
+            try:
+                threshold = float(tokens[6])
+            except ValueError:
+                raise LayoutParseError(lineno, f"bad threshold {tokens[6]!r}") from None
+            try:
+                _check_threshold(ckind, threshold)
+            except ValueError as exc:
+                raise LayoutParseError(lineno, str(exc)) from None
+            header = (lineno, radius, ckind, threshold)
+        elif kind == "POLY":
+            if header is None:
+                raise LayoutParseError(lineno, "record before HEADER")
+            if len(tokens) < 2:
+                raise LayoutParseError(lineno, "POLY needs an id")
+            try:
+                vals = [int(t) for t in tokens[1:]]
+            except ValueError:
+                raise LayoutParseError(lineno, "POLY fields must be integers") from None
+            pid, coords = vals[0], vals[1:]
+            if len(coords) < 8 or len(coords) % 2:
+                raise LayoutParseError(lineno, "POLY needs at least 4 x,y pairs")
+            try:
+                poly = Polygon.from_vertices(list(zip(coords[::2], coords[1::2])))
+                rects = rectangles(poly)
+            except GeometryError as exc:
+                raise LayoutParseError(lineno, str(exc)) from None
+            if pid in polys:
+                raise LayoutParseError(lineno, f"duplicate polygon id {pid}")
+            polys[pid] = poly
+            pieces.append(rects)
+        elif kind == "MARKER":
+            if header is None:
+                raise LayoutParseError(lineno, "record before HEADER")
+            if len(tokens) != 6:
+                raise LayoutParseError(lineno, "MARKER needs: id xlo ylo xhi yhi")
+            try:
+                mid, xlo, ylo, xhi, yhi = (int(t) for t in tokens[1:])
+            except ValueError:
+                raise LayoutParseError(lineno, "MARKER fields must be integers") from None
+            try:
+                marker = Marker(xlo, ylo, xhi, yhi)
+            except GeometryError as exc:
+                raise LayoutParseError(lineno, str(exc)) from None
+            if mid in markers:
+                raise LayoutParseError(lineno, f"duplicate marker id {mid}")
+            markers[mid] = marker
+        else:
+            raise LayoutParseError(lineno, f"unknown record {kind!r}")
+    if header is None:
+        raise LayoutParseError(len(text.splitlines()) or 1, "missing HEADER record")
+    header_line, radius, ckind, threshold = header
+    if not (0 < radius <= MAX_RADIUS):
+        raise LayoutParseError(header_line, f"pattern radius {radius} outside (0, {MAX_RADIUS}]")
+    return ParsedLayout(radius, ckind, threshold, tuple(polys.values()), tuple(polys), tuple(pieces),
+                        tuple(markers.values()), tuple(markers))
 
 
 def cells_inside(vertices, bbox) -> np.ndarray:

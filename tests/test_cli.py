@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from pattern_forge import cli
+from pattern_forge import cli, geometry, layout_io
 from pattern_forge.cli import main
 from pattern_forge.graph import dump_edges
 from pattern_forge.layout_io import parse_layout, read_report
@@ -114,6 +114,25 @@ class TestCluster:
         assert fields[0] == "pattern_radius" and new.pattern_radius == doc.pattern_radius + 8
         assert all(getattr(new, name) == getattr(doc, name) for name in fields[1:])
         assert np.array_equal(new.rects, doc.rects) and np.array_equal(new.owner, doc.owner)
+
+    def test_overrides_reuse_the_vertex_table(self, layout_path, monkeypatch):
+        # a radius, constraint or threshold override hands the new document
+        # the parsed table, so no polygon is decomposed again
+        doc = parse_layout(layout_path)
+        calls = []
+        real = geometry.rectangles
+
+        def counting(poly):
+            calls.append(poly)
+            return real(poly)
+
+        for module in (geometry, layout_io):  # wherever the name is looked up
+            monkeypatch.setattr(module, "rectangles", counting)
+        args = argparse.Namespace(radius=doc.pattern_radius + 8, constraint="edgemove", threshold=4.0)
+        new = cli._apply_overrides(doc, args)
+        assert (new.pattern_radius, new.constraint_kind.value, new.threshold) == (doc.pattern_radius + 8, "edgemove", 4.0)
+        assert calls == []
+        assert new.rings is doc.rings and np.array_equal(new.rects, doc.rects)
 
     def test_threshold_override_applies(self, layout_path, tmp_path, capsys):
         # threshold 0 accepts every pair of these windows; with the

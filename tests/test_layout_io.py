@@ -1,10 +1,12 @@
 import ast
 import io
+import random
 import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pattern_forge import layout_io
 from pattern_forge.geometry import Marker
@@ -20,9 +22,10 @@ from pattern_forge.layout_io import (
     write_report,
 )
 from pattern_forge.synthetic import generate_synthetic
-from pattern_forge.geometry import extract_pattern
+from pattern_forge.geometry import Polygon, _trace_union, extract_pattern
 
-from conftest import rect
+from conftest import random_rect_union, rect
+from oracles import parse_layout_loop
 
 GOOD = """\
 # demo layout
@@ -105,6 +108,7 @@ class TestParse:
             ("HEADER RADIUS 0 CONSTRAINT COSINE THRESHOLD 0.5", 1, "radius"),
             ("# threshold on the header's own line\n\nHEADER RADIUS 8 CONSTRAINT EDGEMOVE THRESHOLD inf", 3, "finite"),
             ("# c\n\nHEADER RADIUS 0 CONSTRAINT COSINE THRESHOLD 0.5\n", 3, "pattern radius 0"),
+            ("HEADER RADIUS 8 CONSTRAINT COSINE THRESHOLD 0.5\nPOLY 1 0 0 9223372036854775808 0 9223372036854775808 5 0 5", 2, "int64"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, needle):
@@ -139,6 +143,154 @@ class TestParse:
         text = f"HEADER RADIUS 8 CONSTRAINT COSINE THRESHOLD 0.5\nPOLY 0 {ring}"
         with pytest.raises(LayoutParseError, match="line 2.*not simple"):
             parse_layout(text)
+
+
+def _ring_text(points) -> str:
+    return " ".join(f"{x} {y}" for x, y in points)
+
+
+HEADER = "HEADER RADIUS 8 CONSTRAINT COSINE THRESHOLD 0.5"
+# the slab sweep accepts this self-crossing ring only in the orientation its
+# shoelace sum gives, which the edge leaving its smallest vertex (East) calls
+# clockwise
+SWEPT_ONE_WAY = [(5, 1), (0, 1), (0, 0), (1, 0), (1, 4), (4, 4), (4, 2), (1, 2), (1, 3), (2, 3), (2, 2), (5, 2)]
+SELF_TOUCHING = [(3, 0), (0, 0), (0, 2), (4, 2), (4, 0), (1, 0), (1, 1), (3, 1)]
+AREA_MISMATCH = [(4, 4), (1, 4), (1, 1), (0, 1), (0, 2), (4, 2)]
+
+
+@st.composite
+def _rings(draw):
+    """A ring in any orientation and from any start vertex: the boundary of
+    a union of rectangles, any ring whose edges alternate between
+    horizontal and vertical (simple or not), or one of the fixed rings
+    above, then maybe given a repeated vertex, a diagonal edge or a vertex
+    in the middle of an edge (two parallel edges in a row)."""
+    source = draw(st.sampled_from(["union", "union", "alternating", "alternating", "fixed"]))
+    if source == "union":
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        points = list(_trace_union(random_rect_union(rng, n_rects=draw(st.integers(1, 3))))[0])
+    elif source == "fixed":
+        points = list(draw(st.sampled_from([SWEPT_ONE_WAY, SELF_TOUCHING, AREA_MISMATCH])))
+    else:
+        k = draw(st.integers(2, 5))
+        xs = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k, unique=True))
+        ys = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k, unique=True))
+        points = [p for i in range(k) for p in ((xs[i], ys[i]), (xs[(i + 1) % k], ys[i]))]
+    n = len(points)
+    fault = draw(st.sampled_from([None] * 6 + ["repeat", "diagonal", "parallel"]))
+    i = draw(st.integers(0, n - 1))
+    if fault == "repeat":
+        points.insert(draw(st.integers(0, n)), points[i])
+    elif fault == "diagonal":
+        x, y = points[i]
+        points[i] = (x + 1, y) if draw(st.booleans()) else (x, y + 1)
+    elif fault == "parallel":
+        (x0, y0), (x1, y1) = points[i], points[(i + 1) % n]
+        points.insert(i + 1, ((x0 + x1) // 2, (y0 + y1) // 2))
+    if draw(st.booleans()):
+        points.reverse()
+    k = draw(st.integers(0, len(points) - 1))
+    dx, dy = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    return [(x + dx, y + dy) for x, y in points[k:] + points[:k]]
+
+
+@st.composite
+def _layouts(draw):
+    """Layout text of a few rings, maybe with a faulty record (a syntax
+    error, a duplicate polygon id or an inverted marker) on any line after
+    the header."""
+    lines = [HEADER] + [f"POLY {k} {_ring_text(ring)}" for k, ring in enumerate(draw(st.lists(_rings(), min_size=1, max_size=4)))]
+    record = draw(st.sampled_from([None, None, None, "POLY 9 0 0 4 0 4 4", "POLY 0 100 100 104 100 104 104 100 104", "MARKER 5 5 5 1 1"]))
+    if record is not None:
+        lines.insert(draw(st.integers(1, len(lines))), record)
+    return "\n".join(lines + ["MARKER 1 0 0 2 2"]) + "\n"
+
+
+def _layout(*rings, after=()) -> str:
+    return "\n".join([HEADER, *(f"POLY {k} {_ring_text(ring)}" for k, ring in enumerate(rings)), *after]) + "\n"
+
+
+class TestArrayParse:
+    @settings(max_examples=400)
+    @given(_layouts())
+    @example(_layout(SWEPT_ONE_WAY))
+    @example(_layout(SWEPT_ONE_WAY[::-1], [(0, 0), (4, 0), (4, 4), (0, 4)]))
+    @example(_layout([(0, 0), (4, 0), (4, 4), (0, 4)], SELF_TOUCHING))
+    @example(_layout(AREA_MISMATCH, after=["POLY 0 9 9 13 9 13 13 9 13"]))
+    @example(_layout([(0, 0), (4, 0), (4, 4), (0, 4)], [(0, 0), (4, 4), (4, 8), (0, 8)], after=["POLY x"]))
+    @example(_layout([(0, 0), (4, 0), (4, 4), (0, 4)], after=["POLY 0 0 0 4 0 4 4 3 3"]))  # the duplicate is diagonal
+    @example(_layout(*[[(0, 0), (4, 0), (4, 4), (0, 4)]] * 3, after=["POLY 1 0 0 4 0 4 4 0 4"]))
+    @example(_layout())
+    def test_matches_the_per_polygon_parse(self, text):
+        # valid input: the same normalised rings, bboxes and rectangle
+        # table; invalid input: the same error at the same line
+        try:
+            want = parse_layout_loop(text)
+        except LayoutParseError as exc:
+            with pytest.raises(LayoutParseError) as got:
+                parse_layout(text)
+            assert (got.value.line, str(got.value)) == (exc.line, str(exc))
+            return
+        doc = parse_layout(text)
+        assert doc.design_polygons == want.polygons
+        assert doc.rings.bboxes.tolist() == [list(p.bbox) for p in want.polygons]
+        assert (doc.polygon_ids, doc.markers, doc.marker_ids) == (want.polygon_ids, want.markers, want.marker_ids)
+        rows = [(rc, k) for k, rs in enumerate(want.pieces) for rc in rs]
+        rows.sort(key=lambda row: row[0][0])  # stable, by xlo
+        assert doc.rects.tolist() == [list(rc) for rc, _k in rows]
+        assert doc.owner.tolist() == [k for _rc, k in rows]
+        assert doc.widest == max((rc[2] - rc[0] for rc, _k in rows), default=0)
+
+    def test_int64_overflow_in_line_order(self):
+        big = [(0, 0), (2**63, 0), (2**63, 5), (0, 5)]
+        diagonal = [(0, 0), (4, 4), (4, 8), (0, 8)]
+        with pytest.raises(LayoutParseError, match="line 3: coordinate outside the int64 range"):
+            parse_layout(_layout([(0, 0), (4, 0), (4, 4), (0, 4)], big, after=["POLY 7 0 0"]))
+        with pytest.raises(LayoutParseError, match="line 2: diagonal edge"):
+            parse_layout(_layout(diagonal, big))
+        corner = [(2**63 - 8, -2**63), (2**63 - 1, -2**63), (2**63 - 1, 5 - 2**63), (2**63 - 8, 5 - 2**63)]
+        assert parse_layout(_layout(corner[::-1])).rings.vertices.tolist() == [list(v) for v in corner]
+
+    def test_rectangles_build_no_polygon(self, monkeypatch):
+        rng = random.Random(5)
+        rings = []
+        for _ in range(40):
+            x, y = rng.randrange(-1000, 1000), rng.randrange(-1000, 1000)
+            ring = [(x, y), (x + rng.randrange(1, 50), y), (x + 60, y + 70), (x, y + 70)]
+            ring[2] = (ring[1][0], ring[2][1])
+            ring = ring[::-1] if rng.random() < 0.5 else ring
+            k = rng.randrange(4)
+            rings.append(ring[k:] + ring[:k])
+        calls = []
+        init = Polygon.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polygon, "__init__", counting)
+        doc = parse_layout(_layout(*rings))
+        assert calls == [] and len(doc.polygon_ids) == 40
+        assert doc.rects.tolist() == sorted(doc.rings.bboxes.tolist(), key=lambda row: row[0])
+        parse_layout(GOOD)  # a square and an L: one Polygon, for the L's slab sweep
+        assert len(calls) == 1
+
+
+class TestDocumentEquality:
+    def test_equality_reads_the_vertex_table(self):
+        doc = _doc()
+        assert (doc == parse_layout(GOOD)) is True
+        grown = LayoutDocument(doc.pattern_radius, doc.constraint_kind, doc.threshold,
+                               (rect(0, 0, 40, 41), doc.design_polygons[1]), doc.polygon_ids,
+                               doc.markers, doc.marker_ids)
+        assert (doc == grown) is False
+        assert (doc.rings == grown.rings) is False
+        assert doc != "a layout" and doc.rings != doc.rings.vertices.tolist()
+
+    @pytest.mark.parametrize("kind", list(ConstraintKind))
+    def test_generated_round_trip(self, kind):
+        doc = generate_synthetic(3, 2, 4, seed=7, constraint=kind)
+        assert parse_layout(write_layout(doc)) == doc
 
 
 class TestWrite:

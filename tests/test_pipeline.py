@@ -673,7 +673,10 @@ class TestPatternValuesOnce:
 
     def test_one_build_per_pattern(self, jittered_docs, monkeypatch):
         # each value derived from a pattern's shapes is computed once per
-        # pattern, however many pairs, refinements and probes read it
+        # pattern, however many pairs, refinements and probes read it; the
+        # jittered windows keep every polygon whole, so their edge arrays
+        # come from the layout's vertex table, and the picked layout's
+        # windows cut polygons, whose pieces build `edges`
         builds = []  # (value, id of the pattern)
         alive = []  # the patterns, so that no id is reused
 
@@ -687,8 +690,8 @@ class TestPatternValuesOnce:
                 return real(pattern)
 
             monkeypatch.setattr(prop, "func", counting)
-        for kind in (COS, EDGE):
-            _clusters, _report, stats = run_full(jittered_docs[kind])
+        for doc in (jittered_docs[COS], jittered_docs[EDGE], PICKED[0]):
+            _clusters, _report, stats = run_full(doc)
             assert sum(it.probe_joined + it.accepted_members for it in stats.iterations) > 0
         monkeypatch.undo()
         assert {name for name, _p in builds} == set(self.DERIVED)
