@@ -117,7 +117,7 @@ def _centroid_pairs(a: Pattern, b: Pattern) -> tuple[np.ndarray, np.ndarray]:
     """Fallback pairing: each shape of the pattern with fewer shapes (a on
     a tie), in order, with the shape of the other whose bbox center is
     nearest (the first on a tie); the pairs as index arrays into a and b."""
-    flip = len(a.shapes) > len(b.shapes)
+    flip = len(a.rings) > len(b.rings)
     small, big = (b, a) if flip else (a, b)
     sc = small.bboxes[:, :2] + small.bboxes[:, 2:]  # doubled centers stay integral
     bc = big.bboxes[:, :2] + big.bboxes[:, 2:]
@@ -138,7 +138,7 @@ def xy_minmax_align(a: Pattern, b: Pattern) -> Translation:
     when no overlap correspondence exists at zero shift; raises
     NoCorrespondenceError when either pattern is empty.
     """
-    if not a.shapes or not b.shapes:
+    if not a.rings or not b.rings:
         raise NoCorrespondenceError("cannot align an empty pattern geometrically")
     try:
         ia, ib = match_polygons(a, b)
@@ -205,9 +205,9 @@ def edge_fit_aligned(a: Pattern, b: Pattern) -> tuple[Translation, int, int] | N
     topology; None when any of that fails. Two empty patterns fit perfectly.
     The minmax midpoint gives the optimal shift and its residual.
     """
-    if len(a.shapes) != len(b.shapes):
+    if len(a.rings) != len(b.rings):
         return None
-    if not a.shapes:
+    if not a.rings:
         return _hull_fit([])
     try:
         disp = edge_displacements(a, b, match_polygons(a, b))
@@ -267,7 +267,7 @@ def iter_edge_fits(patterns, pairs):
         return
     key_ids: dict = {}
     kid = np.asarray([key_ids.setdefault(p.layout_key, len(key_ids)) for p in patterns])
-    counts = np.asarray([len(p.shapes) for p in patterns])
+    counts = np.asarray([len(p.rings) for p in patterns])
     ki, kj = kid[pairs[:, 0]], kid[pairs[:, 1]]
     fallback = [np.flatnonzero((ki != kj) & (counts[pairs[:, 0]] == counts[pairs[:, 1]]))]
     same = np.flatnonzero(ki == kj)

@@ -1,13 +1,23 @@
-"""Manhattan geometry: polygons, markers, window clipping, polygon pairing.
+"""Manhattan geometry: polygons, vertex tables, markers, windows, polygon
+pairing.
 
 All coordinates are integer nanometers. Polygons are simple rectilinear
 rings stored counter-clockwise, starting at the lexicographically smallest
 vertex, without a repeated closing vertex.
+
+A layout's design polygons and a window's content are the same kind of
+object, a `VertexTable`: every ring's vertices in one (V, 2) int64 array
+with ring offsets, each ring's bbox, and the rings' decomposition
+rectangles. `LayoutDocument.rings` is the layout's table; `Pattern.rings`
+is a window's, in window-local coordinates, and the pattern's edge arrays
+are read from it in array passes. A `Polygon` is one ring as a tuple of
+vertices: what validation (`Polygon.from_vertices`), the slab sweep
+(`rectangles`), clipping, the union trace and tests work with.
 """
 
 import enum
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
 
@@ -66,6 +76,7 @@ class Translation:
 
 
 ZERO_SHIFT = Translation(0, 0)
+_EDGE_AXES = (Axis.Y, Axis.X)  # the axes of a ring's edges at even and at odd positions
 
 
 def _signed_area2(verts) -> int:
@@ -131,21 +142,6 @@ class Polygon:
             pts.reverse()
         k = pts.index(min(pts))
         return Polygon(tuple(pts[k:] + pts[:k]))
-
-    def edges(self):
-        n = len(self.vertices)
-        for i in range(n):
-            yield self.vertices[i], self.vertices[(i + 1) % n]
-
-    def direction_sequence(self) -> str:
-        """One letter per edge: E/W for horizontal, N/S for vertical."""
-        out = []
-        for (x0, y0), (x1, y1) in self.edges():
-            if y0 == y1:
-                out.append("E" if x1 > x0 else "W")
-            else:
-                out.append("N" if y1 > y0 else "S")
-        return "".join(out)
 
     @property
     def area(self) -> int:
@@ -281,6 +277,87 @@ def clip_polygon(poly: Polygon, window: Rect) -> list[Polygon]:
     return [Polygon.from_vertices(ring) for ring in _trace_union(clipped)]
 
 
+def _bboxes(vertices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each ring's (xlo, ylo, xhi, yhi), ring k being `vertices[offsets[k]:offsets[k + 1]]`."""
+    if len(offsets) == 1:
+        return np.empty((0, 4), dtype=np.int64)
+    return np.hstack((np.minimum.reduceat(vertices, offsets[:-1]), np.maximum.reduceat(vertices, offsets[:-1])))
+
+
+def _next_vertex(offsets: np.ndarray) -> np.ndarray:
+    """Per vertex of the rings at `offsets`, the index of the next vertex
+    of its ring: each ring's last vertex closes it."""
+    nxt = np.arange(1, offsets[-1] + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    return nxt
+
+
+@dataclass(frozen=True, eq=False)
+class VertexTable:
+    """Normalised rectilinear rings in one table: a layout's design
+    polygons, or the shapes of one window.
+
+    Ring k is `vertices[offsets[k]:offsets[k + 1]]`, (x, y) int64 rows,
+    normalised as `Polygon.from_vertices` leaves a ring: counter-clockwise
+    and starting at its lexicographically smallest vertex. Its edges
+    alternate between horizontal and vertical, so it has an even number of
+    vertices and every ring starts at an even row. A simple ring starts
+    with an edge running East (East from that vertex means
+    counter-clockwise). `bboxes[k]` is its (xlo, ylo, xhi, yhi). Row j of
+    `rects` is a `rectangles()` row of ring `owner[j]`, ring after ring,
+    each ring's rows in `rectangles()` order. Two tables are equal when
+    their rings are: the other arrays follow from them.
+    """
+
+    vertices: np.ndarray
+    offsets: np.ndarray
+    bboxes: np.ndarray = field(repr=False)
+    rects: np.ndarray = field(repr=False)
+    owner: np.ndarray = field(repr=False)
+
+    @classmethod
+    def build(cls, vertices: np.ndarray, offsets: np.ndarray, bboxes: np.ndarray, pieces: dict) -> "VertexTable":
+        """The table of the normalised rings `vertices` and `offsets` with
+        their `bboxes` (`_bboxes`), given `rectangles()` of every ring of
+        more than 4 vertices (`pieces`, by ring index, in ring order). A
+        4-vertex ring is a rectangle: its one row is its bbox."""
+        counts = np.ones(len(bboxes), dtype=np.int64)
+        counts[list(pieces)] = [len(rs) for rs in pieces.values()]
+        owner = np.repeat(np.arange(len(bboxes)), counts)
+        rows = bboxes[owner]
+        if pieces:
+            swept = np.zeros(len(bboxes), dtype=bool)
+            swept[list(pieces)] = True
+            rows[swept[owner]] = [rc for rs in pieces.values() for rc in rs]
+        return cls(vertices, offsets, bboxes, rows, owner)
+
+    @classmethod
+    def of_polygons(cls, polygons) -> "VertexTable":
+        """The rings of `polygons`, already normalised (`Polygon.from_vertices`
+        results or translations of them), concatenated in order."""
+        rings = [p.vertices for p in polygons]
+        offsets = np.zeros(len(rings) + 1, dtype=np.int64)
+        np.cumsum([len(ring) for ring in rings], out=offsets[1:])
+        vertices = np.array([v for ring in rings for v in ring], dtype=np.int64).reshape(-1, 2)
+        pieces = {k: rectangles(p) for k, p in enumerate(polygons) if len(p.vertices) != 4}
+        return cls.build(vertices, offsets, _bboxes(vertices, offsets), pieces)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, VertexTable):
+            return NotImplemented
+        return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.vertices, other.vertices)
+
+    def polygons(self) -> tuple[Polygon, ...]:
+        """Every ring as a `Polygon`, in order."""
+        points = list(map(tuple, self.vertices.tolist()))
+        bounds = self.offsets.tolist()
+        return tuple(Polygon(tuple(points[lo:hi]), tuple(box))
+                     for lo, hi, box in zip(bounds, bounds[1:], self.bboxes.tolist()))
+
+
 @dataclass(frozen=True)
 class Marker:
     """Axis-aligned rectangle of legal pattern centers. May be a point."""
@@ -313,88 +390,82 @@ class Marker:
 class Pattern:
     """Window content at a candidate center.
 
-    Shapes are stored in window-local coordinates (center at the origin), so
-    the `shapes` of two windows with identical content compare equal
-    wherever the windows sit on the design (the patterns themselves differ
-    in `center`). Every vertex lies in [-radius, radius]^2.
+    `rings` is the window's vertex table (`VertexTable`) in window-local
+    coordinates (center at the origin), so two windows with identical
+    content have equal `rings` wherever they sit on the design (the
+    patterns themselves differ in `center`). Every vertex lies in
+    [-radius, radius]^2. `rings` may also be given as a sequence of already
+    normalised polygons, the way the generator and tests hold them
+    (`VertexTable.of_polygons`); `shapes` gives the rings back as `Polygon`
+    objects, built on each read.
 
-    What the kernels read of the shapes is an attribute, built at most once
-    per pattern and not part of equality or repr. Row k of `rects` is a
-    decomposition rectangle of shape `owner[k]`, each shape's rows in the
-    order `rectangles()` gives them; `pieces`, when given, holds those rows
-    per shape (`extract_pattern` passes its window query's rows), else every
-    shape is decomposed. The edge table and the arrays read from it are
-    built on first read, since cosine runs never compare edges; so are
-    `bboxes`, `area` and `features`.
+    What the kernels read is an attribute, built at most once per pattern
+    and not part of equality or repr. `rects`, `owner` and `bboxes` are the
+    table's. The edge arrays are built on first read, since cosine runs
+    never compare edges; so are `rect_counts`, `area` and `features`.
 
-    `rings`, when given, is (table, spans): every shape is a ring of the
-    layout's vertex table `table` (a `layout_io.VertexTable`), shape k
-    being rows spans[k] = (lo, hi) shifted by -center. `layout_key`,
-    `coords` and `x_axis` are then read from the table's edge arrays
-    instead of from `edges`.
+    The edge arrays rest on the table's ring invariant: a ring alternates
+    between horizontal and vertical edges, so it has an even number of
+    vertices and starts at an even row. Position k of `coords` and `x_axis`
+    belongs to vertex k: y of an even vertex, x of an odd one. A ring that
+    starts East, as every simple ring does, lists there the edge leaving
+    vertex k. A self-crossing ring that `rectangles()` accepts may be stored
+    starting North; its positions then hold its edges rotated by one, still
+    each edge's coordinate once, on its own axis, and in the same order for
+    every ring with its direction sequence, so corresponding edges still
+    meet at equal positions.
     """
 
     center: Vertex
     radius: int
-    shapes: tuple[Polygon, ...]
-    pieces: InitVar[list | None] = None
-    rings: InitVar[tuple | None] = None
+    rings: VertexTable
 
-    def __post_init__(self, pieces, rings):
-        if pieces is None:
-            pieces = [rectangles(p) for p in self.shapes]
-        self.rect_counts = tuple(len(rs) for rs in pieces)
-        self.rects = np.asarray([r for rs in pieces for r in rs], dtype=np.int64).reshape(-1, 4)
-        self.owner = np.repeat(np.arange(len(self.shapes)), self.rect_counts)
-        self._rings = rings
+    def __post_init__(self):
+        if not isinstance(self.rings, VertexTable):
+            self.rings = VertexTable.of_polygons(self.rings)
+        self.rects, self.owner, self.bboxes = self.rings.rects, self.rings.owner, self.rings.bboxes
 
-    @cached_property
-    def edges(self) -> tuple[tuple[str, tuple[Axis, ...], tuple[int, ...]], ...]:
-        """Per shape: its direction_sequence(), then for each edge (the edge
-        leaving vertex e) the axis it moves along and its coordinate on that
-        axis: x of a vertical edge, y of a horizontal one."""
-        table = []
-        for p in self.shapes:
-            d = p.direction_sequence()
-            axes = tuple(Axis.X if c in "NS" else Axis.Y for c in d)
-            coords = tuple(x if c in "NS" else y for (x, y), c in zip(p.vertices, d))
-            table.append((d, axes, coords))
-        return tuple(table)
+    @property
+    def shapes(self) -> tuple[Polygon, ...]:
+        """The rings as `Polygon` objects, in order, built on each read: for
+        callers that want objects, such as tests."""
+        return self.rings.polygons()
 
     @cached_property
-    def layout_key(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
-        """Each shape's direction_sequence() and its number of decomposition
-        rectangles. Two patterns with equal keys have equal-shaped `rects`,
-        `owner`, `coords` and `x_axis`, so their pairs can be stacked."""
-        if self._rings is not None:
-            table, spans = self._rings
-            return tuple(table.edge_table[0][lo:hi] for lo, hi in spans), self.rect_counts
-        return tuple(d for d, _axes, _coords in self.edges), self.rect_counts
+    def rect_counts(self) -> tuple[int, ...]:
+        """Each shape's number of decomposition rectangles."""
+        return tuple(np.bincount(self.owner, minlength=len(self.rings)).tolist())
+
+    @cached_property
+    def layout_key(self) -> tuple[bytes, bytes, tuple[int, ...]]:
+        """Every edge's direction, the ring offsets and each shape's number of
+        decomposition rectangles: two patterns' keys are equal exactly when
+        their shapes' direction sequences (E, W, N or S per edge) and
+        rectangle counts are. Two patterns with equal keys have equal-shaped
+        `rects`, `owner`, `coords` and `x_axis`, so their pairs can be
+        stacked.
+
+        An edge's direction is two bytes, whether it runs toward +x and
+        whether toward +y; bytes 2 * lo to 2 * hi are those of the ring in
+        rows lo to hi. They name an alternating ring's direction sequence:
+        the ring has an East edge, whose position tells which positions are
+        horizontal, and an edge running toward neither is then West or
+        South."""
+        v, offsets = self.rings.vertices, self.rings.offsets
+        return (v[_next_vertex(offsets)] > v).tobytes(), offsets.tobytes(), self.rect_counts
 
     @cached_property
     def coords(self) -> np.ndarray:
-        """Every edge's coordinate as `edges` gives it, shape after shape, as int64."""
-        if self._rings is not None:
-            table, rows = self._rings[0], self._edge_rows
-            return table.edge_table[2][rows] - np.where(self.x_axis, *self.center)
-        return np.asarray([c for _d, _axes, cs in self.edges for c in cs], dtype=np.int64)
+        """Every edge's coordinate across its run, x of a vertical edge and
+        y of a horizontal one, ring after ring, as int64: y of each even
+        vertex and x of each odd one (see the class docstring)."""
+        return self.rings.vertices.reshape(-1, 4)[:, 1:3].ravel()
 
     @cached_property
     def x_axis(self) -> np.ndarray:
-        """True where the edge at that position of `coords` moves along X."""
-        if self._rings is not None:
-            return self._rings[0].edge_table[1][self._edge_rows]
-        return np.asarray([a is Axis.X for _d, axes, _cs in self.edges for a in axes], dtype=bool)
-
-    @cached_property
-    def _edge_rows(self) -> np.ndarray:
-        """The rows of the vertex table whose edges are this pattern's, in order."""
-        return np.asarray([e for lo, hi in self._rings[1] for e in range(lo, hi)], dtype=np.int64)
-
-    @cached_property
-    def bboxes(self) -> np.ndarray:
-        """The shapes' bboxes as (xlo, ylo, xhi, yhi) int64 rows."""
-        return np.asarray([p.bbox for p in self.shapes], dtype=np.int64).reshape(-1, 4)
+        """True where the edge at that position of `coords` moves along X:
+        at every odd position."""
+        return np.arange(len(self.rings.vertices)) % 2 == 1
 
     @cached_property
     def area(self) -> int:
@@ -415,11 +486,11 @@ class Pattern:
 
     @property
     def is_empty(self) -> bool:
-        return not self.shapes
+        return not self.rings
 
     def bounds(self) -> Rect | None:
         """Union bounding box of the shapes, or None for an empty pattern."""
-        if not self.shapes:
+        if not self.rings:
             return None
         bb = self.bboxes
         return (int(bb[:, 0].min()), int(bb[:, 1].min()), int(bb[:, 2].max()), int(bb[:, 3].max()))
@@ -427,23 +498,26 @@ class Pattern:
 
 def extract_pattern(doc, center: Vertex) -> Pattern:
     """The design polygons clipped to the square window at `center`, in
-    polygon order and window-local coordinates, built from the query that
-    `raster.window_features` reads (`doc.window_rectangles`). A polygon
-    whose bbox (from the document's vertex table, `doc.rings.bboxes`) lies
-    inside the window is kept whole: its ring is sliced from the table's
-    vertices and shifted by the center. One that crosses the window's edge
-    becomes the union of its clipped rows, one shape per piece, which is
-    what `clip_polygon` traces.
+    polygon order and window-local coordinates, as the window's vertex
+    table, built from the query that `raster.window_features` reads
+    (`doc.window_rectangles`).
 
-    The pattern's `rects` come from the same query: a polygon kept whole
-    lies inside the window, so its rows are its design rectangles shifted,
-    unclipped and, since the layout's table (`doc.rects`) is sorted stably
-    by xlo and `rectangles()` emits nondecreasing xlo, in `rectangles()`
-    order, which is `rectangles()` of the shifted shape. Only a traced piece
-    is decomposed again. When every shape is a polygon kept whole, the
-    pattern is also given their rows of the vertex table (`rings`), so its
-    `layout_key`, `coords` and `x_axis` are sliced from the table's edge
-    arrays rather than built from `edges`.
+    A polygon whose bbox (`doc.rings.bboxes`) lies inside the window is
+    kept whole: its ring is its rows of the layout's table shifted by the
+    center, and the rows of every kept ring are gathered in one pass. One
+    that crosses the window's edge becomes the union of its clipped rows,
+    one shape per piece, which is what `clip_polygon` traces; the pieces'
+    vertices take their polygon's place among the rows. Both keep the
+    table's ring invariant (`VertexTable`): a kept ring is a layout ring,
+    and `Polygon.from_vertices` normalises each piece.
+
+    The window's `rects` come from the same query: a polygon kept whole lies
+    inside the window, so its rows are its design rectangles shifted,
+    unclipped and, since the document's query table (`doc.rects`) is sorted
+    stably by xlo and `rectangles()` emits nondecreasing xlo, in
+    `rectangles()` order, which is `rectangles()` of the shifted ring. Only
+    a traced piece is decomposed again. A window whose polygons are all
+    kept whole builds no `Polygon` and no Python object per vertex.
     """
     cx, cy = center
     r = doc.pattern_radius
@@ -452,23 +526,45 @@ def extract_pattern(doc, center: Vertex) -> Pattern:
     for idx, row in zip(owners.tolist(), rows.tolist()):
         by_poly.setdefault(idx, []).append(row)
     table = doc.rings
+    end = len(table.vertices)
     idxs = sorted(by_poly)
-    # np.take reads a few rows for a list of indices faster than indexing does
-    boxes = np.take(table.bboxes, idxs, axis=0).tolist()
-    bounds = np.take(table.offsets, idxs + [k + 1 for k in idxs]).tolist()
-    shapes, pieces, spans = [], [], []
+    # take reads a few rows for a list of indices faster than indexing does
+    boxes = table.bboxes.take(idxs, axis=0).tolist()
+    bounds = table.offsets.take(idxs + [k + 1 for k in idxs]).tolist()
+    # per shape: where its rows end, its vertex count, what to add to its
+    # rows to reach its source rows (the layout's, or from `end` on the
+    # traced vertices), its bbox and its number of rectangles; then every
+    # rectangle, shape after shape
+    offsets, sizes, shifts, bboxes, counts, rects = [0], [], [], [], [], []
+    traced: list[Vertex] = []  # the traced pieces' vertices: source rows end, end + 1, ...
     for idx, (bx0, by0, bx1, by1), lo, hi in zip(idxs, boxes, bounds[:len(idxs)], bounds[len(idxs):]):
         if cx - r <= bx0 and cy - r <= by0 and bx1 <= cx + r and by1 <= cy + r:
-            ring = tuple([(x - cx, y - cy) for x, y in table.vertices[lo:hi].tolist()])
-            shapes.append(Polygon(ring, (bx0 - cx, by0 - cy, bx1 - cx, by1 - cy)))
-            pieces.append(by_poly[idx])
-            spans.append((lo, hi))
+            shifts.append(lo - offsets[-1])
+            sizes.append(hi - lo)
+            offsets.append(offsets[-1] + hi - lo)
+            bboxes.append((bx0 - cx, by0 - cy, bx1 - cx, by1 - cy))
+            counts.append(len(by_poly[idx]))
+            rects += by_poly[idx]
         else:
-            traced = [Polygon.from_vertices(ring) for ring in _trace_union(by_poly[idx])]
-            shapes.extend(traced)
-            pieces.extend(rectangles(p) for p in traced)
-    rings = (table, spans) if len(spans) == len(shapes) else None
-    return Pattern((cx, cy), r, tuple(shapes), pieces, rings)
+            for ring in _trace_union(by_poly[idx]):
+                piece = Polygon.from_vertices(ring)
+                pieces = rectangles(piece)
+                shifts.append(end + len(traced) - offsets[-1])
+                sizes.append(len(piece.vertices))
+                offsets.append(offsets[-1] + len(piece.vertices))
+                bboxes.append(piece.bbox)
+                counts.append(len(pieces))
+                rects += pieces
+                traced += piece.vertices
+    index = np.array(shifts, dtype=np.int64).repeat(sizes) + np.arange(offsets[-1])
+    # a traced piece's source rows lie past the layout's last row: mode="clip"
+    # reads that row for them, and the piece's own vertices then replace it
+    vertices = table.vertices.take(index, axis=0, mode="clip") - (cx, cy)
+    if traced:
+        vertices[index >= end] = traced
+    window = VertexTable(vertices, np.array(offsets), np.asarray(bboxes, dtype=np.int64).reshape(-1, 4),
+                         np.asarray(rects, dtype=np.int64).reshape(-1, 4), np.arange(len(sizes)).repeat(counts))
+    return Pattern((cx, cy), r, window)
 
 
 def _rect_overlaps(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
@@ -485,7 +581,7 @@ def _rect_overlaps(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
 def _overlap_matrix(a: Pattern, b: Pattern, shift: Translation) -> np.ndarray:
     """out[i, j]: shape i of a and shape j of b (displaced by `shift`) share
     positive area, i.e. some pair of their rectangles overlaps strictly."""
-    out = np.zeros((len(a.shapes), len(b.shapes)), dtype=bool)
+    out = np.zeros((len(a.rings), len(b.rings)), dtype=bool)
     rb = b.rects + np.asarray([shift.dx, shift.dy, shift.dx, shift.dy], dtype=np.int64)
     ia, ib = np.nonzero(_rect_overlaps(a.rects, rb))
     out[a.owner[ia], b.owner[ib]] = True
@@ -531,7 +627,7 @@ def match_polygons(a: Pattern, b: Pattern, shift: Translation = ZERO_SHIFT) -> t
     of b, in order of the smaller side's shapes. Raises NoOverlapError or
     MultipleOverlapError naming the first violating polygon.
     """
-    na, nb = len(a.shapes), len(b.shapes)
+    na, nb = len(a.rings), len(b.rings)
     m = _overlap_matrix(a, b, shift)
     # once the smaller side's rows (or columns) hold exactly one True each,
     # their True cells, in row (or column) order, are the pairs
@@ -552,18 +648,21 @@ def edge_displacements(a: Pattern, b: Pattern, corr: tuple[np.ndarray, np.ndarra
 
     Rings are already normalized (counter-clockwise, lexicographically
     smallest vertex first), so edges correspond by position once the vertex
-    counts and orientation sequences agree. Vertical edges contribute X
-    offsets, horizontal edges Y offsets. Raises TopologyMismatchError when a
-    pair cannot be compared edge-by-edge.
+    counts and orientation sequences agree: each pair's stretch of
+    `coords` and of the directions in `layout_key`. Vertical edges
+    contribute X offsets, horizontal edges Y offsets. Raises
+    TopologyMismatchError when a pair cannot be compared edge-by-edge.
     """
     out: list[tuple[Axis, int]] = []
     ia, ib = corr
+    da, db = a.layout_key[0], b.layout_key[0]
+    ca, cb = a.coords.tolist(), b.coords.tolist()
+    sa, sb = a.rings.offsets.tolist(), b.rings.offsets.tolist()
     for i, j in zip(ia.tolist(), ib.tolist()):
-        da, axes, ca = a.edges[i]
-        db, _axes, cb = b.edges[j]
-        if len(da) != len(db):
-            raise TopologyMismatchError(f"pair ({i}, {j}): vertex counts {len(da)} vs {len(db)}")
-        if da != db:
+        lo, hi, blo, bhi = sa[i], sa[i + 1], sb[j], sb[j + 1]
+        if hi - lo != bhi - blo:
+            raise TopologyMismatchError(f"pair ({i}, {j}): vertex counts {hi - lo} vs {bhi - blo}")
+        if da[2 * lo:2 * hi] != db[2 * blo:2 * bhi]:
             raise TopologyMismatchError(f"pair ({i}, {j}): edge orientation sequences differ")
-        out.extend(zip(axes, map(operator.sub, cb, ca)))
+        out.extend(zip(_EDGE_AXES * ((hi - lo) // 2), map(operator.sub, cb[blo:bhi], ca[lo:hi])))
     return out

@@ -6,7 +6,8 @@ Layout text format, one record per line, '#' starts a comment:
     POLY <id> <x1> <y1> <x2> <y2> ...
     MARKER <id> <xlo> <ylo> <xhi> <yhi>
 
-A document keeps its design polygons as one vertex table (`VertexTable`):
+A document keeps its design polygons as one vertex table
+(`geometry.VertexTable`, the kind of table a window's `Pattern` holds too):
 every ring's vertices in one (V, 2) int64 array, ring k in rows
 offsets[k]:offsets[k + 1] of it (compressed sparse rows). `parse_layout`
 reads every POLY line into that table and checks and normalises all rings
@@ -17,7 +18,9 @@ counter-clockwise), so no coordinate can overflow the test. A `Polygon` is
 built only for a ring of more than 4 vertices (for the slab sweep that
 decomposes it), for a ring that a check flags (to raise the error the
 per-polygon path raises) and, on demand, for callers that want objects
-(`LayoutDocument.design_polygons`, the generator, tests).
+(`LayoutDocument.design_polygons`, the generator, tests). The document
+sorts the table's rectangles by xlo for its window query
+(`LayoutDocument.window_rectangles`).
 
 Report CSV: ``marker_id,cluster_id,center_x,center_y,rep_marker_id`` rows
 followed by a ``# clusters=<n> iterations=<m> compression=<r>`` summary line.
@@ -29,15 +32,15 @@ import enum
 import io
 import math
 import os
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .geometry import GeometryError, Marker, Polygon, rectangles
+from .geometry import GeometryError, Marker, Polygon, VertexTable, _bboxes, _next_vertex, rectangles
 
 MAX_RADIUS = 10**7  # keeps rasterization denominators exact in float64
+INT64 = range(-2**63, 2**63)  # the coordinates a layout may hold
 
 
 class ConstraintKind(enum.Enum):
@@ -60,99 +63,6 @@ def _check_threshold(kind: ConstraintKind, threshold: float) -> None:
         raise ValueError(f"cosine threshold {threshold} outside [0, 1]")
 
 
-def _bboxes(vertices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each ring's (xlo, ylo, xhi, yhi), ring k being `vertices[offsets[k]:offsets[k + 1]]`."""
-    if len(offsets) == 1:
-        return np.empty((0, 4), dtype=np.int64)
-    return np.hstack((np.minimum.reduceat(vertices, offsets[:-1]), np.maximum.reduceat(vertices, offsets[:-1])))
-
-
-def _next_vertex(offsets: np.ndarray) -> np.ndarray:
-    """Per vertex of the rings at `offsets`, the index of the next vertex
-    of its ring: each ring's last vertex closes it."""
-    nxt = np.arange(1, offsets[-1] + 1)
-    nxt[offsets[1:] - 1] = offsets[:-1]
-    return nxt
-
-
-@dataclass(frozen=True, eq=False)
-class VertexTable:
-    """Normalised rectilinear rings in one table.
-
-    Ring k is `vertices[offsets[k]:offsets[k + 1]]`, (x, y) int64 rows,
-    normalised as `Polygon.from_vertices` leaves a ring: counter-clockwise
-    and starting at its lexicographically smallest vertex. `bboxes[k]` is
-    its (xlo, ylo, xhi, yhi). Row j of `rects` is a `rectangles()` row of
-    ring `owner[j]`, the rows sorted stably by xlo, and `widest` is the
-    width of the widest row. Two tables are equal when their rings are: the
-    other arrays follow from them.
-    """
-
-    vertices: np.ndarray
-    offsets: np.ndarray
-    bboxes: np.ndarray = field(repr=False)
-    rects: np.ndarray = field(repr=False)
-    owner: np.ndarray = field(repr=False)
-    widest: int = field(repr=False)
-
-    @classmethod
-    def build(cls, vertices: np.ndarray, offsets: np.ndarray, bboxes: np.ndarray, pieces: dict) -> "VertexTable":
-        """The table of the normalised rings `vertices` and `offsets` with
-        their `bboxes` (`_bboxes`), given `rectangles()` of every ring of
-        more than 4 vertices (`pieces`, by ring index, in ring order). A
-        4-vertex ring is a rectangle: its one row is its bbox."""
-        counts = np.ones(len(bboxes), dtype=np.int64)
-        counts[list(pieces)] = [len(rs) for rs in pieces.values()]
-        owner = np.repeat(np.arange(len(bboxes)), counts)
-        rows = bboxes[owner]
-        if pieces:
-            swept = np.zeros(len(bboxes), dtype=bool)
-            swept[list(pieces)] = True
-            rows[swept[owner]] = [rc for rs in pieces.values() for rc in rs]
-        order = np.argsort(rows[:, 0], kind="stable")
-        return cls(vertices, offsets, bboxes, rows[order], owner[order],
-                   int((rows[:, 2] - rows[:, 0]).max(initial=0)))
-
-    @classmethod
-    def of_polygons(cls, polygons) -> "VertexTable":
-        """The rings of `polygons`, already normalised (`Polygon.from_vertices`
-        results or translations of them), concatenated in order."""
-        rings = [p.vertices for p in polygons]
-        offsets = np.zeros(len(rings) + 1, dtype=np.int64)
-        np.cumsum([len(ring) for ring in rings], out=offsets[1:])
-        vertices = np.array([v for ring in rings for v in ring], dtype=np.int64).reshape(-1, 2)
-        pieces = {k: rectangles(p) for k, p in enumerate(polygons) if len(p.vertices) != 4}
-        return cls.build(vertices, offsets, _bboxes(vertices, offsets), pieces)
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, VertexTable):
-            return NotImplemented
-        return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.vertices, other.vertices)
-
-    @cached_property
-    def edge_table(self) -> tuple[str, np.ndarray, np.ndarray]:
-        """For the edge leaving each vertex: its direction letter (E, W, N
-        or S, one str for the whole table), whether it is vertical, and its
-        coordinate across its run (x of a vertical edge, y of a horizontal
-        one), as `Pattern.edges` reads them off a ring. Built on first
-        read, since cosine runs never compare edges."""
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        nxt = _next_vertex(self.offsets)
-        vertical = x == x[nxt]
-        letters = np.where(vertical, np.where(y[nxt] > y, ord("N"), ord("S")), np.where(x[nxt] > x, ord("E"), ord("W")))
-        return letters.astype(np.uint8).tobytes().decode("ascii"), vertical, np.where(vertical, x, y)
-
-    def polygons(self) -> tuple[Polygon, ...]:
-        """Every ring as a `Polygon`, in order."""
-        points = list(map(tuple, self.vertices.tolist()))
-        bounds = self.offsets.tolist()
-        return tuple(Polygon(tuple(points[lo:hi]), tuple(box))
-                     for lo, hi, box in zip(bounds, bounds[1:], self.bboxes.tolist()))
-
-
 @dataclass
 class LayoutDocument:
     """A parsed (or generated) layout: the header, the design polygons as
@@ -166,10 +76,11 @@ class LayoutDocument:
     hands the new document the same table, so nothing is decomposed again.
     Equality compares the header, the ids, the markers and the rings.
 
-    `rects`, `owner` and `widest` are the table's rectangle table, which
-    `window_rectangles` queries: row k of `rects` is a `rectangles()` row
-    (xlo, ylo, xhi, yhi) of design polygon `owner[k]`, the rows sorted
-    stably by xlo, and `widest` is the width of the widest row.
+    `rects`, `owner` and `widest` are what `window_rectangles` queries: the
+    table's `rects` and `owner` rows sorted stably by xlo, so row k of
+    `rects` is a `rectangles()` row (xlo, ylo, xhi, yhi) of design polygon
+    `owner[k]`, and `widest`, the width of the widest row, exact as a
+    Python int however far apart its sides lie.
     """
 
     pattern_radius: int
@@ -190,7 +101,11 @@ class LayoutDocument:
         _check_threshold(self.constraint_kind, self.threshold)
         if not isinstance(self.rings, VertexTable):
             self.rings = VertexTable.of_polygons(self.rings)
-        self.rects, self.owner, self.widest = self.rings.rects, self.rings.owner, self.rings.widest
+        rects = self.rings.rects
+        order = np.argsort(rects[:, 0], kind="stable")
+        self.rects, self.owner = rects[order], self.rings.owner[order]
+        # a width below 2**64 does not wrap in uint64, where it may in int64
+        self.widest = int((rects[:, 2].view(np.uint64) - rects[:, 0].view(np.uint64)).max(initial=0))
 
     @property
     def design_polygons(self) -> tuple[Polygon, ...]:
@@ -206,11 +121,11 @@ class LayoutDocument:
         misses the window, touches it only along an edge, or overlaps it
         with its bbox alone has no rows. No row is wider than `widest`, so
         only rows with xlo in (cx - r - widest, cx + r) can reach the
-        window.
+        window; the lower bound is held within int64.
         """
         cx, cy = center
         r = self.pattern_radius
-        lo, hi = self.rects[:, 0].searchsorted((cx - r - self.widest, cx + r))
+        lo, hi = self.rects[:, 0].searchsorted((max(cx - r - self.widest, -2**63), cx + r))
         rows = self.rects[lo:hi]
         keep = (rows[:, 2] > cx - r) & (rows[:, 1] < cy + r) & (rows[:, 3] > cy - r)
         rows = rows[keep]
@@ -279,7 +194,7 @@ def _ring_table(flat: list, counts: list, lines: list) -> VertexTable:
         xy = np.array(flat, dtype=np.int64).reshape(-1, 2)
     except OverflowError:
         k = next(k for k in range(n_rings)
-                 if not all(-2**63 <= v < 2**63 for v in flat[2 * offsets[k]:2 * offsets[k + 1]]))
+                 if not all(v in INT64 for v in flat[2 * offsets[k]:2 * offsets[k + 1]]))
         _ring_table(flat[:2 * offsets[k]], counts[:k], lines[:k])  # a fault on an earlier line comes first
         raise LayoutParseError(lines[k], "coordinate outside the int64 range") from None
     size = np.asarray(counts, dtype=np.int64)
@@ -388,6 +303,8 @@ def parse_layout(source) -> LayoutDocument:
                     mid, xlo, ylo, xhi, yhi = (int(t) for t in tokens[1:])
                 except ValueError:
                     raise LayoutParseError(lineno, "MARKER fields must be integers") from None
+                if not all(v in INT64 for v in (xlo, ylo, xhi, yhi)):
+                    raise LayoutParseError(lineno, "coordinate outside the int64 range")
                 try:
                     marker = Marker(xlo, ylo, xhi, yhi)
                 except GeometryError as exc:

@@ -58,22 +58,21 @@ def signature(p: Pattern) -> TopoSignature:
     """Translation-invariant bucket key: shape count, vertex-count histogram,
     and area/bbox floored to QUANTUM."""
     hist = [0] * HIST_BINS
-    for shape in p.shapes:
-        bin_ = min((len(shape.vertices) - 4) // 2, HIST_BINS - 1)
-        hist[bin_] += 1
+    for size in np.diff(p.rings.offsets).tolist():
+        hist[min((size - 4) // 2, HIST_BINS - 1)] += 1
     b = p.bounds()
     if b is None:
         qbox = (0, 0)
     else:
         qbox = ((b[2] - b[0]) // QUANTUM, (b[3] - b[1]) // QUANTUM)
-    return TopoSignature(len(p.shapes), tuple(hist), p.area // QUANTUM, qbox)
+    return TopoSignature(len(p.rings), tuple(hist), p.area // QUANTUM, qbox)
 
 
 def compatible(a: Pattern, b: Pattern, kind: ConstraintKind) -> bool:
     """Stage-A test for one pair."""
     if kind is ConstraintKind.EDGEMOVE:
         return signature(a) == signature(b)
-    if len(a.shapes) != len(b.shapes):
+    if len(a.rings) != len(b.rings):
         return False
     area_a, area_b = a.area, b.area
     return abs(area_a - area_b) <= AREA_BAND_FRAC * max(area_a, area_b)
@@ -97,7 +96,7 @@ def _stage_a_edgemove(patterns) -> np.ndarray:
 
 
 def _stage_a_cosine(patterns) -> np.ndarray:
-    count = np.array([len(p.shapes) for p in patterns], dtype=np.int64)
+    count = np.array([len(p.rings) for p in patterns], dtype=np.int64)
     area = np.array([p.area for p in patterns], dtype=np.int64)
     order = np.lexsort((area, count))  # by shape count, then area, then index
     a = area[order]

@@ -311,6 +311,37 @@ def match_polygons_loop(a, b, shift) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def ring_edges(poly):
+    """A ring's edges as (vertex, next vertex) pairs, the last closing it."""
+    n = len(poly.vertices)
+    for i in range(n):
+        yield poly.vertices[i], poly.vertices[(i + 1) % n]
+
+
+def direction_sequence(poly) -> str:
+    """One letter per edge of a ring: E/W for horizontal, N/S for vertical."""
+    out = []
+    for (x0, y0), (x1, y1) in ring_edges(poly):
+        if y0 == y1:
+            out.append("E" if x1 > x0 else "W")
+        else:
+            out.append("N" if y1 > y0 else "S")
+    return "".join(out)
+
+
+def pattern_edges(pattern) -> tuple[tuple[str, tuple[Axis, ...], tuple[int, ...]], ...]:
+    """Per shape of a pattern: its direction_sequence(), then for each edge
+    (the edge leaving vertex e) the axis it moves along and its coordinate
+    on that axis: x of a vertical edge, y of a horizontal one."""
+    table = []
+    for p in pattern.shapes:
+        d = direction_sequence(p)
+        axes = tuple(Axis.X if c in "NS" else Axis.Y for c in d)
+        coords = tuple(x if c in "NS" else y for (x, y), c in zip(p.vertices, d))
+        table.append((d, axes, coords))
+    return tuple(table)
+
+
 def edge_displacements_loop(a, b, pairs) -> list:
     """`geometry.edge_displacements`, walking both rings edge by edge, over
     (i, j) pair tuples."""
@@ -321,9 +352,9 @@ def edge_displacements_loop(a, b, pairs) -> list:
             raise TopologyMismatchError(
                 f"pair ({i}, {j}): vertex counts {len(pa.vertices)} vs {len(pb.vertices)}"
             )
-        if pa.direction_sequence() != pb.direction_sequence():
+        if direction_sequence(pa) != direction_sequence(pb):
             raise TopologyMismatchError(f"pair ({i}, {j}): edge orientation sequences differ")
-        for (a0, a1), (b0, _b1) in zip(pa.edges(), pb.edges()):
+        for (a0, a1), (b0, _b1) in zip(ring_edges(pa), ring_edges(pb)):
             if a0[0] == a1[0]:  # vertical edge
                 out.append((Axis.X, b0[0] - a0[0]))
             else:

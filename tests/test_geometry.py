@@ -29,7 +29,9 @@ from conftest import rect, staircase, random_rect_union
 from oracles import (
     cells_inside,
     coverage_grid_loop,
+    direction_sequence,
     edge_displacements_loop,
+    pattern_edges,
     from_vertices_loop,
     hull_bbox,
     match_polygons_loop,
@@ -120,7 +122,7 @@ class TestPolygonValidation:
 
     def test_direction_sequence_alternates(self):
         p = staircase(3)
-        seq = p.direction_sequence()
+        seq = direction_sequence(p)
         assert len(seq) == len(p.vertices)
         horizontals = set("EW")
         for k in range(len(seq)):
@@ -429,7 +431,7 @@ class TestExtract:
         assert p.rects.dtype == np.int64 and p.rects.shape == built.rects.shape
         for name in ("rects", "owner", "coords", "x_axis", "bboxes"):
             assert np.array_equal(getattr(p, name), getattr(built, name)), name
-        for name in ("rect_counts", "edges", "layout_key", "area"):
+        for name in ("rect_counts", "layout_key", "area"):
             assert getattr(p, name) == getattr(built, name), name
         rects = [rc for shape in p.shapes for rc in rectangles(shape)]
         for side in (8, 16):
@@ -460,6 +462,82 @@ class TestExtract:
             bx0, by0, bx1, by1 = doc.design_polygons[0].bbox
             assert bx0 < 8 and by0 < 8 and bx1 > -8 and by1 > -8  # the bbox overlaps the window
             assert extract_pattern(doc, (0, 0)).is_empty
+
+
+def _directions(p: Pattern) -> tuple[str, ...]:
+    return tuple(d for d, _axes, _coords in pattern_edges(p))
+
+
+# a self-crossing ring that `rectangles()` accepts, stored starting North
+SWEPT_ONE_WAY = [(5, 1), (0, 1), (0, 0), (1, 0), (1, 4), (4, 4), (4, 2), (1, 2), (1, 3), (2, 3), (2, 2), (5, 2)]
+
+
+class TestWindowEdgeArrays:
+    """A window's edge arrays, read from its vertex table, against the
+    per-shape edge walk (`oracles.pattern_edges`)."""
+
+    @settings(max_examples=300)
+    @given(_design(), st.data())
+    @example((_doc([_u_across_edge((0, 0), 8, 0, 0, 1), staircase(2, run=2, rise=2, x0=-6, y0=-6)], 8), (0, 0)), None)
+    def test_match_the_per_shape_edges(self, design, data):
+        # an extracted window, kept and traced shapes alike, and a pattern
+        # built from its shapes, each moved, mirrored (the same vertex count,
+        # maybe other directions) or turned: the keys are equal exactly when
+        # the direction sequences and rectangle counts are
+        doc, center = design
+        p = extract_pattern(doc, center)
+        others = []
+        for shape in p.shapes:
+            change = "move" if data is None else data.draw(st.sampled_from(["move", "mirror", "turn"]))
+            if change == "move":
+                others.append(shape.translated(1, -2))
+            elif change == "mirror":
+                others.append(Polygon.from_vertices([(-x, y) for x, y in shape.vertices]))
+            else:
+                others.append(_turned(shape.vertices, (0, 0), 1))
+        q = Pattern((0, 0), p.radius, tuple(others))
+        for pattern in (p, q):
+            edges = pattern_edges(pattern)
+            assert pattern.coords.dtype == np.int64
+            assert pattern.coords.tolist() == [c for _d, _axes, cs in edges for c in cs]
+            assert pattern.x_axis.tolist() == [a is Axis.X for _d, axes, _cs in edges for a in axes]
+        same = _directions(p) == _directions(q) and p.rect_counts == q.rect_counts
+        assert (p.layout_key == q.layout_key) == same
+        hash(p.layout_key)
+
+    def test_ring_starting_north(self):
+        # the positions of a ring stored starting North hold its edges rotated
+        # by one; the offsets of corresponding edges are the edge walk's
+        ring = Polygon.from_vertices(SWEPT_ONE_WAY)
+        assert direction_sequence(ring)[0] == "N"
+        a = _pat(ring)
+        moved = Polygon.from_vertices([(x + 3 * (x == 5), y - 2) for x, y in SWEPT_ONE_WAY])
+        b = _pat(moved)
+        assert direction_sequence(moved) == direction_sequence(ring) and a.layout_key == b.layout_key
+        pairs = match_polygons(a, b, Translation(0, 2))
+        got = edge_displacements(a, b, pairs)
+        assert sorted(got, key=lambda e: (e[0].value, e[1])) == sorted(
+            edge_displacements_loop(a, b, _pairs(pairs)), key=lambda e: (e[0].value, e[1]))
+        # flipped upside down, it starts North too, with other directions
+        flipped = _pat(Polygon.from_vertices([(x, -y) for x, y in SWEPT_ONE_WAY]))
+        assert _directions(flipped)[0][0] == "N" and _directions(flipped) != _directions(a)
+        assert flipped.rect_counts == a.rect_counts and flipped.layout_key != a.layout_key
+
+    def test_all_kept_window_builds_no_polygon(self, monkeypatch):
+        l_shape = Polygon.from_vertices([(0, 0), (6, 0), (6, 3), (3, 3), (3, 6), (0, 6)])
+        doc = _doc([rect(-10, -10, -4, -6), l_shape, staircase(2, run=2, rise=2, x0=-8, y0=2), rect(40, 40, 44, 44)], 16)
+        calls = []
+        init = Polygon.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polygon, "__init__", counting)
+        p = extract_pattern(doc, (0, 0))
+        monkeypatch.undo()
+        assert calls == [] and len(p.rings) == 3
+        assert p.shapes == _clip_every_polygon(doc, (0, 0))
 
 
 def _pat(*polys, radius=32) -> Pattern:

@@ -109,6 +109,7 @@ class TestParse:
             ("# threshold on the header's own line\n\nHEADER RADIUS 8 CONSTRAINT EDGEMOVE THRESHOLD inf", 3, "finite"),
             ("# c\n\nHEADER RADIUS 0 CONSTRAINT COSINE THRESHOLD 0.5\n", 3, "pattern radius 0"),
             ("HEADER RADIUS 8 CONSTRAINT COSINE THRESHOLD 0.5\nPOLY 1 0 0 9223372036854775808 0 9223372036854775808 5 0 5", 2, "int64"),
+            ("HEADER RADIUS 8 CONSTRAINT COSINE THRESHOLD 0.5\nPOLY 1 0 0 4 0 4 4 0 4\nMARKER 0 18446744073709551616 2 18446744073709551616 2", 3, "coordinate outside the int64 range"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, needle):
@@ -250,6 +251,15 @@ class TestArrayParse:
             parse_layout(_layout(diagonal, big))
         corner = [(2**63 - 8, -2**63), (2**63 - 1, -2**63), (2**63 - 1, 5 - 2**63), (2**63 - 8, 5 - 2**63)]
         assert parse_layout(_layout(corner[::-1])).rings.vertices.tolist() == [list(v) for v in corner]
+
+    def test_widest_row_spans_the_int64_range(self):
+        # the width of a row whose sides lie 2**64 - 1 apart is exact, so the
+        # window query still reaches the row
+        doc = parse_layout(_layout([(-2**63, 0), (2**63 - 1, 0), (2**63 - 1, 5), (-2**63, 5)]))
+        assert doc.widest == 2**64 - 1
+        rows, owners = doc.window_rectangles((0, 2))
+        r = doc.pattern_radius
+        assert rows.tolist() == [[-r, -2, r, 3]] and owners.tolist() == [0]
 
     def test_rectangles_build_no_polygon(self, monkeypatch):
         rng = random.Random(5)

@@ -669,14 +669,13 @@ class TestExtractOnce:
 
 
 class TestPatternValuesOnce:
-    DERIVED = ("edges", "layout_key", "coords", "x_axis", "bboxes", "area", "features")
+    DERIVED = ("rect_counts", "layout_key", "coords", "x_axis", "area", "features")
 
     def test_one_build_per_pattern(self, jittered_docs, monkeypatch):
         # each value derived from a pattern's shapes is computed once per
         # pattern, however many pairs, refinements and probes read it; the
-        # jittered windows keep every polygon whole, so their edge arrays
-        # come from the layout's vertex table, and the picked layout's
-        # windows cut polygons, whose pieces build `edges`
+        # jittered windows keep every polygon whole, and the picked layout's
+        # windows cut polygons into traced pieces
         builds = []  # (value, id of the pattern)
         alive = []  # the patterns, so that no id is reused
 
@@ -700,7 +699,7 @@ class TestPatternValuesOnce:
     def test_values_are_not_part_of_equality(self):
         shapes = (rect(-8, -8, 8, 8),)
         built, fresh = Pattern((0, 0), 32, shapes), Pattern((0, 0), 32, shapes)
-        for name in ("rects", "owner", "rect_counts", *self.DERIVED):
+        for name in ("rects", "owner", "bboxes", *self.DERIVED):
             value = getattr(built, name)
             assert getattr(built, name) is value
         assert built == fresh and repr(built) == repr(fresh)
