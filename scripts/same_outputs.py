@@ -17,8 +17,12 @@ a generator sweep and prints one digest per case: cosine layouts of 1-8
 templates (3 instances each) x jitter 0, 4 and 8 x seeds 0-11, the
 matrix's scenarios, and
 `cli generate` with its defaults under each constraint. The two lists must
-be equal. --layout runs the given layout files instead of the workloads,
-the matrix and the sweep. Prints one line per case (the sweep is one line
+be equal. Then one child per checkout prints, for each cosine workload
+layout, the sha256 of the bytes of `raster.window_features(doc, c)` at
+every marker center c and at c + (3, -2): a feature bit that moves shows
+even where no report changes. --layout runs the given layout files
+instead of the workloads, the matrix, the sweep and the feature digests.
+Prints one line per case (the sweep and the digests are one line each,
 naming the layouts that differ) and exits 1 on any difference or failed
 run, 0 otherwise.
 """
@@ -63,6 +67,23 @@ for constraint in ("cosine", "edgemove"):
         sys.exit(1)
     with open(path, "rb") as fh:
         show(f"cli generate --constraint {constraint}", fh.read())
+'''
+
+# The feature-digest child: argv holds layout files; prints `<file>: <sha256>`
+# per file over its windows' feature vectors (see the module docstring).
+FEATURES = '''
+import hashlib, os, sys
+from pattern_forge import parse_layout, raster
+
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as fh:
+        doc = parse_layout(fh.read())
+    digest = hashlib.sha256()
+    for marker in doc.markers:
+        cx, cy = marker.center()
+        for c in ((cx, cy), (cx + 3, cy - 2)):
+            digest.update(raster.window_features(doc, c).tobytes())
+    print(f"{os.path.basename(path)}: {digest.hexdigest()}")
 '''
 
 
@@ -111,23 +132,41 @@ def _bench(root: str, out: str) -> tuple[str | None, str]:
         return fh.read(), proc.stderr.strip()
 
 
-def _generate(root: str, out: str) -> tuple[list[str] | None, str]:
-    """Run the GENERATE child from the checkout; returns its digest lines
-    (None when it failed) and its stderr."""
-    os.makedirs(out)
-    proc = _run(root, [sys.executable, "-c", GENERATE, MATRIX, out])
+def _digests(root: str, child: str, args: list[str]) -> tuple[list[str] | None, str]:
+    """Run a digest child (GENERATE or FEATURES) from the checkout with
+    `args`; returns its digest lines (None when it failed) and its stderr."""
+    proc = _run(root, [sys.executable, "-c", child, *args])
     if proc.returncode != 0:
         return None, proc.stderr.strip()
     return proc.stdout.splitlines(), proc.stderr.strip()
 
 
 def _compare_digests(a: list[str], b: list[str]) -> list[str]:
-    """The differences between two sweeps' digest lines: the count when it
-    differs, else the cases whose layouts differ."""
+    """The differences between two children's digest lines, one per
+    layout: the count when it differs, else the layouts whose digests
+    differ."""
     if len(a) != len(b):
         return [f"{len(a)} vs {len(b)} layouts"]
     cases = [x.rpartition(": ")[0] for x, y in zip(a, b) if x != y]
     return [f"layouts differ: {', '.join(cases)}"] if cases else []
+
+
+def _digest_case(roots: list[str], case: str, child: str, args: list[list[str]]) -> bool:
+    """Run a digest child from each checkout, with args[side] for
+    roots[side], and print the case's line; returns whether the two
+    differ or a run failed."""
+    runs = [_digests(root, child, a) for root, a in zip(roots, args)]
+    diffs = [f"{root} failed: {err}" for root, (out, err) in zip(roots, runs) if out is None]
+    if not diffs:
+        diffs = _compare_digests(runs[0][0], runs[1][0])
+    print(f"{case}: {'; '.join(diffs) if diffs else f'same ({len(runs[0][0])} layouts)'}")
+    return bool(diffs)
+
+
+def _is_cosine(layout: str) -> bool:
+    """Whether the layout file's header names the cosine constraint."""
+    with open(layout, encoding="utf-8") as fh:
+        return "CONSTRAINT COSINE" in fh.readline()
 
 
 def _run(root: str, cmd: list[str]) -> subprocess.CompletedProcess:
@@ -225,12 +264,12 @@ def main(argv=None) -> int:
                 diffs = _compare_records(runs[0][0], runs[1][0])
             print(f"bench {os.path.basename(MATRIX)}: {'; '.join(diffs) if diffs else 'same'}")
             bad += bool(diffs)
-            runs = [_generate(root, os.path.join(tmp, f"generate-{side}")) for side, root in enumerate(roots)]
-            diffs = [f"{root} failed: {err}" for root, (out, err) in zip(roots, runs) if out is None]
-            if not diffs:
-                diffs = _compare_digests(runs[0][0], runs[1][0])
-            print(f"generator sweep: {'; '.join(diffs) if diffs else f'same ({len(runs[0][0])} layouts)'}")
-            bad += bool(diffs)
+            outs = [os.path.join(tmp, f"generate-{side}") for side in range(2)]
+            for out in outs:
+                os.makedirs(out)
+            bad += _digest_case(roots, "generator sweep", GENERATE, [[MATRIX, out] for out in outs])
+            cosine = [p for p in layouts if _is_cosine(p)]
+            bad += _digest_case(roots, "feature digests", FEATURES, [cosine, cosine])
     print(f"{bad} case(s) differ" if bad else "no differences")
     return 1 if bad else 0
 

@@ -3,7 +3,9 @@
 One aligner per constraint gives the best rigid shift between two patterns:
 
 * per-axis interval competition over corresponding polygon bounding boxes
-  for the cosine constraint (`xy_minmax_align`),
+  for the cosine constraint (`xy_minmax_align`); `xy_minmax_shifts` aligns
+  one representative against a list of patterns, those that share its
+  rectangle layout in stacked blocks,
 * the minmax midpoint over corresponding edge offsets for the
   edge-displacement constraint (`edge_fit_aligned`), which is both the
   relaxed pair test and the strict refinement check. `iter_edge_fits`
@@ -148,6 +150,46 @@ def xy_minmax_align(a: Pattern, b: Pattern) -> Translation:
     best = np.abs(off[:, 2:] - off[:, :2]).argmin(axis=0)  # per axis, the first narrowest pair
     dx, dy = _half_toward_zero(off[best, [0, 1]] + off[best, [2, 3]]).tolist()
     return Translation(dx, dy)
+
+
+def _xy_shift(a: Pattern, b: Pattern) -> Translation | None:
+    """xy_minmax_align(a, b), or None for an empty pattern on either side."""
+    try:
+        return xy_minmax_align(a, b)
+    except NoCorrespondenceError:
+        return None
+
+
+def xy_minmax_shifts(rep: Pattern, patterns) -> list:
+    """[xy_minmax_align(rep, p) for p in patterns], None where that raises
+    NoCorrespondenceError (an empty pattern on either side).
+
+    A pattern whose `rect_counts` equal the representative's has the same
+    stack shape of `rects`, so those are aligned in blocks, as bounded in
+    `iter_edge_fits`: one stacked `identity_correspondences` pass tells
+    which pair shape k with shape k at zero shift, the pairing
+    `match_polygons` then finds, and one argmin over the stacked bbox
+    offsets gives their shifts. Every other pattern goes through
+    `xy_minmax_align`, and so does a single pattern (each probe
+    refinement), for which that costs less than a block's setup.
+    """
+    if len(patterns) < 2 or not rep.rings:
+        return [_xy_shift(rep, p) for p in patterns]
+    shifts: list = [None] * len(patterns)
+    counts = rep.rect_counts
+    same = [k for k, p in enumerate(patterns) if p.rect_counts == counts]
+    step = max(1, min(BATCH_PAIRS, BATCH_CELLS // len(rep.rects) ** 2))
+    for lo in range(0, len(same), step):
+        block = same[lo:lo + step]
+        ok = identity_correspondences(rep.rects, np.stack([patterns[k].rects for k in block]), counts)
+        off = np.stack([patterns[k].bboxes for k in block]) - rep.bboxes
+        best = np.abs(off[..., 2:] - off[..., :2]).argmin(axis=1)  # per member and axis, the first narrowest pair
+        at = np.arange(len(block))[:, None]
+        mid = _half_toward_zero(off[at, best, [0, 1]] + off[at, best, [2, 3]])
+        for k, hit, (dx, dy) in zip(block, ok.tolist(), mid.tolist()):
+            if hit:
+                shifts[k] = Translation(dx, dy)
+    return [_xy_shift(rep, p) if s is None else s for s, p in zip(shifts, patterns)]
 
 
 def _hull_fit(displacements) -> tuple[Translation, int, int]:

@@ -479,7 +479,8 @@ class Pattern:
     def features(self) -> np.ndarray:
         """`raster.pattern_features` of this window: a cosine run reads an
         anchor's vector in every graph pair, refinement and probe it takes
-        part in."""
+        part in. The graph stage computes its anchors' vectors in blocks,
+        `raster.fill_features`, and caches them here."""
         from . import raster  # raster imports this module
 
         return raster.pattern_features(self)

@@ -14,13 +14,14 @@ takes a pair array and returns its accepted rows, in their order.
 layout in array blocks and calls `align.edge_fit_aligned` for the rest,
 block by block, without building a shift per pair.
 
-`evaluate_pairs_cosine` reads every pattern's features once and takes the
-dot products in Gram tiles, `a @ b.T` over stacks of at most TILE vectors,
-which sum each product in another order than `raster.cosine_similarity`'s
-`u @ v`. Any order of a dot product of n = DCT_K**2 terms lies within
-gamma_n * sum |u_k v_k| <= gamma_n |u| |v| of the exact value, with
-gamma_n = n eps / (1 - n eps) and eps = 2**-53 (Higham, Accuracy and
-Stability of Numerical Algorithms, 2002, 3.1). The features are unit
+`evaluate_pairs_cosine` gives the patterns that have no features yet
+their vectors in blocks (`raster.fill_features`), reads every pattern's
+features once and takes the dot products in Gram tiles, `a @ b.T` over
+stacks of at most TILE vectors, which sum each product in another order
+than `raster.cosine_similarity`'s `u @ v`. Any order of a dot product of
+n = DCT_K**2 terms lies within gamma_n * sum |u_k v_k| <= gamma_n |u| |v|
+of the exact value, with gamma_n = n eps / (1 - n eps) and eps = 2**-53
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1). The features are unit
 vectors whose computed norms lie within about (n/2 + 2) eps of 1, so two
 orders differ by at most about 2 n eps, no Gram value exceeds 1 by more
 than (2n + 4) eps, and that of two equal vectors lies as close to the 1
@@ -100,7 +101,8 @@ def evaluate_pairs_cosine(patterns, pairs, doc: LayoutDocument, slack: float = 0
     """The rows (i, j) of the (m, 2) int64 array `pairs` that
     `evaluate_pair_relaxed(patterns[i], patterns[j], doc, slack)` accepts
     for a cosine document, in their order, reading each pattern's
-    `features` once.
+    `features` once, after `raster.fill_features` computed those not yet
+    cached in blocks.
 
     The rows are taken TILE anchor (i) indices to a tile. A tile stacks
     its anchors' vectors once, and fills its Gram rows against the
@@ -110,6 +112,7 @@ def evaluate_pairs_cosine(patterns, pairs, doc: LayoutDocument, slack: float = 0
     decided by `raster.cosine_similarity` (module docstring). Besides the
     pair arrays, the memory is the two stacks and TILE Gram values per
     distinct partner."""
+    raster.fill_features(patterns)
     feats = [p.features for p in patterns]
     floor = doc.threshold - slack
     keep = np.zeros(len(pairs), dtype=bool)

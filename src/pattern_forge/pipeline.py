@@ -17,21 +17,25 @@ the orphan and for each cluster's representative), `_extract` in every
 iteration and the refinement of the member at its anchor all read the same
 pattern. Stages pass patterns and index pairs only: in cosine mode each
 reads an anchor's unit feature vector, `Pattern.features`, which is
-computed once per pattern, and pairs are (m, 2) int64 arrays from the
-prescreen to `graph.assemble`, whose CSR graph `scp.solve` reads.
+computed once per pattern (by the graph stage, in blocks of windows), and
+pairs are (m, 2) int64 arrays from the prescreen to `graph.assemble`, whose
+CSR graph `scp.solve` reads.
 
 One routine, `refine_members`, refines in both modes: `_refine` passes it
 all members of a selection at once, and the probe one pair at a time
 through `refine_cluster`, its one-member case. Only the aligner and
-`_window_scores` depend on the constraint. `_window_scores` scores windows
-at centers other than the anchors, read from the layout: in cosine mode by
-`raster.window_features`, straight from the layout's decomposition
-rectangles, and in edgemove mode by one `align.edge_fits` call over the
-extracted windows. Refinement of a (representative, member) marker pair
-depends on nothing else, so a run that refused a pair never refines it
-again: the probe and `_refine` skip it and count the skip. Verification
-reads no run state: it scores every window from the layout again, through
-the same `_window_scores`.
+`_window_scores` depend on the constraint. The aligner takes all members
+at once: `align.xy_minmax_shifts` in cosine mode, which aligns the members
+that share the representative's rectangle layout in stacked blocks, and
+`align.edge_fits` in edgemove mode. `_window_scores` scores windows at
+centers other than the anchors, read from the layout: in cosine mode in
+blocks of windows (`raster.window_cosines`), straight from the layout's
+decomposition rectangles, and in edgemove mode by one `align.edge_fits`
+call over the extracted windows. Refinement of a (representative, member)
+marker pair depends on nothing else, so a run that refused a pair never
+refines it again: the probe and `_refine` skip it and count the skip.
+Verification reads no run state: it scores every window from the layout
+again, through the same `_window_scores`.
 """
 
 import time
@@ -181,22 +185,17 @@ def refine_members(rep: Pattern, members, doc: LayoutDocument) -> list:
     marker, and the marker-center anchor. The aligned center is tried first
     and wins ties; the best score that passes the strict threshold wins; the
     anchor is always a candidate, so an accepted center never scores below
-    the anchor. The aligner is `align.xy_minmax_align` per member in cosine
+    the anchor. The aligner is one `align.xy_minmax_shifts` call in cosine
     mode (an empty pattern has no shift, so only the anchor is tried), and
     one `align.edge_fits` call in edgemove mode, whose raw offsets also
     score the anchors. The aligned centers that differ from their anchors
-    are scored together by `_window_scores`. Cosine scores read the
-    patterns' `features`.
+    are scored together by `_window_scores`. Cosine scores at the anchors
+    read the patterns' `features`.
     """
     if doc.constraint_kind is ConstraintKind.COSINE:
         rep_features = rep.features
-        shifts, at_anchor = [], []
-        for _marker, p in members:
-            try:
-                shifts.append(align.xy_minmax_align(rep, p))
-            except align.NoCorrespondenceError:  # raised only for an empty pattern
-                shifts.append(None)
-            at_anchor.append(raster.cosine_similarity(rep_features, p.features))
+        shifts = align.xy_minmax_shifts(rep, [p for _marker, p in members])
+        at_anchor = [raster.cosine_similarity(rep_features, p.features) for _marker, p in members]
     else:
         rep_features = None
         fits = align.edge_fits(rep, [p for _marker, p in members])
@@ -229,13 +228,14 @@ def _score_floor(doc: LayoutDocument) -> float:
 
 def _window_scores(doc: LayoutDocument, rep: Pattern | None, rep_features, centers) -> list:
     """The strict score against the representative of the window at each of
-    `centers`, read from the layout: the cosine of `raster.window_features`
-    against `rep_features` (equal bit for bit to the features of the
-    extracted pattern), or the negated raw edge offset of the extracted
-    window against `rep` from one `align.edge_fits` call, None where there
-    is no one-to-one correspondence."""
+    `centers`, read from the layout: the cosine against `rep_features` of
+    the window's features, scored in blocks by `raster.window_cosines`
+    (equal bit for bit to the features of the extracted pattern), or the
+    negated raw edge offset of the extracted window against `rep` from one
+    `align.edge_fits` call, None where there is no one-to-one
+    correspondence."""
     if doc.constraint_kind is ConstraintKind.COSINE:
-        return [raster.cosine_similarity(rep_features, raster.window_features(doc, c)) for c in centers]
+        return raster.window_cosines(doc, rep_features, centers)
     fits = align.edge_fits(rep, [extract_pattern(doc, c) for c in centers])
     return [None if fit is None else -float(fit[2]) for fit in fits]
 
@@ -446,8 +446,10 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
     anchors `run_full` cached. It scores each cluster's members at their
     stored centers with `_window_scores`, the scorer refinement uses (in
     cosine mode every window rasterised from the layout's decomposition
-    rectangles, in edgemove mode every window extracted and scored in one
-    `align.edge_fits` call), and then runs the checks in member order.
+    rectangles, the members' windows in blocks of `raster.BLOCK` through
+    one feature kernel, in edgemove mode every window extracted and scored
+    in one `align.edge_fits` call), and then runs the checks in member
+    order.
     `cfg` is not read, since no run setting changes what a valid assignment
     is; it stays for callers that pass their config.
     """

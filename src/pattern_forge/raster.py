@@ -1,26 +1,33 @@
 """Rasterization and spectral features for pattern windows.
 
-Every feature vector comes from one function of a window's rectangle rows
-(window-local int64 x0, y0, x1, y1) and its radius R: `pattern_features`
-passes a pattern's `rects`, and `window_features` the rows of the layout's
-window query, `doc.window_rectangles`, without extracting a pattern. The
-vector is the low-frequency 32 x 32 block of the orthonormal 2D DCT-II of
-the rows' coverage on a 64-pixel grid, scaled to unit length (all zeros for
-an empty window).
+Every feature vector comes from one kernel, `block_features`, which scores
+a block of windows given as stacked rectangle rows (window-local int64 x0,
+y0, x1, y1) and one radius R. `pattern_features` (a pattern's `rects`) and
+`window_features` (the rows of the layout's window query,
+`doc.window_rectangles`, without extracting a pattern) are its one-window
+case. The graph stage gives its anchors their vectors in blocks
+(`fill_features`), and refinement and verification score moved windows in
+blocks (`window_cosines`), keeping only the cosines. A block holds at most
+BLOCK windows and is padded only to its own longest row list. The vector
+is the low-frequency 32 x 32 block of the orthonormal 2D DCT-II of the
+rows' coverage on a 64-pixel grid, scaled to unit length (all zeros for an
+empty window), the same bits whatever block a window is scored in.
 
 Pixels hold exact area-coverage fractions: the rectangle/pixel overlaps are
 summed as exact integers (in a float64 matrix product while every pixel
 stays below 2^53, in int64 past that) before a single division by (2R)^2.
 No supersampling is involved, so any disjoint decomposition of the same
 area gives the same pixels and the same features bit for bit; that is why
-the integer grid is the one input of the transform. The block alone is
-`C @ P @ C.T`, where P is the coverage-fraction grid and C the first k rows
-of the orthonormal DCT-II basis (Ahmed, Natarajan & Rao 1974), built once
-per (side, k). The geometry is fixed, so a report and its layout alone
+the exact integer grid is the one input of the transform. The block alone
+is `C @ P @ C.T`, where P is the coverage-fraction grid and C the first k
+rows of the orthonormal DCT-II basis (Ahmed, Natarajan & Rao 1974), built
+once per (side, k). The geometry is fixed, so a report and its layout alone
 decide every similarity. The cosine of two windows is the dot product of
 their vectors, except that equal vectors score exactly 1, so two windows
-with the same shapes are identical under any threshold. `rasterize` wraps
-the grid as a `Bitmap`, the input of `align.phase_correlate`.
+with the same shapes are identical under any threshold. `coverage_grid`
+gives one window's integer grid as int64 and `dct_features` one grid's
+block; `rasterize` wraps the grid as a `Bitmap`, the input of
+`align.phase_correlate`.
 """
 
 import math
@@ -35,6 +42,12 @@ from .geometry import Pattern
 GRID = 64   # raster side in pixels of every feature vector
 DCT_K = 32  # side of the low-frequency DCT block kept as the feature vector
 _EXACT = 2**53  # float64 holds every integer below this exactly
+# Windows per `block_features` call. On the benchmark's cosine windows (8-18
+# rectangle rows each, one OpenBLAS thread) a window costs about 50 us
+# alone, 40-45 us in blocks of 2, 30 us in blocks of 4 and 25 us in blocks
+# of 8. Blocks of 4 keep a run's peak RSS at or below scoring window by
+# window; blocks of 8 added up to 0.3 MB.
+BLOCK = 4
 
 
 @dataclass(eq=False)
@@ -54,6 +67,28 @@ class Bitmap:
         return not self.pixels.any()
 
 
+@lru_cache(maxsize=None)
+def _pixel_edges(radius: int, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high sides of the side pixels of a window of radius
+    `radius`, in coordinates scaled by side (so the pixel width is 2 *
+    radius), built once per (radius, side) and read-only."""
+    edges = np.arange(side + 1) * float(2 * radius)
+    edges.flags.writeable = False
+    return edges[:-1], edges[1:]
+
+
+def _overlaps(s: np.ndarray, radius: int, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `s`, rectangles scaled to (rows + radius) * side in float64
+    (any stack of (..., 4) rows): its exact 1-D overlaps with each of the
+    side pixel columns and with each pixel row, as two (..., side) views of
+    one array. A row of zeros overlaps no pixel."""
+    lo, hi = _pixel_edges(radius, side)
+    ov = np.minimum(s[..., 2:, None], hi)  # both axes at once, in place
+    ov -= np.maximum(s[..., :2, None], lo)
+    np.maximum(ov, 0.0, out=ov)
+    return ov[..., 0, :], ov[..., 1, :]
+
+
 def coverage_grid(rects: np.ndarray, radius: int, side: int) -> np.ndarray:
     """Integer coverage numerators (int64) of window-local rectangles (rows
     x0, y0, x1, y1 inside [-r, r]^2, r = radius) on a side x side grid, a
@@ -70,19 +105,12 @@ def coverage_grid(rects: np.ndarray, radius: int, side: int) -> np.ndarray:
     2^53 means no partial sum was rounded. Only more than 22 stacked full
     pixels near MAX_RADIUS reach 2^53; the grid is then summed again in
     int64. The result holds exact integers, so it does not depend on the
-    order or the grouping of `rects`.
+    order or the grouping of `rects`. The feature kernel,
+    `block_features`, computes the same grid without the int64 copy.
     """
     if side < 8 or side & (side - 1):
         raise ValueError(f"grid side must be a power of two >= 8, got {side}")
-    edges = np.arange(side + 1) * float(2 * radius)  # pixel width in scaled units
-    lo, hi = edges[:-1], edges[1:]
-    s = ((rects + radius) * side).astype(np.float64)
-    xov = np.minimum(s[:, 2:3], hi)  # overlaps in place: this runs once per feature vector
-    xov -= np.maximum(s[:, 0:1], lo)
-    np.maximum(xov, 0.0, out=xov)
-    yov = np.minimum(s[:, 3:4], hi)
-    yov -= np.maximum(s[:, 1:2], lo)
-    np.maximum(yov, 0.0, out=yov)
+    xov, yov = _overlaps(((rects + radius) * side).astype(np.float64), radius, side)
     grid = yov.T @ xov
     if grid.max(initial=0.0) >= _EXACT:
         return yov.T.astype(np.int64) @ xov.astype(np.int64)
@@ -122,24 +150,83 @@ def dct_features(pixels: np.ndarray, k: int = DCT_K) -> np.ndarray:
     return (c @ pixels @ c.T).ravel()
 
 
-def _features(rects: np.ndarray, r: int) -> np.ndarray:
-    """The feature vector of a window of radius r holding `rects`: the
-    DCT_K x DCT_K DCT block of its GRID-pixel coverage fractions, scaled to
-    unit length; all zeros when empty.
+def block_features(rows: np.ndarray, sizes, radius: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The feature vectors of a block of windows of radius r = `radius`:
+    window w holds the next sizes[w] rows of `rows`, a stacked (n, 4) array
+    of window-local rectangles. Row w of the returned (len(sizes),
+    DCT_K**2) array, `out` when given, is window w's DCT_K x DCT_K DCT
+    block of its GRID-pixel coverage fractions, scaled to unit length; all
+    zeros when the window is empty. Coverage is non-negative, so the DC
+    term, and with it the norm, is zero only for an empty window.
 
-    Coverage is non-negative, so the DC term, and with it the norm, is zero
-    only for an empty window.
+    Every vector of the program comes from here, and each is the same bit
+    for bit whatever block it is computed in. The block's rows are padded
+    with zero rows, which cover no pixel, to its longest window, and its
+    coverage grids are one stacked float64 product `Y @ X`, exact as
+    `coverage_grid` explains: a window whose grid reaches 2^53 is summed
+    again in int64. One division by (2r)^2 gives the fractions, `C @ P @
+    C.T` of the stack runs the same matrix product per window as on one
+    window, and each vector's norm comes from its own dot product. Callers
+    keep a block to BLOCK windows, which bounds its temporaries.
     """
-    v = dct_features(coverage_grid(rects, r, GRID) / float((2 * r) ** 2))
-    norm = math.sqrt(v.dot(v))  # np.linalg.norm's own formula, without its overhead
-    if norm:
-        v /= norm
-    return v
+    b = len(sizes)
+    longest = max(sizes, default=0)
+    scaled = (rows + radius) * GRID
+    if b == 1:  # nothing to pad
+        s = scaled.astype(np.float64).reshape(1, longest, 4)
+    else:
+        s = np.zeros((b, longest, 4))
+        s[np.arange(longest) < np.asarray(sizes)[:, None]] = scaled
+    xov, yov = _overlaps(s, radius, GRID)
+    grid = yov.transpose(0, 2, 1) @ xov
+    if grid.max(initial=0.0) >= _EXACT:
+        for w in np.flatnonzero(grid.max(axis=(1, 2)) >= _EXACT):
+            grid[w] = yov[w].T.astype(np.int64) @ xov[w].astype(np.int64)
+    grid /= float((2 * radius) ** 2)
+    if out is None:
+        out = np.empty((b, DCT_K * DCT_K))
+    c = _dct_basis(GRID, DCT_K)
+    np.matmul(c @ grid, c.T, out=out.reshape(b, DCT_K, DCT_K))
+    for v in out:
+        norm = math.sqrt(v.dot(v))  # np.linalg.norm's own formula, without its overhead
+        if norm:
+            v /= norm
+    return out
 
 
 def pattern_features(pattern: Pattern) -> np.ndarray:
-    """The feature vector of the pattern's `rects`."""
-    return _features(pattern.rects, pattern.radius)
+    """The feature vector of the pattern's `rects`: `block_features` of
+    that one window."""
+    rects = pattern.rects
+    return block_features(rects, (len(rects),), pattern.radius)[0]
+
+
+def _blocked(windows, radius: int):
+    """Yield the feature vector of each of `windows` (rectangle row arrays
+    of one radius) in order, BLOCK windows to a `block_features` call. The
+    blocks share one buffer, so a vector holds until the next block starts:
+    a caller keeps a copy or only what it computes from it."""
+    buf = np.empty((BLOCK, DCT_K * DCT_K))
+    for lo in range(0, len(windows), BLOCK):
+        part = windows[lo:lo + BLOCK]
+        yield from block_features(np.concatenate(part), [len(r) for r in part], radius, buf[:len(part)])
+
+
+def fill_features(patterns) -> None:
+    """Give every pattern of `patterns` whose `features` is not computed
+    yet its vector, in blocks (`_blocked`), and cache it where reading
+    `Pattern.features` would. The vectors are those that reading would
+    compute, bit for bit.
+
+    Each vector is copied out of the block buffer into an array of its own,
+    as reading `Pattern.features` gives it. Keeping the kernel's arrays
+    instead, one for all patterns or one per block, raised a benchmark
+    run's peak RSS by 0.2-0.7 MB."""
+    todo = [p for p in patterns if "features" not in vars(p)]
+    for radius in sorted({p.radius for p in todo}):  # one radius for a document's windows
+        same = [p for p in todo if p.radius == radius]
+        for p, v in zip(same, _blocked([p.rects for p in same], radius)):
+            vars(p)["features"] = v.copy()
 
 
 def window_features(doc, center) -> np.ndarray:
@@ -153,7 +240,19 @@ def window_features(doc, center) -> np.ndarray:
     twice on both paths.
     """
     rows, _polys = doc.window_rectangles(center)
-    return _features(rows, doc.pattern_radius)
+    return block_features(rows, (len(rows),), doc.pattern_radius)[0]
+
+
+def window_cosines(doc, ref: np.ndarray, centers) -> list[float]:
+    """`cosine_similarity(ref, window_features(doc, c))` for each of
+    `centers`, the windows scored in blocks (`_blocked`); only the cosines
+    are kept, so the vectors take one block's memory. A single window (each
+    probe refinement's) goes straight to `window_features`, which costs
+    less than a block's setup."""
+    if len(centers) == 1:
+        return [cosine_similarity(ref, window_features(doc, centers[0]))]
+    windows = [doc.window_rectangles(c)[0] for c in centers]
+    return [cosine_similarity(ref, v) for v in _blocked(windows, doc.pattern_radius)]
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

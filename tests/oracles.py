@@ -2,7 +2,7 @@
 
 Everything here favors obviousness over speed: layout parsing one polygon
 at a time, ring validation one check after another, unit-cell parity scans for geometry, per-polygon overlap tests and edge walks for polygon pairing,
-direct double-sum DCT, linear scans for min-max fits, interval competition
+direct double-sum DCT, feature vectors one window at a time, linear scans for min-max fits, interval competition
 one polygon pair at a time with an interval object per axis, refinement and
 verification one member at a time (every window extracted, none read from
 the layout's rectangle table), a similarity graph built one pair at a time
@@ -38,7 +38,7 @@ from pattern_forge.geometry import (
 )
 from pattern_forge.layout_io import MAX_RADIUS, ConstraintKind, LayoutParseError, _check_threshold
 from pattern_forge.pipeline import RefineResult
-from pattern_forge.raster import cosine_similarity, pattern_features
+from pattern_forge.raster import GRID, cosine_similarity, coverage_grid, dct_features, pattern_features
 
 
 def from_vertices_loop(points) -> Polygon:
@@ -240,6 +240,19 @@ def coverage_grid_loop(rects, radius: int, side: int) -> np.ndarray:
         yov = np.minimum(sy1, (yj + 1) * den) - np.maximum(sy0, yj * den)
         grid[j0:j1, i0:i1] += yov[:, None] * xov[None, :]
     return grid
+
+
+def features_per_window(rects, radius: int) -> np.ndarray:
+    """One window's feature vector, computed alone: the int64 numerators
+    of `raster.coverage_grid` divided by (2 * radius)^2, their
+    `raster.dct_features` block, and that scaled to unit length by its own
+    dot product (all zeros for an empty window). `raster.block_features`
+    must give these bits for every window of every block."""
+    v = dct_features(coverage_grid(rects, radius, GRID) / float((2 * radius) ** 2))
+    norm = math.sqrt(v.dot(v))
+    if norm:
+        v /= norm
+    return v
 
 
 def polys_overlap(pa, pb, sx: int, sy: int) -> bool:

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+
+from pattern_forge import align
 
 from pattern_forge.geometry import Axis, Marker, Pattern, Translation, ZERO_SHIFT
 from pattern_forge.raster import Bitmap, rasterize
@@ -19,6 +23,7 @@ from pattern_forge.align import (
     phase_correlate,
     pixel_shift,
     xy_minmax_align,
+    xy_minmax_shifts,
 )
 
 from conftest import rect, staircase
@@ -231,6 +236,92 @@ class TestXyMinmax:
             xy_minmax_align(_pat(), _pat(rect(0, 0, 2, 2)))
         with pytest.raises(NoCorrespondenceError):
             xy_minmax_align(_pat(rect(0, 0, 2, 2)), _pat())
+
+
+def _slot(k: int, stairs: bool, moves):
+    """Shape k of `_aligner_cases`: in the 40 nm slot k, a rectangle or a
+    staircase whose sides are moved by `moves`."""
+    d0, d1, d2, d3 = moves
+    if stairs:
+        return staircase(1, run=6 + d2, rise=6 + d3, x0=40 * k + d0, y0=d1)
+    return rect(40 * k + d0, d1, 40 * k + 12 + d2, 12 + d3)
+
+
+@st.composite
+def _aligner_cases(draw):
+    """A representative of 0-4 shapes, one per 40 nm slot, each a rectangle
+    or a staircase, and 1-9 members. A member holds the representative's
+    slots with every side moved by -3..3 nm; it may be shifted by up to 60
+    nm (the zero-shift pairing can then fail and the centroid pairs run),
+    list its shapes in another order (a permuted correspondence), turn one
+    shape into the other kind (other rectangle counts), or drop shapes,
+    down to an empty member."""
+    n = draw(st.integers(0, 4))
+    kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rep = _pat(*(_slot(k, stairs, (0, 0, 0, 0)) for k, stairs in enumerate(kinds)))
+    side = st.integers(-3, 3)
+    members = []
+    for _ in range(draw(st.integers(1, 9))):
+        own = list(kinds)
+        if own and draw(st.booleans()):
+            k = draw(st.integers(0, n - 1))
+            own[k] = not own[k]
+        shapes = [_slot(k, stairs, draw(st.tuples(side, side, side, side))) for k, stairs in enumerate(own)]
+        if draw(st.booleans()):
+            sx, sy = draw(st.integers(-60, 60)), draw(st.integers(-60, 60))
+            shapes = [p.translated(sx, sy) for p in shapes]
+        if draw(st.booleans()):
+            shapes = draw(st.permutations(shapes))
+        if draw(st.booleans()):
+            shapes = shapes[:draw(st.integers(0, n))]
+        members.append(_pat(*shapes))
+    return rep, members
+
+
+def _aligned_or_none(rep, p):
+    try:
+        return xy_minmax_align(rep, p)
+    except NoCorrespondenceError:
+        return None
+
+
+class TestXyMinmaxShifts:
+    @given(_aligner_cases(), st.sampled_from([1, 2, align.BATCH_PAIRS]))
+    @example((_pat(), [_pat(), _pat(rect(0, 0, 4, 4))]), 2)
+    @example((_pat(rect(0, 0, 12, 12), rect(40, 0, 52, 12)),
+              [_pat(rect(41, 1, 53, 12), rect(1, 0, 12, 13)), _pat(rect(1, 0, 13, 12), rect(39, 0, 52, 12))]), 2)
+    def test_equals_per_member_aligner(self, case, step):
+        # every member's shift is xy_minmax_align's, None where that raises,
+        # in blocks of any size
+        rep, members = case
+        with patch.object(align, "BATCH_PAIRS", step):
+            got = xy_minmax_shifts(rep, members)
+        assert got == [_aligned_or_none(rep, p) for p in members]
+
+    def test_identity_members_aligned_in_blocks(self, monkeypatch):
+        # only the members whose zero-shift correspondence is not the
+        # identity, whose rectangle counts differ or that are empty reach
+        # xy_minmax_align; so does a single member
+        rep = _pat(rect(0, 0, 12, 12), staircase(1, run=6, rise=6, x0=40))
+        moved = _pat(rect(1, -2, 12, 13), staircase(1, run=7, rise=5, x0=39))
+        permuted = _pat(staircase(1, run=6, rise=6, x0=41), rect(0, 1, 12, 12))
+        other = _pat(rect(0, 0, 12, 12), rect(40, 0, 52, 12))
+        far = _pat(*(p.translated(50, 0) for p in moved.shapes))
+        calls = []
+        real = align.xy_minmax_align
+
+        def counting(a, b):
+            calls.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(align, "xy_minmax_align", counting)
+        members = [moved, permuted, _pat(), other, moved, far]
+        got = xy_minmax_shifts(rep, members)
+        assert calls == [permuted, _pat(), other, far]
+        assert got[0] == got[4] == real(rep, moved) and got[2] is None
+        calls.clear()
+        assert xy_minmax_shifts(rep, [moved]) == [got[0]] and calls == [moved]
+        assert xy_minmax_shifts(_pat(), [moved, _pat()]) == [None, None]
 
 
 class TestEdgeMinmax:

@@ -261,6 +261,27 @@ class TestArrayParse:
         r = doc.pattern_radius
         assert rows.tolist() == [[-r, -2, r, 3]] and owners.tolist() == [0]
 
+    def test_window_far_from_the_row_sides_does_not_wrap(self):
+        # the row's sides lie more than 2**63 from the center, further than
+        # int64 can subtract, so it is clipped to the window first
+        doc = parse_layout(_layout([(-2**63, 0), (2**63 - 1, 0), (2**63 - 1, 5), (-2**63, 5)]))
+        assert doc.pattern_radius == 8
+        rows, owners = doc.window_rectangles((2**62, 2))
+        assert rows.tolist() == [[-8, -2, 8, 3]] and owners.tolist() == [0]
+        # windows at the int64 corners of the same row
+        for cx in (-2**63, 2**63 - 1):
+            rows, _owners = doc.window_rectangles((cx, 2))
+            assert rows.tolist() == [[0, -2, 8, 3] if cx < 0 else [-8, -2, 0, 3]]
+        # a row whose far side lies 2**63 - 1 from the center or nearer is
+        # shifted before it is clipped, one further clipped first; on
+        # either side of the center
+        doc = parse_layout(_layout([(0, 0), (2**63 - 1, 0), (2**63 - 1, 5), (0, 5)]))
+        assert doc.window_rectangles((0, 2))[0].tolist() == [[0, -2, 8, 3]]
+        assert doc.window_rectangles((-1, 2))[0].tolist() == [[1, -2, 8, 3]]
+        doc = parse_layout(_layout([(-2**63, 0), (0, 0), (0, 5), (-2**63, 5)]))
+        assert doc.window_rectangles((0, 0))[0].tolist() == [[-8, 0, 0, 5]]
+        assert doc.window_rectangles((1, 1))[0].tolist() == [[-8, -1, -1, 4]]
+
     def test_rectangles_build_no_polygon(self, monkeypatch):
         rng = random.Random(5)
         rings = []

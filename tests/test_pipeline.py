@@ -668,6 +668,22 @@ class TestExtractOnce:
         assert counts == [1, 1, 1]
 
 
+def _record_filled(monkeypatch, record) -> None:
+    """Call `record(p)` for every pattern whose features a call of
+    `raster.fill_features` computes (the graph stage's blocks): those that
+    held none before the call and hold them after it."""
+    real = raster.fill_features
+
+    def recording(patterns):
+        before = [p for p in patterns if "features" not in vars(p)]
+        real(patterns)
+        for p in before:
+            if "features" in vars(p):
+                record(p)
+
+    monkeypatch.setattr(raster, "fill_features", recording)
+
+
 class TestPatternValuesOnce:
     DERIVED = ("rect_counts", "layout_key", "coords", "x_axis", "area", "features")
 
@@ -675,20 +691,25 @@ class TestPatternValuesOnce:
         # each value derived from a pattern's shapes is computed once per
         # pattern, however many pairs, refinements and probes read it; the
         # jittered windows keep every polygon whole, and the picked layout's
-        # windows cut polygons into traced pieces
+        # windows cut polygons into traced pieces. Features are computed on
+        # a read or, for the graph stage, in blocks: both count as builds
         builds = []  # (value, id of the pattern)
         alive = []  # the patterns, so that no id is reused
+
+        def build(name, pattern):
+            builds.append((name, id(pattern)))
+            alive.append(pattern)
 
         for name in self.DERIVED:
             prop = Pattern.__dict__[name]
             assert isinstance(prop, cached_property)
 
             def counting(pattern, name=name, real=prop.func):
-                builds.append((name, id(pattern)))
-                alive.append(pattern)
+                build(name, pattern)
                 return real(pattern)
 
             monkeypatch.setattr(prop, "func", counting)
+        _record_filled(monkeypatch, lambda p: build("features", p))
         for doc in (jittered_docs[COS], jittered_docs[EDGE], PICKED[0]):
             _clusters, _report, stats = run_full(doc)
             assert sum(it.probe_joined + it.accepted_members for it in stats.iterations) > 0
@@ -772,7 +793,9 @@ class TestLayoutTable:
 class TestFeaturesOnce:
     @staticmethod
     def _counting(monkeypatch):
-        """Record every pattern raster.pattern_features is called with."""
+        """Record every pattern whose features are computed: each one
+        raster.pattern_features is called with, and each one the graph
+        stage's raster.fill_features gives its vector."""
         seen = []
         real = raster.pattern_features
 
@@ -781,6 +804,7 @@ class TestFeaturesOnce:
             return real(pattern)
 
         monkeypatch.setattr(raster, "pattern_features", counting)
+        _record_filled(monkeypatch, seen.append)
         return seen
 
     def test_computed_once_and_bit_equal(self, jittered_docs, monkeypatch):
@@ -797,9 +821,9 @@ class TestFeaturesOnce:
             assert p == Pattern(p.center, p.radius, p.shapes) and "features" not in repr(p)
 
     def test_one_call_per_anchor_in_cosine_run(self, jittered_docs, monkeypatch):
-        # the graph, every refinement, the probe and later iterations all
-        # read the anchors' cached features; verification rasterises the
-        # layout instead
+        # the graph computes the anchors' features in blocks, and every
+        # refinement, the probe and later iterations read them from the
+        # anchors; verification rasterises the layout instead
         near = _doc([rect(-23, -20, 23, 20), rect(277, -20, 323, 20), rect(577, -22, 623, 22)],
                     [Marker(0, 0, 0, 0), Marker(300, 0, 300, 0), Marker(600, 0, 600, 0)], COS, 0.99)
         for doc in (jittered_docs[COS], near):

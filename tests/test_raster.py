@@ -14,6 +14,7 @@ from pattern_forge.pipeline import run_full, verify_clusterset
 from pattern_forge import raster
 from pattern_forge.raster import (
     _dct_basis,
+    block_features,
     cosine_similarity,
     coverage_grid,
     dct_features,
@@ -24,7 +25,7 @@ from pattern_forge.raster import (
 from pattern_forge.synthetic import generate_synthetic
 
 from conftest import rect, random_rect_union, staircase
-from oracles import cosine_of_blocks, coverage_grid_loop, naive_dct2
+from oracles import cosine_of_blocks, coverage_grid_loop, features_per_window, naive_dct2
 
 
 def _pat(*polys, radius=32) -> Pattern:
@@ -91,15 +92,19 @@ class TestCoverageGrid:
         assert g[0].sum() == 8 * 64 * 64 and g[1:].sum() == 0
 
 
+RADII = [5, 17, 32, 77, MAX_RADIUS - 3, MAX_RADIUS]
+
+
 @st.composite
-def _clipped_pattern(draw):
+def _clipped_pattern(draw, radius=None):
     """Rectangles and staircases scattered over twice the window, then clipped.
 
     Odd radii put pixel edges between integer nm, so shapes straddle pixel
     boundaries; content beyond the window is cut at its edge. Radii near
     MAX_RADIUS probe the int64 range of the scaled coordinates.
     """
-    radius = draw(st.sampled_from([5, 17, 32, 77, MAX_RADIUS - 3, MAX_RADIUS]))
+    if radius is None:
+        radius = draw(st.sampled_from(RADII))
     window = (-radius, -radius, radius, radius)
     coord = st.integers(-2 * radius, 2 * radius)
     shapes = []
@@ -131,6 +136,13 @@ class TestCoverageGridOracle:
         assert np.array_equal(got, want)
 
 
+def _deep_stack(count: int, radius: int) -> Pattern:
+    """`count` squares stacked over the whole window, every other one inset."""
+    full = rect(-radius, -radius, radius, radius)
+    inset = rect(-radius + 1, -radius + 3, radius - 5, radius)
+    return _pat(*[full if k % 2 else inset for k in range(count)], radius=radius)
+
+
 class TestStackedCoverage:
     # A pixel covered by k stacked squares holds k (2R)^2, past 2^53 from
     # k = 23 at MAX_RADIUS, so every case here takes the int64 path.
@@ -139,9 +151,7 @@ class TestStackedCoverage:
     @pytest.mark.parametrize("count", [23, 101])
     @pytest.mark.parametrize("radius", [MAX_RADIUS, MAX_RADIUS - 3])
     def test_deep_stacks_stay_exact(self, count, radius):
-        full = rect(-radius, -radius, radius, radius)
-        inset = rect(-radius + 1, -radius + 3, radius - 5, radius)
-        p = _pat(*[full if k % 2 else inset for k in range(count)], radius=radius)
+        p = _deep_stack(count, radius)
         rects = [rc for shape in p.shapes for rc in rectangles(shape)]
         got = coverage_grid(p.rects, p.radius, 64)
         assert got.dtype == np.int64 and int(got.max()) >= 2**53
@@ -214,22 +224,102 @@ class TestWindowFeatures:
         assert set(polys.tolist()) == {0}  # only the U has rows
 
 
+@st.composite
+def _window_blocks(draw):
+    """Windows of one radius, some of them empty, and cuts into blocks of
+    1-6 windows; near MAX_RADIUS a deep stack (`_deep_stack`, past 2^53)
+    may sit among them."""
+    radius = draw(st.sampled_from(RADII))
+    windows = draw(st.lists(_clipped_pattern(radius), min_size=1, max_size=11))
+    if radius >= MAX_RADIUS - 3 and draw(st.booleans()):
+        windows.insert(draw(st.integers(0, len(windows))), _deep_stack(draw(st.sampled_from([23, 101])), radius))
+    sizes = []
+    while sum(sizes) < len(windows):
+        sizes.append(min(draw(st.integers(1, 6)), len(windows) - sum(sizes)))
+    return radius, windows, sizes
+
+
+class TestBlockFeatures:
+    @given(_window_blocks())
+    @example((32, [_pat(radius=32)], [1]))  # one empty window
+    @example((32, [_pat(radius=32), _pat(rect(-8, -8, 8, 8), radius=32), _pat(radius=32)], [3]))
+    @example((MAX_RADIUS - 3, [_pat(rect(-5, 0, 9, 7), radius=MAX_RADIUS - 3), _deep_stack(101, MAX_RADIUS - 3),
+                               _pat(radius=MAX_RADIUS - 3)], [3]))
+    def test_every_window_equals_its_own_vector(self, case):
+        # every vector of every block is the per-window reference, bit for
+        # bit, whatever the block holds beside it
+        radius, windows, sizes = case
+        want = [features_per_window(p.rects, radius) for p in windows]
+        got = []
+        for lo, n in zip(np.cumsum([0] + sizes), sizes):
+            part = [p.rects for p in windows[lo:lo + n]]
+            out = block_features(np.concatenate(part), [len(r) for r in part], radius)
+            assert out.dtype == np.float64 and out.shape == (n, raster.DCT_K**2)
+            got.extend(out)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        # the batch entry points cut their own blocks of BLOCK windows
+        fresh = [Pattern(p.center, radius, p.rings) for p in windows]
+        raster.fill_features(fresh)
+        assert [p.features.tobytes() for p in fresh] == [w.tobytes() for w in want]
+        assert [pattern_features(p).tobytes() for p in windows] == [w.tobytes() for w in want]
+
+    @given(_layout_window(), st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=9))
+    def test_window_cosines_score_each_window(self, layout_window, moves):
+        doc, (cx, cy) = layout_window
+        centers = [(cx + dx, cy + dy) for dx, dy in moves]
+        ref = window_features(doc, (cx, cy))
+        want = [cosine_similarity(ref, features_per_window(doc.window_rectangles(c)[0], doc.pattern_radius))
+                for c in centers]
+        assert raster.window_cosines(doc, ref, centers) == want
+
+    def test_output_written_in_place(self):
+        out = np.full((4, raster.DCT_K**2), np.nan)
+        rows = _pat(rect(-8, -8, 8, 8), rect(10, 10, 20, 30)).rects
+        got = block_features(rows, [1, 0, 1], 32, out[1:])
+        assert got.base is out and np.isnan(out[0]).all() and not out[2].any()
+        assert out[1].tobytes() == features_per_window(rows[:1], 32).tobytes()
+        assert out[3].tobytes() == features_per_window(rows[1:], 32).tobytes()
+
+
 class TestOneFeaturePath:
-    def test_coverage_grid_runs_once_per_feature_vector(self, monkeypatch):
-        # both feature functions rasterise through the module's one
-        # coverage_grid, so a cosine run and its verification call it once
-        # for every vector they build, anchors and windows alike
-        doc = generate_synthetic(3, 4, 4, seed=1)  # its template probe rasterises too
-        calls = Counter()
-        for name in ("coverage_grid", "pattern_features", "window_features"):
-            def counted(*args, _name=name, _fn=getattr(raster, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
+    def test_every_vector_goes_through_the_one_kernel(self, monkeypatch):
+        # every entry point asks block_features for its windows, and
+        # nothing else builds a feature vector: a cosine run and its
+        # verification never call coverage_grid or dct_features, which
+        # serve rasterize and the references in tests/oracles.py
+        asked = Counter()
+        real_kernel = raster.block_features
+
+        def kernel(rows, sizes, radius, out=None):
+            asked["kernel"] += len(sizes)
+            return real_kernel(rows, sizes, radius, out)
+
+        def entry(name, windows):
+            real = getattr(raster, name)
+
+            def counted(*args):
+                before = sum(1 for p in args[0] if "features" in vars(p)) if name == "fill_features" else 0
+                result = real(*args)
+                asked[name] += windows(args) - before
+                return result
             monkeypatch.setattr(raster, name, counted)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a feature vector built outside block_features")
+
+        monkeypatch.setattr(raster, "block_features", kernel)
+        entry("pattern_features", lambda args: 1)
+        entry("window_features", lambda args: 1)
+        entry("fill_features", lambda args: sum(1 for p in args[0] if "features" in vars(p)))
+        entry("window_cosines", lambda args: len(args[2]))
+        doc = generate_synthetic(3, 4, 4, seed=1)  # its template probe reads pattern_features
+        for name in ("coverage_grid", "dct_features"):
+            monkeypatch.setattr(raster, name, forbidden)
         clusters, _report, _stats = run_full(doc)
         assert verify_clusterset(clusters, doc).ok
-        assert calls["pattern_features"] and calls["window_features"]
-        assert calls["coverage_grid"] == calls["pattern_features"] + calls["window_features"]
+        entries = ("pattern_features", "window_features", "fill_features", "window_cosines")
+        assert all(asked[name] for name in entries), asked
+        assert asked["kernel"] == sum(asked[name] for name in entries)
 
 
 class TestRasterize:

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+from pattern_forge import parse_layout, raster
 from pattern_forge.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,3 +82,26 @@ class TestSameOutputs:
         assert compare(csv_a, csv_b) == ["records.csv differs in s off"]
         assert compare(csv_a, csv_a.replace("clusters", "count")) == ["records.csv header differs"]
         assert compare(csv_a, csv_a + "s,extra,1.0,4,2.0\n") == ["records.csv has 3 vs 4 rows"]
+
+    def test_feature_digest_child(self, tmp_path):
+        # the child's digest is the sha256 of every window's feature bytes,
+        # at each marker center and 3 nm right, 2 nm down of it
+        ns = _script_module()
+        paths = []
+        for constraint in ("cosine", "edgemove"):
+            paths.append(tmp_path / f"{constraint}.lay")
+            assert main(["generate", "--output", str(paths[-1]), "--templates", "2", "--instances", "2",
+                         "--constraint", constraint]) == 0
+        cosine = [str(p) for p in paths if ns["_is_cosine"](str(p))]
+        assert cosine == [str(paths[0])]
+        lines, err = ns["_digests"](str(ROOT), ns["FEATURES"], cosine)
+        assert lines is not None, err
+        doc = parse_layout(paths[0].read_text(encoding="utf-8"))
+        digest = hashlib.sha256()
+        for marker in doc.markers:
+            cx, cy = marker.center()
+            digest.update(raster.window_features(doc, (cx, cy)).tobytes())
+            digest.update(raster.window_features(doc, (cx + 3, cy - 2)).tobytes())
+        assert lines == [f"cosine.lay: {digest.hexdigest()}"]
+        moved = [lines[0][:-1] + ("0" if lines[0][-1] != "0" else "1")]
+        assert ns["_compare_digests"](lines, moved) == ["layouts differ: cosine.lay"]
