@@ -486,6 +486,16 @@ class Pattern:
         return raster.pattern_features(self)
 
     @property
+    def has_features(self) -> bool:
+        """Whether `features` is computed already."""
+        return "features" in vars(self)  # where cached_property keeps it
+
+    def cache_features(self, vector: np.ndarray) -> None:
+        """Keep `vector` as `features`: for a caller that computed it as
+        reading `features` would, bit for bit."""
+        vars(self)["features"] = vector
+
+    @property
     def is_empty(self) -> bool:
         return not self.rings
 

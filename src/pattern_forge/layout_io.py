@@ -34,7 +34,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -77,13 +76,11 @@ class LayoutDocument:
     hands the new document the same table, so nothing is decomposed again.
     Equality compares the header, the ids, the markers and the rings.
 
-    `rects`, `owner`, `widest` and `shift_range` are what
-    `window_rectangles` queries: the table's `rects` and `owner` rows sorted
-    stably by xlo, so row k of `rects` is a `rectangles()` row (xlo, ylo,
-    xhi, yhi) of design polygon `owner[k]`; `widest`, the width of the
-    widest row, exact as a Python int however far apart its sides lie; and
-    `shift_range`, built on the first query, the center coordinates from
-    which no row coordinate is beyond int64 reach.
+    `rects`, `owner` and `widest` are what `window_rectangles` queries: the
+    table's `rects` and `owner` rows sorted stably by xlo, so row k of
+    `rects` is a `rectangles()` row (xlo, ylo, xhi, yhi) of design polygon
+    `owner[k]`, and `widest`, the width of the widest row, exact as a
+    Python int however far apart its sides lie.
     """
 
     pattern_radius: int
@@ -110,14 +107,6 @@ class LayoutDocument:
         # a width below 2**64 does not wrap in uint64, where it may in int64
         self.widest = int((rects[:, 2].view(np.uint64) - rects[:, 0].view(np.uint64)).max(initial=0))
 
-    @cached_property
-    def shift_range(self) -> range:
-        """The center coordinates c from which every coordinate of `rects`
-        lies within int64 reach: for each, row - c neither falls below
-        -2**63 nor exceeds 2**63 - 1."""
-        lowest, highest = int(self.rects.min(initial=0)), int(self.rects.max(initial=0))
-        return range(highest - 2**63 + 1, lowest + 2**63 + 1)
-
     @property
     def design_polygons(self) -> tuple[Polygon, ...]:
         """The rings as `Polygon` objects, in file order, built on each read:
@@ -132,28 +121,22 @@ class LayoutDocument:
         misses the window, touches it only along an edge, or overlaps it
         with its bbox alone has no rows. No row is wider than `widest`, so
         only rows with xlo in (cx - r - widest, cx + r) can reach the
-        window; the lower bound is held within int64.
-
-        When both center coordinates lie in `shift_range`, the rows are
-        shifted and then clipped to [-r, r]. Otherwise a shift could wrap,
-        so they are clipped to the window in absolute coordinates first,
-        its sides held within int64; that costs a benchmark window query
-        about 2 us more, so it runs only there.
+        window. The rows are clipped to the window in absolute coordinates,
+        its sides held within int64, before the center is subtracted, so no
+        step can wrap.
         """
-        cx, cy = center
+        cx, cy = int(center[0]), int(center[1])  # numpy integers could wrap in the bounds below
         r = self.pattern_radius
         lo, hi = self.rects[:, 0].searchsorted((max(cx - r - self.widest, -2**63), cx + r))
         rows = self.rects[lo:hi]
         keep = (rows[:, 2] > cx - r) & (rows[:, 1] < cy + r) & (rows[:, 3] > cy - r)
         rows = rows[keep]  # boolean indexing made a copy
-        if cx not in self.shift_range or cy not in self.shift_range:  # a shift could wrap
-            low = (max(cx - r, -2**63), max(cy - r, -2**63))  # the window's sides, held within int64
-            high = (min(cx + r, 2**63 - 1), min(cy + r, 2**63 - 1))
-            np.maximum(rows, low * 2, out=rows)
-            np.minimum(rows, high * 2, out=rows)
+        low = (max(cx - r, -2**63), max(cy - r, -2**63))  # the window's sides, held within int64
+        high = (min(cx + r, 2**63 - 1), min(cy + r, 2**63 - 1))
+        np.maximum(rows, low * 2, out=rows)
+        np.minimum(rows, high * 2, out=rows)
         rows -= (cx, cy, cx, cy)
-        np.minimum(rows, r, out=rows)
-        return np.maximum(rows, -r, out=rows), self.owner[lo:hi][keep]
+        return rows, self.owner[lo:hi][keep]
 
 
 def _names_file(source: str) -> bool:

@@ -172,7 +172,7 @@ def block_features(rows: np.ndarray, sizes, radius: int, out: np.ndarray | None 
     b = len(sizes)
     longest = max(sizes, default=0)
     scaled = (rows + radius) * GRID
-    if b == 1:  # nothing to pad
+    if b == 1:  # nothing to pad (a cos_nearT probe window: 42 us, padded 46 us)
         s = scaled.astype(np.float64).reshape(1, longest, 4)
     else:
         s = np.zeros((b, longest, 4))
@@ -214,19 +214,19 @@ def _blocked(windows, radius: int):
 
 def fill_features(patterns) -> None:
     """Give every pattern of `patterns` whose `features` is not computed
-    yet its vector, in blocks (`_blocked`), and cache it where reading
-    `Pattern.features` would. The vectors are those that reading would
-    compute, bit for bit.
+    yet its vector, in blocks (`_blocked`), kept by
+    `Pattern.cache_features`. The vectors are those that reading
+    `Pattern.features` would compute, bit for bit.
 
     Each vector is copied out of the block buffer into an array of its own,
     as reading `Pattern.features` gives it. Keeping the kernel's arrays
     instead, one for all patterns or one per block, raised a benchmark
     run's peak RSS by 0.2-0.7 MB."""
-    todo = [p for p in patterns if "features" not in vars(p)]
+    todo = [p for p in patterns if not p.has_features]
     for radius in sorted({p.radius for p in todo}):  # one radius for a document's windows
         same = [p for p in todo if p.radius == radius]
         for p, v in zip(same, _blocked([p.rects for p in same], radius)):
-            vars(p)["features"] = v.copy()
+            p.cache_features(v.copy())
 
 
 def window_features(doc, center) -> np.ndarray:
@@ -247,8 +247,9 @@ def window_cosines(doc, ref: np.ndarray, centers) -> list[float]:
     """`cosine_similarity(ref, window_features(doc, c))` for each of
     `centers`, the windows scored in blocks (`_blocked`); only the cosines
     are kept, so the vectors take one block's memory. A single window (each
-    probe refinement's) goes straight to `window_features`, which costs
-    less than a block's setup."""
+    probe refinement's) goes straight to `window_features`: on the probe
+    windows of the benchmark's cos_nearT that costs 62 us a window, and a
+    one-window block 68 us."""
     if len(centers) == 1:
         return [cosine_similarity(ref, window_features(doc, centers[0]))]
     windows = [doc.window_rectangles(c)[0] for c in centers]

@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -272,15 +273,25 @@ class TestArrayParse:
         for cx in (-2**63, 2**63 - 1):
             rows, _owners = doc.window_rectangles((cx, 2))
             assert rows.tolist() == [[0, -2, 8, 3] if cx < 0 else [-8, -2, 0, 3]]
-        # a row whose far side lies 2**63 - 1 from the center or nearer is
-        # shifted before it is clipped, one further clipped first; on
-        # either side of the center
+        # a row whose far side lies 2**63 - 1 from the center, or just
+        # beyond, on either side of the center
         doc = parse_layout(_layout([(0, 0), (2**63 - 1, 0), (2**63 - 1, 5), (0, 5)]))
         assert doc.window_rectangles((0, 2))[0].tolist() == [[0, -2, 8, 3]]
         assert doc.window_rectangles((-1, 2))[0].tolist() == [[1, -2, 8, 3]]
         doc = parse_layout(_layout([(-2**63, 0), (0, 0), (0, 5), (-2**63, 5)]))
         assert doc.window_rectangles((0, 0))[0].tolist() == [[-8, 0, 0, 5]]
         assert doc.window_rectangles((1, 1))[0].tolist() == [[-8, -1, -1, 4]]
+
+    def test_numpy_integer_center(self):
+        # a center read from an array holds numpy integers; the query takes
+        # them as the Python ints they equal
+        doc = parse_layout(_layout([(-2**63, 0), (2**63 - 1, 0), (2**63 - 1, 5), (-2**63, 5)],
+                                   [(0, 20), (4, 20), (4, 24), (0, 24)]))
+        for center in ((2**62, 2), (-2**63, 2), (2**63 - 1, 2), (3, 1), (-7, 9), (2, 18)):
+            rows, owners = doc.window_rectangles(tuple(np.int64(c) for c in center))
+            want_rows, want_owners = doc.window_rectangles(center)
+            assert rows.tolist() == want_rows.tolist() and owners.tolist() == want_owners.tolist()
+        assert doc.window_rectangles((np.int64(2**62), np.int64(2)))[0].tolist() == [[-8, -2, 8, 3]]
 
     def test_rectangles_build_no_polygon(self, monkeypatch):
         rng = random.Random(5)

@@ -675,10 +675,10 @@ def _record_filled(monkeypatch, record) -> None:
     real = raster.fill_features
 
     def recording(patterns):
-        before = [p for p in patterns if "features" not in vars(p)]
+        before = [p for p in patterns if not p.has_features]
         real(patterns)
         for p in before:
-            if "features" in vars(p):
+            if p.has_features:
                 record(p)
 
     monkeypatch.setattr(raster, "fill_features", recording)

@@ -298,7 +298,7 @@ class TestOneFeaturePath:
             real = getattr(raster, name)
 
             def counted(*args):
-                before = sum(1 for p in args[0] if "features" in vars(p)) if name == "fill_features" else 0
+                before = sum(1 for p in args[0] if p.has_features) if name == "fill_features" else 0
                 result = real(*args)
                 asked[name] += windows(args) - before
                 return result
@@ -310,7 +310,7 @@ class TestOneFeaturePath:
         monkeypatch.setattr(raster, "block_features", kernel)
         entry("pattern_features", lambda args: 1)
         entry("window_features", lambda args: 1)
-        entry("fill_features", lambda args: sum(1 for p in args[0] if "features" in vars(p)))
+        entry("fill_features", lambda args: sum(1 for p in args[0] if p.has_features))
         entry("window_cosines", lambda args: len(args[2]))
         doc = generate_synthetic(3, 4, 4, seed=1)  # its template probe reads pattern_features
         for name in ("coverage_grid", "dct_features"):
