@@ -20,8 +20,13 @@ matrix's scenarios, and
 be equal. Then one child per checkout prints, for each cosine workload
 layout, the sha256 of the bytes of `raster.window_features(doc, c)` at
 every marker center c and at c + (3, -2): a feature bit that moves shows
-even where no report changes. --layout runs the given layout files
-instead of the workloads, the matrix, the sweep and the feature digests.
+even where no report changes. Last, one child per checkout prints, for
+every workload layout, the sha256 of every extracted window's table
+(vertices, offsets, rects, owner and bboxes) at the same centers, read in
+one batch where the checkout has `geometry.extract_patterns` and one
+center at a time where it has only `extract_pattern`. --layout runs the
+given layout files instead of the workloads, the matrix, the sweep and the
+digests.
 Prints one line per case (the sweep and the digests are one line each,
 naming the layouts that differ) and exits 1 on any difference or failed
 run, 0 otherwise.
@@ -86,6 +91,34 @@ for path in sys.argv[1:]:
     print(f"{os.path.basename(path)}: {digest.hexdigest()}")
 '''
 
+# The window-table digest child: argv holds layout files; prints
+# `<file>: <sha256>` per file over its windows' tables (see the module
+# docstring). Each array adds its dtype and shape, then its bytes.
+TABLES = '''
+import hashlib, os, sys
+from pattern_forge import geometry, parse_layout
+
+def extract_all(doc, centers):
+    if hasattr(geometry, "extract_patterns"):
+        return geometry.extract_patterns(doc, centers)
+    return [geometry.extract_pattern(doc, c) for c in centers]
+
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as fh:
+        doc = parse_layout(fh.read())
+    centers = []
+    for marker in doc.markers:
+        cx, cy = marker.center()
+        centers += [(cx, cy), (cx + 3, cy - 2)]
+    digest = hashlib.sha256()
+    for pattern in extract_all(doc, centers):
+        for name in ("vertices", "offsets", "rects", "owner", "bboxes"):
+            a = getattr(pattern.rings, name)
+            digest.update(f"{a.dtype} {a.shape}".encode())
+            digest.update(a.tobytes())
+    print(f"{os.path.basename(path)}: {digest.hexdigest()}")
+'''
+
 
 def _workload_layouts(tmp: str) -> list[str]:
     sys.dont_write_bytecode = True  # leave the benchmark's directory as it is
@@ -133,7 +166,7 @@ def _bench(root: str, out: str) -> tuple[str | None, str]:
 
 
 def _digests(root: str, child: str, args: list[str]) -> tuple[list[str] | None, str]:
-    """Run a digest child (GENERATE or FEATURES) from the checkout with
+    """Run a digest child (GENERATE, FEATURES or TABLES) from the checkout with
     `args`; returns its digest lines (None when it failed) and its stderr."""
     proc = _run(root, [sys.executable, "-c", child, *args])
     if proc.returncode != 0:
@@ -270,6 +303,7 @@ def main(argv=None) -> int:
             bad += _digest_case(roots, "generator sweep", GENERATE, [[MATRIX, out] for out in outs])
             cosine = [p for p in layouts if _is_cosine(p)]
             bad += _digest_case(roots, "feature digests", FEATURES, [cosine, cosine])
+            bad += _digest_case(roots, "window-table digests", TABLES, [layouts, layouts])
     print(f"{bad} case(s) differ" if bad else "no differences")
     return 1 if bad else 0
 

@@ -15,10 +15,10 @@ alternates from one repeat to the next, so drift in the host's speed falls
 on each side alike.
 
 The JSON written to FILE (default stdout) holds every cell, plus a summary
-per size and mode: per checkout the median graph + solve time and the
-median of each of the two stages, the median peak RSS and the set of
-report digests, and the number of repeats whose graph + solve time at the
-change beat the parent's in the same repeat.
+per size and mode: per checkout the median graph + solve time, the median
+of each stage, the median peak RSS and the set of report digests, and the
+number of repeats whose graph + solve time at the change beat the parent's
+in the same repeat.
 """
 
 import argparse
@@ -80,6 +80,8 @@ def _summary(cells: list) -> dict:
                     "graph_solve_ms_median": statistics.median(_graph_solve(c) for c in by[name]),
                     "graph_ms_median": statistics.median(c["stage_ms"]["graph"] for c in by[name]),
                     "solve_ms_median": statistics.median(c["stage_ms"]["solve"] for c in by[name]),
+                    "stage_ms_median": {stage: statistics.median(c["stage_ms"][stage] for c in by[name])
+                                        for stage in by[name][0]["stage_ms"]},
                     "peak_rss_mb_median": statistics.median(c["peak_rss_mb"] for c in by[name]),
                     "edges": sorted({c["edges"] for c in by[name]}),
                     "report_sha256": sorted({c["report_sha256"] for c in by[name]}),

@@ -20,6 +20,7 @@ from .geometry import (
     clip_polygon,
     edge_displacements,
     extract_pattern,
+    extract_patterns,
     match_polygons,
     rectangles,
 )

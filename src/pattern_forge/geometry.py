@@ -10,9 +10,13 @@ object, a `VertexTable`: every ring's vertices in one (V, 2) int64 array
 with ring offsets, each ring's bbox, and the rings' decomposition
 rectangles. `LayoutDocument.rings` is the layout's table; `Pattern.rings`
 is a window's, in window-local coordinates, and the pattern's edge arrays
-are read from it in array passes. A `Polygon` is one ring as a tuple of
-vertices: what validation (`Polygon.from_vertices`), the slab sweep
-(`rectangles`), clipping, the union trace and tests work with.
+are read from it in array passes. `extract_patterns` builds the windows at
+many centers from one batched window query, every kept ring gathered in one
+take and each window's table a slice of the batch's arrays;
+`extract_pattern` is its one-center case. A `Polygon` is one ring as a
+tuple of vertices: what validation (`Polygon.from_vertices`), the slab
+sweep (`rectangles`), clipping, the union trace of a polygon cut by a
+window's edge, and tests work with.
 """
 
 import enum
@@ -284,6 +288,14 @@ def _bboxes(vertices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.hstack((np.minimum.reduceat(vertices, offsets[:-1]), np.maximum.reduceat(vertices, offsets[:-1])))
 
 
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices starts[k], starts[k] + 1, ..., starts[k] + sizes[k] - 1,
+    range after range, as one int64 array: the rows that compressed
+    sparse ranges name."""
+    ends = sizes.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + sizes).repeat(sizes)
+
+
 def _next_vertex(offsets: np.ndarray) -> np.ndarray:
     """Per vertex of the rings at `offsets`, the index of the next vertex
     of its ring: each ring's last vertex closes it."""
@@ -507,75 +519,129 @@ class Pattern:
         return (int(bb[:, 0].min()), int(bb[:, 1].min()), int(bb[:, 2].max()), int(bb[:, 3].max()))
 
 
+def window_sides(centers: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high sides, (x, y) each, of the square windows of
+    `radius` at the (n, 2) int64 `centers`, held within int64: max(c - r,
+    -2^63) and min(c + r, 2^63 - 1), exact. No coordinate lies beyond
+    them, so a test or clip against a held side decides as against the
+    true one."""
+    return np.maximum(centers, -2**63 + radius) - radius, np.minimum(centers, 2**63 - 1 - radius) + radius
+
+
+# Windows per pass of `extract_patterns` and `raster.window_cosines`, each
+# pass one `LayoutDocument.window_rows` query. A query tests every row of
+# its windows' x-bands (160-360 rows a window on the benchmark layouts).
+# Over 800 windows of each benchmark workload (seed 1), queries of 64 took
+# 3.5-9.5 ms where queries of 8 took 8-18 ms, and larger ones were no
+# faster, while their temporaries grow: the query's traced peak was
+# 0.6-1.3 MB at 64, 0.9-2.0 MB at 128 and 4.3-9.7 MB for all 800 at once.
+# Extracting a run's 400 anchors in one pass instead of passes of 64 raised
+# its peak RSS by 0.5 MB.
+WINDOW_CHUNK = 64
+
+
+def extract_patterns(doc, centers) -> list[Pattern]:
+    """The design polygons clipped to the square window at each of
+    `centers`, each window as a `Pattern`: its polygons in polygon order,
+    in window-local coordinates, as the window's vertex table, built from
+    batched window queries (`doc.window_rows`, WINDOW_CHUNK windows a
+    pass), the query that `raster.window_cosines` reads.
+
+    The query's rows are grouped by (window, polygon) in one stable sort,
+    so each group keeps its rows in query order. A polygon whose bbox
+    (`doc.rings.bboxes`) lies inside its window is kept whole, tested for
+    every group at once: its ring is its rows of the layout's table
+    shifted by the center, and the rings of every kept group are gathered
+    in one take. One that crosses the window's edge becomes the union of
+    its clipped rows, one shape per piece, which is what `clip_polygon`
+    traces (`_trace_union`, then `Polygon.from_vertices` and
+    `rectangles()` per piece); the pieces take their polygon's place among
+    the shapes. Both keep the table's ring invariant (`VertexTable`): a
+    kept ring is a layout ring, and `Polygon.from_vertices` normalises each
+    piece. Each window's table is a slice of its pass's arrays.
+
+    The windows' `rects` come from the same query: a polygon kept whole
+    lies inside the window, so its rows are its design rectangles shifted,
+    unclipped and, since the document's query table (`doc.rects`) is
+    sorted stably by xlo and `rectangles()` emits nondecreasing xlo, in
+    `rectangles()` order, which is `rectangles()` of the shifted ring. Only
+    a traced piece is decomposed again. A batch whose polygons are all kept
+    whole builds no `Polygon` and no Python object per vertex.
+    """
+    centers = [(cx, cy) for cx, cy in centers]
+    return [p for lo in range(0, len(centers), WINDOW_CHUNK) for p in _extract_pass(doc, centers[lo:lo + WINDOW_CHUNK])]
+
+
+def _extract_pass(doc, centers: list) -> list[Pattern]:
+    """`extract_patterns` of a non-empty list of centers, in one pass."""
+    table = doc.rings
+    c = np.array(centers, dtype=np.int64)
+    rows, owners, sizes = doc.window_rows(c)
+    key = np.arange(len(c)).repeat(sizes) * len(table) + owners  # window-major, then polygon
+    order = key.argsort(kind="stable")
+    rows, key = rows[order], key[order]
+    cut = np.ones(len(key) + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=cut[1:-1])
+    bounds = np.flatnonzero(cut)  # where each (window, polygon) group starts, then len(rows)
+    first, g_rows = bounds[:-1], bounds[1:] - bounds[:-1]
+    g_win, g_poly = np.divmod(key[first], max(len(table), 1))
+    box = table.bboxes.take(g_poly, axis=0)
+    low, high = window_sides(c, doc.pattern_radius)
+    inside = (box[:, :2] >= low[g_win]) & (box[:, 2:] <= high[g_win])
+    kept = inside[:, 0] & inside[:, 1]
+    # per shape, a kept group's to start with: its window, where its
+    # vertices start in the layout's table and how many, where its rows
+    # start among the sorted rows and how many, and its window-local bbox
+    s_win, r_src, r_size = g_win, first, g_rows
+    v_src = table.offsets.take(g_poly)
+    v_size = table.offsets.take(g_poly + 1) - v_src
+    bboxes = box - c[:, [0, 1, 0, 1]][g_win]
+    traced = np.flatnonzero(~kept).tolist()
+    if traced:  # each traced group's pieces take its place, one shape per piece
+        end = len(table.vertices)
+        by_group = [[Polygon.from_vertices(ring) for ring in _trace_union(rows[first[g]:first[g] + g_rows[g]].tolist())]
+                    for g in traced]
+        n_shapes = np.ones(len(first), dtype=np.int64)
+        n_shapes[traced] = [len(ps) for ps in by_group]
+        at = np.arange(len(first)).repeat(n_shapes)  # each shape's group
+        s_win, r_src, r_size, v_src, v_size, bboxes = (a[at] for a in (s_win, r_src, r_size, v_src, v_size, bboxes))
+        pos = np.flatnonzero(~kept[at])  # the pieces' shapes, in order
+        pieces = [p for ps in by_group for p in ps]
+        rects = [rectangles(p) for p in pieces]
+        # the pieces' vertices are read from past the layout's last row, and
+        # their rows from past the query's
+        v_size[pos] = [len(p.vertices) for p in pieces]
+        v_src[pos] = end + v_size[pos].cumsum() - v_size[pos]
+        r_size[pos] = [len(rs) for rs in rects]
+        r_src[pos] = len(rows) + r_size[pos].cumsum() - r_size[pos]
+        bboxes[pos] = [p.bbox for p in pieces]
+        rows = np.concatenate((rows, np.array([rc for rs in rects for rc in rs], dtype=np.int64)))
+        rows = rows.take(_ranges(r_src, r_size), axis=0)
+    index = _ranges(v_src, v_size)
+    # mode="clip" reads the layout's last row for a piece's vertex, and the
+    # piece's own vertices then replace it
+    vertices = table.vertices.take(index, axis=0, mode="clip") - c[s_win.repeat(v_size)]
+    if traced:
+        vertices[index >= end] = [v for p in pieces for v in p.vertices]
+    counts = np.bincount(s_win, minlength=len(c))
+    s_ends = counts.cumsum()
+    owner = (np.arange(len(s_win)) - (s_ends - counts)[s_win]).repeat(r_size)
+    v_at = np.concatenate(([0], v_size.cumsum()))
+    ends = s_ends.tolist()
+    v_ends, r_ends = v_at.tolist(), [0] + r_size.cumsum().tolist()
+    out = []
+    for center, a, b in zip(centers, [0] + ends, ends):
+        window = VertexTable(vertices[v_ends[a]:v_ends[b]], v_at[a:b + 1] - v_ends[a], bboxes[a:b],
+                             rows[r_ends[a]:r_ends[b]], owner[r_ends[a]:r_ends[b]])
+        out.append(Pattern(center, doc.pattern_radius, window))
+    return out
+
+
 def extract_pattern(doc, center: Vertex) -> Pattern:
     """The design polygons clipped to the square window at `center`, in
     polygon order and window-local coordinates, as the window's vertex
-    table, built from the query that `raster.window_features` reads
-    (`doc.window_rectangles`).
-
-    A polygon whose bbox (`doc.rings.bboxes`) lies inside the window is
-    kept whole: its ring is its rows of the layout's table shifted by the
-    center, and the rows of every kept ring are gathered in one pass. One
-    that crosses the window's edge becomes the union of its clipped rows,
-    one shape per piece, which is what `clip_polygon` traces; the pieces'
-    vertices take their polygon's place among the rows. Both keep the
-    table's ring invariant (`VertexTable`): a kept ring is a layout ring,
-    and `Polygon.from_vertices` normalises each piece.
-
-    The window's `rects` come from the same query: a polygon kept whole lies
-    inside the window, so its rows are its design rectangles shifted,
-    unclipped and, since the document's query table (`doc.rects`) is sorted
-    stably by xlo and `rectangles()` emits nondecreasing xlo, in
-    `rectangles()` order, which is `rectangles()` of the shifted ring. Only
-    a traced piece is decomposed again. A window whose polygons are all
-    kept whole builds no `Polygon` and no Python object per vertex.
-    """
-    cx, cy = center
-    r = doc.pattern_radius
-    rows, owners = doc.window_rectangles(center)
-    by_poly: dict[int, list] = {}
-    for idx, row in zip(owners.tolist(), rows.tolist()):
-        by_poly.setdefault(idx, []).append(row)
-    table = doc.rings
-    end = len(table.vertices)
-    idxs = sorted(by_poly)
-    # take reads a few rows for a list of indices faster than indexing does
-    boxes = table.bboxes.take(idxs, axis=0).tolist()
-    bounds = table.offsets.take(idxs + [k + 1 for k in idxs]).tolist()
-    # per shape: where its rows end, its vertex count, what to add to its
-    # rows to reach its source rows (the layout's, or from `end` on the
-    # traced vertices), its bbox and its number of rectangles; then every
-    # rectangle, shape after shape
-    offsets, sizes, shifts, bboxes, counts, rects = [0], [], [], [], [], []
-    traced: list[Vertex] = []  # the traced pieces' vertices: source rows end, end + 1, ...
-    for idx, (bx0, by0, bx1, by1), lo, hi in zip(idxs, boxes, bounds[:len(idxs)], bounds[len(idxs):]):
-        if cx - r <= bx0 and cy - r <= by0 and bx1 <= cx + r and by1 <= cy + r:
-            shifts.append(lo - offsets[-1])
-            sizes.append(hi - lo)
-            offsets.append(offsets[-1] + hi - lo)
-            bboxes.append((bx0 - cx, by0 - cy, bx1 - cx, by1 - cy))
-            counts.append(len(by_poly[idx]))
-            rects += by_poly[idx]
-        else:
-            for ring in _trace_union(by_poly[idx]):
-                piece = Polygon.from_vertices(ring)
-                pieces = rectangles(piece)
-                shifts.append(end + len(traced) - offsets[-1])
-                sizes.append(len(piece.vertices))
-                offsets.append(offsets[-1] + len(piece.vertices))
-                bboxes.append(piece.bbox)
-                counts.append(len(pieces))
-                rects += pieces
-                traced += piece.vertices
-    index = np.array(shifts, dtype=np.int64).repeat(sizes) + np.arange(offsets[-1])
-    # a traced piece's source rows lie past the layout's last row: mode="clip"
-    # reads that row for them, and the piece's own vertices then replace it
-    vertices = table.vertices.take(index, axis=0, mode="clip") - (cx, cy)
-    if traced:
-        vertices[index >= end] = traced
-    window = VertexTable(vertices, np.array(offsets), np.asarray(bboxes, dtype=np.int64).reshape(-1, 4),
-                         np.asarray(rects, dtype=np.int64).reshape(-1, 4), np.arange(len(sizes)).repeat(counts))
-    return Pattern((cx, cy), r, window)
+    table: `extract_patterns` of that one window."""
+    return extract_patterns(doc, (center,))[0]
 
 
 def _rect_overlaps(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:

@@ -19,8 +19,9 @@ built only for a ring of more than 4 vertices (for the slab sweep that
 decomposes it), for a ring that a check flags (to raise the error the
 per-polygon path raises) and, on demand, for callers that want objects
 (`LayoutDocument.design_polygons`, the generator, tests). The document
-sorts the table's rectangles by xlo for its window query
-(`LayoutDocument.window_rectangles`).
+sorts the table's rectangles by xlo for its window query:
+`LayoutDocument.window_rows` reads the windows at many centers in one
+array pass, and `LayoutDocument.window_rectangles` reads a single window.
 
 Report CSV: ``marker_id,cluster_id,center_x,center_y,rep_marker_id`` rows
 followed by a ``# clusters=<n> iterations=<m> compression=<r>`` summary line.
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import GeometryError, Marker, Polygon, VertexTable, _bboxes, _next_vertex, rectangles
+from .geometry import GeometryError, Marker, Polygon, VertexTable, _bboxes, _next_vertex, _ranges, rectangles, window_sides
 
 MAX_RADIUS = 10**7  # keeps rasterization denominators exact in float64
 INT64 = range(-2**63, 2**63)  # the coordinates a layout may hold
@@ -76,7 +77,7 @@ class LayoutDocument:
     hands the new document the same table, so nothing is decomposed again.
     Equality compares the header, the ids, the markers and the rings.
 
-    `rects`, `owner` and `widest` are what `window_rectangles` queries: the
+    `rects`, `owner` and `widest` are what the window queries read: the
     table's `rects` and `owner` rows sorted stably by xlo, so row k of
     `rects` is a `rectangles()` row (xlo, ylo, xhi, yhi) of design polygon
     `owner[k]`, and `widest`, the width of the widest row, exact as a
@@ -116,14 +117,18 @@ class LayoutDocument:
     def window_rectangles(self, center) -> tuple[np.ndarray, np.ndarray]:
         """The rows of `rects` that strictly overlap the window at `center`,
         clipped to it and shifted to window-local coordinates, and the
-        index of each one's polygon (from `owner`): `raster.window_features`
-        and `extract_pattern` both read this one query. A polygon that
-        misses the window, touches it only along an edge, or overlaps it
-        with its bbox alone has no rows. No row is wider than `widest`, so
-        only rows with xlo in (cx - r - widest, cx + r) can reach the
-        window. The rows are clipped to the window in absolute coordinates,
-        its sides held within int64, before the center is subtracted, so no
-        step can wrap.
+        index of each one's polygon (from `owner`): `window_rows` of that
+        one window, by a scalar path of its own. Over the marker centers
+        and center + (3, -2) of the benchmark workloads (seed 1), a window
+        costs 15-24 us here and 45-67 us as an array pass of one, so
+        `window_rows` and `raster.window_features` read a single window
+        here; cos_nearT's probe reads about 400 single windows a run. A
+        polygon that misses the window, touches it only along an edge, or
+        overlaps it with its bbox alone has no rows. No row is wider than
+        `widest`, so only rows with xlo in (cx - r - widest, cx + r) can
+        reach the window. The rows are clipped to the window in absolute
+        coordinates, its sides held within int64, before the center is
+        subtracted, so no step can wrap.
         """
         cx, cy = int(center[0]), int(center[1])  # numpy integers could wrap in the bounds below
         r = self.pattern_radius
@@ -137,6 +142,44 @@ class LayoutDocument:
         np.minimum(rows, high * 2, out=rows)
         rows -= (cx, cy, cx, cy)
         return rows, self.owner[lo:hi][keep]
+
+    def window_rows(self, centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The window query of many windows in one array pass: for the
+        window at each of `centers` (any sequence of (x, y) integer pairs,
+        an (n, 2) array among them), the rows `window_rectangles` gives it,
+        in its order, and their owners, stacked window after window, and
+        each window's number of rows (an int64 array).
+        `geometry.extract_patterns` and `raster.window_cosines` read it,
+        `geometry.WINDOW_CHUNK` windows at a time: the pass tests every row
+        of its windows' x-bands at once, so its temporaries grow with the
+        number of centers.
+
+        Each window keeps the rule of the single query: a row is a
+        candidate when its xlo lies in (cx - r - widest, cx + r), kept when
+        it overlaps the window strictly, clipped to the window's sides held
+        within int64 (`geometry.window_sides`), then shifted by the center.
+        A single window goes to `window_rectangles`, which costs a third as
+        much as a pass.
+        """
+        c = np.asarray(centers, dtype=np.int64).reshape(-1, 2)
+        if len(c) == 1:
+            rows, owners = self.window_rectangles(c[0])
+            return rows, owners, np.array([len(rows)])
+        low, high = window_sides(c, self.pattern_radius)
+        reach = self.pattern_radius + self.widest  # a Python int: it may pass 2**63
+        xlo = self.rects[:, 0]
+        lo = xlo.searchsorted([max(x - reach, -2**63) for x in c[:, 0].tolist()])
+        counts = xlo.searchsorted(high[:, 0]) - lo
+        win = np.arange(len(c)).repeat(counts)  # each candidate's window
+        idx = _ranges(lo, counts)
+        keep = ((self.rects[:, 2].take(idx) > low[win, 0]) & (self.rects[:, 1].take(idx) < high[win, 1])
+                & (self.rects[:, 3].take(idx) > low[win, 1]))
+        idx, win = idx[keep], win[keep]
+        rows = self.rects.take(idx, axis=0)
+        np.maximum(rows, np.tile(low, 2)[win], out=rows)
+        np.minimum(rows, np.tile(high, 2)[win], out=rows)
+        rows -= np.tile(c, 2)[win]
+        return rows, self.owner.take(idx), np.bincount(win, minlength=len(c))
 
 
 def _names_file(source: str) -> bool:

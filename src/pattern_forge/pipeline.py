@@ -15,11 +15,14 @@ A marker's anchor (the pattern at its marker center) never changes, so a
 run extracts it once and keeps it for the rest of that run: the probe (for
 the orphan and for each cluster's representative), `_extract` in every
 iteration and the refinement of the member at its anchor all read the same
-pattern. Stages pass patterns and index pairs only: in cosine mode each
-reads an anchor's unit feature vector, `Pattern.features`, which is
-computed once per pattern (by the graph stage, in blocks of windows), and
-pairs are (m, 2) int64 arrays from the prescreen to `graph.assemble`, whose
-CSR graph `scp.solve` reads.
+pattern. Every window the pipeline reads from the layout is read in
+batches: `_extract` extracts all new anchors in one
+`geometry.extract_patterns` call, and `_window_scores` and verification
+read all the windows of a call together. Stages pass patterns and index
+pairs only: in cosine mode each reads an anchor's unit feature vector,
+`Pattern.features`, which is computed once per pattern (by the graph
+stage, in blocks of windows), and pairs are (m, 2) int64 arrays from the
+prescreen to `graph.assemble`, whose CSR graph `scp.solve` reads.
 
 One routine, `refine_members`, refines in both modes: `_refine` passes it
 all members of a selection at once, and the probe one pair at a time
@@ -31,11 +34,12 @@ that share the representative's rectangle layout in stacked blocks, and
 centers other than the anchors, read from the layout: in cosine mode in
 blocks of windows (`raster.window_cosines`), straight from the layout's
 decomposition rectangles, and in edgemove mode by one `align.edge_fits`
-call over the extracted windows. Refinement of a (representative, member)
-marker pair depends on nothing else, so a run that refused a pair never
-refines it again: the probe and `_refine` skip it and count the skip.
+call over the windows of one `extract_patterns` call. Refinement of a
+(representative, member) marker pair depends on nothing else, so a run
+that refused a pair never refines it again: the probe and `_refine` skip
+it and count the skip.
 Verification reads no run state: it scores every window from the layout
-again, through the same `_window_scores`.
+again, with the same scorers.
 """
 
 import time
@@ -45,7 +49,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import align, raster, scp
-from .geometry import Marker, Pattern, extract_pattern
+from .geometry import Marker, Pattern, extract_pattern, extract_patterns
 from .graph import SimilarityGraph, assemble, evaluate_pairs_cosine, evaluate_pairs_edgemove
 from .layout_io import ClusterReport, ConstraintKind, LayoutDocument
 from .prescreen import CandidatePairSet, PrescreenStats, build_candidates, compatible
@@ -231,13 +235,19 @@ def _window_scores(doc: LayoutDocument, rep: Pattern | None, rep_features, cente
     `centers`, read from the layout: the cosine against `rep_features` of
     the window's features, scored in blocks by `raster.window_cosines`
     (equal bit for bit to the features of the extracted pattern), or the
-    negated raw edge offset of the extracted window against `rep` from one
-    `align.edge_fits` call, None where there is no one-to-one
-    correspondence."""
+    negated raw edge offset against `rep` of the windows of one
+    `extract_patterns` call (`_edge_scores`), None where there is no
+    one-to-one correspondence."""
     if doc.constraint_kind is ConstraintKind.COSINE:
         return raster.window_cosines(doc, rep_features, centers)
-    fits = align.edge_fits(rep, [extract_pattern(doc, c) for c in centers])
-    return [None if fit is None else -float(fit[2]) for fit in fits]
+    return _edge_scores(rep, extract_patterns(doc, centers))
+
+
+def _edge_scores(rep: Pattern, windows) -> list:
+    """The negated raw edge offset of each of `windows` against `rep`, from
+    one `align.edge_fits` call, None where there is no one-to-one
+    correspondence."""
+    return [None if fit is None else -float(fit[2]) for fit in align.edge_fits(rep, windows)]
 
 
 def _timed(istats: IterationStats, stage: str, fn, *args):
@@ -297,10 +307,10 @@ def _probe(doc, stats, istats, clusters, active, anchors, refused) -> list[int]:
 
 def _extract(doc, active, anchors) -> list[Pattern]:
     """Stage 1: the active markers' anchor patterns, extracted into
-    `anchors` the first time a run needs them."""
-    for m in active:
-        if m not in anchors:
-            anchors[m] = extract_pattern(doc, doc.markers[m].center())
+    `anchors` the first time a run needs them, all in one
+    `extract_patterns` call."""
+    todo = [m for m in active if m not in anchors]
+    anchors.update(zip(todo, extract_patterns(doc, [doc.markers[m].center() for m in todo])))
     return [anchors[m] for m in active]
 
 
@@ -444,12 +454,14 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
 
     The check is independent of the run on purpose: it never reads the
     anchors `run_full` cached. It scores each cluster's members at their
-    stored centers with `_window_scores`, the scorer refinement uses (in
-    cosine mode every window rasterised from the layout's decomposition
-    rectangles, the members' windows in blocks of `raster.BLOCK` through
-    one feature kernel, in edgemove mode every window extracted and scored
-    in one `align.edge_fits` call), and then runs the checks in member
-    order.
+    stored centers with the scorers refinement uses: in cosine mode every
+    window rasterised from the layout's decomposition rectangles, the
+    representative's by `raster.window_features` and the members' by
+    `raster.window_cosines` (one batched query, blocks of `raster.BLOCK`
+    windows through one feature kernel); in edgemove mode the
+    representative and the members extracted in one `extract_patterns`
+    call and scored in one `align.edge_fits` call (`_edge_scores`). Then
+    it runs the checks in member order.
     `cfg` is not read, since no run setting changes what a valid assignment
     is; it stays for callers that pass their config.
     """
@@ -463,11 +475,12 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
     floor = _score_floor(doc)
     seen = set()
     for cid, cluster in enumerate(clusters):
+        centers = [c for _m, c in cluster.members]
         if cosine:
-            rep, rep_features = None, raster.window_features(doc, cluster.rep_center)
+            scores = raster.window_cosines(doc, raster.window_features(doc, cluster.rep_center), centers)
         else:
-            rep, rep_features = extract_pattern(doc, cluster.rep_center), None
-        scores = _window_scores(doc, rep, rep_features, [c for _m, c in cluster.members])
+            rep, *windows = extract_patterns(doc, [cluster.rep_center, *centers])
+            scores = _edge_scores(rep, windows)
         for (m, (cx, cy)), score in zip(cluster.members, scores):
             mid = doc.marker_ids[m]
             if m in seen:

@@ -3,11 +3,13 @@
 Every feature vector comes from one kernel, `block_features`, which scores
 a block of windows given as stacked rectangle rows (window-local int64 x0,
 y0, x1, y1) and one radius R. `pattern_features` (a pattern's `rects`) and
-`window_features` (the rows of the layout's window query,
+`window_features` (the rows of the layout's single-window query,
 `doc.window_rectangles`, without extracting a pattern) are its one-window
 case. The graph stage gives its anchors their vectors in blocks
 (`fill_features`), and refinement and verification score moved windows in
-blocks (`window_cosines`), keeping only the cosines. A block holds at most
+blocks (`window_cosines`), keeping only the cosines: the windows' rows
+come stacked from batched queries (`doc.window_rows`) and go to the
+kernel block by block as slices of them. A block holds at most
 BLOCK windows and is padded only to its own longest row list. The vector
 is the low-frequency 32 x 32 block of the orthonormal 2D DCT-II of the
 rows' coverage on a 64-pixel grid, scaled to unit length (all zeros for an
@@ -30,6 +32,7 @@ block; `rasterize` wraps the grid as a `Bitmap`, the input of
 `align.phase_correlate`.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Pattern
+from .geometry import WINDOW_CHUNK, Pattern
 
 GRID = 64   # raster side in pixels of every feature vector
 DCT_K = 32  # side of the low-frequency DCT block kept as the feature vector
@@ -201,15 +204,15 @@ def pattern_features(pattern: Pattern) -> np.ndarray:
     return block_features(rects, (len(rects),), pattern.radius)[0]
 
 
-def _blocked(windows, radius: int):
-    """Yield the feature vector of each of `windows` (rectangle row arrays
-    of one radius) in order, BLOCK windows to a `block_features` call. The
-    blocks share one buffer, so a vector holds until the next block starts:
-    a caller keeps a copy or only what it computes from it."""
+def _blocked(blocks, radius: int):
+    """Yield the feature vector of each window of `blocks`, in order: each
+    block is the (rows, sizes) of at most BLOCK windows of one radius, as
+    `block_features` reads them. The blocks share one buffer, so a vector
+    holds until the next block starts: a caller keeps a copy or only what
+    it computes from it."""
     buf = np.empty((BLOCK, DCT_K * DCT_K))
-    for lo in range(0, len(windows), BLOCK):
-        part = windows[lo:lo + BLOCK]
-        yield from block_features(np.concatenate(part), [len(r) for r in part], radius, buf[:len(part)])
+    for rows, sizes in blocks:
+        yield from block_features(rows, sizes, radius, buf[:len(sizes)])
 
 
 def fill_features(patterns) -> None:
@@ -225,7 +228,9 @@ def fill_features(patterns) -> None:
     todo = [p for p in patterns if not p.has_features]
     for radius in sorted({p.radius for p in todo}):  # one radius for a document's windows
         same = [p for p in todo if p.radius == radius]
-        for p, v in zip(same, _blocked([p.rects for p in same], radius)):
+        parts = (same[lo:lo + BLOCK] for lo in range(0, len(same), BLOCK))
+        blocks = ((np.concatenate([p.rects for p in part]), [len(p.rects) for p in part]) for part in parts)
+        for p, v in zip(same, _blocked(blocks, radius)):
             p.cache_features(v.copy())
 
 
@@ -245,15 +250,29 @@ def window_features(doc, center) -> np.ndarray:
 
 def window_cosines(doc, ref: np.ndarray, centers) -> list[float]:
     """`cosine_similarity(ref, window_features(doc, c))` for each of
-    `centers`, the windows scored in blocks (`_blocked`); only the cosines
-    are kept, so the vectors take one block's memory. A single window (each
-    probe refinement's) goes straight to `window_features`: on the probe
-    windows of the benchmark's cos_nearT that costs 62 us a window, and a
+    `centers`: the windows' rows from batched queries (`doc.window_rows`,
+    WINDOW_CHUNK windows each), scored BLOCK windows at a time
+    (`_blocked`), each block a slice of a query's stacked rows, so no
+    window's rows are copied again; only the cosines are kept, so the
+    vectors take one block's memory. A single window (each probe
+    refinement's) goes straight to `window_features`: on the probe windows
+    of the benchmark's cos_nearT that costs 62 us a window, and a
     one-window block 68 us."""
     if len(centers) == 1:
         return [cosine_similarity(ref, window_features(doc, centers[0]))]
-    windows = [doc.window_rectangles(c)[0] for c in centers]
-    return [cosine_similarity(ref, v) for v in _blocked(windows, doc.pattern_radius)]
+    return [cosine_similarity(ref, v) for v in _blocked(_window_blocks(doc, centers), doc.pattern_radius)]
+
+
+def _window_blocks(doc, centers):
+    """The (rows, sizes) of each block of BLOCK windows at `centers`, in
+    order, as `_blocked` reads them: slices of one `doc.window_rows` query
+    per WINDOW_CHUNK windows."""
+    for lo in range(0, len(centers), WINDOW_CHUNK):
+        rows, _owners, sizes = doc.window_rows(centers[lo:lo + WINDOW_CHUNK])
+        sizes = sizes.tolist()
+        ends = [0, *itertools.accumulate(sizes)]
+        for k in range(0, len(sizes), BLOCK):
+            yield rows[ends[k]:ends[min(k + BLOCK, len(sizes))]], sizes[k:k + BLOCK]
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

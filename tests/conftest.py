@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -64,3 +65,19 @@ def random_rect_union(rng: random.Random, span: int = 24, n_rects: int = 3):
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def assert_same_rows(got, want) -> None:
+    """Two window queries' (rows, owners, sizes) are equal array for array,
+    bit for bit."""
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def assert_same_table(got, want) -> None:
+    """Two extracted windows have the same center and radius and equal
+    tables, array for array, bit for bit."""
+    assert got.center == want.center and got.radius == want.radius
+    for name in ("vertices", "offsets", "rects", "owner", "bboxes"):
+        a, b = getattr(got.rings, name), getattr(want.rings, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name

@@ -3,9 +3,10 @@
 Everything here favors obviousness over speed: layout parsing one polygon
 at a time, ring validation one check after another, unit-cell parity scans for geometry, per-polygon overlap tests and edge walks for polygon pairing,
 direct double-sum DCT, feature vectors one window at a time, linear scans for min-max fits, interval competition
-one polygon pair at a time with an interval object per axis, refinement and
-verification one member at a time (every window extracted, none read from
-the layout's rectangle table), a similarity graph built one pair at a time
+one polygon pair at a time with an interval object per axis, the window
+query and extraction one center at a time (each window's rows grouped by
+polygon in a dict), refinement and verification one member at a time (every
+window extracted on its own, none read from the layout's rectangle table), a similarity graph built one pair at a time
 into a set per node and checked for symmetry, a full-update greedy set
 cover.
 Only the eager solver shares code with the package: it scores and covers
@@ -30,10 +31,12 @@ from pattern_forge.geometry import (
     NoOverlapError,
     Polygon,
     TopologyMismatchError,
+    Pattern,
     Translation,
+    VertexTable,
     ZERO_SHIFT,
     _signed_area2,
-    extract_pattern,
+    _trace_union,
     rectangles,
 )
 from pattern_forge.layout_io import MAX_RADIUS, ConstraintKind, LayoutParseError, _check_threshold
@@ -482,7 +485,7 @@ def refine_member_cosine(rep, marker, doc, member_at_anchor=None):
     window extracted and scored by its own `pattern_features`."""
     anchor = marker.center()
     if member_at_anchor is None:
-        member_at_anchor = extract_pattern(doc, anchor)
+        member_at_anchor = extract_pattern_loop(doc, anchor)
     try:
         shift = xy_minmax_align_loop(rep, member_at_anchor)
     except NoCorrespondenceError:
@@ -490,7 +493,7 @@ def refine_member_cosine(rep, marker, doc, member_at_anchor=None):
     rep_features = pattern_features(rep)
 
     def score_at(center):
-        window = member_at_anchor if center == anchor else extract_pattern(doc, center)
+        window = member_at_anchor if center == anchor else extract_pattern_loop(doc, center)
         return cosine_similarity(rep_features, pattern_features(window))
 
     return _best_center(marker, shift, score_at, lambda s: s >= doc.threshold)
@@ -502,12 +505,12 @@ def refine_member_edgemove(rep, marker, doc, member_at_anchor=None):
     from the anchor)."""
     anchor = marker.center()
     if member_at_anchor is None:
-        member_at_anchor = extract_pattern(doc, anchor)
+        member_at_anchor = extract_pattern_loop(doc, anchor)
     fit = edge_fit_aligned(rep, member_at_anchor)
     shift, anchor_offset = (fit[0], fit[2]) if fit else (None, None)
 
     def score_at(center):
-        off = anchor_offset if center == anchor else edge_fit(rep, extract_pattern(doc, center))
+        off = anchor_offset if center == anchor else edge_fit(rep, extract_pattern_loop(doc, center))
         return None if off is None else -float(off)
 
     return _best_center(marker, shift, score_at, lambda s: s >= -doc.threshold)
@@ -520,7 +523,7 @@ def verify_loop(clusters, doc) -> tuple[bool, str | None]:
     cosine = doc.constraint_kind is ConstraintKind.COSINE
     seen = set()
     for cid, cluster in enumerate(clusters):
-        rep = extract_pattern(doc, cluster.rep_center)
+        rep = extract_pattern_loop(doc, cluster.rep_center)
         rep_features = pattern_features(rep) if cosine else None
         for m, (cx, cy) in cluster.members:
             mid = doc.marker_ids[m]
@@ -529,7 +532,7 @@ def verify_loop(clusters, doc) -> tuple[bool, str | None]:
             seen.add(m)
             if not doc.markers[m].contains(cx, cy):
                 return False, f"center ({cx}, {cy}) outside marker {mid}"
-            window = extract_pattern(doc, (cx, cy))
+            window = extract_pattern_loop(doc, (cx, cy))
             if cosine:
                 sim = cosine_similarity(rep_features, pattern_features(window))
                 if sim < doc.threshold:
@@ -544,6 +547,67 @@ def verify_loop(clusters, doc) -> tuple[bool, str | None]:
         missing = sorted(set(range(len(doc.markers))) - seen)
         return False, f"markers never assigned: {missing[:5]}"
     return True, None
+
+
+def window_rectangles_loop(doc, center) -> tuple[np.ndarray, np.ndarray]:
+    """The window query of one center: the rows of `doc.rects` with xlo in
+    (cx - r - widest, cx + r) that overlap the window strictly, clipped to
+    its sides (held within int64) in absolute coordinates, then shifted by
+    the center; and their owners."""
+    cx, cy = int(center[0]), int(center[1])
+    r = doc.pattern_radius
+    lo, hi = doc.rects[:, 0].searchsorted((max(cx - r - doc.widest, -2**63), cx + r))
+    rows = doc.rects[lo:hi]
+    keep = (rows[:, 2] > cx - r) & (rows[:, 1] < cy + r) & (rows[:, 3] > cy - r)
+    rows = rows[keep]
+    low = (max(cx - r, -2**63), max(cy - r, -2**63))
+    high = (min(cx + r, 2**63 - 1), min(cy + r, 2**63 - 1))
+    np.maximum(rows, low * 2, out=rows)
+    np.minimum(rows, high * 2, out=rows)
+    rows -= (cx, cy, cx, cy)
+    return rows, doc.owner[lo:hi][keep]
+
+
+def window_rows_loop(doc, centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`window_rectangles_loop` of each of `centers`, stacked in order, and
+    each window's row count."""
+    parts = [window_rectangles_loop(doc, c) for c in centers]
+    rows = np.concatenate([p[0] for p in parts] + [np.empty((0, 4), dtype=np.int64)])
+    owners = np.concatenate([p[1] for p in parts] + [np.empty(0, dtype=np.int64)])
+    return rows, owners, np.array([len(p[0]) for p in parts], dtype=np.int64)
+
+
+def extract_pattern_loop(doc, center) -> Pattern:
+    """The window at `center` extracted on its own: its query rows grouped
+    by polygon in a dict; a polygon whose bbox lies inside the window kept
+    whole (its layout ring shifted, its rows as its rectangles), any other
+    traced from its clipped rows piece by piece."""
+    cx, cy = center
+    r = doc.pattern_radius
+    rows, owners = window_rectangles_loop(doc, center)
+    by_poly: dict[int, list] = {}
+    for idx, row in zip(owners.tolist(), rows.tolist()):
+        by_poly.setdefault(idx, []).append(row)
+    table = doc.rings
+    vertices, offsets, bboxes, rects, owner = [], [0], [], [], []
+    for idx in sorted(by_poly):
+        bx0, by0, bx1, by1 = table.bboxes[idx].tolist()
+        if cx - r <= bx0 and cy - r <= by0 and bx1 <= cx + r and by1 <= cy + r:
+            lo, hi = table.offsets[idx:idx + 2].tolist()
+            shapes = [(table.vertices[lo:hi] - (cx, cy), (bx0 - cx, by0 - cy, bx1 - cx, by1 - cy), by_poly[idx])]
+        else:
+            pieces = [Polygon.from_vertices(ring) for ring in _trace_union(by_poly[idx])]
+            shapes = [(np.array(p.vertices, dtype=np.int64), p.bbox, rectangles(p)) for p in pieces]
+        for ring, bbox, rs in shapes:
+            owner += [len(bboxes)] * len(rs)
+            vertices.append(ring)
+            offsets.append(offsets[-1] + len(ring))
+            bboxes.append(bbox)
+            rects += rs
+    window = VertexTable(np.concatenate(vertices + [np.empty((0, 2), dtype=np.int64)]),
+                         np.array(offsets, dtype=np.int64), np.array(bboxes, dtype=np.int64).reshape(-1, 4),
+                         np.array(rects, dtype=np.int64).reshape(-1, 4), np.array(owner, dtype=np.int64))
+    return Pattern((cx, cy), r, window)
 
 
 def naive_dct2(pixels: np.ndarray) -> np.ndarray:
@@ -627,7 +691,7 @@ def eager_solve_oracle(g, exact: bool = False) -> scp.SolveResult:
     id) as `scp.solve`. With exact=True all arithmetic is rational.
     """
     s = exact_surprisals(g) if exact else scp._surprisals(g)
-    covered = [False] * g.n
+    covered = np.zeros(g.n, dtype=bool)
     stats = scp.SolverStats()
     selections = []
     remaining = g.n

@@ -1,7 +1,11 @@
+import random
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pattern_forge import geometry
 from pattern_forge.geometry import (
     Axis,
     GeometryError,
@@ -18,6 +22,7 @@ from pattern_forge.geometry import (
     clip_polygon,
     edge_displacements,
     extract_pattern,
+    extract_patterns,
     match_polygons,
     rectangles,
 )
@@ -25,18 +30,20 @@ from pattern_forge.align import edge_fit_aligned
 from pattern_forge.layout_io import ConstraintKind, LayoutDocument
 from pattern_forge.raster import coverage_grid
 
-from conftest import rect, staircase, random_rect_union
+from conftest import assert_same_rows, assert_same_table, rect, staircase, random_rect_union
 from oracles import (
     cells_inside,
     coverage_grid_loop,
     direction_sequence,
     edge_displacements_loop,
+    extract_pattern_loop,
     pattern_edges,
     from_vertices_loop,
     hull_bbox,
     match_polygons_loop,
     rect_cells,
     rings_cells,
+    window_rows_loop,
 )
 
 
@@ -464,6 +471,69 @@ class TestExtract:
             assert extract_pattern(doc, (0, 0)).is_empty
 
 
+@st.composite
+def _batch(draw):
+    """A design (`_design`) and a batch of centers around its window: some
+    on its lattice, some off it (cutting polygons at odd places), some far
+    enough out to be empty, in any order, some repeated."""
+    doc, center = draw(_design())
+    near = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+    centers = [center] + draw(st.lists(near, max_size=10))
+    centers += draw(st.lists(st.sampled_from(centers), max_size=4))  # repeats
+    return doc, draw(st.permutations(centers))
+
+
+class TestExtractBatch:
+    """The batched window query and extraction against the same windows
+    read one center at a time (`oracles`)."""
+
+    @settings(max_examples=150)
+    @given(_batch(), st.sampled_from([1, 2, 5, geometry.WINDOW_CHUNK]), st.sampled_from(["int", "np.int64", "array"]))
+    @example((_doc([_u_across_edge((0, 0), 8, 0, 0, 1), rect(-2, -2, 2, 2)], 8), [(0, 0), (3, 1), (0, 0), (90, 90)]), 2, "int")
+    @example((_doc([], 8), [(0, 0), (4, 4)]), 1, "int")  # no polygons at all
+    def test_matches_one_center_at_a_time(self, batch, chunk, form):
+        # chunks of `chunk` centers, so a batch spans several; centers as
+        # Python ints, numpy integers or one (n, 2) array
+        doc, centers = batch
+        given_centers = {"int": centers, "np.int64": [tuple(map(np.int64, c)) for c in centers],
+                         "array": np.array(centers, dtype=np.int64)}[form]
+        with mock.patch.object(geometry, "WINDOW_CHUNK", chunk):
+            rows = doc.window_rows(given_centers)
+            got = extract_patterns(doc, given_centers)
+        assert_same_rows(rows, window_rows_loop(doc, centers))
+        assert len(got) == len(centers)
+        for p, c in zip(got, centers):
+            assert_same_table(p, extract_pattern_loop(doc, c))
+            assert p.shapes == _clip_every_polygon(doc, c)
+
+    def test_longer_than_one_chunk(self):
+        # every center of a lattice over a random layout, shuffled, with
+        # repeats, at the module's own chunk size
+        rng = random.Random(3)
+        polys = []
+        for _ in range(30):
+            x, y = rng.randrange(-70, 60), rng.randrange(-70, 60)
+            if rng.random() < 0.5:
+                polys.append(rect(x, y, x + rng.randrange(2, 30), y + rng.randrange(2, 12)))
+            else:
+                polys.append(staircase(rng.randrange(1, 4), run=3, rise=2, x0=x, y0=y))
+        doc = _doc(polys, 12)
+        centers = [(x, y) for x in range(-70, 71, 10) for y in range(-70, 71, 14)]
+        centers += centers[::7]
+        rng.shuffle(centers)
+        assert len(centers) > 2 * geometry.WINDOW_CHUNK
+        assert_same_rows(doc.window_rows(centers), window_rows_loop(doc, centers))
+        for p, c in zip(extract_patterns(doc, centers), centers, strict=True):
+            assert_same_table(p, extract_pattern_loop(doc, c))
+
+    def test_one_center_and_none(self):
+        doc = _doc([rect(-20, -2, 4, 2), rect(-4, -4, 4, 2)], 8)
+        assert extract_patterns(doc, []) == []
+        assert_same_rows(doc.window_rows([]), window_rows_loop(doc, []))
+        assert_same_table(extract_pattern(doc, (1, 0)), extract_pattern_loop(doc, (1, 0)))
+        assert_same_table(extract_patterns(doc, [(1, 0)])[0], extract_pattern_loop(doc, (1, 0)))
+
+
 def _directions(p: Pattern) -> tuple[str, ...]:
     return tuple(d for d, _axes, _coords in pattern_edges(p))
 
@@ -535,9 +605,16 @@ class TestWindowEdgeArrays:
 
         monkeypatch.setattr(Polygon, "__init__", counting)
         p = extract_pattern(doc, (0, 0))
+        # a batch whose windows keep every polygon whole, or hold none; at
+        # (6, 6), (56, 56) and (28, 28) a bbox lies on the window's sides
+        centers = [(1, 0), (42, 42), (0, 0), (-1, 1), (200, 0), (1, 0), (6, 6), (56, 56), (28, 28)]
+        batch = extract_patterns(doc, centers)
         monkeypatch.undo()
         assert calls == [] and len(p.rings) == 3
         assert p.shapes == _clip_every_polygon(doc, (0, 0))
+        assert [len(q.rings) for q in batch] == [3, 1, 3, 3, 0, 3, 3, 1, 1]
+        for q, c in zip(batch, centers):
+            assert q.shapes == _clip_every_polygon(doc, c)
 
 
 def _pat(*polys, radius=32) -> Pattern:

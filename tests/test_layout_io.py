@@ -4,12 +4,13 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pattern_forge import layout_io
+from pattern_forge import geometry, layout_io
 from pattern_forge.geometry import Marker
 from pattern_forge.align import edge_fit_aligned
 from pattern_forge.layout_io import (
@@ -23,10 +24,10 @@ from pattern_forge.layout_io import (
     write_report,
 )
 from pattern_forge.synthetic import generate_synthetic
-from pattern_forge.geometry import Polygon, _trace_union, extract_pattern
+from pattern_forge.geometry import Polygon, _trace_union, extract_pattern, extract_patterns
 
-from conftest import random_rect_union, rect
-from oracles import parse_layout_loop
+from conftest import assert_same_rows, assert_same_table, random_rect_union, rect
+from oracles import extract_pattern_loop, parse_layout_loop, window_rows_loop
 
 GOOD = """\
 # demo layout
@@ -292,6 +293,28 @@ class TestArrayParse:
             want_rows, want_owners = doc.window_rectangles(center)
             assert rows.tolist() == want_rows.tolist() and owners.tolist() == want_owners.tolist()
         assert doc.window_rectangles((np.int64(2**62), np.int64(2)))[0].tolist() == [[-8, -2, 8, 3]]
+
+    def test_int64_edge_centers_in_a_batch(self):
+        # the centers of the no-wrap test above, mixed with ordinary ones in
+        # batches that span several chunks, as Python and numpy integers:
+        # each window's rows and table are those of its own query
+        far = [(-2**63, 0), (2**63 - 1, 0), (2**63 - 1, 5), (-2**63, 5)]
+        layouts = [
+            (_layout(far, [(0, 20), (4, 20), (4, 24), (0, 24)]), [(2**62, 2), (-2**63, 2), (2**63 - 1, 2)]),
+            (_layout([(0, 0), (2**63 - 1, 0), (2**63 - 1, 5), (0, 5)]), [(0, 2), (-1, 2)]),
+            (_layout([(-2**63, 0), (0, 0), (0, 5), (-2**63, 5)]), [(0, 0), (1, 1)]),
+        ]
+        for text, edge in layouts:
+            doc = parse_layout(text)
+            centers = [(3, 1), *edge, (-7, 9), (2, 18), edge[0], (0, 40)]
+            for chunk in (1, 2, 3, geometry.WINDOW_CHUNK):
+                for batch in (centers, [tuple(map(np.int64, c)) for c in centers]):
+                    with mock.patch.object(geometry, "WINDOW_CHUNK", chunk):
+                        rows = doc.window_rows(batch)
+                        got = extract_patterns(doc, batch)
+                    assert_same_rows(rows, window_rows_loop(doc, centers))
+                    for p, c in zip(got, centers, strict=True):
+                        assert_same_table(p, extract_pattern_loop(doc, c))
 
     def test_rectangles_build_no_polygon(self, monkeypatch):
         rng = random.Random(5)

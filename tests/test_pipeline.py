@@ -636,14 +636,20 @@ class TestOnGraph:
 
 class TestExtractOnce:
     def _count_anchor_extractions(self, doc, monkeypatch, cfg=IterationConfig()):
+        # every window the pipeline extracts, one center or a batch at a time
         centers = Counter()
-        real = pipeline.extract_pattern
+        real_one, real_batch = pipeline.extract_pattern, pipeline.extract_patterns
 
         def counting(d, center):
             centers[center] += 1
-            return real(d, center)
+            return real_one(d, center)
+
+        def counting_batch(d, batch):
+            centers.update(batch)
+            return real_batch(d, batch)
 
         monkeypatch.setattr(pipeline, "extract_pattern", counting)
+        monkeypatch.setattr(pipeline, "extract_patterns", counting_batch)
         _clusters, _report, stats = run_full(doc, cfg)
         monkeypatch.undo()
         return [centers[m.center()] for m in doc.markers], stats

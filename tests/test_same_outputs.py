@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from pattern_forge import parse_layout, raster
+from pattern_forge import extract_pattern, parse_layout, raster
 from pattern_forge.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,3 +105,24 @@ class TestSameOutputs:
         assert lines == [f"cosine.lay: {digest.hexdigest()}"]
         moved = [lines[0][:-1] + ("0" if lines[0][-1] != "0" else "1")]
         assert ns["_compare_digests"](lines, moved) == ["layouts differ: cosine.lay"]
+
+    def test_window_table_digest_child(self, tmp_path):
+        # the child's digest is the sha256 of every window's table, array by
+        # array (dtype and shape, then bytes), at each marker center and 3 nm
+        # right, 2 nm down of it, whichever the constraint
+        ns = _script_module()
+        path = tmp_path / "edgemove.lay"
+        assert main(["generate", "--output", str(path), "--templates", "2", "--instances", "2",
+                     "--constraint", "edgemove"]) == 0
+        lines, err = ns["_digests"](str(ROOT), ns["TABLES"], [str(path)])
+        assert lines is not None, err
+        doc = parse_layout(path.read_text(encoding="utf-8"))
+        digest = hashlib.sha256()
+        for marker in doc.markers:
+            cx, cy = marker.center()
+            for center in ((cx, cy), (cx + 3, cy - 2)):
+                rings = extract_pattern(doc, center).rings
+                for a in (rings.vertices, rings.offsets, rings.rects, rings.owner, rings.bboxes):
+                    digest.update(f"{a.dtype} {a.shape}".encode())
+                    digest.update(a.tobytes())
+        assert lines == [f"edgemove.lay: {digest.hexdigest()}"]

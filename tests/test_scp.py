@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from pattern_forge.scp import (
     Selection,
     SolveResult,
     _first_gains,
+    _fresh_gain,
     _gain,
     _surprisals,
     solve,
@@ -91,6 +93,22 @@ class TestScores:
         expected = [_gain(g, s, [False] * n, j) for j in range(n)]
         got = _first_gains(g, s)
         assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+    @settings(max_examples=200)
+    @given(st.data(), st.booleans())
+    def test_fresh_gain_is_gain_bit_for_bit(self, data, arbitrary):
+        # the solver's array gain against `_gain` per node under any
+        # coverage, with the graph's surprisals or arbitrary floats
+        n = data.draw(st.integers(0, 16))
+        possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+        g = _graph(n, edges)
+        floats = st.floats(1e-6, 1e6, allow_nan=False)
+        s = data.draw(st.lists(floats, min_size=n, max_size=n)) if arbitrary else _surprisals(g)
+        covered = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        for j in range(n):
+            got = _fresh_gain(g, np.array(s), np.array(covered, dtype=bool), j)
+            assert type(got) is float and got.hex() == float(_gain(g, s, covered, j)).hex()
 
     def test_first_pass_on_cliques(self):
         # five 5-cliques joined in a ring, and a 9-node clique
