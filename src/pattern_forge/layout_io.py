@@ -118,11 +118,12 @@ class LayoutDocument:
         """The rows of `rects` that strictly overlap the window at `center`,
         clipped to it and shifted to window-local coordinates, and the
         index of each one's polygon (from `owner`): `window_rows` of that
-        one window, by a scalar path of its own. Over the marker centers
-        and center + (3, -2) of the benchmark workloads (seed 1), a window
-        costs 15-24 us here and 45-67 us as an array pass of one, so
-        `window_rows` and `raster.window_features` read a single window
-        here; cos_nearT's probe reads about 400 single windows a run. A
+        one window, by a scalar path of its own, which
+        `raster.window_features` reads: each cosine probe window and each
+        cosine verification's representative, 444 windows of a cos_nearT
+        run and its verification (seed 1). Over the marker centers and
+        center + (3, -2) of the benchmark workloads (seed 1), a window
+        costs 15-32 us here and 46-103 us as an array pass of one. A
         polygon that misses the window, touches it only along an edge, or
         overlaps it with its bbox alone has no rows. No row is wider than
         `widest`, so only rows with xlo in (cx - r - widest, cx + r) can
@@ -152,19 +153,15 @@ class LayoutDocument:
         `geometry.extract_patterns` and `raster.window_cosines` read it,
         `geometry.WINDOW_CHUNK` windows at a time: the pass tests every row
         of its windows' x-bands at once, so its temporaries grow with the
-        number of centers.
+        number of centers. No run or verification of the benchmark
+        workloads (seeds 1-3) passes it a single window.
 
         Each window keeps the rule of the single query: a row is a
         candidate when its xlo lies in (cx - r - widest, cx + r), kept when
         it overlaps the window strictly, clipped to the window's sides held
         within int64 (`geometry.window_sides`), then shifted by the center.
-        A single window goes to `window_rectangles`, which costs a third as
-        much as a pass.
         """
         c = np.asarray(centers, dtype=np.int64).reshape(-1, 2)
-        if len(c) == 1:
-            rows, owners = self.window_rectangles(c[0])
-            return rows, owners, np.array([len(rows)])
         low, high = window_sides(c, self.pattern_radius)
         reach = self.pattern_radius + self.widest  # a Python int: it may pass 2**63
         xlo = self.rects[:, 0]

@@ -39,7 +39,8 @@ call over the windows of one `extract_patterns` call. Refinement of a
 that refused a pair never refines it again: the probe and `_refine` skip
 it and count the skip.
 Verification reads no run state: it scores every window from the layout
-again, with the same scorers.
+again through the same `_window_scores`, the representative's window
+included.
 """
 
 import time
@@ -197,11 +198,9 @@ def refine_members(rep: Pattern, members, doc: LayoutDocument) -> list:
     read the patterns' `features`.
     """
     if doc.constraint_kind is ConstraintKind.COSINE:
-        rep_features = rep.features
         shifts = align.xy_minmax_shifts(rep, [p for _marker, p in members])
-        at_anchor = [raster.cosine_similarity(rep_features, p.features) for _marker, p in members]
+        at_anchor = [raster.cosine_similarity(rep.features, p.features) for _marker, p in members]
     else:
-        rep_features = None
         fits = align.edge_fits(rep, [p for _marker, p in members])
         shifts = [None if fit is None else fit[0] for fit in fits]
         at_anchor = [None if fit is None else -float(fit[2]) for fit in fits]
@@ -212,7 +211,7 @@ def refine_members(rep: Pattern, members, doc: LayoutDocument) -> list:
             c = align.clamp_to_marker(shift, anchor, marker)
             if not c.is_zero():
                 moved[k] = (anchor[0] + c.dx, anchor[1] + c.dy)
-    moved_scores = dict(zip(moved, _window_scores(doc, rep, rep_features, list(moved.values()))))
+    moved_scores = dict(zip(moved, _window_scores(doc, rep, list(moved.values()))))
     floor = _score_floor(doc)
     results = []
     for k, (marker, _p) in enumerate(members):
@@ -230,23 +229,26 @@ def _score_floor(doc: LayoutDocument) -> float:
     return doc.threshold if doc.constraint_kind is ConstraintKind.COSINE else -doc.threshold
 
 
-def _window_scores(doc: LayoutDocument, rep: Pattern | None, rep_features, centers) -> list:
+def _window_scores(doc: LayoutDocument, rep: Pattern | tuple[int, int], centers) -> list:
     """The strict score against the representative of the window at each of
-    `centers`, read from the layout: the cosine against `rep_features` of
-    the window's features, scored in blocks by `raster.window_cosines`
-    (equal bit for bit to the features of the extracted pattern), or the
-    negated raw edge offset against `rep` of the windows of one
-    `extract_patterns` call (`_edge_scores`), None where there is no
-    one-to-one correspondence."""
+    `centers`, read from the layout. `rep` is the representative's
+    pattern, or the center of its window, which is then read from the
+    layout too. In cosine mode a score is the cosine of the window's
+    features against the representative's, scored in blocks by
+    `raster.window_cosines` (equal bit for bit to the features of the
+    extracted pattern); a representative read from the layout gets its
+    features from `raster.window_features`. In edgemove mode it is the
+    negated raw edge offset against the representative, from one
+    `align.edge_fits` call over the windows of one `extract_patterns`
+    call, which reads a representative's window first; None where there is
+    no one-to-one correspondence."""
+    read_rep = not isinstance(rep, Pattern)
     if doc.constraint_kind is ConstraintKind.COSINE:
-        return raster.window_cosines(doc, rep_features, centers)
-    return _edge_scores(rep, extract_patterns(doc, centers))
-
-
-def _edge_scores(rep: Pattern, windows) -> list:
-    """The negated raw edge offset of each of `windows` against `rep`, from
-    one `align.edge_fits` call, None where there is no one-to-one
-    correspondence."""
+        ref = raster.window_features(doc, rep) if read_rep else rep.features
+        return raster.window_cosines(doc, ref, centers)
+    windows = extract_patterns(doc, [rep, *centers] if read_rep else centers)
+    if read_rep:
+        rep, *windows = windows
     return [None if fit is None else -float(fit[2]) for fit in align.edge_fits(rep, windows)]
 
 
@@ -454,14 +456,14 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
 
     The check is independent of the run on purpose: it never reads the
     anchors `run_full` cached. It scores each cluster's members at their
-    stored centers with the scorers refinement uses: in cosine mode every
-    window rasterised from the layout's decomposition rectangles, the
-    representative's by `raster.window_features` and the members' by
-    `raster.window_cosines` (one batched query, blocks of `raster.BLOCK`
-    windows through one feature kernel); in edgemove mode the
+    stored centers with `_window_scores`, the scorer refinement uses, given
+    the representative's center, so the representative's window is read
+    from the layout too: in cosine mode every window rasterised from the
+    layout's decomposition rectangles (the members' in blocks of
+    `raster.BLOCK` windows from batched queries), in edgemove mode the
     representative and the members extracted in one `extract_patterns`
-    call and scored in one `align.edge_fits` call (`_edge_scores`). Then
-    it runs the checks in member order.
+    call and scored in one `align.edge_fits` call. Then it runs the checks
+    in member order.
     `cfg` is not read, since no run setting changes what a valid assignment
     is; it stays for callers that pass their config.
     """
@@ -475,12 +477,7 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
     floor = _score_floor(doc)
     seen = set()
     for cid, cluster in enumerate(clusters):
-        centers = [c for _m, c in cluster.members]
-        if cosine:
-            scores = raster.window_cosines(doc, raster.window_features(doc, cluster.rep_center), centers)
-        else:
-            rep, *windows = extract_patterns(doc, [cluster.rep_center, *centers])
-            scores = _edge_scores(rep, windows)
+        scores = _window_scores(doc, cluster.rep_center, [c for _m, c in cluster.members])
         for (m, (cx, cy)), score in zip(cluster.members, scores):
             mid = doc.marker_ids[m]
             if m in seen:

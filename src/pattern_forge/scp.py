@@ -6,13 +6,12 @@ surprisal. The lazy solver keeps tentative scores in a max-priority queue and
 recomputes only on staleness, which submodularity makes exact: a popped entry
 whose fresh gain still beats the queue top is the true argmax.
 
-`_gain` fixes the summation order (self, then the node's CSR slice of
-neighbours, ascending), so any solver that sums in it (the tests' eager
-reference among them) gets bit-identical floats and must make exactly the
-same selections. `solve` keeps its coverage in a bool array and computes
-`_gain` in array passes: `_first_gains` with nothing covered, then
-`_fresh_gain` per recomputation, which adds the CSR slice one value after
-another as `_gain` does but makes no Python int per neighbour.
+One summation order fixes every gain's float: self, then the node's CSR
+slice of neighbours, ascending, added one after another. `_first_gains`
+(nothing covered) and `_fresh_gain` (per recomputation) both sum in it, in
+array passes over a bool coverage array, so any solver that adds in the
+same order (the tests' eager reference among them) gets bit-identical
+floats and must make exactly the same selections.
 """
 
 import heapq
@@ -48,27 +47,15 @@ def _surprisals(g: SimilarityGraph):
     return [1.0 / (1 + g.degree(i)) for i in range(g.n)]
 
 
-def _gain(g: SimilarityGraph, s, covered, j: int):
-    """Marginal gain of selecting j: surprisal mass of newly covered nodes.
-
-    Summation order is fixed (self, then neighbors ascending) so every caller
-    gets the identical float.
-    """
-    total = s[j] if not covered[j] else type(s[j])(0)
-    for k in g.neighbours(j):
-        if not covered[k]:
-            total += s[k]
-    return total
-
-
 def _fresh_gain(g: SimilarityGraph, sv: np.ndarray, covered: np.ndarray, j: int) -> float:
-    """`_gain(g, sv, covered, j)` over `sv`, the surprisals as float64, and
-    `covered`, a bool array: self, then the uncovered neighbours ascending,
-    added in that order by one accumulate (sequential, where a sum would
-    pair its terms), so the float is the same bit for bit. Over the 2,556
-    recomputations of an N=3,200 solve (5 cliques of 640) this took 46 ms
-    where `_gain`'s loop over `neighbours` lists took 83 ms, and 1.5 against
-    1.8 ms at N=400 (in process, best of 3)."""
+    """Marginal gain of selecting j: the surprisal mass, from `sv` (float64),
+    of the nodes it would newly cover, given the bool array `covered`.
+    Self, then the uncovered neighbours ascending, are added in that order
+    by one accumulate (sequential, where a sum would pair its terms), with
+    no Python int per neighbour. Over the 2,556 recomputations of an
+    N=3,200 solve (5 cliques of 640) this took 46 ms where a loop over
+    `neighbours` lists took 83 ms, and 1.5 against 1.8 ms at N=400 (in
+    process, best of 3)."""
     nbrs = g.indices[g.indptr[j]:g.indptr[j + 1]]
     terms = sv[nbrs[~covered[nbrs]]]
     total = 0.0 if covered[j] else float(sv[j])
@@ -76,9 +63,10 @@ def _fresh_gain(g: SimilarityGraph, sv: np.ndarray, covered: np.ndarray, j: int)
 
 
 def _first_gains(g: SimilarityGraph, s) -> list:
-    """`_gain` of every node with nothing covered, one array pass per
+    """Every node's gain with nothing covered, one array pass per
     neighbour position: each node's sum runs over self, then its neighbours
-    ascending, as `_gain` adds them, so the floats are the same bit for bit."""
+    ascending, in the order `_fresh_gain` adds them, so the floats are the
+    same bit for bit."""
     sv = np.asarray(s, dtype=np.float64)
     gains = sv.copy()
     degree = np.diff(g.indptr)

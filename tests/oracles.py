@@ -9,9 +9,10 @@ polygon in a dict), refinement and verification one member at a time (every
 window extracted on its own, none read from the layout's rectangle table), a similarity graph built one pair at a time
 into a set per node and checked for symmetry, a full-update greedy set
 cover.
-Only the eager solver shares code with the package: it scores and covers
-through `scp._gain` and `scp._cover`, so its float sums are
-bit-identical to the lazy solver's and the two must select exactly alike.
+The eager solver scores every node through `gain_loop`, which adds in the
+lazy solver's summation order, so its float sums are bit-identical to the
+lazy solver's and the two must select exactly alike; it covers through
+`scp._cover`, the one piece of the package it shares.
 """
 
 import math
@@ -684,6 +685,17 @@ def exact_surprisals(g) -> list[Fraction]:
     return [Fraction(1, 1 + g.degree(i)) for i in range(g.n)]
 
 
+def gain_loop(g, s, covered, j: int):
+    """Marginal gain of selecting j: surprisal mass of newly covered nodes,
+    added one node at a time, self first, then the neighbours ascending,
+    in the type of `s` (floats or exact rationals)."""
+    total = s[j] if not covered[j] else type(s[j])(0)
+    for k in g.neighbours(j):
+        if not covered[k]:
+            total += s[k]
+    return total
+
+
 def eager_solve_oracle(g, exact: bool = False) -> scp.SolveResult:
     """Full-update greedy: rescore every node after each selection.
 
@@ -699,7 +711,7 @@ def eager_solve_oracle(g, exact: bool = False) -> scp.SolveResult:
         best_j = -1
         best_gain = None
         for j in range(g.n):
-            gain = scp._gain(g, s, covered, j)
+            gain = gain_loop(g, s, covered, j)
             stats.recomputations += 1
             if gain > 0 and (best_gain is None or gain > best_gain):
                 best_j, best_gain = j, gain

@@ -492,15 +492,14 @@ class TestExtractBatch:
     @example((_doc([_u_across_edge((0, 0), 8, 0, 0, 1), rect(-2, -2, 2, 2)], 8), [(0, 0), (3, 1), (0, 0), (90, 90)]), 2, "int")
     @example((_doc([], 8), [(0, 0), (4, 4)]), 1, "int")  # no polygons at all
     def test_matches_one_center_at_a_time(self, batch, chunk, form):
-        # chunks of `chunk` centers, so a batch spans several; centers as
-        # Python ints, numpy integers or one (n, 2) array
+        # extraction in chunks of `chunk` centers, so a batch spans
+        # several; centers as Python ints, numpy integers or one (n, 2) array
         doc, centers = batch
         given_centers = {"int": centers, "np.int64": [tuple(map(np.int64, c)) for c in centers],
                          "array": np.array(centers, dtype=np.int64)}[form]
+        assert_same_rows(doc.window_rows(given_centers), window_rows_loop(doc, centers))
         with mock.patch.object(geometry, "WINDOW_CHUNK", chunk):
-            rows = doc.window_rows(given_centers)
             got = extract_patterns(doc, given_centers)
-        assert_same_rows(rows, window_rows_loop(doc, centers))
         assert len(got) == len(centers)
         for p, c in zip(got, centers):
             assert_same_table(p, extract_pattern_loop(doc, c))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.fft import dct, dctn
 
-from pattern_forge.geometry import Pattern, Polygon, _trace_union, clip_polygon, extract_pattern, rectangles
+from pattern_forge.geometry import WINDOW_CHUNK, Pattern, Polygon, _trace_union, clip_polygon, extract_pattern, rectangles
 from pattern_forge.layout_io import MAX_RADIUS, ConstraintKind, LayoutDocument
 from pattern_forge.pipeline import run_full, verify_clusterset
 from pattern_forge import raster
@@ -270,6 +270,20 @@ class TestBlockFeatures:
         ref = window_features(doc, (cx, cy))
         want = [cosine_similarity(ref, features_per_window(doc.window_rectangles(c)[0], doc.pattern_radius))
                 for c in centers]
+        assert raster.window_cosines(doc, ref, centers) == want
+
+    def test_window_cosines_across_query_chunks(self):
+        # two full query chunks of the module's size and a trailing chunk
+        # of one window, which ends in a block of one
+        rng = random.Random(11)
+        corners = [(rng.randrange(-200, 200), rng.randrange(-200, 200)) for _ in range(40)]
+        polys = [rect(-10, -10, 10, 10)] + [rect(x, y, x + rng.randrange(4, 40), y + rng.randrange(4, 40)) for x, y in corners]
+        doc = _layout(polys, 32)
+        centers = [(rng.randrange(-220, 220), rng.randrange(-220, 220)) for _ in range(2 * WINDOW_CHUNK + 1)]
+        ref = window_features(doc, (0, 0))
+        want = [cosine_similarity(ref, features_per_window(doc.window_rectangles(c)[0], doc.pattern_radius))
+                for c in centers]
+        assert len(set(want)) > 20
         assert raster.window_cosines(doc, ref, centers) == want
 
     def test_output_written_in_place(self):

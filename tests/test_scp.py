@@ -11,12 +11,11 @@ from pattern_forge.scp import (
     SolveResult,
     _first_gains,
     _fresh_gain,
-    _gain,
     _surprisals,
     solve,
 )
 
-from oracles import eager_solve_oracle, exact_surprisals
+from oracles import eager_solve_oracle, exact_surprisals, gain_loop
 
 
 def _graph(n: int, edges) -> SimilarityGraph:
@@ -26,7 +25,7 @@ def _graph(n: int, edges) -> SimilarityGraph:
 def _initial_gains(g: SimilarityGraph) -> list:
     """Each node's gain before anything is covered: the solver's first
     tentative scores."""
-    return [_gain(g, _surprisals(g), [False] * g.n, j) for j in range(g.n)]
+    return [gain_loop(g, _surprisals(g), [False] * g.n, j) for j in range(g.n)]
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> SimilarityGraph:
@@ -75,14 +74,14 @@ class TestScores:
     def test_gain_shrinks_with_coverage(self):
         g = _graph(4, [(0, 1), (0, 2), (0, 3)])
         s = _surprisals(g)
-        assert _gain(g, s, [False] * 4, 0) == pytest.approx(0.25 + 3 * 0.5)
-        assert _gain(g, s, [False, True, True, False], 0) == pytest.approx(0.25 + 0.5)
-        assert _gain(g, s, [True, True, True, True], 0) == 0.0
+        assert gain_loop(g, s, [False] * 4, 0) == pytest.approx(0.25 + 3 * 0.5)
+        assert gain_loop(g, s, [False, True, True, False], 0) == pytest.approx(0.25 + 0.5)
+        assert gain_loop(g, s, [True, True, True, True], 0) == 0.0
 
     @settings(max_examples=200)
     @given(st.data(), st.booleans())
     def test_first_pass_is_gain_bit_for_bit(self, data, arbitrary):
-        # the array first pass against `_gain` per node, with the graph's
+        # the array first pass against `gain_loop` per node, with the graph's
         # surprisals or arbitrary floats, whose sums depend on the order
         n = data.draw(st.integers(0, 16))
         possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -90,14 +89,14 @@ class TestScores:
         g = _graph(n, edges)
         floats = st.floats(1e-6, 1e6, allow_nan=False)
         s = data.draw(st.lists(floats, min_size=n, max_size=n)) if arbitrary else _surprisals(g)
-        expected = [_gain(g, s, [False] * n, j) for j in range(n)]
+        expected = [gain_loop(g, s, [False] * n, j) for j in range(n)]
         got = _first_gains(g, s)
         assert [x.hex() for x in got] == [x.hex() for x in expected]
 
     @settings(max_examples=200)
     @given(st.data(), st.booleans())
     def test_fresh_gain_is_gain_bit_for_bit(self, data, arbitrary):
-        # the solver's array gain against `_gain` per node under any
+        # the solver's array gain against `gain_loop` per node under any
         # coverage, with the graph's surprisals or arbitrary floats
         n = data.draw(st.integers(0, 16))
         possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -108,7 +107,7 @@ class TestScores:
         covered = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         for j in range(n):
             got = _fresh_gain(g, np.array(s), np.array(covered, dtype=bool), j)
-            assert type(got) is float and got.hex() == float(_gain(g, s, covered, j)).hex()
+            assert type(got) is float and got.hex() == float(gain_loop(g, s, covered, j)).hex()
 
     def test_first_pass_on_cliques(self):
         # five 5-cliques joined in a ring, and a 9-node clique
@@ -116,7 +115,7 @@ class TestScores:
         ring += [(5 * c + 4, (5 * c + 5) % 25) for c in range(5)]
         for g in (_graph(25, ring), _graph(9, [(i, j) for i in range(9) for j in range(i + 1, 9)])):
             s = _surprisals(g)
-            assert _first_gains(g, s) == [_gain(g, s, [False] * g.n, j) for j in range(g.n)]
+            assert _first_gains(g, s) == [gain_loop(g, s, [False] * g.n, j) for j in range(g.n)]
 
     def test_exact_surprisals_are_rational(self):
         g = _graph(3, [(0, 1)])
