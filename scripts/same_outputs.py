@@ -18,9 +18,11 @@ templates (3 instances each) x jitter 0, 4 and 8 x seeds 0-11, the
 matrix's scenarios, and
 `cli generate` with its defaults under each constraint. The two lists must
 be equal. Then one child per checkout prints, for each cosine workload
-layout, the sha256 of the bytes of `raster.window_features(doc, c)` at
-every marker center c and at c + (3, -2): a feature bit that moves shows
-even where no report changes. Last, one child per checkout prints, for
+layout, the sha256 of the bytes of every window's feature vector at every
+marker center c and at c + (3, -2), read by `raster.window_features(doc,
+c)` where the checkout has it and as `pattern_features(extract_pattern(doc,
+c))` where it does not: a feature bit that moves shows even where no
+report changes. Last, one child per checkout prints, for
 every workload layout, the sha256 of every extracted window's table
 (vertices, offsets, rects, owner and bboxes) at the same centers, read in
 one batch where the checkout has `geometry.extract_patterns` and one
@@ -78,7 +80,12 @@ for constraint in ("cosine", "edgemove"):
 # per file over its windows' feature vectors (see the module docstring).
 FEATURES = '''
 import hashlib, os, sys
-from pattern_forge import parse_layout, raster
+from pattern_forge import extract_pattern, parse_layout, raster
+
+def features(doc, c):
+    if hasattr(raster, "window_features"):
+        return raster.window_features(doc, c)
+    return raster.pattern_features(extract_pattern(doc, c))
 
 for path in sys.argv[1:]:
     with open(path, encoding="utf-8") as fh:
@@ -87,7 +94,7 @@ for path in sys.argv[1:]:
     for marker in doc.markers:
         cx, cy = marker.center()
         for c in ((cx, cy), (cx + 3, cy - 2)):
-            digest.update(raster.window_features(doc, c).tobytes())
+            digest.update(features(doc, c).tobytes())
     print(f"{os.path.basename(path)}: {digest.hexdigest()}")
 '''
 

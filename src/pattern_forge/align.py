@@ -170,12 +170,10 @@ def xy_minmax_shifts(rep: Pattern, patterns) -> list:
     which pair shape k with shape k at zero shift, the pairing
     `match_polygons` then finds, and one argmin over the stacked bbox
     offsets gives their shifts. Every other pattern goes through
-    `xy_minmax_align`, and so does a single pattern (each probe
-    refinement): on the probe pairs of the benchmark's cos_nearT that
-    costs 44 us a pair, and a one-pattern block 89 us.
+    `xy_minmax_align`.
     """
-    if len(patterns) < 2 or not rep.rings:
-        return [_xy_shift(rep, p) for p in patterns]
+    if not rep.rings:
+        return [None] * len(patterns)
     shifts: list = [None] * len(patterns)
     counts = rep.rect_counts
     same = [k for k, p in enumerate(patterns) if p.rect_counts == counts]
@@ -271,11 +269,7 @@ BATCH_CELLS = 1 << 20
 
 def edge_fits(rep, patterns) -> list:
     """[edge_fit_aligned(rep, p) for p in patterns], scoring most pairs in
-    array passes (`iter_edge_fits`). A single pattern (each probe
-    refinement) goes straight to `edge_fit_aligned`, which costs less than
-    a block's setup."""
-    if len(patterns) == 1:
-        return [edge_fit_aligned(rep, patterns[0])]
+    array passes (`iter_edge_fits`)."""
     results: list = [None] * len(patterns)
     others = np.arange(1, len(patterns) + 1)
     for block in iter_edge_fits([rep, *patterns], np.column_stack((np.zeros_like(others), others))):

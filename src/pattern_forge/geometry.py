@@ -528,7 +528,7 @@ def window_sides(centers: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarr
     return np.maximum(centers, -2**63 + radius) - radius, np.minimum(centers, 2**63 - 1 - radius) + radius
 
 
-# Windows per pass of `extract_patterns` and `raster.window_cosines`, each
+# Windows per pass of `extract_patterns` and `raster.window_vectors`, each
 # pass one `LayoutDocument.window_rows` query. A query tests every row of
 # its windows' x-bands (160-360 rows a window on the benchmark layouts).
 # Over 800 windows of each benchmark workload (seed 1), queries of 64 took
@@ -545,7 +545,7 @@ def extract_patterns(doc, centers) -> list[Pattern]:
     `centers`, each window as a `Pattern`: its polygons in polygon order,
     in window-local coordinates, as the window's vertex table, built from
     batched window queries (`doc.window_rows`, WINDOW_CHUNK windows a
-    pass), the query that `raster.window_cosines` reads.
+    pass), the query that `raster.window_vectors` reads.
 
     The query's rows are grouped by (window, polygon) in one stable sort,
     so each group keeps its rows in query order. A polygon whose bbox

@@ -19,9 +19,9 @@ built only for a ring of more than 4 vertices (for the slab sweep that
 decomposes it), for a ring that a check flags (to raise the error the
 per-polygon path raises) and, on demand, for callers that want objects
 (`LayoutDocument.design_polygons`, the generator, tests). The document
-sorts the table's rectangles by xlo for its window query:
-`LayoutDocument.window_rows` reads the windows at many centers in one
-array pass, and `LayoutDocument.window_rectangles` reads a single window.
+sorts the table's rectangles by xlo for its window query,
+`LayoutDocument.window_rows`, which reads the windows at many centers in
+one array pass.
 
 Report CSV: ``marker_id,cluster_id,center_x,center_y,rep_marker_id`` rows
 followed by a ``# clusters=<n> iterations=<m> compression=<r>`` summary line.
@@ -77,7 +77,7 @@ class LayoutDocument:
     hands the new document the same table, so nothing is decomposed again.
     Equality compares the header, the ids, the markers and the rings.
 
-    `rects`, `owner` and `widest` are what the window queries read: the
+    `rects`, `owner` and `widest` are what the window query reads: the
     table's `rects` and `owner` rows sorted stably by xlo, so row k of
     `rects` is a `rectangles()` row (xlo, ylo, xhi, yhi) of design polygon
     `owner[k]`, and `widest`, the width of the widest row, exact as a
@@ -114,52 +114,25 @@ class LayoutDocument:
         for callers that want objects, such as tests."""
         return self.rings.polygons()
 
-    def window_rectangles(self, center) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of `rects` that strictly overlap the window at `center`,
-        clipped to it and shifted to window-local coordinates, and the
-        index of each one's polygon (from `owner`): `window_rows` of that
-        one window, by a scalar path of its own, which
-        `raster.window_features` reads: each cosine probe window and each
-        cosine verification's representative, 444 windows of a cos_nearT
-        run and its verification (seed 1). Over the marker centers and
-        center + (3, -2) of the benchmark workloads (seed 1), a window
-        costs 15-32 us here and 46-103 us as an array pass of one. A
-        polygon that misses the window, touches it only along an edge, or
-        overlaps it with its bbox alone has no rows. No row is wider than
-        `widest`, so only rows with xlo in (cx - r - widest, cx + r) can
-        reach the window. The rows are clipped to the window in absolute
-        coordinates, its sides held within int64, before the center is
-        subtracted, so no step can wrap.
-        """
-        cx, cy = int(center[0]), int(center[1])  # numpy integers could wrap in the bounds below
-        r = self.pattern_radius
-        lo, hi = self.rects[:, 0].searchsorted((max(cx - r - self.widest, -2**63), cx + r))
-        rows = self.rects[lo:hi]
-        keep = (rows[:, 2] > cx - r) & (rows[:, 1] < cy + r) & (rows[:, 3] > cy - r)
-        rows = rows[keep]  # boolean indexing made a copy
-        low = (max(cx - r, -2**63), max(cy - r, -2**63))  # the window's sides, held within int64
-        high = (min(cx + r, 2**63 - 1), min(cy + r, 2**63 - 1))
-        np.maximum(rows, low * 2, out=rows)
-        np.minimum(rows, high * 2, out=rows)
-        rows -= (cx, cy, cx, cy)
-        return rows, self.owner[lo:hi][keep]
-
     def window_rows(self, centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The window query of many windows in one array pass: for the
         window at each of `centers` (any sequence of (x, y) integer pairs,
-        an (n, 2) array among them), the rows `window_rectangles` gives it,
-        in its order, and their owners, stacked window after window, and
-        each window's number of rows (an int64 array).
-        `geometry.extract_patterns` and `raster.window_cosines` read it,
-        `geometry.WINDOW_CHUNK` windows at a time: the pass tests every row
-        of its windows' x-bands at once, so its temporaries grow with the
-        number of centers. No run or verification of the benchmark
-        workloads (seeds 1-3) passes it a single window.
+        an (n, 2) array among them), the rows of `rects` that strictly
+        overlap it, clipped to it and shifted to window-local coordinates,
+        in `rects` order, and the index of each one's polygon (from
+        `owner`), stacked window after window, and each window's number of
+        rows (an int64 array). A polygon that misses a window, touches it
+        only along an edge, or overlaps it with its bbox alone has no rows
+        in it. `geometry.extract_patterns` and `raster.window_vectors` read
+        it, `geometry.WINDOW_CHUNK` windows at a time: the pass tests every
+        row of its windows' x-bands at once, so its temporaries grow with
+        the number of centers.
 
-        Each window keeps the rule of the single query: a row is a
-        candidate when its xlo lies in (cx - r - widest, cx + r), kept when
-        it overlaps the window strictly, clipped to the window's sides held
-        within int64 (`geometry.window_sides`), then shifted by the center.
+        No row is wider than `widest`, so only rows with xlo in (cx - r -
+        widest, cx + r) can reach the window at (cx, cy). A candidate is
+        kept when it overlaps the window strictly, clipped to the window's
+        sides held within int64 (`geometry.window_sides`), then shifted by
+        the center, so no step can wrap.
         """
         c = np.asarray(centers, dtype=np.int64).reshape(-1, 2)
         low, high = window_sides(c, self.pattern_radius)

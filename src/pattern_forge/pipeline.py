@@ -24,15 +24,16 @@ pairs only: in cosine mode each reads an anchor's unit feature vector,
 stage, in blocks of windows), and pairs are (m, 2) int64 arrays from the
 prescreen to `graph.assemble`, whose CSR graph `scp.solve` reads.
 
-One routine, `refine_members`, refines in both modes: `_refine` passes it
-all members of a selection at once, and the probe one pair at a time
-through `refine_cluster`, its one-member case. Only the aligner and
-`_window_scores` depend on the constraint. The aligner takes all members
-at once: `align.xy_minmax_shifts` in cosine mode, which aligns the members
-that share the representative's rectangle layout in stacked blocks, and
+One routine, `refine_members`, refines in both modes, each call all
+members of one representative at once: `_refine` passes it the members of
+a selection, and the probe, for each settled cluster in turn, the markers
+that have joined no earlier cluster. Only the aligner and `_window_scores`
+depend on the constraint. The aligner takes all members at once:
+`align.xy_minmax_shifts` in cosine mode, which aligns the members that
+share the representative's rectangle layout in stacked blocks, and
 `align.edge_fits` in edgemove mode. `_window_scores` scores windows at
 centers other than the anchors, read from the layout: in cosine mode in
-blocks of windows (`raster.window_cosines`), straight from the layout's
+blocks of windows (`raster.window_vectors`), straight from the layout's
 decomposition rectangles, and in edgemove mode by one `align.edge_fits`
 call over the windows of one `extract_patterns` call. Refinement of a
 (representative, member) marker pair depends on nothing else, so a run
@@ -40,7 +41,7 @@ that refused a pair never refines it again: the probe and `_refine` skip
 it and count the skip.
 Verification reads no run state: it scores every window from the layout
 again through the same `_window_scores`, the representative's window
-included.
+included, read in the same batch as its members'.
 """
 
 import time
@@ -171,7 +172,8 @@ def refine_cluster(
     member_at_anchor: Pattern | None = None,
 ) -> RefineResult | None:
     """Pick the best legal center for one member against a fixed
-    representative: `refine_members` of that one member.
+    representative: `refine_members` of that one member. The pipeline
+    refines members in batches and does not call it.
 
     `member_at_anchor` may carry the member's pattern at its marker center
     when the caller already has it; otherwise it is extracted here.
@@ -233,20 +235,20 @@ def _window_scores(doc: LayoutDocument, rep: Pattern | tuple[int, int], centers)
     """The strict score against the representative of the window at each of
     `centers`, read from the layout. `rep` is the representative's
     pattern, or the center of its window, which is then read from the
-    layout too. In cosine mode a score is the cosine of the window's
-    features against the representative's, scored in blocks by
-    `raster.window_cosines` (equal bit for bit to the features of the
-    extracted pattern); a representative read from the layout gets its
-    features from `raster.window_features`. In edgemove mode it is the
-    negated raw edge offset against the representative, from one
+    layout too, as the first window of the same batch. In cosine mode a
+    score is the cosine of the window's features against the
+    representative's, computed in blocks by `raster.window_vectors` (equal
+    bit for bit to the features of the extracted pattern). In edgemove mode
+    it is the negated raw edge offset against the representative, from one
     `align.edge_fits` call over the windows of one `extract_patterns`
-    call, which reads a representative's window first; None where there is
-    no one-to-one correspondence."""
+    call; None where there is no one-to-one correspondence."""
     read_rep = not isinstance(rep, Pattern)
+    batch = [rep, *centers] if read_rep else centers
     if doc.constraint_kind is ConstraintKind.COSINE:
-        ref = raster.window_features(doc, rep) if read_rep else rep.features
-        return raster.window_cosines(doc, ref, centers)
-    windows = extract_patterns(doc, [rep, *centers] if read_rep else centers)
+        vectors = raster.window_vectors(doc, batch)
+        ref = next(vectors).copy() if read_rep else rep.features  # the next block reuses its buffer
+        return [raster.cosine_similarity(ref, v) for v in vectors]
+    windows = extract_patterns(doc, batch)
     if read_rep:
         rep, *windows = windows
     return [None if fit is None else -float(fit[2]) for fit in align.edge_fits(rep, windows)]
@@ -283,28 +285,42 @@ def _refused_before(istats, refused, rep_marker: int, m: int) -> bool:
 
 def _probe(doc, stats, istats, clusters, active, anchors, refused) -> list[int]:
     """Stage 0: join each active marker to the first settled cluster whose
-    refinement accepts it (pairs the run refused before count as refused
-    without a call, and new refusals are added to `refused`); returns the
-    markers that joined none. Every anchor is cached: the probe runs from
-    iteration 1, after iteration 0's `_extract` read them all."""
-    still = []
-    for m in active:
-        for cluster in clusters:
-            rep = cluster.rep_marker
-            if not compatible(anchors[m], anchors[rep], doc.constraint_kind):
-                continue
-            if _refused_before(istats, refused, rep, m):
-                continue
-            result = refine_cluster(anchors[rep], doc.markers[m], doc, member_at_anchor=anchors[m])
+    refinement accepts it; returns the markers that joined none. Every
+    anchor is cached: the probe runs from iteration 1, after iteration 0's
+    `_extract` read them all.
+
+    The clusters are taken in order, and each refines in one
+    `refine_members` call the markers that have joined no earlier cluster
+    and are compatible with its representative; a pair the run refused
+    before counts as refused without refinement, and a new refusal is
+    added to `refused`. A marker's outcome depends only on its own pairs,
+    so each marker meets the clusters in order and is refined against the
+    same ones as when it is walked through them alone. The joins are
+    accepted in marker order, which fixes the order of the refine counters'
+    sums."""
+    joins = {}  # marker -> (its cluster, its RefineResult)
+    for cluster in clusters:
+        rep = cluster.rep_marker
+        tried = [
+            m for m in active
+            if m not in joins
+            and compatible(anchors[m], anchors[rep], doc.constraint_kind)
+            and not _refused_before(istats, refused, rep, m)
+        ]
+        if not tried:
+            continue
+        found = refine_members(anchors[rep], [(doc.markers[m], anchors[m]) for m in tried], doc)
+        for m, result in zip(tried, found):
             if result is None:
                 refused.add((rep, m))
-                continue
+            else:
+                joins[m] = (cluster, result)
+    for m in active:
+        if m in joins:
+            cluster, result = joins[m]
             _accept(stats, cluster.members, m, result)
-            istats.probe_joined += 1
-            break
-        else:
-            still.append(m)
-    return still
+    istats.probe_joined += len(joins)
+    return [m for m in active if m not in joins]
 
 
 def _extract(doc, active, anchors) -> list[Pattern]:
@@ -458,12 +474,12 @@ def verify_clusterset(clusters, doc: LayoutDocument, cfg: IterationConfig | None
     anchors `run_full` cached. It scores each cluster's members at their
     stored centers with `_window_scores`, the scorer refinement uses, given
     the representative's center, so the representative's window is read
-    from the layout too: in cosine mode every window rasterised from the
-    layout's decomposition rectangles (the members' in blocks of
-    `raster.BLOCK` windows from batched queries), in edgemove mode the
-    representative and the members extracted in one `extract_patterns`
-    call and scored in one `align.edge_fits` call. Then it runs the checks
-    in member order.
+    from the layout too, first in the same batch as the members': in cosine
+    mode every window rasterised from the layout's decomposition rectangles
+    in blocks of `raster.BLOCK` windows from batched queries, in edgemove
+    mode the representative and the members extracted in one
+    `extract_patterns` call and scored in one `align.edge_fits` call. Then
+    it runs the checks in member order.
     `cfg` is not read, since no run setting changes what a valid assignment
     is; it stays for callers that pass their config.
     """

@@ -2,18 +2,17 @@
 
 Every feature vector comes from one kernel, `block_features`, which scores
 a block of windows given as stacked rectangle rows (window-local int64 x0,
-y0, x1, y1) and one radius R. `pattern_features` (a pattern's `rects`) and
-`window_features` (the rows of the layout's single-window query,
-`doc.window_rectangles`, without extracting a pattern) are its one-window
-case. The graph stage gives its anchors their vectors in blocks
-(`fill_features`), and refinement and verification score moved windows in
-blocks (`window_cosines`), keeping only the cosines: the windows' rows
-come stacked from batched queries (`doc.window_rows`) and go to the
-kernel block by block as slices of them. A block holds at most
-BLOCK windows and is padded only to its own longest row list. The vector
-is the low-frequency 32 x 32 block of the orthonormal 2D DCT-II of the
-rows' coverage on a 64-pixel grid, scaled to unit length (all zeros for an
-empty window), the same bits whatever block a window is scored in.
+y0, x1, y1) and one radius R. `pattern_features` (a pattern's `rects`) is
+its one-window case. The graph stage gives its anchors their vectors in
+blocks (`fill_features`), and refinement and verification read the
+vectors of windows at other centers in blocks (`window_vectors`), without
+extracting a pattern: the windows' rows come stacked from batched queries
+(`doc.window_rows`) and go to the kernel block by block as slices of them.
+A block holds at most BLOCK windows and is padded only to its own longest
+row list. The vector is the low-frequency 32 x 32 block of the orthonormal
+2D DCT-II of the rows' coverage on a 64-pixel grid, scaled to unit length
+(all zeros for an empty window), the same bits whatever block a window is
+scored in.
 
 Pixels hold exact area-coverage fractions: the rectangle/pixel overlaps are
 summed as exact integers (in a float64 matrix product while every pixel
@@ -175,7 +174,7 @@ def block_features(rows: np.ndarray, sizes, radius: int, out: np.ndarray | None 
     b = len(sizes)
     longest = max(sizes, default=0)
     scaled = (rows + radius) * GRID
-    if b == 1:  # nothing to pad (a cos_nearT probe window: 42 us, padded 46 us)
+    if b == 1:  # nothing to pad (a cos_nearT window alone: 42 us, padded 46 us)
         s = scaled.astype(np.float64).reshape(1, longest, 4)
     else:
         s = np.zeros((b, longest, 4))
@@ -234,33 +233,20 @@ def fill_features(patterns) -> None:
             p.cache_features(v.copy())
 
 
-def window_features(doc, center) -> np.ndarray:
-    """`pattern_features(extract_pattern(doc, center))`, bit for bit, from
-    the rows of `doc.window_rectangles(center)`, the query `extract_pattern`
-    builds its shapes from, without tracing a polygon.
+def window_vectors(doc, centers):
+    """Yield the feature vector of the window at each of `centers`, in
+    order, equal bit for bit to `pattern_features(extract_pattern(doc, c))`:
+    the windows' rows from batched queries (`doc.window_rows`, WINDOW_CHUNK
+    windows each), scored BLOCK windows at a time (`_blocked`), each block
+    a slice of a query's stacked rows, so no window's rows are copied
+    again. The vectors share one block buffer, as `_blocked` yields them.
 
     Coverage is additive over any disjoint decomposition of the same area,
-    so both paths sum the same integer numerators, and every later step is
-    the same arithmetic on the same grid. Overlapping polygons are counted
-    twice on both paths.
+    so the query's rows and the extracted pattern's `rects` give the same
+    integer numerators, and every later step is the same arithmetic on the
+    same grid. Overlapping polygons are counted twice on both paths.
     """
-    rows, _polys = doc.window_rectangles(center)
-    return block_features(rows, (len(rows),), doc.pattern_radius)[0]
-
-
-def window_cosines(doc, ref: np.ndarray, centers) -> list[float]:
-    """`cosine_similarity(ref, window_features(doc, c))` for each of
-    `centers`: the windows' rows from batched queries (`doc.window_rows`,
-    WINDOW_CHUNK windows each), scored BLOCK windows at a time
-    (`_blocked`), each block a slice of a query's stacked rows, so no
-    window's rows are copied again; only the cosines are kept, so the
-    vectors take one block's memory. A single window (each probe
-    refinement's) goes straight to `window_features`: on the probe windows
-    of the benchmark's cos_nearT that costs 62 us a window, and a
-    one-window block 68 us."""
-    if len(centers) == 1:
-        return [cosine_similarity(ref, window_features(doc, centers[0]))]
-    return [cosine_similarity(ref, v) for v in _blocked(_window_blocks(doc, centers), doc.pattern_radius)]
+    return _blocked(_window_blocks(doc, centers), doc.pattern_radius)
 
 
 def _window_blocks(doc, centers):

@@ -5,7 +5,8 @@ at a time, ring validation one check after another, unit-cell parity scans for g
 direct double-sum DCT, feature vectors one window at a time, linear scans for min-max fits, interval competition
 one polygon pair at a time with an interval object per axis, the window
 query and extraction one center at a time (each window's rows grouped by
-polygon in a dict), refinement and verification one member at a time (every
+polygon in a dict), the probe one (cluster, marker) pair at a time,
+refinement and verification one member at a time (every
 window extracted on its own, none read from the layout's rectangle table), a similarity graph built one pair at a time
 into a set per node and checked for symmetry, a full-update greedy set
 cover.
@@ -41,7 +42,8 @@ from pattern_forge.geometry import (
     rectangles,
 )
 from pattern_forge.layout_io import MAX_RADIUS, ConstraintKind, LayoutParseError, _check_threshold
-from pattern_forge.pipeline import RefineResult
+from pattern_forge.pipeline import RefineResult, _accept, _refused_before, refine_cluster
+from pattern_forge.prescreen import compatible
 from pattern_forge.raster import GRID, cosine_similarity, coverage_grid, dct_features, pattern_features
 
 
@@ -515,6 +517,31 @@ def refine_member_edgemove(rep, marker, doc, member_at_anchor=None):
         return None if off is None else -float(off)
 
     return _best_center(marker, shift, score_at, lambda s: s >= -doc.threshold)
+
+
+def probe_loop(doc, stats, istats, clusters, active, anchors, refused) -> list[int]:
+    """`pipeline._probe` one pair at a time: each active marker, in order,
+    walked through the settled clusters in order and refined against each
+    compatible representative alone (`refine_cluster`) until one accepts
+    it; a pair in `refused` is skipped and counted, a new refusal added."""
+    still = []
+    for m in active:
+        for cluster in clusters:
+            rep = cluster.rep_marker
+            if not compatible(anchors[m], anchors[rep], doc.constraint_kind):
+                continue
+            if _refused_before(istats, refused, rep, m):
+                continue
+            result = refine_cluster(anchors[rep], doc.markers[m], doc, member_at_anchor=anchors[m])
+            if result is None:
+                refused.add((rep, m))
+                continue
+            _accept(stats, cluster.members, m, result)
+            istats.probe_joined += 1
+            break
+        else:
+            still.append(m)
+    return still
 
 
 def verify_loop(clusters, doc) -> tuple[bool, str | None]:

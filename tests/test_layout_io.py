@@ -259,29 +259,29 @@ class TestArrayParse:
         # window query still reaches the row
         doc = parse_layout(_layout([(-2**63, 0), (2**63 - 1, 0), (2**63 - 1, 5), (-2**63, 5)]))
         assert doc.widest == 2**64 - 1
-        rows, owners = doc.window_rectangles((0, 2))
+        rows, owners, sizes = doc.window_rows([(0, 2)])
         r = doc.pattern_radius
-        assert rows.tolist() == [[-r, -2, r, 3]] and owners.tolist() == [0]
+        assert rows.tolist() == [[-r, -2, r, 3]] and owners.tolist() == [0] and sizes.tolist() == [1]
 
     def test_window_far_from_the_row_sides_does_not_wrap(self):
         # the row's sides lie more than 2**63 from the center, further than
         # int64 can subtract, so it is clipped to the window first
         doc = parse_layout(_layout([(-2**63, 0), (2**63 - 1, 0), (2**63 - 1, 5), (-2**63, 5)]))
         assert doc.pattern_radius == 8
-        rows, owners = doc.window_rectangles((2**62, 2))
+        rows, owners, _sizes = doc.window_rows([(2**62, 2)])
         assert rows.tolist() == [[-8, -2, 8, 3]] and owners.tolist() == [0]
         # windows at the int64 corners of the same row
         for cx in (-2**63, 2**63 - 1):
-            rows, _owners = doc.window_rectangles((cx, 2))
+            rows, _owners, _sizes = doc.window_rows([(cx, 2)])
             assert rows.tolist() == [[0, -2, 8, 3] if cx < 0 else [-8, -2, 0, 3]]
         # a row whose far side lies 2**63 - 1 from the center, or just
         # beyond, on either side of the center
         doc = parse_layout(_layout([(0, 0), (2**63 - 1, 0), (2**63 - 1, 5), (0, 5)]))
-        assert doc.window_rectangles((0, 2))[0].tolist() == [[0, -2, 8, 3]]
-        assert doc.window_rectangles((-1, 2))[0].tolist() == [[1, -2, 8, 3]]
+        assert doc.window_rows([(0, 2)])[0].tolist() == [[0, -2, 8, 3]]
+        assert doc.window_rows([(-1, 2)])[0].tolist() == [[1, -2, 8, 3]]
         doc = parse_layout(_layout([(-2**63, 0), (0, 0), (0, 5), (-2**63, 5)]))
-        assert doc.window_rectangles((0, 0))[0].tolist() == [[-8, 0, 0, 5]]
-        assert doc.window_rectangles((1, 1))[0].tolist() == [[-8, -1, -1, 4]]
+        assert doc.window_rows([(0, 0)])[0].tolist() == [[-8, 0, 0, 5]]
+        assert doc.window_rows([(1, 1)])[0].tolist() == [[-8, -1, -1, 4]]
 
     def test_numpy_integer_center(self):
         # a center read from an array holds numpy integers; the query takes
@@ -289,10 +289,10 @@ class TestArrayParse:
         doc = parse_layout(_layout([(-2**63, 0), (2**63 - 1, 0), (2**63 - 1, 5), (-2**63, 5)],
                                    [(0, 20), (4, 20), (4, 24), (0, 24)]))
         for center in ((2**62, 2), (-2**63, 2), (2**63 - 1, 2), (3, 1), (-7, 9), (2, 18)):
-            rows, owners = doc.window_rectangles(tuple(np.int64(c) for c in center))
-            want_rows, want_owners = doc.window_rectangles(center)
-            assert rows.tolist() == want_rows.tolist() and owners.tolist() == want_owners.tolist()
-        assert doc.window_rectangles((np.int64(2**62), np.int64(2)))[0].tolist() == [[-8, -2, 8, 3]]
+            got = doc.window_rows([tuple(np.int64(c) for c in center)])
+            want = doc.window_rows([center])
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert doc.window_rows([(np.int64(2**62), np.int64(2))])[0].tolist() == [[-8, -2, 8, 3]]
 
     def test_int64_edge_centers_in_a_batch(self):
         # the centers of the no-wrap test above, mixed with ordinary ones in
@@ -388,15 +388,15 @@ class TestWindowRectangles:
             "POLY 2 -30 0 -26 0 -26 4 -30 4\n"  # far away
         )
         doc = parse_layout(text)
-        rows, polys = doc.window_rectangles((0, 0))
+        rows, polys, _sizes = doc.window_rows([(0, 0)])
         assert rows.tolist() == [[0, 0, 4, 4]] and polys.tolist() == [0]
-        rows, polys = doc.window_rectangles((16, 2))
+        rows, polys, _sizes = doc.window_rows([(16, 2)])
         assert rows.tolist() == [[-6, -2, -2, 2]] and polys.tolist() == [1]
 
     def test_empty_design(self):
         doc = LayoutDocument(8, ConstraintKind.COSINE, 0.5, (), (), (), ())
-        rows, polys = doc.window_rectangles((0, 0))
-        assert rows.shape == (0, 4) and polys.size == 0
+        rows, polys, sizes = doc.window_rows([(0, 0)])
+        assert rows.shape == (0, 4) and polys.size == 0 and sizes.tolist() == [0]
 
 
 class TestClusterReport:
@@ -533,7 +533,7 @@ class TestGenerator:
 
     def test_window_isolation(self):
         doc = generate_synthetic(3, 3, 8, seed=2)
-        owners = [doc.window_rectangles(m.center())[1].tolist() for m in doc.markers]
+        owners = [doc.window_rows([m.center()])[1].tolist() for m in doc.markers]
         counts = Counter(p for polys in owners for p in set(polys))
         assert sorted(counts) == list(range(len(doc.design_polygons)))
         assert set(counts.values()) == {1}  # each polygon in exactly one marker window

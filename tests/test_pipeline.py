@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 from collections import Counter
@@ -33,7 +34,7 @@ from pattern_forge.pipeline import (
 from pattern_forge.raster import cosine_similarity, pattern_features
 
 from conftest import rect
-from oracles import eager_solve_oracle, refine_member_cosine, refine_member_edgemove, verify_loop
+from oracles import eager_solve_oracle, probe_loop, refine_member_cosine, refine_member_edgemove, verify_loop
 
 COS = ConstraintKind.COSINE
 EDGE = ConstraintKind.EDGEMOVE
@@ -280,7 +281,7 @@ def _refine_paths(doc) -> set:
         if c != fit[0]:
             paths.add("clamped")
         center = (anchor[0] + c.dx, anchor[1] + c.dy)
-        polys = [len(set(doc.window_rectangles(x)[1].tolist())) for x in (anchor, center)]
+        polys = [len(set(doc.window_rows([x])[1].tolist())) for x in (anchor, center)]
         if polys[1] != polys[0]:
             paths.add("gains" if polys[1] > polys[0] else "loses")
         if len(extract_pattern(doc, center).shapes) - polys[1] > len(at_anchor.shapes) - polys[0]:
@@ -599,8 +600,8 @@ class TestRefusedPairs:
     def test_no_pair_refined_twice(self, jittered_docs, monkeypatch):
         # the near-duplicate is refused against its representative in round
         # 0 and meets it again in the probe; refining it again would give
-        # the same refusal, so the run skips the pair and counts the skip
-        # refine_cluster (the probe) goes through refine_members too, so
+        # the same refusal, so the run skips the pair and counts the skip;
+        # the probe and stage 4 both refine through refine_members, so
         # recording there sees every refined pair of both stages once
         real = pipeline.refine_members
         pairs = Counter()
@@ -620,6 +621,99 @@ class TestRefusedPairs:
             probed += any("probe" in it.timings_ms for it in stats.iterations)
             skipped += stats.to_json()["skipped_refused"]
         assert calls and probed and skipped
+
+
+def _probe_layout(kind) -> LayoutDocument:
+    """A layout whose second round's probe skips a pair refused in the first
+    round and refuses an orphan against one settled cluster before a later
+    one accepts it; in the cosine layout it also joins two orphans to two
+    clusters out of marker order.
+
+    Cosine: three windows of two upright bars, three of two flat bars, and
+    four more: flat bars 8 nm off the window's center, whose marker reaches
+    the aligned center (no edge in the zero-shift graph, so it sits out the
+    first round; the upright cluster refuses it, the flat one takes it);
+    upright bars 3 nm off a point marker (a relaxed edge to the upright
+    cluster, refused by it, skipped when probed); upright bars 8 nm off
+    (joins the upright cluster in the probe); upright bars 1 nm off, which
+    the first round accepts at its aligned center, so the refine sum is
+    not zero when the probe adds to it.
+    Edgemove (T = 2, point markers): five shapes, one pair of edges moved
+    by +-ex along x and one by +-ey along y, so every window has the same
+    signature and two windows fit with residual max(|dex|, |dey|). The
+    orphan (ex = 2, 1 nm off its center) is covered by the cluster of ex =
+    0 and -2 and refused (raw offset 3), then in the probe skips it, is
+    refused by the cluster of ey = 4 and joins the cluster of the windows
+    of ex = 4, whose representative the set cover put at the orphan's own
+    window."""
+    if kind is COS:
+        def upright(x, y):
+            return [rect(x - 20, y - 20, x - 4, y + 20), rect(x + 4, y - 20, x + 20, y + 20)]
+
+        def flat(x, y):
+            return [rect(x - 20, y - 20, x + 20, y - 4), rect(x - 20, y + 4, x + 20, y + 20)]
+
+        specs = [(upright, 0, 0)] * 3 + [(flat, 0, 0)] * 3 + [(flat, 8, 8), (upright, 3, 0), (upright, 8, 8), (upright, 1, 1)]
+        polys = [p for k, (shapes, dx, _half) in enumerate(specs) for p in shapes(300 * k + dx, 0)]
+        markers = [Marker(300 * k - half, 0, 300 * k + half, 0) for k, (_s, _dx, half) in enumerate(specs)]
+        return _doc(polys, markers, COS, 0.9)
+
+    def shapes(x, ex, ey):
+        return [rect(x - 40, -40, x + 40, -30), rect(x - 30, -20, x + ex, -18), rect(x - 30, -14, x - ex, -12),
+                rect(x + 20, -20, x + 22, ey), rect(x + 26, -20, x + 28, -ey)]
+
+    specs = [(0, 0, 0)] + [(-2, 0, 0)] * 3 + [(2, 0, 1)] + [(4, 0, 1)] * 2 + [(0, 4, 0)] * 3  # ex, ey, x offset
+    polys = [p for k, (ex, ey, dx) in enumerate(specs) for p in shapes(300 * k + dx, ex, ey)]
+    markers = [Marker(300 * k, 0, 300 * k, 0) for k in range(len(specs))]
+    return _doc(polys, markers, EDGE, 2.0)
+
+
+class TestProbe:
+    @pytest.mark.parametrize("kind", [COS, EDGE])
+    def test_batched_probe_equals_pair_loop(self, kind, monkeypatch):
+        # each probe of the run also runs one pair at a time on a copy of
+        # its inputs; the two must leave the same joins and member centers,
+        # refusals, skip and join counts and refine sums, bit for bit, and
+        # accept the joins in marker order, the order of the sums
+        real_probe, real_refine, real_accept = pipeline._probe, pipeline.refine_members, pipeline._accept
+        refines, accepted = [], []
+        seen = Counter()
+
+        def counting(rep, members, doc):
+            refines.append(len(members))
+            return real_refine(rep, members, doc)
+
+        def recording(stats, members, m, result):
+            accepted.append(m)
+            real_accept(stats, members, m, result)
+
+        def checked(doc, stats, istats, clusters, active, anchors, refused):
+            w_stats, w_clusters, w_refused = copy.deepcopy((stats, clusters, refused))
+            want = probe_loop(doc, w_stats, w_stats.iterations[-1], w_clusters, active, anchors, w_refused)
+            before, skips = set(refused), istats.skipped_refused
+            refines.clear()
+            accepted.clear()
+            got = real_probe(doc, stats, istats, clusters, active, anchors, refused)
+            assert got == want
+            assert clusters == w_clusters and refused == w_refused
+            assert stats == w_stats  # the iteration's counters too
+            assert stats.refine_delta_sum.hex() == w_stats.refine_delta_sum.hex()
+            assert len(refines) <= len(clusters)  # one batch per cluster at most
+            joined = set(active) - set(got)
+            assert accepted == [m for m in active if m in joined]
+            seen["probes"] += 1
+            seen["joined"] += len(joined)
+            seen["skipped"] += istats.skipped_refused - skips
+            seen["refused then joined"] += sum(m in joined for _rep, m in refused - before)
+            return got
+
+        monkeypatch.setattr(pipeline, "refine_members", counting)
+        monkeypatch.setattr(pipeline, "_accept", recording)
+        monkeypatch.setattr(pipeline, "_probe", checked)
+        _clusters, report, _stats = run_full(_probe_layout(kind))
+        assert all(seen[k] for k in ("probes", "joined", "skipped", "refused then joined")), seen
+        monkeypatch.undo()
+        assert run_full(_probe_layout(kind))[1] == report
 
 
 class TestOnGraph:
@@ -770,9 +864,9 @@ class TestLayoutTable:
                 assert built.rects[built.owner == k].tolist() == [list(r) for r in rs]
             assert (np.diff(built.rects[:, 0]) >= 0).all()
             assert built.widest == max(x1 - x0 for rs in pieces for x0, _y0, x1, _y1 in rs)
-            for m in built.markers:
-                got, want = parsed.window_rectangles(m.center()), built.window_rectangles(m.center())
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            centers = [m.center() for m in built.markers]
+            got, want = parsed.window_rows(centers), built.window_rows(centers)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("kind", [COS, EDGE])
     def test_run_and_verify_decompose_nothing(self, jittered_docs, kind, monkeypatch):

@@ -20,12 +20,11 @@ from pattern_forge.raster import (
     dct_features,
     pattern_features,
     rasterize,
-    window_features,
 )
 from pattern_forge.synthetic import generate_synthetic
 
 from conftest import rect, random_rect_union, staircase
-from oracles import cosine_of_blocks, coverage_grid_loop, features_per_window, naive_dct2
+from oracles import cosine_of_blocks, coverage_grid_loop, features_per_window, naive_dct2, window_rectangles_loop
 
 
 def _pat(*polys, radius=32) -> Pattern:
@@ -209,15 +208,16 @@ class TestWindowFeatures:
     @example((_layout([rect(-MAX_RADIUS, -MAX_RADIUS, MAX_RADIUS, MAX_RADIUS)] * 3, MAX_RADIUS), (0, 0)))
     def test_equals_extracted_pattern_features(self, layout_window):
         doc, center = layout_window
-        got = window_features(doc, center)
+        (got,) = raster.window_vectors(doc, [center])
         want = pattern_features(extract_pattern(doc, center))
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    def test_window_rectangles_tile_the_extracted_shapes(self):
+    def test_window_rows_tile_the_extracted_shapes(self):
         doc = _layout([_u_shape(-40, -60, 40, 10, 20), rect(32, -8, 60, 8)], 32)
         pattern = extract_pattern(doc, (0, 30))
         assert len(pattern.shapes) == 2  # the U's two prongs; the bar only touches
-        rows, polys = doc.window_rectangles((0, 30))
+        rows, polys, sizes = doc.window_rows([(0, 30)])
+        assert sizes.tolist() == [len(rows)]
         assert rows.dtype == np.int64 and (np.abs(rows) <= 32).all()
         area = int(((rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])).sum())
         assert area == pattern.area
@@ -264,15 +264,14 @@ class TestBlockFeatures:
         assert [pattern_features(p).tobytes() for p in windows] == [w.tobytes() for w in want]
 
     @given(_layout_window(), st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=9))
-    def test_window_cosines_score_each_window(self, layout_window, moves):
+    def test_window_vectors_score_each_window(self, layout_window, moves):
         doc, (cx, cy) = layout_window
         centers = [(cx + dx, cy + dy) for dx, dy in moves]
-        ref = window_features(doc, (cx, cy))
-        want = [cosine_similarity(ref, features_per_window(doc.window_rectangles(c)[0], doc.pattern_radius))
-                for c in centers]
-        assert raster.window_cosines(doc, ref, centers) == want
+        want = [features_per_window(window_rectangles_loop(doc, c)[0], doc.pattern_radius) for c in centers]
+        got = [v.tobytes() for v in raster.window_vectors(doc, centers)]
+        assert got == [w.tobytes() for w in want]
 
-    def test_window_cosines_across_query_chunks(self):
+    def test_window_vectors_across_query_chunks(self):
         # two full query chunks of the module's size and a trailing chunk
         # of one window, which ends in a block of one
         rng = random.Random(11)
@@ -280,11 +279,9 @@ class TestBlockFeatures:
         polys = [rect(-10, -10, 10, 10)] + [rect(x, y, x + rng.randrange(4, 40), y + rng.randrange(4, 40)) for x, y in corners]
         doc = _layout(polys, 32)
         centers = [(rng.randrange(-220, 220), rng.randrange(-220, 220)) for _ in range(2 * WINDOW_CHUNK + 1)]
-        ref = window_features(doc, (0, 0))
-        want = [cosine_similarity(ref, features_per_window(doc.window_rectangles(c)[0], doc.pattern_radius))
-                for c in centers]
+        want = [features_per_window(window_rectangles_loop(doc, c)[0], doc.pattern_radius).tobytes() for c in centers]
         assert len(set(want)) > 20
-        assert raster.window_cosines(doc, ref, centers) == want
+        assert [v.tobytes() for v in raster.window_vectors(doc, centers)] == want
 
     def test_output_written_in_place(self):
         out = np.full((4, raster.DCT_K**2), np.nan)
@@ -323,15 +320,14 @@ class TestOneFeaturePath:
 
         monkeypatch.setattr(raster, "block_features", kernel)
         entry("pattern_features", lambda args: 1)
-        entry("window_features", lambda args: 1)
         entry("fill_features", lambda args: sum(1 for p in args[0] if p.has_features))
-        entry("window_cosines", lambda args: len(args[2]))
+        entry("window_vectors", lambda args: len(args[1]))
         doc = generate_synthetic(3, 4, 4, seed=1)  # its template probe reads pattern_features
         for name in ("coverage_grid", "dct_features"):
             monkeypatch.setattr(raster, name, forbidden)
         clusters, _report, _stats = run_full(doc)
         assert verify_clusterset(clusters, doc).ok
-        entries = ("pattern_features", "window_features", "fill_features", "window_cosines")
+        entries = ("pattern_features", "fill_features", "window_vectors")
         assert all(asked[name] for name in entries), asked
         assert asked["kernel"] == sum(asked[name] for name in entries)
 
