@@ -51,7 +51,8 @@ TIMINGS = ("wall_ms", "stage_ms", "timings_ms")
 
 # The generator sweep's child: argv is the matrix file and a scratch
 # directory; prints `<case>: <sha256 of the layout>` per line. It imports
-# from the package root, which exports the same names in every checkout.
+# from the package root, which exports the generator and the layout writer
+# in every checkout.
 GENERATE = '''
 import hashlib, os, sys
 from pattern_forge import bench, cli, generate_synthetic, write_layout
@@ -77,10 +78,12 @@ for constraint in ("cosine", "edgemove"):
 '''
 
 # The feature-digest child: argv holds layout files; prints `<file>: <sha256>`
-# per file over its windows' feature vectors (see the module docstring).
+# per file over its windows' feature vectors (see the module docstring). It
+# reads `extract_pattern` from its module, where every checkout has it.
 FEATURES = '''
 import hashlib, os, sys
-from pattern_forge import extract_pattern, parse_layout, raster
+from pattern_forge import parse_layout, raster
+from pattern_forge.geometry import extract_pattern
 
 def features(doc, c):
     if hasattr(raster, "window_features"):

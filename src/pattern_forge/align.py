@@ -13,7 +13,8 @@ One aligner per constraint gives the best rigid shift between two patterns:
   fits as int64 arrays, which the graph stage thresholds as they are;
   `edge_fits` gives `edge_fit_aligned` of one representative against a list
   of patterns from those blocks, as the (shift, residual, raw) tuples that
-  refinement and verification read.
+  refinement and verification read. Every edge fit, of one pair or of a
+  block, is read from the per-axis offset hulls of `hull_fits`.
 
 Phase correlation on coverage bitmaps (`phase_correlate`, the global optimum
 for circular shifts) serves the synthetic generator, not the clustering.
@@ -191,21 +192,13 @@ def xy_minmax_shifts(rep: Pattern, patterns) -> list:
     return [_xy_shift(rep, p) if s is None else s for s, p in zip(shifts, patterns)]
 
 
-def _hull_fit(displacements) -> tuple[Translation, int, int]:
-    """Minmax shift, its residual and the worst raw |offset|, all read from
-    the per-axis offset hulls (an axis without offsets has the hull [0, 0])."""
-    xs = [d for ax, d in displacements if ax is Axis.X] or [0]
-    ys = [d for ax, d in displacements if ax is Axis.Y] or [0]
-    xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
-    shift = Translation(_half_toward_zero(xlo + xhi), _half_toward_zero(ylo + yhi))
-    residual = max((xhi - xlo + 1) // 2, (yhi - ylo + 1) // 2)
-    return shift, residual, max(-xlo, xhi, -ylo, yhi)
-
-
 def hull_fits(offsets: np.ndarray, x_axis: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`_hull_fit`'s shift (dx, dy), residual and worst raw |offset| for
-    each row of `offsets`, a (pairs, E) array of corresponding-edge offsets
-    whose columns lie along X where `x_axis` is True and along Y elsewhere."""
+    """The minmax shift (dx, dy), its residual and the worst raw |offset|
+    for each row of `offsets`, a (pairs, E) array of corresponding-edge
+    offsets whose columns lie along X where `x_axis` is True and along Y
+    elsewhere, all read from the row's per-axis offset hulls (an axis
+    without offsets has the hull [0, 0]). Every edge fit of the program
+    comes from here."""
     zero = np.zeros(len(offsets), dtype=np.int64)
     hulls = []
     for cols in (x_axis, ~x_axis):
@@ -217,6 +210,14 @@ def hull_fits(offsets: np.ndarray, x_axis: np.ndarray) -> tuple[np.ndarray, ...]
     return _half_toward_zero(xlo + xhi), _half_toward_zero(ylo + yhi), residual, raw
 
 
+def _displacement_fit(displacements) -> tuple[Translation, int, int]:
+    """`hull_fits` of one row, the (axis, offset) pairs `displacements`."""
+    offsets = np.array([[d for _ax, d in displacements]], dtype=np.int64)
+    x_axis = np.array([ax is Axis.X for ax, _d in displacements], dtype=bool)
+    dx, dy, residual, raw = (int(v[0]) for v in hull_fits(offsets, x_axis))
+    return Translation(dx, dy), residual, raw
+
+
 def edge_minmax_align(displacements) -> tuple[Translation, int]:
     """Midpoint shift minimizing the worst surviving edge offset.
 
@@ -225,7 +226,7 @@ def edge_minmax_align(displacements) -> tuple[Translation, int]:
     residual is the worse axis (L-infinity). An axis with no offsets
     contributes shift 0 and residual 0.
     """
-    shift, residual, _raw = _hull_fit(displacements)
+    shift, residual, _raw = _displacement_fit(displacements)
     return shift, residual
 
 
@@ -249,12 +250,12 @@ def edge_fit_aligned(a: Pattern, b: Pattern) -> tuple[Translation, int, int] | N
     if len(a.rings) != len(b.rings):
         return None
     if not a.rings:
-        return _hull_fit([])
+        return _displacement_fit([])
     try:
         disp = edge_displacements(a, b, match_polygons(a, b))
     except MatchError:
         return None
-    return _hull_fit(disp)
+    return _displacement_fit(disp)
 
 
 # Pairs per array pass of `iter_edge_fits`. A block's temporaries take about
@@ -292,9 +293,9 @@ def iter_edge_fits(patterns, pairs):
     overlap test, folded to shapes through `owner`, checks that shape k of
     one pattern overlaps shape k of the other and nothing else, i.e. that
     the zero-shift correspondence `match_polygons` finds is the identity;
-    the per-axis hulls of `coords[j] - coords[i]` then give `_hull_fit`'s
-    shift, residual and raw offset. A pair whose correspondence is not the
-    identity, or whose keys differ with equal shape counts, goes through
+    `hull_fits` of `coords[j] - coords[i]` then gives the shift, residual
+    and raw offset. A pair whose correspondence is not the identity, or
+    whose keys differ with equal shape counts, goes through
     `edge_fit_aligned`, and those fits come as one final block. Fits are
     yielded block by block, so a caller that keeps only some of them never
     holds them all, and a caller that thresholds them builds no object per

@@ -21,7 +21,7 @@ def _add_cluster_parser(sub):
     p.add_argument("--constraint", choices=["cosine", "edgemove"], help="override the file header")
     p.add_argument("--threshold", type=float, help="override the file header")
     p.add_argument("--radius", type=int, help="override the file header")
-    p.add_argument("--max-iters", type=int, default=3)
+    p.add_argument("--max-iters", type=int, default=IterationConfig.max_iterations)
     p.add_argument("--report", help="write a JSON run report here")
     p.add_argument("--dump-graph", help="write first-iteration 'i j' edges here")
     p.add_argument("--no-prescreen", action="store_true", help="evaluate all pairs (slow)")

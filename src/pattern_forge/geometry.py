@@ -16,7 +16,9 @@ take and each window's table a slice of the batch's arrays;
 `extract_pattern` is its one-center case. A `Polygon` is one ring as a
 tuple of vertices: what validation (`Polygon.from_vertices`), the slab
 sweep (`rectangles`), clipping, the union trace of a polygon cut by a
-window's edge, and tests work with.
+window's edge, and the generator work with. Polygons go into a table
+(`VertexTable.of_polygons`) and never come back out: every kernel reads
+the table's arrays.
 """
 
 import enum
@@ -362,13 +364,6 @@ class VertexTable:
             return NotImplemented
         return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.vertices, other.vertices)
 
-    def polygons(self) -> tuple[Polygon, ...]:
-        """Every ring as a `Polygon`, in order."""
-        points = list(map(tuple, self.vertices.tolist()))
-        bounds = self.offsets.tolist()
-        return tuple(Polygon(tuple(points[lo:hi]), tuple(box))
-                     for lo, hi, box in zip(bounds, bounds[1:], self.bboxes.tolist()))
-
 
 @dataclass(frozen=True)
 class Marker:
@@ -389,14 +384,6 @@ class Marker:
     def contains(self, x: int, y: int) -> bool:
         return self.xlo <= x <= self.xhi and self.ylo <= y <= self.yhi
 
-    @property
-    def width(self) -> int:
-        return self.xhi - self.xlo
-
-    @property
-    def height(self) -> int:
-        return self.yhi - self.ylo
-
 
 @dataclass
 class Pattern:
@@ -408,8 +395,7 @@ class Pattern:
     patterns themselves differ in `center`). Every vertex lies in
     [-radius, radius]^2. `rings` may also be given as a sequence of already
     normalised polygons, the way the generator and tests hold them
-    (`VertexTable.of_polygons`); `shapes` gives the rings back as `Polygon`
-    objects, built on each read.
+    (`VertexTable.of_polygons`).
 
     What the kernels read is an attribute, built at most once per pattern
     and not part of equality or repr. `rects`, `owner` and `bboxes` are the
@@ -436,12 +422,6 @@ class Pattern:
         if not isinstance(self.rings, VertexTable):
             self.rings = VertexTable.of_polygons(self.rings)
         self.rects, self.owner, self.bboxes = self.rings.rects, self.rings.owner, self.rings.bboxes
-
-    @property
-    def shapes(self) -> tuple[Polygon, ...]:
-        """The rings as `Polygon` objects, in order, built on each read: for
-        callers that want objects, such as tests."""
-        return self.rings.polygons()
 
     @cached_property
     def rect_counts(self) -> tuple[int, ...]:
@@ -506,10 +486,6 @@ class Pattern:
         """Keep `vector` as `features`: for a caller that computed it as
         reading `features` would, bit for bit."""
         vars(self)["features"] = vector
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.rings
 
     def bounds(self) -> Rect | None:
         """Union bounding box of the shapes, or None for an empty pattern."""

@@ -59,9 +59,6 @@ class SimilarityGraph:
     indptr: np.ndarray   # (n + 1,) int64
     indices: np.ndarray  # (2 * edge_count,) int64
 
-    def neighbours(self, i: int) -> list[int]:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]].tolist()
-
     def degree(self, i: int) -> int:
         return int(self.indptr[i + 1] - self.indptr[i])
 

@@ -17,8 +17,8 @@ its orientation is read from the edge leaving that vertex (East means
 counter-clockwise), so no coordinate can overflow the test. A `Polygon` is
 built only for a ring of more than 4 vertices (for the slab sweep that
 decomposes it), for a ring that a check flags (to raise the error the
-per-polygon path raises) and, on demand, for callers that want objects
-(`LayoutDocument.design_polygons`, the generator, tests). The document
+per-polygon path raises) and by the generator, which hands its document
+polygons; the table is never read back as `Polygon` objects. The document
 sorts the table's rectangles by xlo for its window query,
 `LayoutDocument.window_rows`, which reads the windows at many centers in
 one array pass.
@@ -107,12 +107,6 @@ class LayoutDocument:
         self.rects, self.owner = rects[order], self.rings.owner[order]
         # a width below 2**64 does not wrap in uint64, where it may in int64
         self.widest = int((rects[:, 2].view(np.uint64) - rects[:, 0].view(np.uint64)).max(initial=0))
-
-    @property
-    def design_polygons(self) -> tuple[Polygon, ...]:
-        """The rings as `Polygon` objects, in file order, built on each read:
-        for callers that want objects, such as tests."""
-        return self.rings.polygons()
 
     def window_rows(self, centers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The window query of many windows in one array pass: for the
@@ -449,7 +443,10 @@ def read_report(source) -> ClusterReport:
             except KeyError as exc:
                 raise ValueError(f"report summary line {ln!r} lacks {exc.args[0]}=") from None
             continue
-        row = tuple(int(t) for t in ln.split(","))
+        try:
+            row = tuple(int(t) for t in ln.split(","))
+        except ValueError:
+            raise ValueError(f"report row {ln!r} has a non-integer field") from None
         if len(row) != 5:
             raise ValueError(f"report row {ln!r} needs 5 fields")
         rows.append(row)

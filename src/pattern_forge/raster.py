@@ -17,6 +17,8 @@ scored in.
 Pixels hold exact area-coverage fractions: the rectangle/pixel overlaps are
 summed as exact integers (in a float64 matrix product while every pixel
 stays below 2^53, in int64 past that) before a single division by (2R)^2.
+One private function, `_coverage`, builds every grid, for a stack of
+windows at once.
 No supersampling is involved, so any disjoint decomposition of the same
 area gives the same pixels and the same features bit for bit; that is why
 the exact integer grid is the one input of the transform. The block alone
@@ -26,7 +28,7 @@ once per (side, k). The geometry is fixed, so a report and its layout alone
 decide every similarity. The cosine of two windows is the dot product of
 their vectors, except that equal vectors score exactly 1, so two windows
 with the same shapes are identical under any threshold. `coverage_grid`
-gives one window's integer grid as int64 and `dct_features` one grid's
+gives `_coverage` of one window as int64 and `dct_features` one grid's
 block; `rasterize` wraps the grid as a `Bitmap`, the input of
 `align.phase_correlate`.
 """
@@ -91,32 +93,55 @@ def _overlaps(s: np.ndarray, radius: int, side: int) -> tuple[np.ndarray, np.nda
     return ov[..., 0, :], ov[..., 1, :]
 
 
+def _coverage(rows: np.ndarray, sizes, radius: int, side: int) -> tuple[np.ndarray, dict]:
+    """The integer coverage numerators of a stack of windows of radius r =
+    `radius` on a side x side grid, where window w holds the next sizes[w]
+    rows of `rows`, a stacked (n, 4) array of window-local rectangles (x0,
+    y0, x1, y1 inside [-r, r]^2); the common denominator is (2r)^2. Every
+    grid of the program is built here. Returns the (len(sizes), side,
+    side) float64 grids and, by window index, the int64 grid of each
+    window whose float64 grid reached 2^53.
+
+    Coordinates are scaled by the grid side so pixel boundaries are integers
+    (at most 2r * side <= 1.28e9, exact in float64). The windows are padded
+    with zero rows, which cover no pixel, to the longest. Every rectangle
+    gets an exact 1-D overlap with each pixel column and each pixel row (0
+    outside its span), and each grid is the sum of their outer products,
+    taken as one stacked float64 (BLAS) matrix product `Y @ X`. That product
+    is exact: each term is an integer of at most (2r)^2 <= 4e14 < 2^53 and
+    none is negative, so every partial sum is at most the pixel's total, and
+    a computed maximum below 2^53 means no partial sum was rounded. Only more
+    than 22 stacked full pixels near MAX_RADIUS reach 2^53; such a window is
+    summed again in int64. The exact grids do not depend on the order or the
+    grouping of the rows.
+    """
+    b, longest = len(sizes), max(sizes, default=0)
+    scaled = (rows + radius) * side
+    if b == 1:  # nothing to pad (a cos_nearT window alone: 42 us, padded 46 us)
+        s = scaled.astype(np.float64).reshape(1, longest, 4)
+    else:
+        s = np.zeros((b, longest, 4))
+        s[np.arange(longest) < np.asarray(sizes)[:, None]] = scaled
+    xov, yov = _overlaps(s, radius, side)
+    grid = yov.transpose(0, 2, 1) @ xov
+    exact = {}
+    if grid.max() >= _EXACT:  # one reduction of the whole stack on the common path
+        for w in np.flatnonzero(grid.max(axis=(1, 2)) >= _EXACT).tolist():
+            exact[w] = yov[w].T.astype(np.int64) @ xov[w].astype(np.int64)
+    return grid, exact
+
+
 def coverage_grid(rects: np.ndarray, radius: int, side: int) -> np.ndarray:
     """Integer coverage numerators (int64) of window-local rectangles (rows
     x0, y0, x1, y1 inside [-r, r]^2, r = radius) on a side x side grid, a
     power of two >= 8; the common denominator is (2r)^2. Summing the grid
-    gives the rectangles' total area times side^2.
-
-    Coordinates are scaled by the grid side so pixel boundaries are integers
-    (at most 2r * side <= 1.28e9, exact in float64). Every rectangle gets an
-    exact 1-D overlap with each pixel column and each pixel row (0 outside
-    its span), and the grid is the sum of their outer products, taken as one
-    float64 (BLAS) matrix product. That product is exact: each term is an
-    integer of at most (2r)^2 <= 4e14 < 2^53 and none is negative, so every
-    partial sum is at most the pixel's total, and a computed maximum below
-    2^53 means no partial sum was rounded. Only more than 22 stacked full
-    pixels near MAX_RADIUS reach 2^53; the grid is then summed again in
-    int64. The result holds exact integers, so it does not depend on the
-    order or the grouping of `rects`. The feature kernel,
-    `block_features`, computes the same grid without the int64 copy.
+    gives the rectangles' total area times side^2. It is `_coverage` of
+    the one window, exact past 2^53 too.
     """
     if side < 8 or side & (side - 1):
         raise ValueError(f"grid side must be a power of two >= 8, got {side}")
-    xov, yov = _overlaps(((rects + radius) * side).astype(np.float64), radius, side)
-    grid = yov.T @ xov
-    if grid.max(initial=0.0) >= _EXACT:
-        return yov.T.astype(np.int64) @ xov.astype(np.int64)
-    return grid.astype(np.int64)
+    grid, exact = _coverage(rects, (len(rects),), radius, side)
+    return exact[0] if exact else grid[0].astype(np.int64)
 
 
 def rasterize(pattern: Pattern, side: int = GRID) -> Bitmap:
@@ -162,28 +187,17 @@ def block_features(rows: np.ndarray, sizes, radius: int, out: np.ndarray | None 
     term, and with it the norm, is zero only for an empty window.
 
     Every vector of the program comes from here, and each is the same bit
-    for bit whatever block it is computed in. The block's rows are padded
-    with zero rows, which cover no pixel, to its longest window, and its
-    coverage grids are one stacked float64 product `Y @ X`, exact as
-    `coverage_grid` explains: a window whose grid reaches 2^53 is summed
-    again in int64. One division by (2r)^2 gives the fractions, `C @ P @
-    C.T` of the stack runs the same matrix product per window as on one
+    for bit whatever block it is computed in. The block's coverage grids
+    come from `_coverage`, one stacked product; a window's int64 grid past
+    2^53 takes its place. One division by (2r)^2 gives the fractions, `C @
+    P @ C.T` of the stack runs the same matrix product per window as on one
     window, and each vector's norm comes from its own dot product. Callers
     keep a block to BLOCK windows, which bounds its temporaries.
     """
     b = len(sizes)
-    longest = max(sizes, default=0)
-    scaled = (rows + radius) * GRID
-    if b == 1:  # nothing to pad (a cos_nearT window alone: 42 us, padded 46 us)
-        s = scaled.astype(np.float64).reshape(1, longest, 4)
-    else:
-        s = np.zeros((b, longest, 4))
-        s[np.arange(longest) < np.asarray(sizes)[:, None]] = scaled
-    xov, yov = _overlaps(s, radius, GRID)
-    grid = yov.transpose(0, 2, 1) @ xov
-    if grid.max(initial=0.0) >= _EXACT:
-        for w in np.flatnonzero(grid.max(axis=(1, 2)) >= _EXACT):
-            grid[w] = yov[w].T.astype(np.int64) @ xov[w].astype(np.int64)
+    grid, exact = _coverage(rows, sizes, radius, GRID)
+    for w, g in exact.items():
+        grid[w] = g
     grid /= float((2 * radius) ** 2)
     if out is None:
         out = np.empty((b, DCT_K * DCT_K))

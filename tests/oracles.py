@@ -47,6 +47,16 @@ from pattern_forge.prescreen import compatible
 from pattern_forge.raster import GRID, cosine_similarity, coverage_grid, dct_features, pattern_features
 
 
+def polygons_of(table) -> tuple[Polygon, ...]:
+    """Every ring of a `VertexTable` as a `Polygon`, in order: a layout's
+    design polygons (`doc.rings`) or a window's shapes (`pattern.rings`)
+    as objects."""
+    points = list(map(tuple, table.vertices.tolist()))
+    bounds = table.offsets.tolist()
+    return tuple(Polygon(tuple(points[lo:hi]), tuple(box))
+                 for lo, hi, box in zip(bounds, bounds[1:], table.bboxes.tolist()))
+
+
 def from_vertices_loop(points) -> Polygon:
     """`Polygon.from_vertices` one check after another: repeated vertices,
     then every edge for a diagonal (or zero length), then every pair of
@@ -276,7 +286,7 @@ def polys_overlap(pa, pb, sx: int, sy: int) -> bool:
 
 def overlap_matrix(a, b, shift) -> np.ndarray:
     """Polygon overlap matrix: a bounding-box prefilter, then polys_overlap."""
-    na, nb = len(a.shapes), len(b.shapes)
+    na, nb = len(a.rings), len(b.rings)
     out = np.zeros((na, nb), dtype=bool)
     if na == 0 or nb == 0:
         return out
@@ -288,15 +298,16 @@ def overlap_matrix(a, b, shift) -> np.ndarray:
         & (bba[:, None, 1] < bbb[None, :, 3])
         & (bbb[None, :, 1] < bba[:, None, 3])
     )
+    pa, pb = polygons_of(a.rings), polygons_of(b.rings)
     for i, j in zip(*np.nonzero(cand)):
-        out[i, j] = polys_overlap(a.shapes[i], b.shapes[j], shift.dx, shift.dy)
+        out[i, j] = polys_overlap(pa[i], pb[j], shift.dx, shift.dy)
     return out
 
 
 def match_polygons_loop(a, b, shift) -> tuple[tuple[int, int], ...]:
     """`geometry.match_polygons`, checking one polygon at a time; the pairs
     as (index into a, index into b) tuples."""
-    na, nb = len(a.shapes), len(b.shapes)
+    na, nb = len(a.rings), len(b.rings)
     m = overlap_matrix(a, b, shift)
     pairs: list[tuple[int, int]] = []
     if na <= nb:
@@ -353,7 +364,7 @@ def pattern_edges(pattern) -> tuple[tuple[str, tuple[Axis, ...], tuple[int, ...]
     (the edge leaving vertex e) the axis it moves along and its coordinate
     on that axis: x of a vertical edge, y of a horizontal one."""
     table = []
-    for p in pattern.shapes:
+    for p in polygons_of(pattern.rings):
         d = direction_sequence(p)
         axes = tuple(Axis.X if c in "NS" else Axis.Y for c in d)
         coords = tuple(x if c in "NS" else y for (x, y), c in zip(p.vertices, d))
@@ -365,8 +376,9 @@ def edge_displacements_loop(a, b, pairs) -> list:
     """`geometry.edge_displacements`, walking both rings edge by edge, over
     (i, j) pair tuples."""
     out = []
+    shapes_a, shapes_b = polygons_of(a.rings), polygons_of(b.rings)
     for i, j in pairs:
-        pa, pb = a.shapes[i], b.shapes[j]
+        pa, pb = shapes_a[i], shapes_b[j]
         if len(pa.vertices) != len(pb.vertices):
             raise TopologyMismatchError(
                 f"pair ({i}, {j}): vertex counts {len(pa.vertices)} vs {len(pb.vertices)}"
@@ -386,13 +398,26 @@ def edge_fit(a, b) -> int | None:
     sit (the third element of `align.edge_fit_aligned`), through the
     per-polygon pairing and edge walk above; None without a one-to-one
     correspondence, 0 for two empty patterns."""
-    if len(a.shapes) != len(b.shapes):
+    if len(a.rings) != len(b.rings):
         return None
     try:
         disp = edge_displacements_loop(a, b, match_polygons_loop(a, b, ZERO_SHIFT))
     except MatchError:
         return None
     return max((abs(d) for _, d in disp), default=0)
+
+
+def hull_fit_loop(displacements) -> tuple[Translation, int, int]:
+    """`align.hull_fits` of one row, over a list of (axis, offset) pairs:
+    the minmax shift, its residual and the worst raw |offset|, all read
+    from the per-axis offset hulls (an axis without offsets has the hull
+    [0, 0])."""
+    xs = [d for ax, d in displacements if ax is Axis.X] or [0]
+    ys = [d for ax, d in displacements if ax is Axis.Y] or [0]
+    xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
+    shift = Translation(math.trunc(Fraction(xlo + xhi, 2)), math.trunc(Fraction(ylo + yhi, 2)))
+    residual = max((xhi - xlo + 1) // 2, (yhi - ylo + 1) // 2)
+    return shift, residual, max(-xlo, xhi, -ylo, yhi)
 
 
 @dataclass(frozen=True)
@@ -424,12 +449,13 @@ def pair_intervals(pa, pb) -> tuple[FeasibleInterval, FeasibleInterval]:
 def centroid_pairs_loop(a, b) -> list[tuple[int, int]]:
     """Each shape of the pattern with fewer shapes (a on a tie), in order,
     with the first shape of the other whose doubled bbox center is nearest."""
-    flip = len(a.shapes) > len(b.shapes)
+    flip = len(a.rings) > len(b.rings)
     small, big = (b, a) if flip else (a, b)
     pairs = []
-    for i, ps in enumerate(small.shapes):
+    bigs = polygons_of(big.rings)
+    for i, ps in enumerate(polygons_of(small.rings)):
         sx, sy = ps.bbox[0] + ps.bbox[2], ps.bbox[1] + ps.bbox[3]
-        d2 = [(pb.bbox[0] + pb.bbox[2] - sx) ** 2 + (pb.bbox[1] + pb.bbox[3] - sy) ** 2 for pb in big.shapes]
+        d2 = [(pb.bbox[0] + pb.bbox[2] - sx) ** 2 + (pb.bbox[1] + pb.bbox[3] - sy) ** 2 for pb in bigs]
         j = d2.index(min(d2))
         pairs.append((j, i) if flip else (i, j))
     return pairs
@@ -439,15 +465,16 @@ def xy_minmax_align_loop(a, b) -> Translation:
     """`align.xy_minmax_align` one polygon pair at a time: the pairs of
     `match_polygons_loop` at zero shift (else `centroid_pairs_loop`), and
     per axis the first pair with the narrowest interval gives its midpoint."""
-    if not a.shapes or not b.shapes:
+    if not a.rings or not b.rings:
         raise NoCorrespondenceError("cannot align an empty pattern geometrically")
     try:
         pairs = match_polygons_loop(a, b, ZERO_SHIFT)
     except MatchError:
         pairs = centroid_pairs_loop(a, b)
     best_x = best_y = None
+    shapes_a, shapes_b = polygons_of(a.rings), polygons_of(b.rings)
     for i, j in pairs:
-        ix, iy = pair_intervals(a.shapes[i], b.shapes[j])
+        ix, iy = pair_intervals(shapes_a[i], shapes_b[j])
         if best_x is None or ix.width < best_x.width:
             best_x = ix
         if best_y is None or iy.width < best_y.width:
@@ -712,12 +739,17 @@ def exact_surprisals(g) -> list[Fraction]:
     return [Fraction(1, 1 + g.degree(i)) for i in range(g.n)]
 
 
+def neighbours(g, i: int) -> list[int]:
+    """Node i's neighbours in the CSR graph `g`, ascending."""
+    return g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
+
+
 def gain_loop(g, s, covered, j: int):
     """Marginal gain of selecting j: surprisal mass of newly covered nodes,
     added one node at a time, self first, then the neighbours ascending,
     in the type of `s` (floats or exact rationals)."""
     total = s[j] if not covered[j] else type(s[j])(0)
-    for k in g.neighbours(j):
+    for k in neighbours(g, j):
         if not covered[k]:
             total += s[k]
     return total

@@ -14,7 +14,6 @@ from pattern_forge.align import (
     DegenerateSpectrumError,
     NoCorrespondenceError,
     _half_toward_zero,
-    _hull_fit,
     clamp_to_marker,
     correlation_surface,
     edge_fit_aligned,
@@ -27,7 +26,14 @@ from pattern_forge.align import (
 )
 
 from conftest import rect, staircase
-from oracles import brute_minmax_residual, edge_fit, minmax_residual_at, xy_minmax_align_loop
+from oracles import (
+    brute_minmax_residual,
+    edge_fit,
+    hull_fit_loop,
+    minmax_residual_at,
+    polygons_of,
+    xy_minmax_align_loop,
+)
 
 
 def _pat(*polys, radius=64) -> Pattern:
@@ -85,13 +91,13 @@ class TestHullFits:
         st.lists(st.lists(st.integers(-9, 9), min_size=6, max_size=6), min_size=1, max_size=5),
     )
     def test_rows_are_hull_fit(self, x_axis, rows):
-        # every row scored at once equals _hull_fit on that row's offsets,
+        # every row scored at once equals hull_fit_loop on that row's offsets,
         # odd hull widths and axes without offsets included
         e = len(x_axis)
         offsets = np.asarray([r[:e] for r in rows], dtype=np.int64).reshape(len(rows), e)
         dx, dy, residual, raw = hull_fits(offsets, np.asarray(x_axis, dtype=bool))
         for k, row in enumerate(offsets.tolist()):
-            shift, res, worst = _hull_fit([(Axis.X if x else Axis.Y, d) for x, d in zip(x_axis, row)])
+            shift, res, worst = hull_fit_loop([(Axis.X if x else Axis.Y, d) for x, d in zip(x_axis, row)])
             assert (dx[k], dy[k], residual[k], raw[k]) == (shift.dx, shift.dy, res, worst)
 
 
@@ -306,7 +312,7 @@ class TestXyMinmaxShifts:
         moved = _pat(rect(1, -2, 12, 13), staircase(1, run=7, rise=5, x0=39))
         permuted = _pat(staircase(1, run=6, rise=6, x0=41), rect(0, 1, 12, 12))
         other = _pat(rect(0, 0, 12, 12), rect(40, 0, 52, 12))
-        far = _pat(*(p.translated(50, 0) for p in moved.shapes))
+        far = _pat(*(p.translated(50, 0) for p in polygons_of(moved.rings)))
         calls = []
         real = align.xy_minmax_align
 

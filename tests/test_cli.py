@@ -1,17 +1,20 @@
 import argparse
 import dataclasses
+import importlib
 import json
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
+import pattern_forge
 from pattern_forge import cli, geometry, layout_io
 from pattern_forge.cli import main
 from pattern_forge.graph import dump_edges
 from pattern_forge.layout_io import parse_layout, read_report
-from pattern_forge.pipeline import SCHEMA, STAGES
+from pattern_forge.pipeline import SCHEMA, STAGES, IterationConfig
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +183,18 @@ class TestCluster:
         capsys.readouterr()
         assert read_report(out.read_bytes()).cluster_count == 5
 
+    def test_max_iters_default_is_the_config_default(self, layout_path, monkeypatch, capsys):
+        # without --max-iters the run gets IterationConfig's default, which
+        # the parser reads from the config rather than keeping its own copy
+        seen = []
+        real = cli.run_full
+        monkeypatch.setattr(cli, "run_full", lambda doc, cfg, **kw: seen.append(cfg) or real(doc, cfg, **kw))
+        assert main(["cluster", "--input", str(layout_path), "--output", "-"]) == 0
+        monkeypatch.setattr(IterationConfig, "max_iterations", 2)
+        assert main(["cluster", "--input", str(layout_path), "--output", "-"]) == 0
+        capsys.readouterr()
+        assert [cfg.max_iterations for cfg in seen] == [IterationConfig().max_iterations, 2]
+
     def test_report_json(self, layout_path, tmp_path, capsys):
         out, rep = tmp_path / "r.csv", tmp_path / "stats.json"
         rc = main(["cluster", "--input", str(layout_path), "--output", str(out),
@@ -291,6 +306,24 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "No such file" in err and str(missing) in err
         assert "line 1" not in err and "scenario" not in err
+
+
+class TestPackageExports:
+    EXPORTS = {
+        "ClusterReport", "ConstraintKind", "LayoutDocument", "LayoutParseError", "parse_layout", "read_report",
+        "write_layout", "write_report", "generate_synthetic", "Cluster", "IterationConfig", "RunStats", "Verdict",
+        "run_full", "verify_clusterset",
+    }
+
+    def test_root_exports_the_pipeline_only(self):
+        # every other name is read from its module; the submodules are
+        # attributes of the package once imported, and are not exports
+        public = {name for name, value in vars(pattern_forge).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert public == self.EXPORTS
+        for name in self.EXPORTS:
+            value = getattr(pattern_forge, name)
+            assert getattr(importlib.import_module(value.__module__), name) is value
 
 
 class TestEntryPoint:

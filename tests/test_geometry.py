@@ -37,10 +37,11 @@ from oracles import (
     direction_sequence,
     edge_displacements_loop,
     extract_pattern_loop,
-    pattern_edges,
     from_vertices_loop,
     hull_bbox,
     match_polygons_loop,
+    pattern_edges,
+    polygons_of,
     rect_cells,
     rings_cells,
     window_rows_loop,
@@ -303,7 +304,7 @@ def _clip_every_polygon(doc, center) -> tuple[Polygon, ...]:
     window = (cx - r, cy - r, cx + r, cy + r)
     return tuple(
         piece.translated(-cx, -cy)
-        for poly in doc.design_polygons
+        for poly in polygons_of(doc.rings)
         for piece in clip_polygon(poly, window)
     )
 
@@ -375,18 +376,18 @@ class TestExtract:
         doc = _doc([rect(0, 0, 6, 6), rect(100, 100, 106, 106)], radius=16)
         a = extract_pattern(doc, (3, 3))
         b = extract_pattern(doc, (103, 103))
-        assert a.shapes == b.shapes
+        assert polygons_of(a.rings) == polygons_of(b.rings)
         assert a.center != b.center
 
     def test_clips_to_window(self):
         doc = _doc([rect(-40, -40, 40, 40)], radius=16)
         p = extract_pattern(doc, (0, 0))
-        assert p.shapes == (rect(-16, -16, 16, 16),)
+        assert polygons_of(p.rings) == (rect(-16, -16, 16, 16),)
         assert p.area == 32 * 32
 
     def test_empty_window(self):
         doc = _doc([rect(100, 100, 110, 110)], radius=16)
-        assert extract_pattern(doc, (0, 0)).is_empty
+        assert not extract_pattern(doc, (0, 0)).rings
 
     def test_bounds_and_area(self):
         doc = _doc([rect(2, 2, 6, 8)], radius=16)
@@ -407,8 +408,8 @@ class TestExtract:
         ]
         doc = _doc(polys, radius=16)
         p = extract_pattern(doc, (0, 0))
-        assert p.shapes == (rect(-16, 10, 0, 16), rect(-4, -4, 4, 4))
-        assert p.shapes == _clip_every_polygon(doc, (0, 0))
+        assert polygons_of(p.rings) == (rect(-16, 10, 0, 16), rect(-4, -4, 4, 4))
+        assert polygons_of(p.rings) == _clip_every_polygon(doc, (0, 0))
 
     @given(_design())
     @example((_doc([_u_across_edge((0, 0), 8, 0, 0, 0), rect(-8, -4, -4, 4), rect(-6, -2, 0, 2)], 8), (0, 0)))
@@ -419,7 +420,7 @@ class TestExtract:
         p = extract_pattern(doc, center)
         assert p.center == center
         assert p.radius == doc.pattern_radius
-        assert p.shapes == _clip_every_polygon(doc, center)
+        assert polygons_of(p.rings) == _clip_every_polygon(doc, center)
 
     @given(_design())
     @example((_doc([rect(-4, -4, 4, 2), staircase(2, run=2, rise=2, x0=-6, y0=-6)], 8), (0, 0)))  # whole
@@ -434,13 +435,13 @@ class TestExtract:
         # them, and so does the raster read from them
         doc, center = design
         p = extract_pattern(doc, center)
-        built = Pattern(p.center, p.radius, p.shapes)
+        built = Pattern(p.center, p.radius, polygons_of(p.rings))
         assert p.rects.dtype == np.int64 and p.rects.shape == built.rects.shape
         for name in ("rects", "owner", "coords", "x_axis", "bboxes"):
             assert np.array_equal(getattr(p, name), getattr(built, name)), name
         for name in ("rect_counts", "layout_key", "area"):
             assert getattr(p, name) == getattr(built, name), name
-        rects = [rc for shape in p.shapes for rc in rectangles(shape)]
+        rects = [rc for shape in polygons_of(p.rings) for rc in rectangles(shape)]
         for side in (8, 16):
             assert np.array_equal(coverage_grid(p.rects, p.radius, side), coverage_grid_loop(rects, p.radius, side))
 
@@ -455,20 +456,20 @@ class TestExtract:
         doc, center = design
         p = extract_pattern(doc, center)
         assert type(p.area) is int
-        assert p.area == sum(shape.area for shape in p.shapes)
+        assert p.area == sum(shape.area for shape in polygons_of(p.rings))
 
     def test_u_prongs_are_two_pieces(self):
         for turns in range(4):
             doc = _doc([_u_across_edge((0, 0), 8, 0, 0, turns)], 8)
             p = extract_pattern(doc, (0, 0))
-            assert len(p.shapes) == 2 and p.area == 2 * 2 * 8
+            assert len(p.rings) == 2 and p.area == 2 * 2 * 8
 
     def test_l_round_a_corner_has_no_piece(self):
         for turns in range(4):
             doc = _doc([_l_round_corner((0, 0), 8, 0, turns)], 8)
-            bx0, by0, bx1, by1 = doc.design_polygons[0].bbox
+            bx0, by0, bx1, by1 = polygons_of(doc.rings)[0].bbox
             assert bx0 < 8 and by0 < 8 and bx1 > -8 and by1 > -8  # the bbox overlaps the window
-            assert extract_pattern(doc, (0, 0)).is_empty
+            assert not extract_pattern(doc, (0, 0)).rings
 
 
 @st.composite
@@ -503,7 +504,7 @@ class TestExtractBatch:
         assert len(got) == len(centers)
         for p, c in zip(got, centers):
             assert_same_table(p, extract_pattern_loop(doc, c))
-            assert p.shapes == _clip_every_polygon(doc, c)
+            assert polygons_of(p.rings) == _clip_every_polygon(doc, c)
 
     def test_longer_than_one_chunk(self):
         # every center of a lattice over a random layout, shuffled, with
@@ -556,7 +557,7 @@ class TestWindowEdgeArrays:
         doc, center = design
         p = extract_pattern(doc, center)
         others = []
-        for shape in p.shapes:
+        for shape in polygons_of(p.rings):
             change = "move" if data is None else data.draw(st.sampled_from(["move", "mirror", "turn"]))
             if change == "move":
                 others.append(shape.translated(1, -2))
@@ -610,10 +611,10 @@ class TestWindowEdgeArrays:
         batch = extract_patterns(doc, centers)
         monkeypatch.undo()
         assert calls == [] and len(p.rings) == 3
-        assert p.shapes == _clip_every_polygon(doc, (0, 0))
+        assert polygons_of(p.rings) == _clip_every_polygon(doc, (0, 0))
         assert [len(q.rings) for q in batch] == [3, 1, 3, 3, 0, 3, 3, 1, 1]
         for q, c in zip(batch, centers):
-            assert q.shapes == _clip_every_polygon(doc, c)
+            assert polygons_of(q.rings) == _clip_every_polygon(doc, c)
 
 
 def _pat(*polys, radius=32) -> Pattern:
@@ -795,7 +796,7 @@ class TestKernelsAgainstOracle:
             assert got[0].dtype == got[1].dtype == np.int64
             got = _pairs(got)
         assert got == _outcome(match_polygons_loop, a, b, shift)
-        k = min(len(a.shapes), len(b.shapes))
+        k = min(len(a.rings), len(b.rings))
         forced = tuple(zip(range(k), range(k)))
         for pairs in (got, forced) if matched else (forced,):
             ia, ib = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
@@ -823,7 +824,7 @@ class TestEdgeFitSymmetry:
     @example((_pat(rect(0, 0, 4, 4)), _pat(rect(0, 0, 5, 4)), ZERO_SHIFT))  # odd offset hull
     def test_swap_negates_shift(self, pair):
         a, b, shift = pair
-        b = _pat(*(p.translated(shift.dx, shift.dy) for p in b.shapes))
+        b = _pat(*(p.translated(shift.dx, shift.dy) for p in polygons_of(b.rings)))
         ab, ba = edge_fit_aligned(a, b), edge_fit_aligned(b, a)
         if ab is None:
             assert ba is None

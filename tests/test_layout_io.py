@@ -27,7 +27,7 @@ from pattern_forge.synthetic import generate_synthetic
 from pattern_forge.geometry import Polygon, _trace_union, extract_pattern, extract_patterns
 
 from conftest import assert_same_rows, assert_same_table, random_rect_union, rect
-from oracles import extract_pattern_loop, parse_layout_loop, window_rows_loop
+from oracles import extract_pattern_loop, parse_layout_loop, polygons_of, window_rows_loop
 
 GOOD = """\
 # demo layout
@@ -52,7 +52,7 @@ class TestParse:
         assert doc.threshold == 0.9
         assert doc.polygon_ids == (0, 7)
         assert doc.marker_ids == (0, 3)
-        assert doc.design_polygons[0] == rect(0, 0, 40, 40)
+        assert polygons_of(doc.rings)[0] == rect(0, 0, 40, 40)
         assert doc.markers[1] == Marker(110, 5, 130, 25)
 
     def test_source_forms(self, tmp_path):
@@ -235,7 +235,7 @@ class TestArrayParse:
             assert (got.value.line, str(got.value)) == (exc.line, str(exc))
             return
         doc = parse_layout(text)
-        assert doc.design_polygons == want.polygons
+        assert polygons_of(doc.rings) == want.polygons
         assert doc.rings.bboxes.tolist() == [list(p.bbox) for p in want.polygons]
         assert (doc.polygon_ids, doc.markers, doc.marker_ids) == (want.polygon_ids, want.markers, want.marker_ids)
         rows = [(rc, k) for k, rs in enumerate(want.pieces) for rc in rs]
@@ -345,7 +345,7 @@ class TestDocumentEquality:
         doc = _doc()
         assert (doc == parse_layout(GOOD)) is True
         grown = LayoutDocument(doc.pattern_radius, doc.constraint_kind, doc.threshold,
-                               (rect(0, 0, 40, 41), doc.design_polygons[1]), doc.polygon_ids,
+                               (rect(0, 0, 40, 41), polygons_of(doc.rings)[1]), doc.polygon_ids,
                                doc.markers, doc.marker_ids)
         assert (doc == grown) is False
         assert (doc.rings == grown.rings) is False
@@ -475,6 +475,9 @@ class TestClusterReport:
             read_report("marker_id,cluster_id,center_x,center_y,rep_marker_id\n1,0,2,2,1\n# iterations=1\n")
         with pytest.raises(ValueError, match="needs 5 fields"):
             read_report("marker_id,cluster_id,center_x,center_y,rep_marker_id\n1,0,2,2\n")
+        # a field that is not an integer names its row, as a short row does
+        with pytest.raises(ValueError, match=re.escape("report row '1,0,x,2,1' has a non-integer field")):
+            read_report("marker_id,cluster_id,center_x,center_y,rep_marker_id\n1,0,x,2,1\n# clusters=1 iterations=1\n")
 
 
 class TestGenerator:
@@ -490,7 +493,7 @@ class TestGenerator:
         doc = generate_synthetic(k, m, 0, seed=5)
         assert len(doc.markers) == k * m
         assert doc.marker_ids == tuple(range(k * m))
-        assert len(doc.design_polygons) == sum((3 + t) * m for t in range(k))
+        assert len(doc.rings) == sum((3 + t) * m for t in range(k))
         assert doc.constraint_kind is ConstraintKind.COSINE
         assert doc.threshold == 0.9
 
@@ -506,17 +509,17 @@ class TestGenerator:
         jitter = 8
         doc = generate_synthetic(2, 3, jitter, seed=1)
         for m in doc.markers:
-            assert m.width == 4 * jitter and m.height == 4 * jitter
+            assert m.xhi - m.xlo == 4 * jitter and m.yhi - m.ylo == 4 * jitter
         point = generate_synthetic(2, 3, 0, seed=1)
         for m in point.markers:
-            assert m.width == 0 and m.height == 0
+            assert (m.xlo, m.ylo) == (m.xhi, m.yhi)
 
     def test_instance_counts_identify_templates(self):
         k, m = 3, 2
         doc = generate_synthetic(k, m, 6, seed=3)
         for g, marker in enumerate(doc.markers):
             pat = extract_pattern(doc, marker.center())
-            assert len(pat.shapes) == 3 + g // m
+            assert len(pat.rings) == 3 + g // m
 
     def test_instances_are_rigid_translations(self):
         doc = generate_synthetic(2, 3, 10, seed=9, constraint=ConstraintKind.EDGEMOVE)
@@ -535,7 +538,7 @@ class TestGenerator:
         doc = generate_synthetic(3, 3, 8, seed=2)
         owners = [doc.window_rows([m.center()])[1].tolist() for m in doc.markers]
         counts = Counter(p for polys in owners for p in set(polys))
-        assert sorted(counts) == list(range(len(doc.design_polygons)))
+        assert sorted(counts) == list(range(len(doc.rings)))
         assert set(counts.values()) == {1}  # each polygon in exactly one marker window
 
     def test_rejects_bad_arguments(self):

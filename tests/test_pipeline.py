@@ -34,7 +34,14 @@ from pattern_forge.pipeline import (
 from pattern_forge.raster import cosine_similarity, pattern_features
 
 from conftest import rect
-from oracles import eager_solve_oracle, probe_loop, refine_member_cosine, refine_member_edgemove, verify_loop
+from oracles import (
+    eager_solve_oracle,
+    polygons_of,
+    probe_loop,
+    refine_member_cosine,
+    refine_member_edgemove,
+    verify_loop,
+)
 
 COS = ConstraintKind.COSINE
 EDGE = ConstraintKind.EDGEMOVE
@@ -159,7 +166,7 @@ class TestRefineCluster:
         assert res.center == (300, 0)
         assert res.score == pytest.approx(1.0)
         # a representative that already holds its features gives the same
-        fresh = Pattern(rep.center, rep.radius, rep.shapes)
+        fresh = Pattern(rep.center, rep.radius, polygons_of(rep.rings))
         fresh.features  # computed here and kept
         assert refine_cluster(fresh, doc.markers[1], doc) == res
 
@@ -269,7 +276,7 @@ def _refine_paths(doc) -> set:
     for marker in doc.markers[1:]:
         anchor = marker.center()
         at_anchor = extract_pattern(doc, anchor)
-        if len(at_anchor.shapes) != len(rep.shapes):
+        if len(at_anchor.rings) != len(rep.rings):
             paths.add("unequal counts")
             continue
         if rep.layout_key != at_anchor.layout_key:
@@ -284,7 +291,7 @@ def _refine_paths(doc) -> set:
         polys = [len(set(doc.window_rows([x])[1].tolist())) for x in (anchor, center)]
         if polys[1] != polys[0]:
             paths.add("gains" if polys[1] > polys[0] else "loses")
-        if len(extract_pattern(doc, center).shapes) - polys[1] > len(at_anchor.shapes) - polys[0]:
+        if len(extract_pattern(doc, center).rings) - polys[1] > len(at_anchor.rings) - polys[0]:
             paths.add("splits")
     return paths
 
@@ -833,7 +840,7 @@ def _windows_never_cut(doc) -> bool:
     (so at every center between them) or misses the union of those windows."""
     r = doc.pattern_radius
     for m in doc.markers:
-        for bx0, by0, bx1, by1 in (p.bbox for p in doc.design_polygons):
+        for bx0, by0, bx1, by1 in (p.bbox for p in polygons_of(doc.rings)):
             inside = m.xhi - r <= bx0 and m.yhi - r <= by0 and bx1 <= m.xlo + r and by1 <= m.ylo + r
             apart = bx0 >= m.xhi + r or bx1 <= m.xlo - r or by0 >= m.yhi + r or by1 <= m.ylo - r
             if not (inside or apart):
@@ -859,7 +866,7 @@ class TestLayoutTable:
             assert parsed.rects.dtype == np.int64 and parsed.widest == built.widest
             assert np.array_equal(parsed.rects, built.rects) and np.array_equal(parsed.owner, built.owner)
             # each polygon's rows in rectangles() order, all sorted by xlo
-            pieces = [geometry.rectangles(p) for p in built.design_polygons]
+            pieces = [geometry.rectangles(p) for p in polygons_of(built.rings)]
             for k, rs in enumerate(pieces):
                 assert built.rects[built.owner == k].tolist() == [list(r) for r in rs]
             assert (np.diff(built.rects[:, 0]) >= 0).all()
@@ -911,14 +918,14 @@ class TestFeaturesOnce:
         doc = jittered_docs[COS]
         for marker in doc.markers[:4]:
             p = extract_pattern(doc, marker.center())
-            expected = pattern_features(Pattern(p.center, p.radius, p.shapes))
+            expected = pattern_features(Pattern(p.center, p.radius, polygons_of(p.rings)))
             seen = self._counting(monkeypatch)
             first = p.features
             assert p.features is first
             monkeypatch.undo()
             assert seen == [p]
             assert first.dtype == expected.dtype and first.tobytes() == expected.tobytes()
-            assert p == Pattern(p.center, p.radius, p.shapes) and "features" not in repr(p)
+            assert p == Pattern(p.center, p.radius, polygons_of(p.rings)) and "features" not in repr(p)
 
     def test_one_call_per_anchor_in_cosine_run(self, jittered_docs, monkeypatch):
         # the graph computes the anchors' features in blocks, and every
@@ -1090,9 +1097,9 @@ class TestVerify:
         doc = self._unequal_count_doc()
         clusters, report, _stats = run_full(doc, IterationConfig(use_prescreen=False))
         for cluster in clusters:
-            rep_count = len(extract_pattern(doc, cluster.rep_center).shapes)
+            rep_count = len(extract_pattern(doc, cluster.rep_center).rings)
             for _m, center in cluster.members:
-                assert len(extract_pattern(doc, center).shapes) == rep_count
+                assert len(extract_pattern(doc, center).rings) == rep_count
         rep_of = {row[0]: row[4] for row in report.assignments}
         assert rep_of[11] != 10 and rep_of[12] != 10
         assert verify_clusterset(clusters, doc)

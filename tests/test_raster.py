@@ -24,7 +24,14 @@ from pattern_forge.raster import (
 from pattern_forge.synthetic import generate_synthetic
 
 from conftest import rect, random_rect_union, staircase
-from oracles import cosine_of_blocks, coverage_grid_loop, features_per_window, naive_dct2, window_rectangles_loop
+from oracles import (
+    cosine_of_blocks,
+    coverage_grid_loop,
+    features_per_window,
+    naive_dct2,
+    polygons_of,
+    window_rectangles_loop,
+)
 
 
 def _pat(*polys, radius=32) -> Pattern:
@@ -127,7 +134,7 @@ class TestCoverageGridOracle:
     @example(_pat(rect(-MAX_RADIUS, -MAX_RADIUS, MAX_RADIUS, MAX_RADIUS), radius=MAX_RADIUS), 64)
     @example(_pat(rect(-5, -5, 5, 5), rect(-3, -5, 2, 1), radius=5), 8)
     def test_matches_per_rectangle_loop(self, pattern, side):
-        rects = [rc for shape in pattern.shapes for rc in rectangles(shape)]
+        rects = [rc for shape in polygons_of(pattern.rings) for rc in rectangles(shape)]
         got = coverage_grid(pattern.rects, pattern.radius, side)
         want = coverage_grid_loop(rects, pattern.radius, side)
         assert got.dtype == np.int64
@@ -151,7 +158,7 @@ class TestStackedCoverage:
     @pytest.mark.parametrize("radius", [MAX_RADIUS, MAX_RADIUS - 3])
     def test_deep_stacks_stay_exact(self, count, radius):
         p = _deep_stack(count, radius)
-        rects = [rc for shape in p.shapes for rc in rectangles(shape)]
+        rects = [rc for shape in polygons_of(p.rings) for rc in rectangles(shape)]
         got = coverage_grid(p.rects, p.radius, 64)
         assert got.dtype == np.int64 and int(got.max()) >= 2**53
         assert np.array_equal(got, coverage_grid_loop(rects, radius, 64))
@@ -215,7 +222,7 @@ class TestWindowFeatures:
     def test_window_rows_tile_the_extracted_shapes(self):
         doc = _layout([_u_shape(-40, -60, 40, 10, 20), rect(32, -8, 60, 8)], 32)
         pattern = extract_pattern(doc, (0, 30))
-        assert len(pattern.shapes) == 2  # the U's two prongs; the bar only touches
+        assert len(pattern.rings) == 2  # the U's two prongs; the bar only touches
         rows, polys, sizes = doc.window_rows([(0, 30)])
         assert sizes.tolist() == [len(rows)]
         assert rows.dtype == np.int64 and (np.abs(rows) <= 32).all()
@@ -471,11 +478,11 @@ class TestCosine:
         # raw blocks, and two windows holding the same shapes score exactly
         # 1 wherever their centres are
         pa = _random_pattern(random.Random(seed_a))
-        shapes = pa.shapes if same else _random_pattern(random.Random(seed_b)).shapes
+        shapes = polygons_of(pa.rings) if same else polygons_of(_random_pattern(random.Random(seed_b)).rings)
         pb = Pattern(center, pa.radius, shapes)
         got = cosine_similarity(pattern_features(pa), pattern_features(pb))
         raw_a = dct_features(rasterize(pa, 64).pixels, k=32)
         raw_b = dct_features(rasterize(pb, 64).pixels, k=32)
         assert abs(got - cosine_of_blocks(raw_a, raw_b)) <= 1e-12
-        if pa.shapes == pb.shapes:
+        if polygons_of(pa.rings) == polygons_of(pb.rings):
             assert got == 1.0

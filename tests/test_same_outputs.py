@@ -4,7 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from pattern_forge import extract_pattern, parse_layout, raster
+from pattern_forge import parse_layout, raster
+from pattern_forge.geometry import extract_pattern
 from pattern_forge.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -15,7 +15,7 @@ from pattern_forge.scp import (
     solve,
 )
 
-from oracles import eager_solve_oracle, exact_surprisals, gain_loop
+from oracles import eager_solve_oracle, exact_surprisals, gain_loop, neighbours
 
 
 def _graph(n: int, edges) -> SimilarityGraph:
@@ -42,7 +42,7 @@ def _check_cover(g: SimilarityGraph, result: SolveResult):
         assert sel.covered == tuple(sorted(sel.covered))
         for k in sel.covered:
             assert k not in covered, "node covered twice"
-            assert k == sel.node or k in g.neighbours(sel.node)
+            assert k == sel.node or k in neighbours(g, sel.node)
         covered.update(sel.covered)
     assert covered == set(range(g.n))
     assert result.stats.selections == len(result.selections)
